@@ -2,9 +2,9 @@
 
 All simulators draw from a PCG64 stream, a named, seedable, portable
 64-bit generator. Exponential holding times use the inverse CDF,
--ln(1 - U) / rate, so a seed fully determines every path. Replications
-get independent streams by XOR-ing the base seed with the replication
-index.
+-ln(1 - U) / rate, so a seed fully determines every path. Replication k
+of base seed s draws from a seed that numpy's SeedSequence hashes from
+the pair (s, k), so distinct pairs give independent streams.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ def make_stream(seed: int) -> np.random.Generator:
 
 
 def replication_seed(base: int, index: int) -> int:
-    return int(base) ^ int(index)
+    """64-bit seed of replication `index` under base seed `base`."""
+    ss = np.random.SeedSequence([int(base), int(index)])
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def exponential(rng: np.random.Generator, rate: float) -> float:

@@ -242,6 +242,19 @@ def test_couple_jobs_do_not_change_bytes(tmp_path, capsys):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
+def test_couple_base_seeds_share_no_replication_path(tmp_path, capsys):
+    args = ["couple", "--family", "tandem-pair", "--reps", "4", "--horizon", "20"]
+    bodies = {}
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert main(args + ["--seed", seed, "--out", str(out)]) == 0
+        bodies[seed] = {
+            tuple(read_csv_body(out / f"couple_rep{k:04d}.csv")[2]) for k in range(4)
+        }
+    assert len(bodies["0"]) == len(bodies["1"]) == 4
+    assert not bodies["0"] & bodies["1"]
+
+
 def test_identical_config_reruns_byte_identical(tmp_path, capsys):
     for cmd in (
         ["check", "--family", "tandem-pair"],
@@ -310,6 +323,14 @@ def test_malformed_flag_values_exit_two(tmp_path, capsys):
     assert main(base + ["--init", "a;b"]) == 2
     errs = capsys.readouterr().err.splitlines()
     assert all(e.startswith("floworder: ") for e in errs if e)
+
+
+def test_solve_zero_tolerance_exits_two(tmp_path, capsys):
+    rc = main(["solve", "--family", "tandem-original", "--tol", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floworder: stationary residual ")
+    assert "above tolerance 0" in err
 
 
 def test_missing_model_file_exits_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import helpers
 from floworder.ctmc import (
+    ConvergenceError,
     EventLog,
     ReducibleChainError,
     build_generator,
@@ -216,6 +217,48 @@ def test_stationary_with_transient_states():
     doc = {"n": 1, "space": {"box": [2]}, "rates": {"0->1": "0", "1->0": "x1"}}
     pi = stationary_distribution(build_generator(parse_model(doc)))
     assert pi == pytest.approx([1.0, 0.0, 0.0], abs=0)
+
+
+def test_stationary_stiff_large_tandem_solves():
+    # 2,601 states with arrivals 1e4 times faster than service.
+    spec = build_original_tandem(TandemParams.linear(50, 50, 1e4))
+    gen = build_generator(spec)
+    pi = stationary_distribution(gen)
+    assert float(np.abs(pi @ gen.matrix).max()) < 1e-12
+    t01, t12, t20 = (throughput(spec, pi, link) for link in spec.links)
+    assert abs(t01 - t12) < 1e-10
+    assert abs(t12 - t20) < 1e-10
+
+
+@pytest.mark.parametrize("s, beta", [(10, 1e-3), (20, 1e-6), (10, 1e4)])
+def test_stationary_extreme_beta_matches_nullspace(s, beta):
+    spec = build_original_tandem(TandemParams.linear(s, s, beta))
+    pi = stationary_distribution(build_generator(spec))
+    oracle = helpers.nullspace_stationary(helpers.dense_q(spec))
+    assert np.abs(pi - oracle).max() < 1e-10
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_stationary_random_tables_match_nullspace(seed, c1, c2):
+    spec, _ = helpers.random_table_instance(np.random.default_rng(seed), c1, c2)
+    gen = build_generator(spec)
+    q = helpers.dense_q(spec)
+    try:
+        pi = stationary_distribution(gen)
+    except ReducibleChainError as exc:
+        assert len(exc.classes) > 1
+        assert np.linalg.matrix_rank(q) < len(spec.states) - 1
+        return
+    assert np.abs(pi - helpers.nullspace_stationary(q)).max() < 1e-10
+
+
+def test_stationary_zero_tolerance_raises():
+    gen = build_generator(build_original_tandem(TandemParams.linear(2, 2, 1.0)))
+    with pytest.raises(ConvergenceError) as exc:
+        stationary_distribution(gen, tol=0.0)
+    assert exc.value.residual >= 0.0
+    assert str(exc.value).startswith("stationary residual ")
+    assert str(exc.value).endswith(" above tolerance 0")
 
 
 def test_two_recurrent_classes_rejected():
