@@ -42,7 +42,6 @@ from .model import (
     ModelError,
     NetworkSpec,
     ValidationReport,
-    enumerate_states,
     linear_links,
     load_model,
     model_digest,
@@ -117,7 +116,6 @@ __all__ = [
     "check_flow_conditions",
     "check_population_conditions",
     "empirical_tail_order",
-    "enumerate_states",
     "linear_links",
     "load_model",
     "loss_rate",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ from .ctmc import (
     simulate_path,
     stationary_distribution,
     throughput,
-    transient_mean_flow,
 )
 from .model import ModelError, NetworkSpec, load_model, model_digest
 from .ordering import (
@@ -148,8 +148,8 @@ def _parse_grid(grid: str) -> tuple[float, ...]:
         t0, t1, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError("--grid must look like t0:t1:steps") from None
-    if steps < 1 or t1 < t0:
-        raise UsageError("--grid needs t1 >= t0 and steps >= 1")
+    if not 0.0 <= t0 <= t1 < math.inf or steps < 1:
+        raise UsageError("--grid needs finite 0 <= t0 <= t1 and steps >= 1")
     return tuple(t0 + k * (t1 - t0) / steps for k in range(steps + 1))
 
 
@@ -168,6 +168,15 @@ def _parse_init(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(";"))
     except ValueError:
         raise UsageError("--init must look like a semicolon-joined state, e.g. 0;0") from None
+
+
+def _check_replications(config: RunConfig):
+    if config.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    if not 0.0 <= config.horizon < math.inf:
+        raise UsageError("--horizon must be finite and nonnegative")
+    if config.reps < 1:
+        raise UsageError("--reps must be at least 1")
 
 
 def _out_dir(config: RunConfig) -> str:
@@ -279,6 +288,7 @@ def _couple_worker(args):
 
 
 def _cmd_couple(config: RunConfig) -> int:
+    _check_replications(config)
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
     coupled = build_stateflow_coupling(spec_a, spec_b)
@@ -322,6 +332,7 @@ def _sim_worker(args):
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    _check_replications(config)
     spec = _single_model(config)
     header = _header(config, {"a": spec})
     init = _parse_init(config.init) if config.init else (0,) * spec.n

@@ -11,10 +11,17 @@ Solvers:
     recurrent-class generator, shifted off singularity, and two steps of
     inverse iteration. The chain may have transient states, but exactly
     one recurrent class.
-  * transient_distribution: uniformization with Poisson tail truncation.
-  * transient_mean_flow: quadrature of the instantaneous mean rate of one
-    link over a uniform grid, refined (with Richardson extrapolation)
-    until successive estimates agree.
+  * transient_distribution: uniformization, p(t) = sum_k P(N = k) p0 P^k
+    with N ~ Poisson(Lambda t) and P = I + Q / Lambda, truncated at the
+    first depth K whose Poisson tail P(N > K) is at most tol.
+  * transient_mean_flow: cumulative-reward uniformization (Reibman and
+    Trivedi 1988), E[N_l(t)] = (1/Lambda) sum_k P(N > k) (p0 P^k) r_l.
+    One pass over the powers p0 P^k serves a whole grid of times; the
+    depth K bounds the truncation error by (max r_l / Lambda)
+    sum_{k>K} P(N > k) at the largest time.
+
+Both take their Poisson weights from _poisson_weights, the one place the
+truncation policy lives.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class ConvergenceError(SolverError):
 
 
 class ToleranceError(SolverError):
-    """Requested tolerance is below what floating point terms can resolve."""
+    """No Poisson truncation depth meets the tolerance (a negative or NaN one)."""
 
 
 class Event(NamedTuple):
@@ -299,90 +306,104 @@ def distribution_vector(gen: Generator, p0) -> np.ndarray:
     return np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum()
 
 
+def _poisson_weights(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(q) probabilities P(N = k) and right tails P(N > k), k = 0..K.
+
+    Logarithms are accumulated outward from the mode, so no weight
+    underflows before it is negligible, and tails are summed from the
+    right, so small tails keep their relative accuracy. K = q + 40 sqrt(q)
+    + 200 puts the mass beyond K below 1e-300, which the tails treat as 0.
+    """
+    if q == 0.0:
+        return np.ones(1), np.zeros(1)
+    kmax = int(q + 40.0 * math.sqrt(q) + 200.0)
+    mode = int(q)
+    steps = np.log(q / np.arange(1, kmax + 1))  # log P(N = k) / P(N = k - 1)
+    logw = np.zeros(kmax + 1)
+    logw[mode + 1 :] = np.cumsum(steps[mode:])
+    logw[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
+    w = np.exp(logw)
+    w /= w.sum()
+    tail = np.zeros(kmax + 1)
+    tail[:-1] = np.cumsum(w[:0:-1])[::-1]
+    return w, tail
+
+
+def _truncation_depth(error: np.ndarray, tol: float) -> int:
+    """First k with error[k] <= tol, for a nonincreasing error bound."""
+    hits = np.flatnonzero(error <= tol)
+    if hits.size == 0:
+        raise ToleranceError(f"no Poisson truncation depth reaches tolerance {tol:g}")
+    return int(hits[0])
+
+
 def transient_distribution(gen: Generator, p0, t: float, tol: float = 1e-12) -> np.ndarray:
     """Distribution at time t by uniformization.
 
-    The Poisson tail is truncated once the kept weights cover 1 - tol, and
-    the result is renormalized. Large unif_rate * t is split into pieces to
-    keep the leading Poisson weight representable.
+    p(t) = sum_{k<=K} P(N = k) p0 P^k with N ~ Poisson(unif_rate t) and
+    P = I + Q / unif_rate. K is the first depth with P(N > K) <= tol, so
+    the dropped mass is at most tol; the result is renormalized. A tol no
+    depth meets (negative or NaN) raises ToleranceError.
     """
     vec = distribution_vector(gen, p0)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     if t == 0.0 or gen.unif_rate == 0.0:
         return vec
-    q = gen.unif_rate * t
-    if q > 500.0:
-        pieces = int(math.ceil(q / 500.0))
-        p = vec
-        for _ in range(pieces):
-            p = transient_distribution(gen, p, t / pieces, tol / pieces)
-        return p
+    w, tail = _poisson_weights(gen.unif_rate * t)
+    depth = _truncation_depth(tail, tol)
     kernel = gen.uniformized_kernel()
-    w = math.exp(-q)
-    acc = w * vec
-    v = vec
-    cum = w
-    k = 0
-    k_cap = int(q + 40.0 * math.sqrt(q) + 200.0)
-    while cum < 1.0 - tol:
-        k += 1
-        if k > k_cap:
-            raise ToleranceError(
-                f"tolerance {tol:g} is below what representable Poisson terms reach"
-            )
-        v = v @ kernel
-        w *= q / k
-        acc = acc + w * v
-        cum += w
+    acc = w[0] * vec
+    for k in range(1, depth + 1):
+        vec = vec @ kernel
+        acc += w[k] * vec
     np.clip(acc, 0.0, None, out=acc)
     return acc / acc.sum()
 
 
 def transient_mean_flow(
-    spec: NetworkSpec, p0, link: Link, t: float, tol: float = 1e-10
-) -> float:
-    """Expected number of moves along `link` in (0, t], counters starting at zero.
+    spec: NetworkSpec, p0, link: Link, times, tol: float = 1e-10
+) -> tuple[float, ...]:
+    """Expected numbers of moves along `link` in (0, t] for each t in `times`.
 
-    Integrates the instantaneous mean rate sum_x p_s(x) rate(x) over a
-    uniform grid that is halved (with Richardson extrapolation on the
-    trapezoid sums) until successive estimates differ by less than tol.
+    Counters start at zero. With N ~ Poisson(Lambda t), Lambda the
+    uniformization rate and r the link's rate vector,
+
+        E[N_link(t)] = (1/Lambda) sum_k P(N > k) (p0 P^k) r.
+
+    The rewards c_k = (p0 P^k) r are computed once, to a depth K set by
+    the largest time, and each time takes one dot product with its tail
+    weights. The truncation error at every time is at most
+    (max r / Lambda) sum_{k>K} P(N > k) <= tol. Every term is nonnegative,
+    so rounding adds a relative error of order K times machine epsilon on
+    top. A tol no depth meets (negative or NaN) raises ToleranceError.
     """
     if link not in spec.rates:
         raise ModelError(f"unknown link {link}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
+    times = tuple(float(t) for t in times)
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("times must be finite and nonnegative")
     gen = build_generator(spec)
     rate_vec = spec.rate_vector(link)
-    p_start = distribution_vector(gen, p0)
-    if gen.unif_rate == 0.0:
-        return float(p_start @ rate_vec) * t
-    step_tol = 1e-14
-
-    ps = [p_start, transient_distribution(gen, p_start, t, step_tol)]
-    values = [float(p @ rate_vec) for p in ps]
-    rows = [[t * (values[0] + values[1]) / 2.0]]
-    for level in range(1, 19):
-        h = t / (2**level)
-        new_ps = []
-        for j in range(len(ps) - 1):
-            new_ps.append(ps[j])
-            new_ps.append(transient_distribution(gen, ps[j], h, step_tol))
-        new_ps.append(ps[-1])
-        ps = new_ps
-        values = [float(p @ rate_vec) for p in ps]
-        trap = h * (values[0] / 2.0 + sum(values[1:-1]) + values[-1] / 2.0)
-        row = [trap]
-        for j in range(1, level + 1):
-            prev = rows[-1][j - 1] if j - 1 < len(rows[-1]) else row[-1]
-            row.append(row[-1] + (row[-1] - prev) / (4.0**j - 1.0))
-        diff = abs(row[-1] - rows[-1][-1])
-        rows.append(row)
-        if level >= 3 and diff < tol / 2.0:
-            return max(0.0, row[-1])
-    raise ToleranceError(f"mean flow quadrature did not reach tolerance {tol:g}")
+    vec = distribution_vector(gen, p0)
+    lam = gen.unif_rate
+    if lam == 0.0:  # no link ever fires
+        return (0.0,) * len(times)
+    _, tail = _poisson_weights(lam * max(times, default=0.0))
+    dropped = np.zeros(tail.size)
+    dropped[:-1] = np.cumsum(tail[:0:-1])[::-1]  # sum_{j>k} P(N > j)
+    depth = _truncation_depth(rate_vec.max() / lam * dropped, tol)
+    kernel = gen.uniformized_kernel()
+    rewards = np.empty(depth + 1)
+    rewards[0] = vec @ rate_vec
+    for k in range(1, depth + 1):
+        vec = vec @ kernel
+        rewards[k] = vec @ rate_vec
+    means = []
+    for t in times:
+        tail = _poisson_weights(lam * t)[1][: depth + 1]
+        means.append(float(tail @ rewards[: tail.size]) / lam)
+    return tuple(means)
 
 
 def throughput(spec: NetworkSpec, pi, link: Link) -> float:

@@ -48,8 +48,6 @@ __all__ = [
     "load_model",
     "serialize_model",
     "model_digest",
-    "enumerate_states",
-    "eval_rate",
     "validate_spec",
 ]
 
@@ -151,22 +149,9 @@ class NetworkSpec:
             self._vectors[link] = vec
         return vec
 
-    def link_rate(self, link: Link, x: State) -> float:
-        return self.rate_table(link)[tuple(x)]
-
 
 def is_linear_family(spec: NetworkSpec) -> bool:
     return spec.links == linear_links(spec.n)
-
-
-def enumerate_states(spec: NetworkSpec) -> tuple[State, ...]:
-    """All states in lexicographic order; the position is the solver index."""
-    return spec.states
-
-
-def eval_rate(expr: RateExpr, x, params) -> float:
-    """Evaluate a compiled rate expression. Pure, total and side-effect free."""
-    return evaluate(expr.root, tuple(x), params)
 
 
 def _parse_space(space, n: int) -> tuple[State, ...]:

@@ -2,18 +2,18 @@
 
 The oracles deliberately avoid the package's own solvers: stationary
 vectors come from a dense null-space computation, transients from a
-fixed-step Runge-Kutta integration, and distribution comparisons from a
-plain chi-square statistic. Tests freeze or recompute these values and
+fixed-step Runge-Kutta integration, expected flows from Van Loan's block
+matrix exponential, and distribution comparisons from a plain chi-square
+statistic. Tests freeze or recompute these values and
 compare the implementation against them.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 from scipy.stats import chi2
 
 from floworder.model import NetworkSpec, linear_links, parse_model
@@ -251,11 +251,16 @@ def random_certified_pair(rng: np.random.Generator, c1: int, c2: int):
     return spec_a, spec_b
 
 
-def poisson_tail_bound(q: float, k: int) -> float:
-    """Crude upper bound on P(Poisson(q) > k) for truncation sanity checks."""
-    term = math.exp(-q)
-    total = 0.0
-    for i in range(k + 1):
-        total += term
-        term *= q / (i + 1)
-    return max(0.0, 1.0 - total)
+def van_loan_mean_flow(spec: NetworkSpec, p0, link, times) -> np.ndarray:
+    """E[moves along `link` in (0, t]] per time, by Van Loan's block exponential.
+
+    The top-right block of expm([[Q, r], [0, 0]] t) is the integral of
+    exp(Q s) r over [0, t]; p0 weights its rows.
+    """
+    q = dense_q(spec)
+    m = q.shape[0]
+    block = np.zeros((m + 1, m + 1))
+    block[:m, :m] = q
+    block[:m, m] = spec.rate_vector(link)
+    p0 = np.asarray(p0, dtype=float)
+    return np.array([p0 @ expm(block * t)[:m, m] for t in times])

@@ -325,6 +325,26 @@ def test_malformed_flag_values_exit_two(tmp_path, capsys):
     assert all(e.startswith("floworder: ") for e in errs if e)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["couple", "--family", "tandem-pair", "--seed", "-1"],
+        ["simulate", "--family", "tandem-original", "--seed", "-1"],
+        ["simulate", "--family", "tandem-original", "--horizon", "-1"],
+        ["couple", "--family", "tandem-pair", "--horizon", "-1"],
+        ["transient", "--family", "tandem-pair", "--grid", "nan:1:1"],
+        ["transient", "--family", "tandem-pair", "--grid", "0:inf:1"],
+        ["transient", "--family", "tandem-pair", "--grid=-1:1:2"],
+        ["simulate", "--family", "tandem-original", "--reps", "-3"],
+    ],
+)
+def test_out_of_range_values_exit_two(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floworder: ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
 def test_solve_zero_tolerance_exits_two(tmp_path, capsys):
     rc = main(["solve", "--family", "tandem-original", "--tol", "0", "--out", str(tmp_path)])
     assert rc == 2

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 import helpers
 from floworder.ctmc import (
     ConvergenceError,
     EventLog,
     ReducibleChainError,
+    ToleranceError,
     build_generator,
     distribution_csv,
     distribution_vector,
@@ -319,10 +321,24 @@ def test_transient_semigroup():
 def test_transient_long_horizon_chunking():
     spec = helpers.mm1c_chain(100.0, 200.0, 2)
     gen = build_generator(spec)
-    assert gen.unif_rate * 10.0 > 500.0  # exercises the splitting branch
+    assert gen.unif_rate * 10.0 > 500.0  # exp(-q) underflows at q = 3000
     p = transient_distribution(gen, (0,), 10.0, tol=1e-12)
     pi = stationary_distribution(gen)
     assert np.abs(p - pi).max() < 1e-9
+
+
+def test_transient_long_horizon_matches_expm():
+    # a slow drift up past a fast reflecting top state: q = 1200 but far
+    # from stationary at t = 2
+    spec = parse_model(
+        helpers.single_node_doc("0.05 * ind(x1 < 3)", "600 * ind(x1 = 3)", 3)
+    )
+    gen = build_generator(spec)
+    assert gen.unif_rate * 2.0 > 500.0
+    p = transient_distribution(gen, (0,), 2.0, tol=1e-12)
+    oracle = expm(helpers.dense_q(spec) * 2.0)[0]
+    assert oracle[0] < 0.95
+    assert np.abs(p - oracle).max() < 1e-11
 
 
 def test_transient_preserves_mass_and_sign():
@@ -362,13 +378,13 @@ def test_distribution_vector_errors():
 
 def test_mean_flow_zero_time():
     spec = helpers.two_state_chain()
-    assert transient_mean_flow(spec, (0,), (0, 1), 0.0) == 0.0
+    assert transient_mean_flow(spec, (0,), (0, 1), (0.0,)) == (0.0,)
 
 
 def test_mean_flow_pure_arrivals_monte_carlo():
     doc = helpers.single_node_doc("ind(x1 < 10)", "0", 10)
     spec = parse_model(doc)
-    flow = transient_mean_flow(spec, (0,), (0, 1), 1.0, tol=1e-10)
+    (flow,) = transient_mean_flow(spec, (0,), (0, 1), (1.0,), tol=1e-10)
     # arrivals form a unit Poisson process stopped at its 10th point, so the
     # count at t=1 is min(N, 10) with N ~ Poisson(1)
     rng = np.random.default_rng(20260822)
@@ -381,16 +397,15 @@ def test_mean_flow_pure_arrivals_monte_carlo():
 def test_mean_flow_stationary_start_is_linear():
     spec = helpers.two_state_chain()
     pi = stationary_distribution(build_generator(spec))
-    flow = transient_mean_flow(spec, pi, (0, 1), 10.0, tol=1e-10)
+    (flow,) = transient_mean_flow(spec, pi, (0, 1), (10.0,), tol=1e-10)
     assert flow == pytest.approx(5.0, abs=1e-8)
 
 
 def test_mean_flow_monotone_in_time():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
-    values = [
-        transient_mean_flow(spec, (0, 0), (0, 1), t, tol=1e-10)
-        for t in (0.0, 0.5, 1.0, 2.0, 4.0)
-    ]
+    values = transient_mean_flow(
+        spec, (0, 0), (0, 1), (0.0, 0.5, 1.0, 2.0, 4.0), tol=1e-10
+    )
     assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
 
@@ -398,12 +413,68 @@ def test_mean_flow_flat_rate_shortcut():
     doc = {"n": 1, "space": {"list": [[0]]}, "rates": {"0->1": "0", "1->0": "0"},
            "clamp": True}
     spec = parse_model(doc)
-    assert transient_mean_flow(spec, (0,), (0, 1), 7.0) == 0.0
+    assert transient_mean_flow(spec, (0,), (0, 1), (7.0,)) == (0.0,)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.booleans())
+def test_mean_flow_random_tables_match_van_loan(seed, c1, c2, dense):
+    rng = np.random.default_rng(seed)
+    spec, _ = helpers.random_table_instance(rng, c1, c2)
+    m = len(spec.states)
+    if dense:
+        p0 = rng.dirichlet(np.ones(m))
+        start = p0
+    else:
+        p0 = spec.states[rng.integers(m)]
+        start = np.eye(m)[spec.state_index[p0]]
+    link = spec.links[rng.integers(len(spec.links))]
+    times = (0.0,) + tuple(sorted(rng.uniform(0.0, 20.0, 3)))
+    means = transient_mean_flow(spec, p0, link, times)
+    oracle = helpers.van_loan_mean_flow(spec, start, link, times)
+    assert means[0] == 0.0
+    for got, want in zip(means, oracle):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec, start, t",
+    [
+        pytest.param(build_balanced_tandem(TandemParams.linear(2, 2, 1.0)), (0, 0), 500.0,
+                     id="tandem-balanced-t500"),
+        pytest.param(build_original_tandem(TandemParams.linear(2, 2, 1.0)), (0, 0), 500.0,
+                     id="tandem-original-t500"),
+        pytest.param(helpers.mm1c_chain(100.0, 200.0, 2), (0,), 10.0, id="mm1c-q3000"),
+    ],
+)
+def test_mean_flow_long_horizon_matches_van_loan(spec, start, t):
+    (mean,) = transient_mean_flow(spec, start, (0, 1), (t,))
+    (oracle,) = helpers.van_loan_mean_flow(
+        spec, np.eye(len(spec.states))[spec.state_index[start]], (0, 1), (t,)
+    )
+    assert abs(mean - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("tol", [-1e-12, math.nan])
+def test_unreachable_tolerance_raises(tol):
+    spec = helpers.mm1c_chain(1.0, 2.0, 2)
+    with pytest.raises(ToleranceError, match="truncation depth"):
+        transient_distribution(build_generator(spec), (0,), 1.0, tol=tol)
+    with pytest.raises(ToleranceError, match="truncation depth"):
+        transient_mean_flow(spec, (0,), (0, 1), (1.0,), tol=tol)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_bad_times_raise(t):
+    spec = helpers.mm1c_chain(1.0, 2.0, 2)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        transient_distribution(build_generator(spec), (0,), t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        transient_mean_flow(spec, (0,), (0, 1), (0.0, t))
 
 
 def test_mean_flow_unknown_link():
     with pytest.raises(ModelError, match="unknown link"):
-        transient_mean_flow(helpers.two_state_chain(), (0,), (3, 4), 1.0)
+        transient_mean_flow(helpers.two_state_chain(), (0,), (3, 4), (1.0,))
 
 
 # ------------------------------------------------------------ throughput

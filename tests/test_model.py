@@ -3,11 +3,10 @@ import json
 import pytest
 
 import helpers
+from floworder.expr import evaluate
 from floworder.model import (
     ModelError,
     NetworkSpec,
-    enumerate_states,
-    eval_rate,
     linear_links,
     load_model,
     model_digest,
@@ -49,7 +48,7 @@ def test_lexicographic_enumeration():
         "rates": {"0->1": "0", "1->2": "0", "2->0": "0"},
     }
     spec = parse_model(doc)
-    assert enumerate_states(spec) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert spec.states == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_box_minus_corner():
@@ -59,19 +58,19 @@ def test_box_minus_corner():
         "rates": {"0->1": "0", "1->2": "0", "2->0": "0"},
     }
     spec = parse_model(doc)
-    assert enumerate_states(spec) == ((0, 0), (0, 1), (1, 0))
+    assert spec.states == ((0, 0), (0, 1), (1, 0))
 
 
 def test_singleton_space():
     doc = {"n": 1, "space": {"list": [[0]]}, "rates": {"0->1": "0", "1->0": "0"}}
-    assert enumerate_states(parse_model(doc)) == ((0,),)
+    assert parse_model(doc).states == ((0,),)
 
 
 def test_eval_rate_examples():
     spec = parse_model(helpers.tandem_doc_text(2, 2, 1.0))
     arrival = spec.rates[(0, 1)]
-    assert eval_rate(arrival, (2, 0), spec.params) == 0.0
-    assert eval_rate(arrival, (1, 2), spec.params) == 1.0
+    assert evaluate(arrival.root, (2, 0), spec.params) == 0.0
+    assert evaluate(arrival.root, (1, 2), spec.params) == 1.0
 
 
 def test_boundary_rule_strict_by_default():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from floworder import ctmc
 from floworder.coupling import (
     CoupledEvent,
     PairedEventLog,
@@ -410,6 +411,15 @@ def test_mean_order_tandem_pair_short_grid():
     assert report.passed
     assert all(m >= -1e-8 for m in report.margins)
     assert report.margins[-1] > 0.01  # the gap is clearly visible by t=10
+
+
+def test_mean_order_builds_one_generator_per_model(monkeypatch):
+    built = []
+    real = ctmc.build_generator
+    monkeypatch.setattr(ctmc, "build_generator", lambda spec: built.append(spec) or real(spec))
+    spec_a, spec_b = tandem_pair(3, 3, 1.0)
+    mean_order_check(spec_a, spec_b, (0, 1), tuple(float(t) for t in range(21)), (0, 0))
+    assert len(built) == 2
 
 
 def test_mean_order_rejects_foreign_initial_state():
