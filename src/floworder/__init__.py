@@ -2,12 +2,14 @@
 
 The package models finite-state Markov population processes whose moves
 shift one unit along a directed link, with node 0 standing for the
-outside world. For the linear link family 0 -> 1 -> ... -> n -> 0 it
-provides pointwise rate-condition checkers, an exhaustive closure
-verifier, marching-soldiers couplings with cumulative flow counters, and
-exact solvers for stationary and transient questions, so that throughput
+outside world. Each link's rates are held as an array over the
+lexicographic state index, next to the index each move leads to. For the
+linear link family 0 -> 1 -> ... -> n -> 0 it provides pointwise
+rate-condition checkers, an exhaustive closure verifier,
+marching-soldiers couplings with cumulative flow counters, and exact
+solvers for stationary and transient questions, so that throughput
 orderings between two such models can be certified pathwise or in
-expectation.
+expectation. All simulation runs on one Gillespie kernel.
 """
 
 __version__ = "0.1.0"
@@ -63,15 +65,7 @@ from .ordering import (
     verify_tight_configurations,
 )
 from .rng import make_stream, replication_seed
-from .stateflow import (
-    FlowTrajectory,
-    StateFlowLog,
-    StateFlowRule,
-    augment,
-    balance_signature,
-    recover_flows,
-    simulate_stateflow_path,
-)
+from .stateflow import FlowTrajectory, balance_signature, recover_flows
 from .tandem import (
     TandemParams,
     build_balanced_tandem,
@@ -100,13 +94,10 @@ __all__ = [
     "RateExpr",
     "ReducibleChainError",
     "SolverError",
-    "StateFlowLog",
-    "StateFlowRule",
     "TailOrderReport",
     "TandemParams",
     "ToleranceError",
     "ValidationReport",
-    "augment",
     "balance_signature",
     "build_balanced_tandem",
     "build_generator",
@@ -133,7 +124,6 @@ __all__ = [
     "serialize_model",
     "simulate_coupled",
     "simulate_path",
-    "simulate_stateflow_path",
     "stationary_distribution",
     "throughput",
     "transient_distribution",

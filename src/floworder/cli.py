@@ -412,14 +412,7 @@ def _cmd_transient(config: RunConfig) -> int:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    header = {
-        "tool": "floworder",
-        "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "tol": config.tol,
-        "models": {},
-    }
+    header = _header(config, {})
     rows = [
         "beta,s1,s2,throughput_balanced,throughput_original,"
         "loss_balanced,loss_original,margin"

@@ -6,7 +6,9 @@ takes a joint step at min(a, b), B alone at max(b - a, 0) and A alone at
 max(a - b, 0). Each marginal therefore sees exactly its own rates, and
 whenever one rate dominates the other, only the dominant side can step
 ahead. The coupling exists in a population form, tracking (x, x'), and a
-state-flow form that also carries per-link counters for both sides.
+state-flow form that also carries per-link counters for both sides. Both
+run on ctmc.gillespie over index pairs (i, i'), with the bins (joint,
+B-only, A-only) of each link in declared link order.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ctmc import Event, EventLog
+from .ctmc import Event, EventLog, _link_arrays, gillespie
 from .model import Link, ModelError, NetworkSpec, State
-from .rng import exponential, make_stream
 
 __all__ = [
     "marching_rates",
@@ -32,6 +33,7 @@ __all__ = [
 JOINT = "joint"
 B_ONLY = "b_only"
 A_ONLY = "a_only"
+_KINDS = (JOINT, B_ONLY, A_ONLY)  # bin order within a link
 
 
 def marching_rates(a: float, a_prime: float) -> tuple[float, float, float]:
@@ -51,7 +53,7 @@ class CoupledSpec:
     """A pair of specs over one link family, coupled link by link.
 
     The coupled generator is never materialized; rates are produced on
-    demand from the component rate tables, so the reachable pair space
+    demand from the component rate arrays, so the reachable pair space
     stays implicit.
     """
 
@@ -75,10 +77,12 @@ class CoupledSpec:
 
     def transition_rates(self, xa: State, xb: State):
         """Per-link triples at the pair (xa, xb): (link, joint, b_only, a_only)."""
+        ia = self.spec_a.index_of(xa)
+        ib = self.spec_b.index_of(xb)
         out = []
         for link in self.links:
-            a = self.spec_a.rate_table(link)[tuple(xa)]
-            b = self.spec_b.rate_table(link)[tuple(xb)]
+            a = float(self.spec_a.rate_vector(link)[ia])
+            b = float(self.spec_b.rate_vector(link)[ib])
             joint, b_only, a_only = marching_rates(a, b)
             out.append((link, joint, b_only, a_only))
         return out
@@ -144,8 +148,9 @@ def simulate_coupled(
 ) -> PairedEventLog:
     """Simulate the coupled chain; counters (state-flow form) start at zero.
 
-    Candidate events are ordered (joint, B-only, A-only) within each link
-    and links keep their declared order, so a seed fixes the path exactly.
+    The kernel's state is the index pair (ia, ib). Candidate events are
+    ordered (joint, B-only, A-only) within each link and links keep their
+    declared order, so a seed fixes the path exactly.
     """
     xa = tuple(int(v) for v in init_a)
     xb = tuple(int(v) for v in init_b)
@@ -153,80 +158,58 @@ def simulate_coupled(
         raise ModelError(f"initial state {xa} not in the first state space")
     if xb not in coupled.spec_b.state_index:
         raise ModelError(f"initial state {xb} not in the second state space")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     links = coupled.links
-    tables_a = [coupled.spec_a.rate_table(link) for link in links]
-    tables_b = [coupled.spec_b.rate_table(link) for link in links]
-    with_flows = coupled.with_flows
-    fa = tuple(0 for _ in links) if with_flows else None
-    fb = tuple(0 for _ in links) if with_flows else None
-    rng = make_stream(seed)
-    events: list[CoupledEvent] = []
-    t = 0.0
-    absorbed = False
-    while True:
-        triples = []
+    arrays_a, arrays_b = _link_arrays(coupled.spec_a), _link_arrays(coupled.spec_b)
+    rates = [(ra.tolist(), rb.tolist()) for (ra, _), (rb, _) in zip(arrays_a, arrays_b)]
+    next_a = [n.tolist() for _, n in arrays_a]
+    next_b = [n.tolist() for _, n in arrays_b]
+
+    def rates_at(pair):
+        ia, ib = pair
+        bins = []
         total = 0.0
-        for k in range(len(links)):
-            a = tables_a[k][xa]
-            b = tables_b[k][xb]
+        for rates_a, rates_b in rates:
+            a = rates_a[ia]
+            b = rates_b[ib]
+            # marching_rates(a, b), up to the sign of a zero rate
             joint = a if a <= b else b
-            b_only = max(b - a, 0.0)
-            a_only = max(a - b, 0.0)
-            triples.append((joint, b_only, a_only))
+            b_only = b - a if b > a else 0.0
+            a_only = a - b if a > b else 0.0
+            bins += (joint, b_only, a_only)
             total += joint + b_only + a_only
-        if total <= 0.0:
-            absorbed = True
-            break
-        t_next = t + exponential(rng, total)
-        if t_next > horizon:
-            break
-        target_mass = rng.random() * total
-        chosen_link = -1
-        chosen_kind = None
-        acc = 0.0
-        for k, (joint, b_only, a_only) in enumerate(triples):
-            acc += joint
-            if target_mass < acc:
-                chosen_link, chosen_kind = k, JOINT
-                break
-            acc += b_only
-            if target_mass < acc:
-                chosen_link, chosen_kind = k, B_ONLY
-                break
-            acc += a_only
-            if target_mass < acc:
-                chosen_link, chosen_kind = k, A_ONLY
-                break
-        if chosen_link < 0:
-            for k in range(len(links) - 1, -1, -1):
-                joint, b_only, a_only = triples[k]
-                if a_only > 0.0:
-                    chosen_link, chosen_kind = k, A_ONLY
-                    break
-                if b_only > 0.0:
-                    chosen_link, chosen_kind = k, B_ONLY
-                    break
-                if joint > 0.0:
-                    chosen_link, chosen_kind = k, JOINT
-                    break
-        link = links[chosen_link]
-        if chosen_kind != B_ONLY:
-            xa = coupled.spec_a.target(xa, link)
-            if with_flows:
-                fa = fa[:chosen_link] + (fa[chosen_link] + 1,) + fa[chosen_link + 1 :]
-        if chosen_kind != A_ONLY:
-            xb = coupled.spec_b.target(xb, link)
-            if with_flows:
-                fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
-        events.append(CoupledEvent(t_next, link, chosen_kind, xa, xb, fa, fb))
-        t = t_next
+        return total, bins
+
+    def advance(pair, b):
+        ia, ib = pair
+        k, kind = divmod(b, 3)
+        if kind != 1:  # not B-only: A moves
+            ia = next_a[k][ia]
+        if kind != 2:  # not A-only: B moves
+            ib = next_b[k][ib]
+        return ia, ib
+
+    start = (coupled.spec_a.state_index[xa], coupled.spec_b.state_index[xb])
+    steps, absorbed = gillespie(rates_at, advance, start, horizon, seed)
+    with_flows = coupled.with_flows
+    zeros = tuple(0 for _ in links) if with_flows else None
+    fa = fb = zeros
+    states_a, states_b = coupled.spec_a.states, coupled.spec_b.states
+    events: list[CoupledEvent] = []
+    for t, b, (ia, ib) in steps:
+        k, kind = divmod(b, 3)
+        if with_flows:
+            if kind != 1:
+                fa = fa[:k] + (fa[k] + 1,) + fa[k + 1 :]
+            if kind != 2:
+                fb = fb[:k] + (fb[k] + 1,) + fb[k + 1 :]
+        events.append(
+            CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
+        )
     return PairedEventLog(
-        initial_a=tuple(int(v) for v in init_a),
-        initial_b=tuple(int(v) for v in init_b),
-        initial_flows_a=tuple(0 for _ in links) if with_flows else None,
-        initial_flows_b=tuple(0 for _ in links) if with_flows else None,
+        initial_a=xa,
+        initial_b=xb,
+        initial_flows_a=zeros,
+        initial_flows_b=zeros,
         links=links,
         events=events,
         horizon=float(horizon),

@@ -1,9 +1,16 @@
 """Generator construction, simulation and distribution solvers.
 
 The continuous-time chain lives on the finite state set of a NetworkSpec.
-Its generator is assembled link by link, keeping one labeled entry per
-(state, link) so that flows stay attributable to links even when the
-matrix itself sums parallel contributions.
+Its generator is concatenated from the per-link rate and next_index
+arrays, keeping one labeled entry per (state, link) with a positive rate
+so that flows stay attributable to links even when the matrix itself sums
+parallel contributions.
+
+Simulation: gillespie is the one Gillespie (1977) kernel, over state
+indices and numbered bins: one exponential draw for the holding time,
+then one uniform draw for the bin. simulate_path runs it with one bin per
+link; coupling.simulate_coupled runs it on index pairs with three bins
+per link.
 
 Solvers:
 
@@ -35,7 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .model import Link, ModelError, NetworkSpec, State
+from .model import Link, ModelError, NetworkSpec, State, validate_spec
 from .rng import exponential, make_stream
 
 __all__ = [
@@ -127,44 +134,85 @@ class Generator:
         return self._kernel
 
 
+def _link_arrays(spec: NetworkSpec):
+    """Per-link (rates, next_index) arrays; a positive rate leaving the space raises."""
+    issues = validate_spec(spec).issues
+    if issues:
+        (i, j), x = issues[0].link, issues[0].state
+        raise ModelError(
+            f"rate for link {i}->{j} is positive at state {x} "
+            f"but the move leaves the state space"
+        )
+    return [(spec.rate_vector(link), spec.next_index(link)) for link in spec.links]
+
+
 def build_generator(spec: NetworkSpec) -> Generator:
-    states = spec.states
-    index = spec.state_index
-    entries = []
-    m = len(states)
+    m = len(spec.states)
     exit_rates = np.zeros(m)
-    rows, cols, vals = [], [], []
-    for link in spec.links:
-        table = spec.rate_table(link)
-        for i, x in enumerate(states):
-            r = table[x]
-            if r > 0.0:
-                y = spec.target(x, link)
-                j = index[y]  # guaranteed by validation
-                entries.append((i, j, r, link))
-                rows.append(i)
-                cols.append(j)
-                vals.append(r)
-                exit_rates[i] += r
-    for i in range(m):
-        if exit_rates[i] > 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(-exit_rates[i])
+    src, dst, val, labels = [], [], [], []
+    for link, (rates, next_index) in zip(spec.links, _link_arrays(spec)):
+        moving = np.flatnonzero(rates > 0.0)
+        src.append(moving)
+        dst.append(next_index[moving])
+        val.append(rates[moving])
+        labels += [link] * moving.size
+        exit_rates += rates  # link by link in declared order, which fixes the rounding
+    src, dst, val = (np.concatenate(v) for v in (src, dst, val))
+    leaving = np.flatnonzero(exit_rates > 0.0)
+    rows = np.concatenate([src, leaving])
+    cols = np.concatenate([dst, leaving])
+    vals = np.concatenate([val, -exit_rates[leaving]])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    unif = float(exit_rates.max()) if m else 0.0
     return Generator(
-        states=states,
-        index=index,
-        entries=tuple(entries),
+        states=spec.states,
+        index=spec.state_index,
+        entries=tuple(zip(src.tolist(), dst.tolist(), val.tolist(), labels)),
         matrix=matrix,
         exit_rates=exit_rates,
-        unif_rate=unif,
+        unif_rate=float(exit_rates.max()),
     )
 
 
+def gillespie(rates_at, advance, state, horizon: float, seed: int):
+    """Gillespie (1977) path from `state` up to `horizon`, over numbered bins.
+
+    rates_at(state) returns (total, rates): the rate of each candidate
+    move in a fixed bin order, and their total as the caller sums it.
+    advance(state, b) is the state after a move in bin b. Each step draws
+    the holding time exponential(total) and then one uniform U: the move
+    is the first bin whose running sum exceeds U * total or, when rounding
+    carries U * total past the last running sum, the last bin with a
+    positive rate. The path stops at the first event past the horizon
+    (not recorded) or at a state whose total rate is zero.
+
+    Returns (events, absorbed), each event a (time, bin, state after) triple.
+    """
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
+    rng = make_stream(seed)
+    events = []
+    t = 0.0
+    while True:
+        total, rates = rates_at(state)
+        if total <= 0.0:
+            return events, True
+        t += exponential(rng, total)
+        if t > horizon:
+            return events, False
+        target_mass = rng.random() * total
+        acc = 0.0
+        for b, r in enumerate(rates):
+            acc += r
+            if target_mass < acc:
+                break
+        else:  # rounding pushed the draw past the last bin
+            b = max(b for b, r in enumerate(rates) if r > 0.0)
+        state = advance(state, b)
+        events.append((t, b, state))
+
+
 def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLog:
-    """Gillespie path up to `horizon`.
+    """Gillespie path up to `horizon`, one bin per link in declared order.
 
     The path stops at the first event time past the horizon (that event is
     not recorded) or when the total exit rate hits zero, which sets the
@@ -173,41 +221,17 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     init = tuple(int(v) for v in init)
     if init not in spec.state_index:
         raise ModelError(f"initial state {init} not in the state space")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    rng = make_stream(seed)
-    links = spec.links
-    tables = [spec.rate_table(link) for link in links]
-    events: list[Event] = []
-    x = init
-    t = 0.0
-    absorbed = False
-    while True:
-        rates = [table[x] for table in tables]
-        total = 0.0
-        for r in rates:
-            total += r
-        if total <= 0.0:
-            absorbed = True
-            break
-        t_next = t + exponential(rng, total)
-        if t_next > horizon:
-            break
-        target_mass = rng.random() * total
-        chosen = -1
-        acc = 0.0
-        for idx, r in enumerate(rates):
-            acc += r
-            if target_mass < acc:
-                chosen = idx
-                break
-        if chosen < 0:  # rounding pushed the draw past the last bin
-            chosen = max(i for i, r in enumerate(rates) if r > 0.0)
-        link = links[chosen]
-        post = spec.target(x, link)
-        events.append(Event(t_next, link, x, post))
-        x = post
-        t = t_next
+    arrays = _link_arrays(spec)
+    totals = np.zeros(len(spec.states))
+    for rates, _ in arrays:  # in declared link order: the draws depend on every bit
+        totals += rates
+    moves = list(zip(totals.tolist(), np.column_stack([r for r, _ in arrays]).tolist()))
+    next_index = [n.tolist() for _, n in arrays]
+    start = spec.state_index[init]
+    steps, absorbed = gillespie(moves.__getitem__, lambda i, b: next_index[b][i], start, horizon, seed)
+    links, states = spec.links, spec.states
+    pre = [start] + [i for _, _, i in steps]
+    events = [Event(t, links[b], states[p], states[i]) for (t, b, i), p in zip(steps, pre)]
     return EventLog(
         initial=init, events=events, horizon=float(horizon), absorbed=absorbed, links=links
     )
@@ -298,6 +322,8 @@ def distribution_vector(gen: Generator, p0) -> np.ndarray:
         vec = np.asarray(p0, dtype=float).copy()
         if vec.shape != (m,):
             raise ValueError(f"distribution must have length {m}")
+    if not np.isfinite(vec).all():
+        raise ValueError("distribution has non-finite mass")
     if vec.min() < -1e-12:
         raise ValueError("distribution has negative mass")
     s = vec.sum()

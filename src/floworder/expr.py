@@ -13,13 +13,16 @@ transition rate. Supported syntax:
 
 Evaluation is total: there is no division and no partial function, so a
 compiled expression cannot fail at runtime. Comparisons are only legal
-inside ind(...).
+inside ind(...). An expression is evaluated once over the whole state
+array, giving one rate per state.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ExpressionError",
@@ -230,38 +233,48 @@ def parse_expression(source: str, n: int, param_names) -> RateExpr:
     return RateExpr(source=source, root=root, n=n)
 
 
-def evaluate(node, x, params) -> float:
-    """Evaluate an expression node at state `x` with parameter map `params`."""
+def evaluate(node, states, params) -> np.ndarray:
+    """Evaluate an expression node at every row of an (m, n) state array.
+
+    Returns an (m,) float array, computed with numpy's elementwise IEEE
+    operations, so each entry equals the scalar evaluation at that state.
+    min and max fold their arguments left to right and keep the running
+    value unless a later argument compares strictly smaller (larger), as
+    Python's builtins do, so signed zeros and NaNs resolve the same way.
+    """
     if isinstance(node, Num):
-        return node.value
+        return np.full(len(states), node.value)
     if isinstance(node, Coord):
-        return float(x[node.index])
+        return states[:, node.index].astype(float)
     if isinstance(node, Param):
-        return float(params[node.name])
+        return np.full(len(states), float(params[node.name]))
     if isinstance(node, BinOp):
-        a = evaluate(node.left, x, params)
-        b = evaluate(node.right, x, params)
+        a = evaluate(node.left, states, params)
+        b = evaluate(node.right, states, params)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         return a * b
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x, params)
+        return -evaluate(node.operand, states, params)
     if isinstance(node, Extremum):
-        values = [evaluate(a, x, params) for a in node.args]
-        return min(values) if node.fn == "min" else max(values)
+        best = evaluate(node.args[0], states, params)
+        for arg in node.args[1:]:
+            value = evaluate(arg, states, params)
+            better = value < best if node.fn == "min" else value > best
+            best = np.where(better, value, best)
+        return best
     if isinstance(node, Indicator):
+        holds = np.ones(len(states), dtype=bool)
         for test in node.tests:
-            a = evaluate(test.left, x, params)
-            b = evaluate(test.right, x, params)
+            a = evaluate(test.left, states, params)
+            b = evaluate(test.right, states, params)
             if test.op == "<":
-                ok = a < b
+                holds &= a < b
             elif test.op == "<=":
-                ok = a <= b
+                holds &= a <= b
             else:
-                ok = a == b
-            if not ok:
-                return 0.0
-        return 1.0
+                holds &= a == b
+        return holds.astype(float)
     raise TypeError(f"not an expression node: {node!r}")

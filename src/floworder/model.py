@@ -20,7 +20,11 @@ Documents are JSON objects:
     }
 
 States are enumerated in lexicographic order, which fixes the index map
-used by every solver and report in the package.
+used by every solver and report in the package. Each link is held as two
+arrays over that index: its effective rate at every state, and the index
+of the state each move leads to (-1 where the move leaves the space).
+Both are built once per link, from one evaluation of its expression over
+the whole state array, and validation reads them as masks.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ def linear_links(n: int) -> tuple[Link, ...]:
 class NetworkSpec:
     """Immutable description of one population process.
 
-    Treat instances as frozen after construction; the rate tables and the
-    state index are cached on first use.
+    Treat instances as frozen after construction; the state index and the
+    per-link arrays are cached on first use.
     """
 
     n: int
@@ -97,8 +101,7 @@ class NetworkSpec:
     params: dict[str, float]
     clamp: bool = False
     _index: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _tables: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _vectors: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def state_index(self) -> dict[State, int]:
@@ -121,33 +124,37 @@ class NetworkSpec:
             y[j - 1] += 1
         return tuple(y)
 
-    def rate_table(self, link: Link) -> dict[State, float]:
-        """Effective rate of `link` at every state, clamp applied."""
-        if self._tables is None:
-            self._tables = {}
-        table = self._tables.get(link)
-        if table is None:
-            expr = self.rates[link]
-            index = self.state_index
-            table = {}
-            for x in self.states:
-                r = evaluate(expr.root, x, self.params)
-                if self.clamp and self.target(x, link) not in index:
-                    r = 0.0
-                table[x] = r
-            self._tables[link] = table
-        return table
-
     def rate_vector(self, link: Link) -> np.ndarray:
-        """Effective rates of `link` aligned with the state enumeration."""
-        if self._vectors is None:
-            self._vectors = {}
-        vec = self._vectors.get(link)
-        if vec is None:
-            table = self.rate_table(link)
-            vec = np.array([table[x] for x in self.states], dtype=float)
-            self._vectors[link] = vec
-        return vec
+        """Effective rates of `link` aligned with the state enumeration, clamp applied.
+
+        The first call for a link evaluates its expression once over all
+        states and maps every state to the index of its target.
+        """
+        arrays = self._arrays.get(link)
+        if arrays is None:
+            coords = np.array(self.states, dtype=np.int64)
+            with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
+                raw = evaluate(self.rates[link].root, coords, self.params)
+            i, j = link
+            if i > 0:
+                coords[:, i - 1] -= 1
+            if j > 0:
+                coords[:, j - 1] += 1
+            index = self.state_index
+            targets = [index.get(y, -1) for y in map(tuple, coords.tolist())]
+            next_index = np.array(targets, dtype=np.int64)
+            rates = np.where(next_index >= 0, raw, 0.0) if self.clamp else raw
+            arrays = self._arrays[link] = (rates, next_index, raw)
+        return arrays[0]
+
+    def next_index(self, link: Link) -> np.ndarray:
+        """Index of the state a move along `link` leads to; -1 if it leaves the space."""
+        self.rate_vector(link)
+        return self._arrays[link][1]
+
+    def rate_table(self, link: Link) -> dict[State, float]:
+        """Effective rate of `link` at every state, as a new dict read off rate_vector."""
+        return dict(zip(self.states, self.rate_vector(link).tolist()))
 
 
 def is_linear_family(spec: NetworkSpec) -> bool:
@@ -290,24 +297,23 @@ def parse_model(document) -> NetworkSpec:
         n=n, links=links, states=states, rates=rates, params=params, clamp=clamp
     )
 
-    index = spec.state_index
     for link in links:
-        expr = rates[link]
-        for x in states:
-            r = evaluate(expr.root, x, params)
-            if not np.isfinite(r):
-                raise ModelError(
-                    f"rate for link {link[0]}->{link[1]} is not finite at state {x}"
-                )
+        spec.rate_vector(link)  # builds the link's arrays once
+        _, next_index, raw = spec._arrays[link]
+        finite = np.isfinite(raw)
+        leaves = (raw > 0) & (next_index < 0) & (not clamp)
+        bad = np.flatnonzero(~finite | (raw < 0) | leaves)
+        if bad.size:
+            k = int(bad[0])
+            x, r, name = states[k], float(raw[k]), f"{link[0]}->{link[1]}"
+            if not finite[k]:
+                raise ModelError(f"rate for link {name} is not finite at state {x}")
             if r < 0:
-                raise ModelError(
-                    f"rate for link {link[0]}->{link[1]} is negative at state {x}: {r}"
-                )
-            if not clamp and r > 0 and spec.target(x, link) not in index:
-                raise ModelError(
-                    f"rate for link {link[0]}->{link[1]} is positive at state {x} "
-                    f"but the move leaves the state space; set clamp to allow this"
-                )
+                raise ModelError(f"rate for link {name} is negative at state {x}: {r}")
+            raise ModelError(
+                f"rate for link {name} is positive at state {x} "
+                f"but the move leaves the state space; set clamp to allow this"
+            )
     return spec
 
 
@@ -337,11 +343,9 @@ def model_digest(spec: NetworkSpec) -> str:
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
     """List every (state, link) whose effective rate escapes the state space."""
     issues = []
-    index = spec.state_index
     for link in spec.links:
-        table = spec.rate_table(link)
-        for x in spec.states:
-            r = table[x]
-            if r > 0 and spec.target(x, link) not in index:
-                issues.append(ValidationIssue(state=x, link=link, rate=r))
+        rates = spec.rate_vector(link)
+        escaping = (rates > 0) & (spec.next_index(link) < 0)
+        for k in np.flatnonzero(escaping).tolist():
+            issues.append(ValidationIssue(state=spec.states[k], link=link, rate=float(rates[k])))
     return ValidationReport(issues=tuple(issues))

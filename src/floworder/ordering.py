@@ -153,17 +153,17 @@ def check_flow_conditions(
     start = time.perf_counter()
     n = spec_a.n
     links = spec_a.links
-    tables_a = [spec_a.rate_table(link) for link in links]
-    tables_b = [spec_b.rate_table(link) for link in links]
+    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
+    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
     conditions = []
     for k in range(n + 1):
         name = f"flow-link-{k}"
         witnesses = []
         done = False
-        for xa in spec_a.states:
+        for ia, xa in enumerate(spec_a.states):
             if done:
                 break
-            for xb in spec_b.states:
+            for ib, xb in enumerate(spec_b.states):
                 if k == 0:
                     premise = xa[0] >= xb[0]
                 elif k == n:
@@ -171,8 +171,8 @@ def check_flow_conditions(
                 else:
                     premise = xa[k - 1] <= xb[k - 1] and xa[k] >= xb[k]
                 if premise:
-                    ra = tables_a[k][xa]
-                    rb = tables_b[k][xb]
+                    ra = tables_a[k][ia]
+                    rb = tables_b[k][ib]
                     if ra > rb:
                         witnesses.append(Witness(name, "rate", xa, xb, ra, rb))
                         if not all_witnesses:
@@ -208,11 +208,11 @@ def check_population_conditions(
     start = time.perf_counter()
     n = spec_a.n
     links = spec_a.links
-    tables_a = [spec_a.rate_table(link) for link in links]
-    tables_b = [spec_b.rate_table(link) for link in links]
+    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
+    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
     witnesses_by_node: dict[int, list] = {i: [] for i in range(1, n + 1)}
-    for xa in spec_a.states:
-        for xb in spec_b.states:
+    for ia, xa in enumerate(spec_a.states):
+        for ib, xb in enumerate(spec_b.states):
             if any(xa[i] > xb[i] for i in range(n)):
                 continue
             for node in range(1, n + 1):
@@ -223,14 +223,14 @@ def check_population_conditions(
                 name = f"population-node-{node}"
                 in_k = node - 1  # arrival link for node 1, else link (node-1, node)
                 out_k = node
-                ra_in = tables_a[in_k][xa]
-                rb_in = tables_b[in_k][xb]
+                ra_in = tables_a[in_k][ia]
+                rb_in = tables_b[in_k][ib]
                 if ra_in > rb_in:
                     witnesses_by_node[node].append(
                         Witness(name, "inflow", xa, xb, ra_in, rb_in)
                     )
-                ra_out = tables_a[out_k][xa]
-                rb_out = tables_b[out_k][xb]
+                ra_out = tables_a[out_k][ia]
+                rb_out = tables_b[out_k][ib]
                 if ra_out < rb_out:
                     witnesses_by_node[node].append(
                         Witness(name, "outflow", xa, xb, ra_out, rb_out)
@@ -345,8 +345,8 @@ def verify_tight_configurations(
     start = time.perf_counter()
     n = spec_a.n
     links = spec_a.links
-    tables_a = [spec_a.rate_table(link) for link in links]
-    tables_b = [spec_b.rate_table(link) for link in links]
+    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
+    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
     max_coord = 0
     for x in spec_a.states:
         max_coord = max(max_coord, max(x))
@@ -357,8 +357,8 @@ def verify_tight_configurations(
     exceeded = []
     checked = 0
     for k in range(n + 1):
-        for xa in spec_a.states:
-            for xb in spec_b.states:
+        for ia, xa in enumerate(spec_a.states):
+            for ib, xb in enumerate(spec_b.states):
                 d = [0] * (n + 1)
                 for j in range(k + 1, n + 1):
                     d[j] = d[j - 1] - (xb[j - 1] - xa[j - 1])
@@ -371,8 +371,8 @@ def verify_tight_configurations(
                 if max(d) > bound:
                     exceeded.append(config)
                     continue
-                ra = tables_a[k][xa]
-                rb = tables_b[k][xb]
+                ra = tables_a[k][ia]
+                rb = tables_b[k][ib]
                 if ra > rb:
                     witnesses.append(ClosureWitness(config, ra, rb))
     closed = not witnesses and not exceeded

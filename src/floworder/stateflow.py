@@ -5,25 +5,23 @@ flows part of the state: a move along link (i, j) takes (x, f) to
 (x - e_i + e_j, f + e_{i,j}) at the population rate, which depends on x
 only. The per-node balance x_i - (inflow count) + (outflow count) is
 preserved by every such move, so it is a path invariant.
+
+Since the counters only record, the augmented chain needs no simulator of
+its own: its moves are the population moves (NetworkSpec.rate_vector and
+NetworkSpec.next_index), and recover_flows rebuilds the counters of any
+population path event by event.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from .model import Link, ModelError, NetworkSpec, State
-from .rng import exponential, make_stream
+from .model import Link, State
 
 __all__ = [
     "zero_flows",
     "balance_signature",
-    "augment",
-    "StateFlowRule",
-    "StateFlowEvent",
-    "StateFlowLog",
-    "simulate_stateflow_path",
     "recover_flows",
     "FlowTrajectory",
 ]
@@ -46,113 +44,6 @@ def balance_signature(x: State, flows: Mapping[Link, int]) -> tuple[int, ...]:
         if j >= 1:
             b[j - 1] -= int(count)
     return tuple(b)
-
-
-class StateFlowRule:
-    """Transition rule of the augmented chain for one NetworkSpec."""
-
-    def __init__(self, spec: NetworkSpec):
-        self.spec = spec
-
-    def transitions(self, x: State, flows: Mapping[Link, int]):
-        """Enabled moves from (x, flows): list of (link, rate, (x2, flows2)).
-
-        Rates depend on x alone; the counters only record.
-        """
-        x = tuple(x)
-        out = []
-        for link in self.spec.links:
-            rate = self.spec.rate_table(link)[x]
-            if rate > 0.0:
-                f2 = dict(flows)
-                f2[link] = f2.get(link, 0) + 1
-                out.append((link, rate, (self.spec.target(x, link), f2)))
-        return out
-
-
-def augment(spec: NetworkSpec) -> StateFlowRule:
-    return StateFlowRule(spec)
-
-
-class StateFlowEvent(NamedTuple):
-    time: float
-    link: Link
-    state: State  # after the move
-    flows: tuple[int, ...]  # after the move, aligned with the link order
-
-
-@dataclass
-class StateFlowLog:
-    initial_state: State
-    initial_flows: tuple[int, ...]
-    links: tuple[Link, ...]
-    events: list[StateFlowEvent]
-    horizon: float
-    absorbed: bool
-
-    def final_flows(self) -> dict[Link, int]:
-        flows = self.events[-1].flows if self.events else self.initial_flows
-        return dict(zip(self.links, flows))
-
-
-def simulate_stateflow_path(
-    spec: NetworkSpec, init, horizon: float, seed: int, flows0=None
-) -> StateFlowLog:
-    """Simulate the augmented chain directly.
-
-    Uses the same stream discipline as simulate_path, so the population
-    projection of this log and a plain population path with the same seed
-    coincide event for event.
-    """
-    init = tuple(int(v) for v in init)
-    if init not in spec.state_index:
-        raise ModelError(f"initial state {init} not in the state space")
-    links = spec.links
-    if flows0 is None:
-        start_flows = tuple(0 for _ in links)
-    else:
-        start_flows = tuple(int(flows0.get(link, 0)) for link in links)
-    flows = start_flows
-    rng = make_stream(seed)
-    tables = [spec.rate_table(link) for link in links]
-    events: list[StateFlowEvent] = []
-    x = init
-    t = 0.0
-    absorbed = False
-    while True:
-        rates = [table[x] for table in tables]
-        total = 0.0
-        for r in rates:
-            total += r
-        if total <= 0.0:
-            absorbed = True
-            break
-        t_next = t + exponential(rng, total)
-        if t_next > horizon:
-            break
-        target_mass = rng.random() * total
-        chosen = -1
-        acc = 0.0
-        for idx, r in enumerate(rates):
-            acc += r
-            if target_mass < acc:
-                chosen = idx
-                break
-        if chosen < 0:
-            chosen = max(i for i, r in enumerate(rates) if r > 0.0)
-        link = links[chosen]
-        x = spec.target(x, link)
-        flows = flows[:chosen] + (flows[chosen] + 1,) + flows[chosen + 1 :]
-        events.append(StateFlowEvent(t_next, link, x, flows))
-        t = t_next
-    return StateFlowLog(
-        initial_state=init,
-        initial_flows=start_flows,
-        links=links,
-        events=events,
-        horizon=float(horizon),
-        absorbed=absorbed,
-    )
 
 
 class FlowTrajectory:

@@ -4,19 +4,27 @@ The oracles deliberately avoid the package's own solvers: stationary
 vectors come from a dense null-space computation, transients from a
 fixed-step Runge-Kutta integration, expected flows from Van Loan's block
 matrix exponential, and distribution comparisons from a plain chi-square
-statistic. Tests freeze or recompute these values and
-compare the implementation against them.
+statistic. Rates have a scalar tree-walking evaluator and dict rate
+tables, and simulated paths have the dict-based Gillespie loops the
+package used before its rates became arrays over the state index. Tests
+freeze or recompute these values and compare the implementation against
+them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from scipy.linalg import expm, null_space
 from scipy.stats import chi2
 
+from floworder import expr
+from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent
+from floworder.ctmc import Event
 from floworder.model import NetworkSpec, linear_links, parse_model
+from floworder.rng import exponential, make_stream
 
 # ---------------------------------------------------------------- documents
 
@@ -70,13 +78,13 @@ def tandem_doc_text(s1=2, s2=2, beta=1.0) -> str:
 
 
 def dense_q(spec: NetworkSpec) -> np.ndarray:
-    """Dense generator assembled directly from rate tables, no ctmc module."""
+    """Dense generator assembled from scalar rate tables, no ctmc module."""
     states = spec.states
     index = {x: i for i, x in enumerate(states)}
     m = len(states)
     q = np.zeros((m, m))
     for link in spec.links:
-        table = spec.rate_table(link)
+        table = scalar_rate_table(spec, link)
         for x in states:
             r = table[x]
             if r > 0.0:
@@ -165,11 +173,13 @@ def table_to_expression(table: dict) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def random_table_instance(rng: np.random.Generator, c1: int, c2: int):
+def random_table_instance(rng: np.random.Generator, c1: int, c2: int, p_zero: float = 0.0):
     """A 2-node spec with arbitrary dyadic rate tables (boundary respecting).
 
     Returns (spec, {link: {state: rate}}). The raw tables feed exactness
-    oracles without a round trip through the expression evaluator.
+    oracles without a round trip through the expression evaluator. With
+    p_zero > 0 each in-space rate is also zeroed with that probability,
+    so absorbing states become common.
     """
     links = linear_links(2)
     states = [(i, j) for i in range(c1 + 1) for j in range(c2 + 1)]
@@ -186,6 +196,8 @@ def random_table_instance(rng: np.random.Generator, c1: int, c2: int):
                 y[j - 1] += 1
             inside = all(0 <= v <= c for v, c in zip(y, caps))
             table[x] = dyadic(rng) if inside else 0.0
+            if p_zero and rng.random() < p_zero:
+                table[x] = 0.0
         tables[link] = table
     doc = {
         "n": 2,
@@ -261,6 +273,205 @@ def van_loan_mean_flow(spec: NetworkSpec, p0, link, times) -> np.ndarray:
     m = q.shape[0]
     block = np.zeros((m + 1, m + 1))
     block[:m, :m] = q
-    block[:m, m] = spec.rate_vector(link)
+    table = scalar_rate_table(spec, link)
+    block[:m, m] = [table[x] for x in spec.states]
     p0 = np.asarray(p0, dtype=float)
     return np.array([p0 @ expm(block * t)[:m, m] for t in times])
+
+
+def stateflow_events(log, flows0=None):
+    """The state-flow path along a population event log.
+
+    One (time, link, state, flows) tuple per event, state and counters
+    after the move; counters are aligned with log.links and counted move
+    by move from flows0 (default zero), as the augmented chain does.
+    """
+    flows = tuple(int((flows0 or {}).get(link, 0)) for link in log.links)
+    position = {link: k for k, link in enumerate(log.links)}
+    out = []
+    for ev in log.events:
+        k = position[ev.link]
+        flows = flows[:k] + (flows[k] + 1,) + flows[k + 1 :]
+        out.append((ev.time, ev.link, ev.post, flows))
+    return out
+
+
+# ------------------------------------------------------ scalar rate oracle
+
+
+def scalar_evaluate(node, x, params) -> float:
+    """Evaluate an expression node at one state by walking the tree."""
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Coord):
+        return float(x[node.index])
+    if isinstance(node, expr.Param):
+        return float(params[node.name])
+    if isinstance(node, expr.BinOp):
+        a = scalar_evaluate(node.left, x, params)
+        b = scalar_evaluate(node.right, x, params)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        return a * b
+    if isinstance(node, expr.Neg):
+        return -scalar_evaluate(node.operand, x, params)
+    if isinstance(node, expr.Extremum):
+        values = [scalar_evaluate(a, x, params) for a in node.args]
+        return min(values) if node.fn == "min" else max(values)
+    if isinstance(node, expr.Indicator):
+        for test in node.tests:
+            a = scalar_evaluate(test.left, x, params)
+            b = scalar_evaluate(test.right, x, params)
+            if test.op == "<":
+                ok = a < b
+            elif test.op == "<=":
+                ok = a <= b
+            else:
+                ok = a == b
+            if not ok:
+                return 0.0
+        return 1.0
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def scalar_model_error(spec: NetworkSpec):
+    """The rate error parse_model reports for spec, found state by state, or None.
+
+    Links in declared order, states in lexicographic order; at a state a
+    rate that is not finite is reported before a negative one, and that
+    before a positive rate whose move leaves the space (unless clamped).
+    """
+    for link in spec.links:
+        name = f"{link[0]}->{link[1]}"
+        for x in spec.states:
+            r = scalar_evaluate(spec.rates[link].root, x, spec.params)
+            if not math.isfinite(r):
+                return f"rate for link {name} is not finite at state {x}"
+            if r < 0:
+                return f"rate for link {name} is negative at state {x}: {r}"
+            if not spec.clamp and r > 0 and spec.target(x, link) not in spec.state_index:
+                return (
+                    f"rate for link {name} is positive at state {x} "
+                    f"but the move leaves the state space; set clamp to allow this"
+                )
+    return None
+
+
+def scalar_rate_table(spec: NetworkSpec, link) -> dict:
+    """Effective rate of `link` at every state, one scalar evaluation each."""
+    table = {}
+    for x in spec.states:
+        r = scalar_evaluate(spec.rates[link].root, x, spec.params)
+        if spec.clamp and spec.target(x, link) not in spec.state_index:
+            r = 0.0
+        table[x] = r
+    return table
+
+
+# ------------------------------------------------- reference simulators
+
+
+def reference_simulate_path(spec: NetworkSpec, init, horizon: float, seed: int):
+    """Dict-table Gillespie loop: (events, absorbed) with the package's draws."""
+    links = spec.links
+    tables = [scalar_rate_table(spec, link) for link in links]
+    rng = make_stream(seed)
+    events = []
+    x = tuple(init)
+    t = 0.0
+    while True:
+        rates = [table[x] for table in tables]
+        total = 0.0
+        for r in rates:
+            total += r
+        if total <= 0.0:
+            return events, True
+        t_next = t + exponential(rng, total)
+        if t_next > horizon:
+            return events, False
+        target_mass = rng.random() * total
+        chosen = -1
+        acc = 0.0
+        for idx, r in enumerate(rates):
+            acc += r
+            if target_mass < acc:
+                chosen = idx
+                break
+        if chosen < 0:
+            chosen = max(i for i, r in enumerate(rates) if r > 0.0)
+        link = links[chosen]
+        post = spec.target(x, link)
+        events.append(Event(t_next, link, x, post))
+        x = post
+        t = t_next
+
+
+def reference_simulate_coupled(coupled, init_a, init_b, horizon: float, seed: int):
+    """Dict-table coupled Gillespie loop: (events, absorbed) with the package's draws."""
+    links = coupled.links
+    tables_a = [scalar_rate_table(coupled.spec_a, link) for link in links]
+    tables_b = [scalar_rate_table(coupled.spec_b, link) for link in links]
+    with_flows = coupled.with_flows
+    fa = tuple(0 for _ in links) if with_flows else None
+    fb = tuple(0 for _ in links) if with_flows else None
+    xa, xb = tuple(init_a), tuple(init_b)
+    rng = make_stream(seed)
+    events = []
+    t = 0.0
+    while True:
+        triples = []
+        total = 0.0
+        for k in range(len(links)):
+            a = tables_a[k][xa]
+            b = tables_b[k][xb]
+            joint = a if a <= b else b
+            b_only = max(b - a, 0.0)
+            a_only = max(a - b, 0.0)
+            triples.append((joint, b_only, a_only))
+            total += joint + b_only + a_only
+        if total <= 0.0:
+            return events, True
+        t_next = t + exponential(rng, total)
+        if t_next > horizon:
+            return events, False
+        target_mass = rng.random() * total
+        chosen_link, chosen_kind = -1, None
+        acc = 0.0
+        for k, (joint, b_only, a_only) in enumerate(triples):
+            acc += joint
+            if target_mass < acc:
+                chosen_link, chosen_kind = k, JOINT
+                break
+            acc += b_only
+            if target_mass < acc:
+                chosen_link, chosen_kind = k, B_ONLY
+                break
+            acc += a_only
+            if target_mass < acc:
+                chosen_link, chosen_kind = k, A_ONLY
+                break
+        if chosen_link < 0:
+            for k in range(len(links) - 1, -1, -1):
+                joint, b_only, a_only = triples[k]
+                if a_only > 0.0:
+                    chosen_link, chosen_kind = k, A_ONLY
+                    break
+                if b_only > 0.0:
+                    chosen_link, chosen_kind = k, B_ONLY
+                    break
+                if joint > 0.0:
+                    chosen_link, chosen_kind = k, JOINT
+                    break
+        link = links[chosen_link]
+        if chosen_kind != B_ONLY:
+            xa = coupled.spec_a.target(xa, link)
+            if with_flows:
+                fa = fa[:chosen_link] + (fa[chosen_link] + 1,) + fa[chosen_link + 1 :]
+        if chosen_kind != A_ONLY:
+            xb = coupled.spec_b.target(xb, link)
+            if with_flows:
+                fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
+        events.append(CoupledEvent(t_next, link, chosen_kind, xa, xb, fa, fb))
+        t = t_next

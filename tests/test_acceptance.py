@@ -33,7 +33,6 @@ from floworder import (
     replication_seed,
     simulate_coupled,
     simulate_path,
-    simulate_stateflow_path,
     stationary_distribution,
     throughput,
     verify_tight_configurations,
@@ -76,18 +75,21 @@ def audit_coupled_log(log):
 
 
 def audit_stateflow_log(spec, log, seed):
-    """Single-model variant of the audit; the same seed must let the flow
-    counters be rebuilt from the population log alone."""
+    """Single-model variant of the audit on a population log: counters
+    counted move by move keep the balance signature constant, and the same
+    seed lets recover_flows rebuild them from a fresh population log alone."""
     links = log.links
-    sig = balance_signature(log.initial_state, dict(zip(links, log.initial_flows)))
-    for ev in log.events:
-        assert balance_signature(ev.state, dict(zip(links, ev.flows))) == sig
-    plain = simulate_path(spec, log.initial_state, log.horizon, seed)
+    path = helpers.stateflow_events(log)
+    sig = balance_signature(log.initial, dict.fromkeys(links, 0))
+    for _, _, state, flows in path:
+        assert balance_signature(state, dict(zip(links, flows))) == sig
+    plain = simulate_path(spec, log.initial, log.horizon, seed)
     traj = recover_flows(plain)
-    for ev in log.events:
-        assert traj.counters_at(ev.time) == dict(zip(links, ev.flows))
-    assert traj.final() == log.final_flows()
-    return len(log.events)
+    for t, _, _, flows in path:
+        assert traj.counters_at(t) == dict(zip(links, flows))
+    final = path[-1][3] if path else (0,) * len(links)
+    assert traj.final() == dict(zip(links, final))
+    return len(path)
 
 
 def tandem_pair(s1, s2, beta):
@@ -293,12 +295,12 @@ def test_criterion_07_flow_conservation(flow_batch):
     for i in range(20):
         spec, _ = helpers.random_table_instance(rng, 2, 2)
         seed = 7000 + i
-        log = simulate_stateflow_path(spec, spec.states[0], 15.0, seed)
+        log = simulate_path(spec, spec.states[0], 15.0, seed)
         fresh_events += audit_stateflow_log(spec, log, seed)
         fresh_paths += 1
     for spec in tandem_pair(2, 2, 1.0) + tandem_pair(3, 3, 1.0):
         seed = 977
-        log = simulate_stateflow_path(spec, (0, 0), 40.0, seed)
+        log = simulate_path(spec, (0, 0), 40.0, seed)
         fresh_events += audit_stateflow_log(spec, log, seed)
         fresh_paths += 1
     ok = flow_batch["audited_events"] > 0 and fresh_events > 0

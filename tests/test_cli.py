@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifact files, reproducibility headers."""
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,38 @@ def test_identical_config_reruns_byte_identical(tmp_path, capsys):
         assert main(cmd + ["--out", str(out2)]) in (0, 1)
         for name in sorted(os.listdir(out1)):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), (cmd[0], name)
+
+
+GOLDEN_DIGESTS = {
+    "couple --family tandem-pair --reps 2 --horizon 20 --seed 7": {
+        "couple_rep0000.csv": "cc1dc3998d5145ffa7e88074f351a1a23beafb9dff21de76d9b183bc4da4dd35",
+        "couple_rep0001.csv": "83e6b9425f6acbb04ca9f71a46f11dd961e564438a717a98a970103591e0fbf5",
+        "couple_summary.json": "ee7c1c22ea57b8330c9c79fe52f6442776ecb3023b2f27c4e7b8929ab17d4841",
+    },
+    "simulate --family tandem-original --s1 3 --s2 3 --beta 2 --reps 2 --horizon 50 --seed 7": {
+        "sim_rep0000.csv": "3945b335bb9095cdbea8f967b074fec716d7c7633027c547fea85c3d38ecedaf",
+        "sim_rep0001.csv": "c2460acc428e630793a63e3abfab1c1cc31a10ad603c4e90e3c9ebc61466ef6e",
+        "simulate_summary.json": "491b01f5671f5d9b2a9fdff879f279a4a8215ce3b6b9f9dbb0ff4bcc66ece29b",
+    },
+    "check --family tandem-pair --delta1 0,3,1 --delta2 0,1,3 --all-witnesses --format csv": {
+        "check_flow.csv": "07ffc14a5ef37bb5c14665212de9b2df692fd328ba02d54244fd47f66c72accb",
+        "check_population.csv": "9b6d48b4da8da921121200f2bc18f03a4907a5e2c1f0fbebcf00a49e469f743e",
+    },
+    "verify --family tandem-pair --delta1 0,3,1 --delta2 0,1,3": {
+        "closure.json": "4255c25e1fdb3e62dcf36007479d76c1ffa5833b198ac1600b392e589246290d",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS), ids=lambda argv: argv.split()[0])
+def test_report_digests_pinned(argv, tmp_path, capsys):
+    """Seeded paths, draw order and number formatting, pinned byte for byte."""
+    assert main(argv.split() + ["--out", str(tmp_path)]) in (0, 1)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in os.listdir(tmp_path)
+    }
+    assert digests == GOLDEN_DIGESTS[argv]
 
 
 def test_verify_tandem_pair_closed(tmp_path, capsys):

@@ -298,3 +298,41 @@ def test_paired_log_csv_population_form_leaves_flow_cells_empty():
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[6] == "" and cells[7] == ""
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_coupled_path_matches_reference_loop(table_seed, p_zero, with_flows, seed):
+    rng = np.random.default_rng(table_seed)
+    spec_a, _ = helpers.random_table_instance(rng, 2, 1, p_zero)
+    spec_b, _ = helpers.random_table_instance(rng, 2, 1, p_zero)
+    coupled = CoupledSpec(spec_a=spec_a, spec_b=spec_b, with_flows=with_flows)
+    init_a = spec_a.states[int(rng.integers(len(spec_a.states)))]
+    init_b = spec_b.states[int(rng.integers(len(spec_b.states)))]
+    log = simulate_coupled(coupled, init_a, init_b, 20.0, seed)
+    events, absorbed = helpers.reference_simulate_coupled(coupled, init_a, init_b, 20.0, seed)
+    assert log.events == events
+    assert log.absorbed == absorbed
+
+
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_coupled_path_matches_reference_loop_on_tandems(values_a, values_b, seed):
+    def params(values):
+        beta, a1, a2, b1, b2 = values
+        return TandemParams(s1=2, s2=2, beta=beta, delta1=(0.0, a1, a2), delta2=(0.0, b1, b2))
+
+    coupled = build_stateflow_coupling(
+        build_balanced_tandem(params(values_a)), build_original_tandem(params(values_b))
+    )
+    log = simulate_coupled(coupled, (1, 0), (1, 0), 20.0, seed)
+    events, absorbed = helpers.reference_simulate_coupled(coupled, (1, 0), (1, 0), 20.0, seed)
+    assert log.events == events
+    assert log.absorbed == absorbed

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import helpers
+from floworder.coupling import build_population_coupling, simulate_coupled
 from floworder.ctmc import (
     ConvergenceError,
     EventLog,
@@ -15,13 +16,16 @@ from floworder.ctmc import (
     distribution_csv,
     distribution_vector,
     event_log_csv,
+    gillespie,
     simulate_path,
     stationary_distribution,
     throughput,
     transient_distribution,
     transient_mean_flow,
 )
-from floworder.model import ModelError, parse_model
+from floworder.expr import parse_expression
+from floworder.model import ModelError, NetworkSpec, linear_links, parse_model
+from floworder.rng import exponential, make_stream
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
 
@@ -155,6 +159,86 @@ def test_state_at_steps_through_log():
     assert log.state_at(first.time / 2) == (0,)
     assert log.state_at(first.time) == first.post
     assert log.state_at(10.0) == log.events[-1].post
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("simulator", ["simulate_path", "simulate_coupled"])
+def test_non_finite_horizon_rejected(simulator, horizon):
+    spec = helpers.two_state_chain()
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        if simulator == "simulate_path":
+            simulate_path(spec, (0,), horizon, seed=0)
+        else:
+            simulate_coupled(build_population_coupling(spec, spec), (0,), (0,), horizon, seed=0)
+
+
+def test_moves_leaving_the_space_rejected():
+    # built directly, bypassing parse-time strictness
+    params = {"b": 2.0}
+    spec = NetworkSpec(
+        n=1,
+        links=linear_links(1),
+        states=((0,), (1,)),
+        rates={
+            (0, 1): parse_expression("b", 1, params),
+            (1, 0): parse_expression("x1", 1, params),
+        },
+        params=params,
+    )
+    coupled = build_population_coupling(spec, spec)
+    for run in (
+        lambda: build_generator(spec),
+        lambda: simulate_path(spec, (0,), 1.0, seed=0),
+        lambda: simulate_coupled(coupled, (0,), (0,), 1.0, seed=0),
+    ):
+        with pytest.raises(ModelError, match=r"positive at state \(1,\) but the move leaves"):
+            run()
+
+
+def test_kernel_rounding_fallback_picks_last_positive_bin():
+    # A total above the sum of the bins sends most draws past the last
+    # running sum, which is where rounding would otherwise send them.
+    events, _ = gillespie(lambda s: (4.0, [0.5, 0.5, 0.0]), lambda s, b: s + 1, 0, 50.0, seed=3)
+    rng = make_stream(3)
+    expected = []
+    for _ in events:
+        exponential(rng, 4.0)
+        expected.append(0 if rng.random() * 4.0 < 0.5 else 1)
+    assert [b for _, b, _ in events] == expected
+    assert expected.count(1) > 2 * expected.count(0)
+
+
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    st.sampled_from(["original", "balanced"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_path_matches_reference_loop_on_tandems(values, variant, seed):
+    beta, a1, a2, b1, b2 = values
+    params = TandemParams(s1=2, s2=2, beta=beta, delta1=(0.0, a1, a2), delta2=(0.0, b1, b2))
+    build = build_original_tandem if variant == "original" else build_balanced_tandem
+    spec = build(params)
+    log = simulate_path(spec, (1, 0), 20.0, seed)
+    events, absorbed = helpers.reference_simulate_path(spec, (1, 0), 20.0, seed)
+    assert log.events == events
+    assert log.absorbed == absorbed
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_path_matches_reference_loop(table_seed, c1, c2, p_zero, seed):
+    rng = np.random.default_rng(table_seed)
+    spec, _ = helpers.random_table_instance(rng, c1, c2, p_zero)
+    init = spec.states[int(rng.integers(len(spec.states)))]
+    log = simulate_path(spec, init, 20.0, seed)
+    events, absorbed = helpers.reference_simulate_path(spec, init, 20.0, seed)
+    assert log.events == events
+    assert log.absorbed == absorbed
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -371,6 +455,19 @@ def test_distribution_vector_errors():
         distribution_vector(gen, [0.5, 0.1, 0.1])
     with pytest.raises(ValueError, match="negative"):
         distribution_vector(gen, [1.5, -0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "p0",
+    [[math.nan, 0.5, 0.5], {(0,): math.nan, (1,): 0.5, (2,): 0.5}],
+    ids=["dense", "mapping"],
+)
+def test_non_finite_mass_rejected(p0):
+    spec = helpers.mm1c_chain(1.0, 2.0, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        transient_distribution(build_generator(spec), p0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        transient_mean_flow(spec, p0, (0, 1), (1.0,))
 
 
 # ------------------------------------------------------------- mean flow

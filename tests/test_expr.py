@@ -1,17 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from floworder.expr import ExpressionError, evaluate, parse_expression
 
 
 def ev(source, x, params=None, n=None):
+    """Array evaluation at the single state x, checked against the scalar oracle."""
     params = params or {}
     n = n if n is not None else len(x)
     expr = parse_expression(source, n, params.keys())
-    return evaluate(expr.root, tuple(x), params)
+    (value,) = evaluate(expr.root, np.array([x], dtype=np.int64), params).tolist()
+    assert repr(value) == repr(helpers.scalar_evaluate(expr.root, tuple(x), params))
+    return value
 
 
 def test_blocked_arrival_indicator():
@@ -100,9 +105,10 @@ def test_source_round_trip_field():
 def test_evaluation_is_pure():
     expr = parse_expression("max(x1 - 1, 0) * c + ind(x2 = 0)", 2, {"c"})
     params = {"c": 0.7}
-    first = evaluate(expr.root, (3, 0), params)
+    states = np.array([(3, 0)])
+    first = evaluate(expr.root, states, params)
     for _ in range(50):
-        assert evaluate(expr.root, (3, 0), params) == first
+        assert evaluate(expr.root, states, params) == first
 
 
 @given(

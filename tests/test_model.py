@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
-from floworder.expr import evaluate
+from floworder.expr import evaluate, parse_expression
 from floworder.model import (
     ModelError,
     NetworkSpec,
@@ -69,8 +71,8 @@ def test_singleton_space():
 def test_eval_rate_examples():
     spec = parse_model(helpers.tandem_doc_text(2, 2, 1.0))
     arrival = spec.rates[(0, 1)]
-    assert evaluate(arrival.root, (2, 0), spec.params) == 0.0
-    assert evaluate(arrival.root, (1, 2), spec.params) == 1.0
+    assert evaluate(arrival.root, np.array([(2, 0)]), spec.params)[0] == 0.0
+    assert evaluate(arrival.root, np.array([(1, 2)]), spec.params)[0] == 1.0
 
 
 def test_boundary_rule_strict_by_default():
@@ -262,7 +264,8 @@ def test_rate_table_pure_and_cached():
     spec = helpers.two_state_chain()
     t1 = spec.rate_table((0, 1))
     t2 = spec.rate_table((0, 1))
-    assert t1 is t2
+    assert spec.rate_vector((0, 1)) is spec.rate_vector((0, 1))
+    assert t1 == t2
     assert t1[(0,)] == 1.0 and t1[(1,)] == 0.0
 
 
@@ -288,3 +291,109 @@ def test_non_linear_links_accepted_for_simulation():
     spec = parse_model(doc)
     assert len(spec.links) == 4
     assert spec.target((0, 1), (2, 0)) == (0, 0)
+
+
+# ------------------------------------------- rate arrays vs scalar oracle
+
+
+def bits(values):
+    """Float bit patterns, so signed zeros and NaNs compare exactly."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def expressions():
+    """Random rate expression texts over x1, x2 and parameters a, b."""
+    leaf = st.one_of(
+        st.sampled_from(["x1", "x2", "a", "b", "0", "0.5", "3e-1", "1e308", "1e309"]),
+        st.integers(0, 4).map(str),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["min", "max"]), st.lists(inner, min_size=2, max_size=3)).map(
+                lambda t: f"{t[0]}({', '.join(t[1])})"
+            ),
+            inner.map(lambda e: f"-{e}"),
+            st.tuples(inner, st.sampled_from(["<", "<=", "="]), inner).map(
+                lambda t: f"ind({t[0]} {t[1]} {t[2]})"
+            ),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+def assert_arrays_match_oracle(spec):
+    for link in spec.links:
+        oracle = helpers.scalar_rate_table(spec, link)
+        assert bits(spec.rate_vector(link)) == bits([oracle[x] for x in spec.states])
+        targets = [spec.target(x, link) for x in spec.states]
+        expected = [spec.state_index.get(y, -1) for y in targets]
+        assert spec.next_index(link).tolist() == expected
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+def test_rate_arrays_bit_equal_scalar_oracle_on_random_tables(seed, c1, c2):
+    spec, tables = helpers.random_table_instance(np.random.default_rng(seed), c1, c2)
+    assert_arrays_match_oracle(spec)
+    for link in spec.links:
+        assert spec.rate_table(link) == tables[link]
+
+
+@given(
+    st.lists(expressions(), min_size=3, max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.25, 2.0]),
+    st.sampled_from([1.0, 1e308]),
+)
+def test_rate_arrays_bit_equal_scalar_oracle_on_clamp_documents(exprs, c1, c2, a, b):
+    rates = [f"max({e}, 0)" for e in exprs]
+    doc = {
+        "n": 2,
+        "space": {"box": [c1, c2]},
+        "params": {"a": a, "b": b},
+        "rates": dict(zip(("0->1", "1->2", "2->0"), rates)),
+        "clamp": True,
+    }
+    params = {"a": a, "b": b}
+    spec = NetworkSpec(
+        n=2,
+        links=linear_links(2),
+        states=tuple((i, j) for i in range(c1 + 1) for j in range(c2 + 1)),
+        rates={link: parse_expression(r, 2, params) for link, r in zip(linear_links(2), rates)},
+        params=params,
+        clamp=True,
+    )
+    expected = helpers.scalar_model_error(spec)
+    if expected is None:
+        assert_arrays_match_oracle(parse_model(doc))
+    else:
+        with pytest.raises(ModelError) as err:
+            parse_model(doc)
+        assert str(err.value) == expected
+
+
+@given(
+    st.lists(expressions(), min_size=3, max_size=3),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_validation_errors_match_scalar_oracle(exprs, c1, c2, clamp):
+    params = {"a": 0.5, "b": 3.0}
+    spec = NetworkSpec(
+        n=2,
+        links=linear_links(2),
+        states=tuple((i, j) for i in range(c1 + 1) for j in range(c2 + 1)),
+        rates={link: parse_expression(e, 2, params) for link, e in zip(linear_links(2), exprs)},
+        params=params,
+        clamp=clamp,
+    )
+    expected = helpers.scalar_model_error(spec)
+    if expected is None:
+        assert parse_model(serialize_model(spec)) == spec
+    else:
+        with pytest.raises(ModelError) as err:
+            parse_model(serialize_model(spec))
+        assert str(err.value) == expected
