@@ -119,7 +119,12 @@ class PairedEventLog:
     with_flows: bool
 
     def project(self, side: str) -> EventLog:
-        """Component event log of side 'a' or 'b' (joint plus one-sided moves)."""
+        """Component event log of side 'a' or 'b' (joint plus one-sided moves).
+
+        The projection is absorbed when the coupled path is, since then
+        neither side can move. A side that absorbs while the other still
+        moves is not flagged, because the log holds no rates to tell.
+        """
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
         keep = A_ONLY if side == "a" else B_ONLY
@@ -134,7 +139,7 @@ class PairedEventLog:
             initial=self.initial_a if side == "a" else self.initial_b,
             events=events,
             horizon=self.horizon,
-            absorbed=False,
+            absorbed=self.absorbed,
             links=self.links,
         )
 

@@ -229,7 +229,10 @@ def parse_expression(source: str, n: int, param_names) -> RateExpr:
     tokens = _tokenize(source)
     if not tokens:
         raise ExpressionError("empty expression")
-    root = _Parser(tokens, source, n, frozenset(param_names)).parse()
+    try:
+        root = _Parser(tokens, source, n, frozenset(param_names)).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply to parse") from None
     return RateExpr(source=source, root=root, n=n)
 
 

@@ -133,9 +133,14 @@ class NetworkSpec:
         arrays = self._arrays.get(link)
         if arrays is None:
             coords = np.array(self.states, dtype=np.int64)
-            with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
-                raw = evaluate(self.rates[link].root, coords, self.params)
             i, j = link
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
+                    raw = evaluate(self.rates[link].root, coords, self.params)
+            except RecursionError:
+                raise ModelError(
+                    f"rate for link {i}->{j} is nested too deeply to evaluate"
+                ) from None
             if i > 0:
                 coords[:, i - 1] -= 1
             if j > 0:

@@ -15,10 +15,19 @@ Three mechanized routes, from strongest assumptions to weakest:
     relation itself. Per-node balance pins the vector of per-link counter
     gaps once one link's gap is fixed at zero, so all configurations that
     could break the order are finitely enumerable; the relation is closed
-    exactly when no tight link can fire an A-only move.
+    exactly when no tight link can fire an A-only move. With P and P'
+    the prefix sums of x and x' (P_0 = 0) and S = P' - P, the gap vector
+    tight at link k is d = S_k - S, realizable exactly when S_k = max S.
 
 The closure check is implied by the flow conditions but not conversely,
 so it can certify pairs the pointwise conditions reject.
+
+All three enumerate |A|·|B| pairs of states (closure once per tight
+link, so |A|·|B|·(n+1) configurations) as numpy masks over blocks of
+A's states times all of B's, about 2**16 pairs a block. Their temporary
+arrays therefore stay within a few MiB at any state-space size, and
+reports list witnesses in the order a scan by A's state, then B's, meets
+them.
 
 Pathwise and statistical diagnostics complement the exact routes:
 violation scans over coupled logs, an empirical tail comparison with a
@@ -59,6 +68,11 @@ __all__ = [
 # model A's space and the second over model B's space. Reports carry this
 # convention explicitly so a reader can audit what was enumerated.
 _DOMAINS = {"state_a": "model A state space", "state_b": "model B state space"}
+
+# The exact checks scan all pairs of states as blocks of A's states times
+# all of B's with about this many pairs each, so their temporaries stay a
+# few MiB however large the two state spaces are.
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,25 @@ def _require_linear_pair(spec_a: NetworkSpec, spec_b: NetworkSpec):
         raise ModelError("order checks need the same number of nodes on both models")
 
 
+def _row_blocks(m_a: int, m_b: int):
+    """Slices of A's state indices, each covering at most _BLOCK_PAIRS pairs
+    with all of B's states (one row when B alone has more)."""
+    step = max(1, _BLOCK_PAIRS // m_b)
+    return [slice(lo, min(lo + step, m_a)) for lo in range(0, m_a, step)]
+
+
+def _hits(mask, rows: slice, first_only: bool):
+    """(ia, ib) of the True entries of a block mask, in row-major order.
+
+    ia indexes A's whole state space; with first_only at most one hit.
+    """
+    flat = np.flatnonzero(mask)
+    if first_only:
+        flat = flat[:1]
+    ia, ib = np.divmod(flat, mask.shape[1])
+    return ia + rows.start, ib
+
+
 def check_flow_conditions(
     spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
 ) -> ConditionReport:
@@ -146,38 +179,35 @@ def check_flow_conditions(
                          x_{k+1} >= x'_{k+1}    implies  rate_A <= rate_B
       k = n (exit):      x_n <= x'_n            implies  rate_A <= rate_B
 
-    Verdicts are exact rate comparisons with no tolerance. With
-    all_witnesses=False only the first witness per condition is kept.
+    Verdicts are exact rate comparisons with no tolerance. Witnesses come
+    in order of A's state, then B's. With all_witnesses=False only the
+    first witness per condition is kept.
     """
     _require_linear_pair(spec_a, spec_b)
     start = time.perf_counter()
     n = spec_a.n
-    links = spec_a.links
-    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
-    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
+    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    blocks = _row_blocks(len(xa), len(xb))
     conditions = []
-    for k in range(n + 1):
+    for k, link in enumerate(spec_a.links):
         name = f"flow-link-{k}"
+        ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
         witnesses = []
-        done = False
-        for ia, xa in enumerate(spec_a.states):
-            if done:
+        for rows in blocks:
+            failing = ra[rows, None] > rb
+            if k > 0:
+                failing &= xa[rows, k - 1, None] <= xb[:, k - 1]
+            if k < n:
+                failing &= xa[rows, k, None] >= xb[:, k]
+            ia, ib = _hits(failing, rows, not all_witnesses)
+            for i, j, rate_a, rate_b in zip(
+                ia.tolist(), ib.tolist(), ra[ia].tolist(), rb[ib].tolist()
+            ):
+                witnesses.append(
+                    Witness(name, "rate", spec_a.states[i], spec_b.states[j], rate_a, rate_b)
+                )
+            if witnesses and not all_witnesses:
                 break
-            for ib, xb in enumerate(spec_b.states):
-                if k == 0:
-                    premise = xa[0] >= xb[0]
-                elif k == n:
-                    premise = xa[n - 1] <= xb[n - 1]
-                else:
-                    premise = xa[k - 1] <= xb[k - 1] and xa[k] >= xb[k]
-                if premise:
-                    ra = tables_a[k][ia]
-                    rb = tables_b[k][ib]
-                    if ra > rb:
-                        witnesses.append(Witness(name, "rate", xa, xb, ra, rb))
-                        if not all_witnesses:
-                            done = True
-                            break
         conditions.append(
             ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
         )
@@ -202,41 +232,43 @@ def check_population_conditions(
       outflow:  the rate out of node i of A is at least B's
 
     For node 1 the inflow is the arrival link; for node n the outflow is
-    the exit link.
+    the exit link. Witnesses come in order of A's state, then B's, with
+    the inflow part first at a pair that fails both; with
+    all_witnesses=False only the first is kept per node.
     """
     _require_linear_pair(spec_a, spec_b)
     start = time.perf_counter()
     n = spec_a.n
-    links = spec_a.links
-    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
-    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
+    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
     witnesses_by_node: dict[int, list] = {i: [] for i in range(1, n + 1)}
-    for ia, xa in enumerate(spec_a.states):
-        for ib, xb in enumerate(spec_b.states):
-            if any(xa[i] > xb[i] for i in range(n)):
-                continue
-            for node in range(1, n + 1):
-                if not all_witnesses and witnesses_by_node[node]:
-                    continue  # first witness already found for this node
-                if xa[node - 1] != xb[node - 1]:
-                    continue
-                name = f"population-node-{node}"
-                in_k = node - 1  # arrival link for node 1, else link (node-1, node)
-                out_k = node
-                ra_in = tables_a[in_k][ia]
-                rb_in = tables_b[in_k][ib]
-                if ra_in > rb_in:
-                    witnesses_by_node[node].append(
-                        Witness(name, "inflow", xa, xb, ra_in, rb_in)
+    for rows in _row_blocks(len(xa), len(xb)):
+        below = np.ones((rows.stop - rows.start, len(xb)), dtype=bool)
+        for i in range(n):
+            below &= xa[rows, i, None] <= xb[:, i]
+        for node in range(1, n + 1):
+            found = witnesses_by_node[node]
+            if found and not all_witnesses:
+                continue  # first witness already found for this node
+            name = f"population-node-{node}"
+            premise = below & (xa[rows, node - 1, None] == xb[:, node - 1])
+            # arrival link for node 1, else link (node-1, node); out via link node
+            (ra_in, rb_in), (ra_out, rb_out) = rates[node - 1], rates[node]
+            inflow = premise & (ra_in[rows, None] > rb_in)
+            outflow = premise & (ra_out[rows, None] < rb_out)
+            ia, ib = _hits(inflow | outflow, rows, not all_witnesses)
+            for i, j in zip(ia.tolist(), ib.tolist()):
+                xa_i, xb_j = spec_a.states[i], spec_b.states[j]
+                if inflow[i - rows.start, j]:
+                    found.append(
+                        Witness(name, "inflow", xa_i, xb_j, float(ra_in[i]), float(rb_in[j]))
                     )
-                ra_out = tables_a[out_k][ia]
-                rb_out = tables_b[out_k][ib]
-                if ra_out < rb_out:
-                    witnesses_by_node[node].append(
-                        Witness(name, "outflow", xa, xb, ra_out, rb_out)
+                if outflow[i - rows.start, j] and (all_witnesses or not found):
+                    found.append(
+                        Witness(name, "outflow", xa_i, xb_j, float(ra_out[i]), float(rb_out[j]))
                     )
-                if not all_witnesses and witnesses_by_node[node]:
-                    witnesses_by_node[node] = witnesses_by_node[node][:1]
+        if not all_witnesses and all(witnesses_by_node.values()):
+            break
     conditions = tuple(
         ConditionResult(
             condition=f"population-node-{node}",
@@ -336,45 +368,55 @@ def verify_tight_configurations(
     Closure holds exactly when rate_A <= rate_B at every realizable tight
     configuration.
 
+    In prefix sums: with P_j = x_1 + ... + x_j (P_0 = 0) for each model
+    and S = P' - P, a vector of length n+1, the gap vector tight at k is
+    d = S_k - S. The pair is realizable at k exactly when S_k = max S,
+    and then max d = max S - min S for every such k. So one S array
+    settles every tight link of a pair, and the scan runs over blocks of
+    A's states times all of B's, about 2**16 pairs each, which bounds its
+    temporaries to a few MiB whatever the size of the spaces.
+
     The default gap_bound, n times the largest coordinate in either
     space, provably covers every realizable gap vector. A smaller bound
     makes any configuration that overflows it count against closure
-    instead of being dropped silently.
+    instead of being dropped silently. Witnesses and overflowing
+    configurations come per tight link, then in order of A's state and
+    B's.
     """
     _require_linear_pair(spec_a, spec_b)
     start = time.perf_counter()
     n = spec_a.n
-    links = spec_a.links
-    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
-    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
-    max_coord = 0
-    for x in spec_a.states:
-        max_coord = max(max_coord, max(x))
-    for x in spec_b.states:
-        max_coord = max(max_coord, max(x))
+    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    max_coord = int(max(xa.max(initial=0), xb.max(initial=0)))
     bound = n * max_coord if gap_bound is None else int(gap_bound)
-    witnesses = []
-    exceeded = []
+    # P_j per state, one row per j, so that S_j of a block is one contiguous plane
+    prefix_a = np.zeros((n + 1, len(xa)), dtype=xa.dtype)
+    prefix_b = np.zeros((n + 1, len(xb)), dtype=xb.dtype)
+    prefix_a[1:] = xa.cumsum(axis=1).T
+    prefix_b[1:] = xb.cumsum(axis=1).T
+    rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
+    witnesses: list[list] = [[] for _ in range(n + 1)]
+    exceeded: list[list] = [[] for _ in range(n + 1)]
     checked = 0
-    for k in range(n + 1):
-        for ia, xa in enumerate(spec_a.states):
-            for ib, xb in enumerate(spec_b.states):
-                d = [0] * (n + 1)
-                for j in range(k + 1, n + 1):
-                    d[j] = d[j - 1] - (xb[j - 1] - xa[j - 1])
-                for j in range(k, 0, -1):
-                    d[j - 1] = d[j] + (xb[j - 1] - xa[j - 1])
-                if min(d) < 0:
-                    continue  # not reachable inside the order relation
-                checked += 1
-                config = TightConfiguration(k, xa, xb, tuple(d))
-                if max(d) > bound:
-                    exceeded.append(config)
-                    continue
-                ra = tables_a[k][ia]
-                rb = tables_b[k][ib]
-                if ra > rb:
-                    witnesses.append(ClosureWitness(config, ra, rb))
+    for rows in _row_blocks(len(xa), len(xb)):
+        s = prefix_b[:, None, :] - prefix_a[:, rows, None]
+        top = s.max(axis=0)
+        over = top - s.min(axis=0) > bound
+        for k, (ra, rb) in enumerate(rates):
+            tight = s[k] == top  # realizable with d_k = 0
+            checked += int(np.count_nonzero(tight))
+            flagged = tight & (over | (ra[rows, None] > rb))
+            ia, ib = _hits(flagged, rows, False)
+            for i, j in zip(ia.tolist(), ib.tolist()):
+                s_ij = s[:, i - rows.start, j]
+                gaps = tuple((s_ij[k] - s_ij).tolist())
+                config = TightConfiguration(k, spec_a.states[i], spec_b.states[j], gaps)
+                if over[i - rows.start, j]:
+                    exceeded[k].append(config)
+                else:
+                    witnesses[k].append(ClosureWitness(config, float(ra[i]), float(rb[j])))
+    witnesses = [w for per_link in witnesses for w in per_link]
+    exceeded = [c for per_link in exceeded for c in per_link]
     closed = not witnesses and not exceeded
     return ClosureReport(
         closed=closed,

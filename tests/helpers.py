@@ -6,15 +6,17 @@ fixed-step Runge-Kutta integration, expected flows from Van Loan's block
 matrix exponential, and distribution comparisons from a plain chi-square
 statistic. Rates have a scalar tree-walking evaluator and dict rate
 tables, and simulated paths have the dict-based Gillespie loops the
-package used before its rates became arrays over the state index. Tests
-freeze or recompute these values and compare the implementation against
-them.
+package used before its rates became arrays over the state index. The
+order checks have the triple loops over links and state pairs that they
+ran before they became block masks. Tests freeze or recompute these
+values and compare the implementation against them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 from scipy.linalg import expm, null_space
@@ -24,6 +26,16 @@ from floworder import expr
 from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent
 from floworder.ctmc import Event
 from floworder.model import NetworkSpec, linear_links, parse_model
+from floworder.ordering import (
+    _DOMAINS,
+    ClosureReport,
+    ClosureWitness,
+    ConditionReport,
+    ConditionResult,
+    TightConfiguration,
+    Witness,
+    _require_linear_pair,
+)
 from floworder.rng import exponential, make_stream
 
 # ---------------------------------------------------------------- documents
@@ -475,3 +487,156 @@ def reference_simulate_coupled(coupled, init_a, init_b, horizon: float, seed: in
                 fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
         events.append(CoupledEvent(t_next, link, chosen_kind, xa, xb, fa, fb))
         t = t_next
+
+
+# ------------------------------------------------------ ordering oracles
+
+
+def reference_flow_conditions(
+    spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
+) -> ConditionReport:
+    """check_flow_conditions as a loop over every link, A state and B state."""
+    _require_linear_pair(spec_a, spec_b)
+    start = time.perf_counter()
+    n = spec_a.n
+    links = spec_a.links
+    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
+    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
+    conditions = []
+    for k in range(n + 1):
+        name = f"flow-link-{k}"
+        witnesses = []
+        done = False
+        for ia, xa in enumerate(spec_a.states):
+            if done:
+                break
+            for ib, xb in enumerate(spec_b.states):
+                if k == 0:
+                    premise = xa[0] >= xb[0]
+                elif k == n:
+                    premise = xa[n - 1] <= xb[n - 1]
+                else:
+                    premise = xa[k - 1] <= xb[k - 1] and xa[k] >= xb[k]
+                if premise:
+                    ra = tables_a[k][ia]
+                    rb = tables_b[k][ib]
+                    if ra > rb:
+                        witnesses.append(Witness(name, "rate", xa, xb, ra, rb))
+                        if not all_witnesses:
+                            done = True
+                            break
+        conditions.append(
+            ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
+        )
+    return ConditionReport(
+        kind="flow",
+        domains=dict(_DOMAINS),
+        conditions=tuple(conditions),
+        all_witnesses=all_witnesses,
+        runtime=time.perf_counter() - start,
+    )
+
+
+def reference_population_conditions(
+    spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
+) -> ConditionReport:
+    """check_population_conditions as a loop over every pair of states and node."""
+    _require_linear_pair(spec_a, spec_b)
+    start = time.perf_counter()
+    n = spec_a.n
+    links = spec_a.links
+    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
+    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
+    witnesses_by_node: dict[int, list] = {i: [] for i in range(1, n + 1)}
+    for ia, xa in enumerate(spec_a.states):
+        for ib, xb in enumerate(spec_b.states):
+            if any(xa[i] > xb[i] for i in range(n)):
+                continue
+            for node in range(1, n + 1):
+                if not all_witnesses and witnesses_by_node[node]:
+                    continue  # first witness already found for this node
+                if xa[node - 1] != xb[node - 1]:
+                    continue
+                name = f"population-node-{node}"
+                in_k = node - 1  # arrival link for node 1, else link (node-1, node)
+                out_k = node
+                ra_in = tables_a[in_k][ia]
+                rb_in = tables_b[in_k][ib]
+                if ra_in > rb_in:
+                    witnesses_by_node[node].append(
+                        Witness(name, "inflow", xa, xb, ra_in, rb_in)
+                    )
+                ra_out = tables_a[out_k][ia]
+                rb_out = tables_b[out_k][ib]
+                if ra_out < rb_out:
+                    witnesses_by_node[node].append(
+                        Witness(name, "outflow", xa, xb, ra_out, rb_out)
+                    )
+                if not all_witnesses and witnesses_by_node[node]:
+                    witnesses_by_node[node] = witnesses_by_node[node][:1]
+    conditions = tuple(
+        ConditionResult(
+            condition=f"population-node-{node}",
+            passed=not witnesses_by_node[node],
+            witnesses=tuple(witnesses_by_node[node]),
+        )
+        for node in range(1, n + 1)
+    )
+    return ConditionReport(
+        kind="population",
+        domains=dict(_DOMAINS),
+        conditions=conditions,
+        all_witnesses=all_witnesses,
+        runtime=time.perf_counter() - start,
+    )
+
+
+def reference_closure(
+    spec_a: NetworkSpec, spec_b: NetworkSpec, gap_bound: int | None = None
+) -> ClosureReport:
+    """verify_tight_configurations as a loop over every tight link and pair of states,
+    with the gap vector rebuilt from node balance link by link."""
+    _require_linear_pair(spec_a, spec_b)
+    start = time.perf_counter()
+    n = spec_a.n
+    links = spec_a.links
+    tables_a = [spec_a.rate_vector(link).tolist() for link in links]
+    tables_b = [spec_b.rate_vector(link).tolist() for link in links]
+    max_coord = 0
+    for x in spec_a.states:
+        max_coord = max(max_coord, max(x))
+    for x in spec_b.states:
+        max_coord = max(max_coord, max(x))
+    bound = n * max_coord if gap_bound is None else int(gap_bound)
+    witnesses = []
+    exceeded = []
+    checked = 0
+    for k in range(n + 1):
+        for ia, xa in enumerate(spec_a.states):
+            for ib, xb in enumerate(spec_b.states):
+                d = [0] * (n + 1)
+                for j in range(k + 1, n + 1):
+                    d[j] = d[j - 1] - (xb[j - 1] - xa[j - 1])
+                for j in range(k, 0, -1):
+                    d[j - 1] = d[j] + (xb[j - 1] - xa[j - 1])
+                if min(d) < 0:
+                    continue  # not reachable inside the order relation
+                checked += 1
+                config = TightConfiguration(k, xa, xb, tuple(d))
+                if max(d) > bound:
+                    exceeded.append(config)
+                    continue
+                ra = tables_a[k][ia]
+                rb = tables_b[k][ib]
+                if ra > rb:
+                    witnesses.append(ClosureWitness(config, ra, rb))
+    closed = not witnesses and not exceeded
+    return ClosureReport(
+        closed=closed,
+        witnesses=tuple(witnesses),
+        gap_exceeded=tuple(exceeded),
+        checked=checked,
+        gap_bound=bound,
+        domains=dict(_DOMAINS),
+        runtime=time.perf_counter() - start,
+    )

@@ -201,6 +201,15 @@ def test_projections_are_valid_component_paths():
             t = ev.time
 
 
+def test_projections_of_an_absorbed_path_are_absorbed():
+    drain = parse_model(helpers.single_node_doc("0", "x1", 3))
+    log = simulate_coupled(build_stateflow_coupling(drain, drain), (3,), (3,), 1e9, seed=4)
+    direct = simulate_path(drain, (3,), 1e9, seed=4)
+    assert log.absorbed and direct.absorbed
+    assert log.project("a").absorbed
+    assert log.project("b").absorbed
+
+
 def test_project_rejects_unknown_side():
     spec_a, spec_b = tandem_pair()
     log = simulate_coupled(

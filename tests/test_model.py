@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from floworder.cli import main
 from floworder.expr import evaluate, parse_expression
 from floworder.model import (
     ModelError,
@@ -397,3 +402,78 @@ def test_validation_errors_match_scalar_oracle(exprs, c1, c2, clamp):
         with pytest.raises(ModelError) as err:
             parse_model(serialize_model(spec))
         assert str(err.value) == expected
+
+
+# ------------------------------------------- malformed and deep expressions
+
+
+def one_node_doc(rate):
+    return helpers.single_node_doc(rate, "x1", 3, params={"beta": 1.0}, clamp=True)
+
+
+def assert_cli_exits_two(doc):
+    """`solve` on the document exits 2 with one `floworder: ...` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["solve", "--model-a", path, "--out", os.path.join(tmp, "out")])
+    assert rc == 2
+    assert err.getvalue().startswith("floworder: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rate",
+    ["(" * 400 + "x1" + ")" * 400, "-" * 5000 + "x1", "+".join(["x1"] * 20_000)],
+    ids=["nested-parentheses", "unary-minuses", "long-sum"],
+)
+def test_deep_or_long_expressions_are_model_errors(rate):
+    with pytest.raises(ModelError, match="nested too deeply"):
+        parse_model(one_node_doc(rate))
+    assert_cli_exits_two(one_node_doc(rate))
+
+
+def test_moderately_deep_expressions_still_parse():
+    nested = "(" * 100 + "x1" + ")" * 100
+    table = " + ".join(f"{k} * ind(x1 = {k})" for k in range(1, 301))
+    for rate, expected in ((nested, [0.0, 1.0, 2.0, 0.0]), (table, [0.0, 1.0, 2.0, 0.0])):
+        spec = parse_model(one_node_doc(rate))
+        assert spec.rate_vector((0, 1)).tolist() == expected
+
+
+_PIECES = [
+    "x1", "x2", "beta", "gamma", "1", "2.5", "1e3", "1e999", "+", "-", "*", "(", ")",
+    ",", "<", "<=", "=", "min", "max", "ind", " ", "#", ".",
+]
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+        st.text(max_size=30),
+    )
+)
+def test_fuzzed_rate_texts_raise_only_model_errors(rate):
+    try:
+        parse_model(one_node_doc(rate))
+    except ModelError:
+        assert_cli_exits_two(one_node_doc(rate))
+
+
+@given(
+    st.sampled_from(
+        [("(", ")"), ("-", ""), ("min(x1, ", ")"), ("ind(", " < 2)"), ("2 * ", ""), ("x1 + ", "")]
+    ),
+    st.integers(1, 3000),
+    st.integers(0, 3),
+)
+def test_deeply_nested_rate_texts_raise_only_model_errors(wrapper, depth, cut):
+    opening, closing = wrapper
+    rate = opening * depth + "x1" + closing * depth
+    rate = rate[: len(rate) - cut]
+    try:
+        parse_model(one_node_doc(rate))
+    except ModelError:
+        assert_cli_exits_two(one_node_doc(rate))

@@ -1,10 +1,13 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
-from floworder import ctmc
+from floworder import ctmc, ordering
 from floworder.coupling import (
     CoupledEvent,
     PairedEventLog,
@@ -260,22 +263,130 @@ def test_closure_gap_vectors_satisfy_balance():
             assert config.state_b[i] - config.state_a[i] == d[i] - d[i + 1]
 
 
-def test_closure_implied_by_conditions_on_random_pairs():
-    rng = np.random.default_rng(77)
-    certified = 0
-    for _ in range(30):
-        spec_a, spec_b = helpers.random_certified_pair(rng, 2, 2)
-        assert check_flow_conditions(spec_a, spec_b).passed
-        assert verify_tight_configurations(spec_a, spec_b).closed
-        certified += 1
-    assert certified == 30
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_closure_implied_by_conditions_on_random_pairs(seed, c1, c2):
+    rng = np.random.default_rng(seed)
+    spec_a, spec_b = helpers.random_certified_pair(rng, c1, c2)
+    assert check_flow_conditions(spec_a, spec_b).passed
+    assert verify_tight_configurations(spec_a, spec_b).closed
     # unconstrained pairs: whenever the conditions happen to pass, closure
     # must follow; the reverse direction is not asserted
-    for _ in range(30):
-        spec_a, _ = helpers.random_table_instance(rng, 2, 2)
-        spec_b, _ = helpers.random_table_instance(rng, 2, 2)
-        if check_flow_conditions(spec_a, spec_b).passed:
-            assert verify_tight_configurations(spec_a, spec_b).closed
+    spec_a, _ = helpers.random_table_instance(rng, c1, c2)
+    spec_b, _ = helpers.random_table_instance(rng, c1, c2)
+    if check_flow_conditions(spec_a, spec_b).passed:
+        assert verify_tight_configurations(spec_a, spec_b).closed
+
+
+# ------------------------------------------- block masks against the loops
+
+
+def random_box_spec(rng, caps, p_zero):
+    """Dyadic rate tables on a box with any number of nodes, clamped at its edges."""
+    states = list(itertools.product(*(range(c + 1) for c in caps)))
+    rates = {}
+    for i, j in linear_links(len(caps)):
+        table = {x: 0.0 if rng.random() < p_zero else helpers.dyadic(rng) for x in states}
+        rates[f"{i}->{j}"] = helpers.table_to_expression(table)
+    return parse_model(
+        {"n": len(caps), "space": {"box": list(caps)}, "rates": rates, "clamp": True}
+    )
+
+
+@st.composite
+def model_pairs(draw):
+    """Certified pairs either way round, random tables, and random boxes of
+    unequal sizes on one to three nodes, some with many zero rates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["certified", "tables", "boxes"]))
+    p_zero = draw(st.sampled_from([0.0, 0.5]))
+    if kind == "certified":
+        pair = helpers.random_certified_pair(rng, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        return pair if draw(st.booleans()) else pair[::-1]
+    if kind == "tables":
+        c1, c2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        spec_a, _ = helpers.random_table_instance(rng, c1, c2, p_zero)
+        spec_b, _ = helpers.random_table_instance(rng, c1, c2, p_zero)
+        return spec_a, spec_b
+    n = draw(st.integers(1, 3))
+    caps = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return random_box_spec(rng, draw(caps), p_zero), random_box_spec(rng, draw(caps), p_zero)
+
+
+def assert_same_report(report, oracle):
+    # repr also tells Python floats and ints from numpy scalars, and the
+    # dataclasses compare the state and gap tuples themselves
+    assert repr(report.to_dict(include_runtime=False)) == repr(
+        oracle.to_dict(include_runtime=False)
+    )
+    assert report.witnesses == oracle.witnesses
+
+
+@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
+@given(pair=model_pairs(), all_witnesses=st.booleans())
+def test_condition_checks_match_loop_oracles(block, pair, all_witnesses):
+    spec_a, spec_b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ordering, "_BLOCK_PAIRS", block)
+        flow = check_flow_conditions(spec_a, spec_b, all_witnesses)
+        population = check_population_conditions(spec_a, spec_b, all_witnesses)
+    assert_same_report(flow, helpers.reference_flow_conditions(spec_a, spec_b, all_witnesses))
+    assert_same_report(
+        population, helpers.reference_population_conditions(spec_a, spec_b, all_witnesses)
+    )
+
+
+@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
+@given(pair=model_pairs(), gap_bound=st.sampled_from([None, 0, 1, 2]))
+def test_closure_matches_loop_oracle(block, pair, gap_bound):
+    spec_a, spec_b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ordering, "_BLOCK_PAIRS", block)
+        report = verify_tight_configurations(spec_a, spec_b, gap_bound)
+    oracle = helpers.reference_closure(spec_a, spec_b, gap_bound)
+    assert_same_report(report, oracle)
+    assert report.gap_exceeded == oracle.gap_exceeded
+
+
+def test_population_first_witness_is_inflow_when_both_parts_fail():
+    # at (1,) against (1,) A arrives faster and serves slower than B
+    spec_a = parse_model(helpers.single_node_doc("2 * ind(x1 < 2) - ind(x1 < 1)", "0", 2))
+    spec_b = parse_model(helpers.single_node_doc("ind(x1 < 2)", "x1", 2))
+    full = check_population_conditions(spec_a, spec_b, all_witnesses=True)
+    assert [(w.part, w.state_a, w.state_b) for w in full.witnesses] == [
+        ("inflow", (1,), (1,)),
+        ("outflow", (1,), (1,)),
+        ("outflow", (2,), (2,)),
+    ]
+    first = check_population_conditions(spec_a, spec_b)
+    assert first.witnesses == full.witnesses[:1]
+
+
+def test_exact_checks_at_thirty_by_thirty():
+    spec_a, spec_b = tandem_pair(30, 30, 30.0)
+    tracemalloc.start()
+    try:
+        closure = verify_tight_configurations(spec_a, spec_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert closure.closed
+    assert closure.checked == 962_735
+    assert peak < 16 * 2**20
+    assert check_flow_conditions(spec_a, spec_b).passed
+    population = check_population_conditions(spec_a, spec_b)
+    assert not population.passed
+    assert [w.to_dict() for w in population.witnesses] == [
+        {
+            "condition": "population-node-2",
+            "part": "outflow",
+            "state_a": [30, 1],
+            "state_b": [30, 1],
+            "rate_a": 0.0,
+            "rate_b": 1.0,
+        }
+    ]
 
 
 # ------------------------------------------------------- pathwise checks
