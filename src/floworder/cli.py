@@ -19,12 +19,16 @@ Every output file starts with a reproducibility header (tool version,
 seed, tolerances, model digests) and a fixed invocation produces byte
 identical files. Exit status: 0 pass, 1 verdict failure, 2 usage or
 model errors.
+
+The argument parser is built once, when this module is imported, with
+the options every subcommand shares on one parent parser; main() only
+calls parse_args, which leaves the parser as it was. A process that
+calls main() many times pays for the parser once.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -298,6 +302,8 @@ def _cmd_couple(config: RunConfig) -> int:
         for k in range(config.reps)
     ]
     if config.jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = sorted(pool.map(_couple_worker, tasks))
     else:
@@ -341,6 +347,8 @@ def _cmd_simulate(config: RunConfig) -> int:
         for k in range(config.reps)
     ]
     if config.jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = sorted(pool.map(_sim_worker, tasks))
     else:
@@ -453,6 +461,8 @@ def run(config: RunConfig) -> int:
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
+    if not 0.0 <= config.tol < math.inf:
+        raise UsageError("--tol must be finite and nonnegative")
     return handler(config)
 
 
@@ -471,6 +481,33 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every subcommand takes the same options, so they live on one parent
+    # parser that each subparser copies: argparse then checks and formats
+    # each option once, not once per subcommand.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model-a", dest="model_a")
+    common.add_argument("--model-b", dest="model_b")
+    common.add_argument(
+        "--family", choices=["tandem-original", "tandem-balanced", "tandem-pair"]
+    )
+    common.add_argument("--s1", type=int, default=2)
+    common.add_argument("--s2", type=int, default=2)
+    common.add_argument("--beta", type=float, default=1.0)
+    common.add_argument("--delta1", type=_float_list)
+    common.add_argument("--delta2", type=_float_list)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--horizon", type=float, default=10.0)
+    common.add_argument("--reps", type=int, default=1)
+    common.add_argument("--grid", default="0:10:10")
+    common.add_argument("--link", default="0->1")
+    common.add_argument("--init")
+    common.add_argument("--tol", type=float, default=1e-8)
+    common.add_argument("--out")
+    common.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--all-witnesses", dest="all_witnesses", action="store_true")
+    common.add_argument("--betas", type=_float_list, default=(0.5, 1.0, 2.0))
+    common.add_argument("--sizes", type=_int_list, default=(1, 2, 3))
     parser = argparse.ArgumentParser(
         prog="floworder",
         description="Simulate and order-certify population processes on linear networks.",
@@ -486,34 +523,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ("transient", "expected-flow margins on a time grid"),
         ("sweep", "stationary throughput grid over tandem parameters"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model-a", dest="model_a")
-        p.add_argument("--model-b", dest="model_b")
-        p.add_argument("--family", choices=["tandem-original", "tandem-balanced", "tandem-pair"])
-        p.add_argument("--s1", type=int, default=2)
-        p.add_argument("--s2", type=int, default=2)
-        p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--delta1", type=_float_list)
-        p.add_argument("--delta2", type=_float_list)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--horizon", type=float, default=10.0)
-        p.add_argument("--reps", type=int, default=1)
-        p.add_argument("--grid", default="0:10:10")
-        p.add_argument("--link", default="0->1")
-        p.add_argument("--init")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--out")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--all-witnesses", dest="all_witnesses", action="store_true")
-        p.add_argument("--betas", type=_float_list, default=(0.5, 1.0, 2.0))
-        p.add_argument("--sizes", type=_int_list, default=(1, 2, 3))
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     config = RunConfig(
         command=args.command,
         model_a=args.model_a,

@@ -29,6 +29,14 @@ Solvers:
 
 Both take their Poisson weights from _poisson_weights, the one place the
 truncation policy lives.
+
+scipy is imported inside the four functions that build or factor sparse
+matrices (build_generator, Generator.uniformized_kernel, _recurrent_class
+and stationary_distribution), not at module level. Importing scipy.sparse
+and its csgraph and linalg parts takes longer than importing numpy and
+the rest of floworder together, and at module level every process that
+imports floworder would pay it, including the check, verify, couple and
+simulate commands, which never build a sparse matrix.
 """
 
 from __future__ import annotations
@@ -38,9 +46,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .model import Link, ModelError, NetworkSpec, State, validate_spec
 from .rng import exponential, make_stream
@@ -87,7 +92,11 @@ class ConvergenceError(SolverError):
 
 
 class ToleranceError(SolverError):
-    """No Poisson truncation depth meets the tolerance (a negative or NaN one)."""
+    """A tolerance nothing can meet or that decides nothing.
+
+    No Poisson truncation depth meets a negative or NaN one, and a margin
+    test against an infinite one passes whatever the margins are.
+    """
 
 
 class Event(NamedTuple):
@@ -129,6 +138,8 @@ class Generator:
     def uniformized_kernel(self) -> sp.csr_matrix:
         """I + Q / unif_rate; requires unif_rate > 0."""
         if self._kernel is None:
+            import scipy.sparse as sp
+
             m = len(self.states)
             self._kernel = (sp.identity(m, format="csr") + self.matrix / self.unif_rate).tocsr()
         return self._kernel
@@ -147,6 +158,8 @@ def _link_arrays(spec: NetworkSpec):
 
 
 def build_generator(spec: NetworkSpec) -> Generator:
+    import scipy.sparse as sp
+
     m = len(spec.states)
     exit_rates = np.zeros(m)
     src, dst, val, labels = [], [], [], []
@@ -239,6 +252,9 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
 
 def _recurrent_class(gen: Generator):
     """Indices of the unique recurrent class, or raise ReducibleChainError."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     m = len(gen.states)
     if m == 1:
         return [0]
@@ -270,6 +286,9 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     iteration from the uniform vector pick out its null direction.
     The residual is then checked; a miss raises ConvergenceError.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     m = len(gen.states)
     members = _recurrent_class(gen)
     k = len(members)

@@ -244,21 +244,34 @@ def evaluate(node, states, params) -> np.ndarray:
     min and max fold their arguments left to right and keep the running
     value unless a later argument compares strictly smaller (larger), as
     Python's builtins do, so signed zeros and NaNs resolve the same way.
+
+    The parser builds a flat sum or product as a left-deep chain of BinOp
+    nodes, so the left spine of a chain is walked in a loop, innermost
+    operation first, and recursion goes only into right operands. The
+    recursion depth is then set by how deeply terms nest, not by how many
+    terms a sum or product has.
     """
+    if isinstance(node, BinOp):
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = evaluate(node, states, params)
+        for op in reversed(spine):
+            b = evaluate(op.right, states, params)
+            if op.op == "+":
+                acc = acc + b
+            elif op.op == "-":
+                acc = acc - b
+            else:
+                acc = acc * b
+        return acc
     if isinstance(node, Num):
         return np.full(len(states), node.value)
     if isinstance(node, Coord):
         return states[:, node.index].astype(float)
     if isinstance(node, Param):
         return np.full(len(states), float(params[node.name]))
-    if isinstance(node, BinOp):
-        a = evaluate(node.left, states, params)
-        b = evaluate(node.right, states, params)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
     if isinstance(node, Neg):
         return -evaluate(node.operand, states, params)
     if isinstance(node, Extremum):

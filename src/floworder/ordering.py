@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import A_ONLY, B_ONLY, JOINT, PairedEventLog
-from .ctmc import transient_mean_flow
+from .ctmc import ToleranceError, transient_mean_flow
 from .model import Link, ModelError, NetworkSpec, State, is_linear_family
 
 __all__ = [
@@ -556,11 +556,16 @@ def mean_order_check(
 
     Both models start from the same state (which must lie in both state
     spaces) with zero counters. Passes when every margin is at least -tol.
+    tol must be finite and nonnegative, or ToleranceError is raised: an
+    infinite tol would pass any margins, a NaN one fail all of them, and
+    a negative one demand a margin of at least |tol|.
     Each model's expected flows come from one transient_mean_flow call
     over the whole grid; flow_tol bounds the truncation error of every
     mean, and rounding adds a relative error of order K times machine
     epsilon, K being the Poisson truncation depth.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ToleranceError(f"margin tolerance must be finite and nonnegative, not {tol:g}")
     start = time.perf_counter()
     init = tuple(int(v) for v in init)
     if init not in spec_a.state_index or init not in spec_b.state_index:

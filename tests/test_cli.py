@@ -158,6 +158,40 @@ def test_transient_swapped_pair_fails(tmp_path, capsys):
     assert min(m["margin"] for m in body["margins"]) < -1e-8
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_transient_swapped_pair_rejects_tolerances_that_decide_nothing(tol, tmp_path, capsys):
+    """`--tol inf` would pass the swapped pair, `nan` fail every pair, `-1` demand margins >= 1."""
+    params = TandemParams.linear(2, 2, 1.0)
+    path_a = write_doc(tmp_path, "orig.json", serialize_model(build_original_tandem(params)))
+    path_b = write_doc(tmp_path, "bal.json", serialize_model(build_balanced_tandem(params)))
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "transient",
+            "--model-a", path_a,
+            "--model-b", path_b,
+            "--grid", "0:5:5",
+            f"--tol={tol}",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "floworder: --tol must be finite and nonnegative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "couple", "simulate", "solve", "sweep"])
+def test_every_command_rejects_nan_tolerance(command, tmp_path, capsys):
+    family = {"simulate": "tandem-original", "solve": "tandem-original"}.get(command, "tandem-pair")
+    argv = [command, "--tol", "nan", "--out", str(tmp_path)]
+    if command != "sweep":
+        argv += ["--family", family]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "floworder: --tol must be finite and nonnegative\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_solve_original_tandem(tmp_path, capsys):
     rc = main(["solve", "--family", "tandem-original", "--out", str(tmp_path)])
     assert rc == 0
@@ -302,6 +336,21 @@ def test_report_digests_pinned(argv, tmp_path, capsys):
     assert digests == GOLDEN_DIGESTS[argv]
 
 
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """One process, one parser: a call with non-default flags, then the pinned
+    invocations in reverse order, must reproduce every pinned digest."""
+    first = ["check", "--family", "tandem-pair", "--all-witnesses", "--format", "csv"]
+    assert main(first + ["--out", str(tmp_path / "first")]) in (0, 1)
+    for k, argv in enumerate(sorted(GOLDEN_DIGESTS, reverse=True)):
+        out = tmp_path / f"run{k}"
+        assert main(argv.split() + ["--out", str(out)]) in (0, 1)
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in os.listdir(out)
+        }
+        assert digests == GOLDEN_DIGESTS[argv], argv
+
+
 def test_verify_tandem_pair_closed(tmp_path, capsys):
     rc = main(["verify", "--family", "tandem-pair", "--out", str(tmp_path)])
     assert rc == 0
@@ -414,3 +463,59 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "closed" in proc.stdout
+
+
+_SCIPY_PROBE = """
+import json, sys, tempfile
+from floworder import cli
+seen = {"import": "scipy" in sys.modules}
+with tempfile.TemporaryDirectory() as out:
+    for argv in (
+        ["check", "--family", "tandem-pair"],
+        ["verify", "--family", "tandem-pair"],
+        ["couple", "--family", "tandem-pair", "--reps", "2", "--horizon", "2"],
+        ["simulate", "--family", "tandem-original", "--reps", "2", "--horizon", "2"],
+        ["solve", "--family", "tandem-original"],
+    ):
+        assert cli.main(argv + ["--out", out]) in (0, 1), argv
+        seen[argv[0]] = "scipy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_sparse_solvers_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, check=True
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {
+        "import": False,
+        "check": False,
+        "verify": False,
+        "couple": False,
+        "simulate": False,
+        "solve": True,
+    }
+
+
+# sha256 of `floworder [command] --help` at 80 columns. argparse's layout
+# differs between Python minor versions; these are taken under 3.11.
+HELP_DIGESTS = {
+    None: "1819541697b08133fc831f7065022201509604c1c2d01ec35ed96ee77e61e0e5",
+    "check": "0beae465c0e5c066686dcc50dfb658704b7a728368d8d2aa8cd5171956a9f8c8",
+    "verify": "afc00f12128090ef66224c0466ca019d1097b58572a3d920953ab7afe70b7c49",
+    "couple": "27b9c2c32b279f79d16e7e0cbd25617802eba3868251ed661fb191a48acb4a40",
+    "simulate": "d2ef3924742fae86c69fccb2107b563e66e9634d52b9188ed0444965f377b96d",
+    "solve": "f7a4a9c32ce2c2a05f60db4969cd1dec40c202ce2ac32fee778639ef3734e157",
+    "transient": "d33c3d5c3a91be02726521b84daf96061d9b36e5a36716126ec134a6633ce879",
+    "sweep": "c245719ee532c347bb4770071b1ee56c5c0164689cd99e561fc4cb67cfe0ffa0",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout pinned under Python 3.11")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=lambda c: c or "top")
+def test_help_text_pinned(command):
+    argv = [sys.executable, "-m", "floworder"] + ([command] if command else []) + ["--help"]
+    env = dict(os.environ, COLUMNS="80")
+    proc = subprocess.run(argv, capture_output=True, env=env, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[command]

@@ -533,6 +533,21 @@ def test_mean_order_builds_one_generator_per_model(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300])
+def test_mean_order_rejects_tolerances_that_decide_nothing(tol):
+    """An infinite tol would pass any margins, NaN fail all, a negative one demand |tol|."""
+    spec_a, spec_b = tandem_pair(2, 2, 1.0)
+    with pytest.raises(ctmc.ToleranceError, match="margin tolerance"):
+        mean_order_check(spec_b, spec_a, (0, 1), [1.0, 5.0], (0, 0), tol=tol)
+
+
+def test_mean_order_zero_tolerance_demands_nonnegative_margins():
+    spec = helpers.two_state_chain()
+    assert mean_order_check(spec, spec, (0, 1), [0.0], (0,), tol=0.0).passed
+    spec_a, spec_b = tandem_pair(2, 2, 1.0)
+    assert not mean_order_check(spec_b, spec_a, (0, 1), [1.0, 5.0], (0, 0), tol=0.0).passed
+
+
 def test_mean_order_rejects_foreign_initial_state():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
     with pytest.raises(ModelError, match="both state spaces"):
