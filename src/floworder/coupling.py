@@ -8,15 +8,24 @@ whenever one rate dominates the other, only the dominant side can step
 ahead. The coupling exists in a population form, tracking (x, x'), and a
 state-flow form that also carries per-link counters for both sides. Both
 run on ctmc.gillespie over index pairs (i, i'), with the bins (joint,
-B-only, A-only) of each link in declared link order.
+B-only, A-only) of each link in declared link order. A pair's row of
+running bin sums is built on its first visit and kept, so only the pairs
+a path reaches are ever evaluated.
+
+A coupled path is a PairedEventLog of three columns: event times, bins
+and state-index pairs. The flow counters are not stored: each is the
+number of events so far on its link in which its side moved, so
+paired_log_csv, ordering.pathwise_flow_order_check and the events view
+count them from the bins column as they go.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .ctmc import Event, EventLog, _link_arrays, gillespie
+from .ctmc import EventLog, EventView, _link_arrays, _state_labels, gillespie
 from .model import Link, ModelError, NetworkSpec, State
 
 __all__ = [
@@ -33,7 +42,7 @@ __all__ = [
 JOINT = "joint"
 B_ONLY = "b_only"
 A_ONLY = "a_only"
-_KINDS = (JOINT, B_ONLY, A_ONLY)  # bin order within a link
+_KINDS = (JOINT, B_ONLY, A_ONLY)  # bin order within a link: bin = 3 * link + kind
 
 
 def marching_rates(a: float, a_prime: float) -> tuple[float, float, float]:
@@ -52,9 +61,9 @@ def marching_rates(a: float, a_prime: float) -> tuple[float, float, float]:
 class CoupledSpec:
     """A pair of specs over one link family, coupled link by link.
 
-    The coupled generator is never materialized; rates are produced on
-    demand from the component rate arrays, so the reachable pair space
-    stays implicit.
+    The coupled generator is never materialized; simulate_coupled builds
+    the rates of a pair from the component rate arrays when a path first
+    reaches it, so the reachable pair space stays implicit.
     """
 
     spec_a: NetworkSpec
@@ -74,18 +83,6 @@ class CoupledSpec:
     @property
     def n(self) -> int:
         return self.spec_a.n
-
-    def transition_rates(self, xa: State, xb: State):
-        """Per-link triples at the pair (xa, xb): (link, joint, b_only, a_only)."""
-        ia = self.spec_a.index_of(xa)
-        ib = self.spec_b.index_of(xb)
-        out = []
-        for link in self.links:
-            a = float(self.spec_a.rate_vector(link)[ia])
-            b = float(self.spec_b.rate_vector(link)[ib])
-            joint, b_only, a_only = marching_rates(a, b)
-            out.append((link, joint, b_only, a_only))
-        return out
 
 
 def build_population_coupling(spec_a: NetworkSpec, spec_b: NetworkSpec) -> CoupledSpec:
@@ -108,15 +105,55 @@ class CoupledEvent(NamedTuple):
 
 @dataclass
 class PairedEventLog:
+    """One coupled path, as columns over its events.
+
+    times[e] is the time of event e; bins[e] is 3 * k + kind, with k the
+    position of its link in `links` and kind 0, 1, 2 for joint, B-only
+    and A-only; pairs[e] is ia * len(states_b) + ib, the indices in
+    states_a and states_b of the two states after it. Flow counters
+    (state-flow form) start at zero.
+    """
+
     initial_a: State
     initial_b: State
-    initial_flows_a: tuple[int, ...] | None
-    initial_flows_b: tuple[int, ...] | None
     links: tuple[Link, ...]
-    events: list[CoupledEvent]
+    states_a: tuple[State, ...] = field(repr=False)
+    states_b: tuple[State, ...] = field(repr=False)
+    times: array
+    bins: array
+    pairs: array
     horizon: float
     absorbed: bool
     with_flows: bool
+    # The path as CoupledEvent tuples, counters included in the state-flow form.
+    events: EventView = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.events = EventView(len(self.times), self._events)
+
+    @property
+    def initial_flows_a(self) -> tuple[int, ...] | None:
+        return (0,) * len(self.links) if self.with_flows else None
+
+    @property
+    def initial_flows_b(self) -> tuple[int, ...] | None:
+        return self.initial_flows_a
+
+    def _events(self):
+        links, states_a, states_b = self.links, self.states_a, self.states_b
+        width = len(states_b)
+        flows_a, flows_b = [0] * len(links), [0] * len(links)
+        fa = fb = None
+        for t, b, pair in zip(self.times, self.bins, self.pairs):
+            k, kind = divmod(b, 3)
+            ia, ib = divmod(pair, width)
+            if self.with_flows:
+                if kind != 1:  # A moved
+                    flows_a[k] += 1
+                if kind != 2:  # B moved
+                    flows_b[k] += 1
+                fa, fb = tuple(flows_a), tuple(flows_b)
+            yield CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
 
     def project(self, side: str) -> EventLog:
         """Component event log of side 'a' or 'b' (joint plus one-sided moves).
@@ -127,21 +164,63 @@ class PairedEventLog:
         """
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
-        keep = A_ONLY if side == "a" else B_ONLY
-        x = self.initial_a if side == "a" else self.initial_b
-        events = []
-        for ev in self.events:
-            if ev.kind == JOINT or ev.kind == keep:
-                post = ev.state_a if side == "a" else ev.state_b
-                events.append(Event(ev.time, ev.link, x, post))
-                x = post
+        skip = 1 if side == "a" else 2  # the other side's one-sided kind
+        which = 0 if side == "a" else 1
+        width = len(self.states_b)
+        times, moves, visits = array("d"), array("q"), array("q")
+        for t, b, pair in zip(self.times, self.bins, self.pairs):
+            k, kind = divmod(b, 3)
+            if kind != skip:
+                times.append(t)
+                moves.append(k)
+                visits.append(divmod(pair, width)[which])
         return EventLog(
             initial=self.initial_a if side == "a" else self.initial_b,
-            events=events,
+            times=times,
+            moves=moves,
+            visits=visits,
+            states=self.states_a if side == "a" else self.states_b,
             horizon=self.horizon,
             absorbed=self.absorbed,
             links=self.links,
         )
+
+
+def _pair_row(component_rates):
+    """Kernel row (total, cumulative, last) of a pair, from each link's rates (a, b).
+
+    The bins are (joint, B-only, A-only) per link, the total is summed
+    link by link, and `last` is the last bin with a positive rate, read
+    from the rates since one can vanish in the running sum.
+    """
+    total = acc = 0.0
+    cumulative = []
+    last = 0
+    for a, b in component_rates:
+        # marching_rates(a, b), up to the sign of a zero rate
+        triple = (a if a <= b else b, b - a if b > a else 0.0, a - b if a > b else 0.0)
+        total += triple[0] + triple[1] + triple[2]
+        for r in triple:
+            acc += r
+            if r > 0.0:
+                last = len(cumulative)
+            cumulative.append(acc)
+    return total, cumulative, last
+
+
+class _Rows(dict):
+    """Kernel rows by state, each built by `build` on its first visit and kept.
+
+    A dict, so that the kernel's lookup of a visited state runs no Python code.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, state):
+        row = self[state] = self._build(state)
+        return row
 
 
 def simulate_coupled(
@@ -153,9 +232,11 @@ def simulate_coupled(
 ) -> PairedEventLog:
     """Simulate the coupled chain; counters (state-flow form) start at zero.
 
-    The kernel's state is the index pair (ia, ib). Candidate events are
-    ordered (joint, B-only, A-only) within each link and links keep their
-    declared order, so a seed fixes the path exactly.
+    The kernel's state is the pair code ia * len(B's states) + ib.
+    Candidate events are ordered (joint, B-only, A-only) within each link
+    and links keep their declared order, so a seed fixes the path exactly.
+    A pair's total rate is summed link by link, each link's three rates
+    first.
     """
     xa = tuple(int(v) for v in init_a)
     xb = tuple(int(v) for v in init_b)
@@ -163,75 +244,71 @@ def simulate_coupled(
         raise ModelError(f"initial state {xa} not in the first state space")
     if xb not in coupled.spec_b.state_index:
         raise ModelError(f"initial state {xb} not in the second state space")
-    links = coupled.links
     arrays_a, arrays_b = _link_arrays(coupled.spec_a), _link_arrays(coupled.spec_b)
     rates = [(ra.tolist(), rb.tolist()) for (ra, _), (rb, _) in zip(arrays_a, arrays_b)]
-    next_a = [n.tolist() for _, n in arrays_a]
-    next_b = [n.tolist() for _, n in arrays_b]
+    width = len(coupled.spec_b.states)
 
-    def rates_at(pair):
-        ia, ib = pair
-        bins = []
-        total = 0.0
-        for rates_a, rates_b in rates:
-            a = rates_a[ia]
-            b = rates_b[ib]
-            # marching_rates(a, b), up to the sign of a zero rate
-            joint = a if a <= b else b
-            b_only = b - a if b > a else 0.0
-            a_only = a - b if a > b else 0.0
-            bins += (joint, b_only, a_only)
-            total += joint + b_only + a_only
-        return total, bins
+    def row(pair):
+        ia, ib = divmod(pair, width)
+        return _pair_row([(rates_a[ia], rates_b[ib]) for rates_a, rates_b in rates])
+
+    # Per bin, where each side goes: a side that does not move keeps its index.
+    stay_a = list(range(len(coupled.spec_a.states)))
+    stay_b = list(range(width))
+    targets = []
+    for (_, next_a), (_, next_b) in zip(arrays_a, arrays_b):
+        next_a, next_b = next_a.tolist(), next_b.tolist()
+        targets += [(next_a, next_b), (stay_a, next_b), (next_a, stay_b)]
 
     def advance(pair, b):
-        ia, ib = pair
-        k, kind = divmod(b, 3)
-        if kind != 1:  # not B-only: A moves
-            ia = next_a[k][ia]
-        if kind != 2:  # not A-only: B moves
-            ib = next_b[k][ib]
-        return ia, ib
+        ia, ib = divmod(pair, width)
+        next_a, next_b = targets[b]
+        return next_a[ia] * width + next_b[ib]
 
-    start = (coupled.spec_a.state_index[xa], coupled.spec_b.state_index[xb])
-    steps, absorbed = gillespie(rates_at, advance, start, horizon, seed)
-    with_flows = coupled.with_flows
-    zeros = tuple(0 for _ in links) if with_flows else None
-    fa = fb = zeros
-    states_a, states_b = coupled.spec_a.states, coupled.spec_b.states
-    events: list[CoupledEvent] = []
-    for t, b, (ia, ib) in steps:
-        k, kind = divmod(b, 3)
-        if with_flows:
-            if kind != 1:
-                fa = fa[:k] + (fa[k] + 1,) + fa[k + 1 :]
-            if kind != 2:
-                fb = fb[:k] + (fb[k] + 1,) + fb[k + 1 :]
-        events.append(
-            CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
-        )
+    start = coupled.spec_a.state_index[xa] * width + coupled.spec_b.state_index[xb]
+    times, bins, pairs, absorbed = gillespie(
+        _Rows(row).__getitem__, advance, start, horizon, seed
+    )
     return PairedEventLog(
         initial_a=xa,
         initial_b=xb,
-        initial_flows_a=zeros,
-        initial_flows_b=zeros,
-        links=links,
-        events=events,
+        links=coupled.links,
+        states_a=coupled.spec_a.states,
+        states_b=coupled.spec_b.states,
+        times=times,
+        bins=bins,
+        pairs=pairs,
         horizon=float(horizon),
         absorbed=absorbed,
-        with_flows=with_flows,
+        with_flows=coupled.with_flows,
     )
 
 
 def paired_log_csv(log: PairedEventLog) -> str:
-    """CSV rows: time,link_from,link_to,which,stateA,stateB,flowA,flowB."""
+    """CSV rows: time,link_from,link_to,which,stateA,stateB,flowA,flowB.
+
+    Each state's label and each bin's `i,j,kind,` prefix are formatted
+    once; a counter cell is re-joined only when its side moved.
+    """
+    prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
+    labels_a, labels_b = _state_labels(log.states_a), _state_labels(log.states_b)
+    width = len(log.states_b)
+    with_flows = log.with_flows
+    counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
+    cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
+    fa = fb = ";".join(cells_a) if with_flows else ""
     lines = ["time,link_from,link_to,which,stateA,stateB,flowA,flowB"]
-    for ev in log.events:
-        sa = ";".join(str(v) for v in ev.state_a)
-        sb = ";".join(str(v) for v in ev.state_b)
-        fa = ";".join(str(v) for v in ev.flows_a) if ev.flows_a is not None else ""
-        fb = ";".join(str(v) for v in ev.flows_b) if ev.flows_b is not None else ""
-        lines.append(
-            f"{float(ev.time)!r},{ev.link[0]},{ev.link[1]},{ev.kind},{sa},{sb},{fa},{fb}"
-        )
+    for t, b, pair in zip(log.times, log.bins, log.pairs):
+        ia, ib = divmod(pair, width)
+        if with_flows:
+            k, kind = divmod(b, 3)
+            if kind != 1:  # A moved
+                counts_a[k] += 1
+                cells_a[k] = str(counts_a[k])
+                fa = ";".join(cells_a)
+            if kind != 2:  # B moved
+                counts_b[k] += 1
+                cells_b[k] = str(counts_b[k])
+                fb = ";".join(cells_b)
+        lines.append(f"{t!r},{prefixes[b]}{labels_a[ia]},{labels_b[ib]},{fa},{fb}")
     return "\n".join(lines) + "\n"

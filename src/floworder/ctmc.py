@@ -6,11 +6,20 @@ arrays, keeping one labeled entry per (state, link) with a positive rate
 so that flows stay attributable to links even when the matrix itself sums
 parallel contributions.
 
-Simulation: gillespie is the one Gillespie (1977) kernel, over state
-indices and numbered bins: one exponential draw for the holding time,
-then one uniform draw for the bin. simulate_path runs it with one bin per
-link; coupling.simulate_coupled runs it on index pairs with three bins
-per link.
+Simulation: gillespie is the one Gillespie (1977) kernel, over integer
+states and numbered bins: one exponential draw for the holding time, then
+one uniform draw for the bin. It reads its uniforms from the seeded PCG64
+stream in blocks of _BLOCK; rng.random(n) yields exactly the doubles of n
+scalar calls, so a seed fixes the same path as drawing one at a time.
+Each state's bins come as one row of running sums, so the bin is a
+bisection; when rounding carries a draw past the last running sum, the
+move is the last bin with a positive rate, read from the rates when the
+row is built (a positive rate can vanish in a running sum). The path is
+returned as columns (times, bins, states), not as one object per event.
+simulate_path runs the kernel with one bin per link, all rows from one
+cumulative sum over the state index; coupling's simulate_coupled runs it
+on index pairs with three bins per link. EventLog keeps the columns and
+builds its Event tuples only when they are read.
 
 Solvers:
 
@@ -42,13 +51,15 @@ simulate commands, which never build a sparse matrix.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import Link, ModelError, NetworkSpec, State, validate_spec
-from .rng import exponential, make_stream
+from .rng import make_stream
 
 __all__ = [
     "SolverError",
@@ -57,6 +68,7 @@ __all__ = [
     "ToleranceError",
     "Event",
     "EventLog",
+    "EventView",
     "Generator",
     "build_generator",
     "simulate_path",
@@ -106,23 +118,73 @@ class Event(NamedTuple):
     post: State
 
 
+class EventView:
+    """Read-only events of a columnar log, built when read; len() builds nothing.
+
+    Equal to a list, tuple or view holding equal events in the same order.
+    """
+
+    def __init__(self, size: int, make):
+        self._size = size
+        self._make = make  # returns a fresh iterator over the events
+        self._built = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self._built) if self._built is not None else self._make()
+
+    def __getitem__(self, i):
+        if self._built is None:
+            self._built = tuple(self._make())
+        return self._built[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, EventView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventView({list(self)!r})"
+
+
 @dataclass
 class EventLog:
-    """One simulated path: the jump times, links and states visited."""
+    """One simulated path, as columns over its events.
+
+    times[e] is the time of event e, moves[e] the position in `links` of
+    the link it moved along and visits[e] the index in `states` of the
+    state after it.
+    """
 
     initial: State
-    events: list[Event]
+    times: array
+    moves: array
+    visits: array
+    states: tuple[State, ...] = field(repr=False)
     horizon: float
     absorbed: bool
     links: tuple[Link, ...]
+    # The path as Event(time, link, pre, post) tuples.
+    events: EventView = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.events = EventView(len(self.times), self._events)
+
+    def _events(self):
+        links, states = self.links, self.states
+        pre = self.initial
+        for t, k, i in zip(self.times, self.moves, self.visits):
+            post = states[i]
+            yield Event(t, links[k], pre, post)
+            pre = post
 
     def state_at(self, t: float) -> State:
-        x = self.initial
-        for ev in self.events:
-            if ev.time > t:
-                break
-            x = ev.post
-        return x
+        e = bisect_right(self.times, t)
+        return self.states[self.visits[e - 1]] if e else self.initial
 
 
 @dataclass
@@ -186,42 +248,71 @@ def build_generator(spec: NetworkSpec) -> Generator:
     )
 
 
-def gillespie(rates_at, advance, state, horizon: float, seed: int):
+# Uniforms drawn from the stream per call of rng.random.
+_BLOCK = 512
+
+
+def _uniforms(rng):
+    """The stream's uniforms one at a time, drawn _BLOCK at a time."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+def gillespie(rates_at, advance, state: int, horizon: float, seed: int):
     """Gillespie (1977) path from `state` up to `horizon`, over numbered bins.
 
-    rates_at(state) returns (total, rates): the rate of each candidate
-    move in a fixed bin order, and their total as the caller sums it.
-    advance(state, b) is the state after a move in bin b. Each step draws
-    the holding time exponential(total) and then one uniform U: the move
-    is the first bin whose running sum exceeds U * total or, when rounding
-    carries U * total past the last running sum, the last bin with a
-    positive rate. The path stops at the first event past the horizon
-    (not recorded) or at a state whose total rate is zero.
+    rates_at(state) returns the row (total, cumulative, last): the total
+    rate as the caller sums it, the running sums of the bin rates in bin
+    order (formed as acc += r), and the last bin with a positive rate.
+    advance(state, b) is the state after a move in bin b; states are ints.
 
-    Returns (events, absorbed), each event a (time, bin, state after) triple.
+    Each step draws the holding time -log1p(-U) / total from a uniform
+    U > 0 (a draw of exactly 0 is rejected and redrawn), then one uniform
+    U': the move is the first bin whose running sum exceeds U' * total,
+    found by bisection. When rounding carries U' * total past the last
+    running sum it is `last`, which the caller reads from the rates, since
+    a positive rate can vanish in a running sum (acc + r == acc). Uniforms
+    come from the seed's stream in blocks (_uniforms), in the order of
+    one-at-a-time draws. The path stops at the first event past the
+    horizon (not recorded) or at a state whose total rate is zero.
+
+    Returns (times, bins, states, absorbed): one array entry per event,
+    states[e] being the state after event e.
     """
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    rng = make_stream(seed)
-    events = []
+    draw = _uniforms(make_stream(seed)).__next__
+    times, bins, states = array("d"), array("q"), array("q")
+    log1p = math.log1p
     t = 0.0
     while True:
-        total, rates = rates_at(state)
+        total, cumulative, last = rates_at(state)
         if total <= 0.0:
-            return events, True
-        t += exponential(rng, total)
+            return times, bins, states, True
+        u = draw()
+        while u == 0.0:  # keep holding times strictly positive
+            u = draw()
+        t += -log1p(-u) / total
         if t > horizon:
-            return events, False
-        target_mass = rng.random() * total
-        acc = 0.0
-        for b, r in enumerate(rates):
-            acc += r
-            if target_mass < acc:
-                break
-        else:  # rounding pushed the draw past the last bin
-            b = max(b for b, r in enumerate(rates) if r > 0.0)
+            return times, bins, states, False
+        b = bisect_right(cumulative, draw() * total)
+        if b == len(cumulative):  # rounding pushed the draw past the last bin
+            b = last
         state = advance(state, b)
-        events.append((t, b, state))
+        times.append(t)
+        bins.append(b)
+        states.append(state)
+
+
+def _cumulative_rows(rates: np.ndarray) -> list:
+    """Kernel rows (total, cumulative, last) of an (m, bins) rate array.
+
+    np.cumsum adds along each row in sequence, so every running sum is
+    bit-equal to the loop acc += r; the total is the last running sum.
+    """
+    cumulative = np.cumsum(rates, axis=1)
+    last = rates.shape[1] - 1 - np.argmax(rates[:, ::-1] > 0.0, axis=1)
+    return list(zip(cumulative[:, -1].tolist(), cumulative.tolist(), last.tolist()))
 
 
 def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLog:
@@ -230,23 +321,26 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     The path stops at the first event time past the horizon (that event is
     not recorded) or when the total exit rate hits zero, which sets the
     absorbed flag. Ties in link selection resolve in declared link order.
+    A state's total exit rate is summed link by link in declared order.
     """
     init = tuple(int(v) for v in init)
     if init not in spec.state_index:
         raise ModelError(f"initial state {init} not in the state space")
     arrays = _link_arrays(spec)
-    totals = np.zeros(len(spec.states))
-    for rates, _ in arrays:  # in declared link order: the draws depend on every bit
-        totals += rates
-    moves = list(zip(totals.tolist(), np.column_stack([r for r, _ in arrays]).tolist()))
+    rows = _cumulative_rows(np.column_stack([r for r, _ in arrays]))
     next_index = [n.tolist() for _, n in arrays]
-    start = spec.state_index[init]
-    steps, absorbed = gillespie(moves.__getitem__, lambda i, b: next_index[b][i], start, horizon, seed)
-    links, states = spec.links, spec.states
-    pre = [start] + [i for _, _, i in steps]
-    events = [Event(t, links[b], states[p], states[i]) for (t, b, i), p in zip(steps, pre)]
+    times, moves, visits, absorbed = gillespie(
+        rows.__getitem__, lambda i, b: next_index[b][i], spec.state_index[init], horizon, seed
+    )
     return EventLog(
-        initial=init, events=events, horizon=float(horizon), absorbed=absorbed, links=links
+        initial=init,
+        times=times,
+        moves=moves,
+        visits=visits,
+        states=spec.states,
+        horizon=float(horizon),
+        absorbed=absorbed,
+        links=spec.links,
     )
 
 
@@ -467,17 +561,24 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _state_labels(states) -> list[str]:
+    """Each state's coordinates joined by ';', as report cells spell it."""
+    return [";".join(map(str, x)) for x in states]
+
+
 def event_log_csv(log: EventLog) -> str:
     """CSV rows time,link_from,link_to,state_after; states joined by ';'."""
+    prefixes = [f"{i},{j}," for i, j in log.links]
+    labels = _state_labels(log.states)
     lines = ["time,link_from,link_to,state_after"]
-    for ev in log.events:
-        state = ";".join(str(v) for v in ev.post)
-        lines.append(f"{_fmt(ev.time)},{ev.link[0]},{ev.link[1]},{state}")
+    lines += [
+        f"{t!r},{prefixes[k]}{labels[i]}" for t, k, i in zip(log.times, log.moves, log.visits)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def distribution_csv(states, probs) -> str:
     lines = ["state,probability"]
-    for x, p in zip(states, probs):
-        lines.append(";".join(str(v) for v in x) + "," + _fmt(p))
+    for label, p in zip(_state_labels(states), probs):
+        lines.append(label + "," + _fmt(p))
     return "\n".join(lines) + "\n"

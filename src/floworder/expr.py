@@ -20,7 +20,7 @@ array, giving one rate per state.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,10 +83,15 @@ class Indicator:
 
 @dataclass(frozen=True)
 class RateExpr:
-    """A compiled rate expression. `source` is the canonical text form."""
+    """A compiled rate expression. `source` is the canonical text form.
+
+    Equality and hashing read `source` and `n`, which fix the tree; the
+    tree itself is left out, since comparing it recurses once per node and
+    a long flat sum is deeper than the interpreter's recursion limit.
+    """
 
     source: str
-    root: object
+    root: object = field(compare=False)
     n: int
 
 

@@ -23,7 +23,7 @@ from scipy.linalg import expm, null_space
 from scipy.stats import chi2
 
 from floworder import expr
-from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent
+from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
 from floworder.ctmc import Event
 from floworder.model import NetworkSpec, linear_links, parse_model
 from floworder.ordering import (
@@ -36,7 +36,7 @@ from floworder.ordering import (
     Witness,
     _require_linear_pair,
 )
-from floworder.rng import exponential, make_stream
+from floworder.rng import make_stream
 
 # ---------------------------------------------------------------- documents
 
@@ -291,6 +291,19 @@ def van_loan_mean_flow(spec: NetworkSpec, p0, link, times) -> np.ndarray:
     return np.array([p0 @ expm(block * t)[:m, m] for t in times])
 
 
+def pair_rates(spec_a: NetworkSpec, spec_b: NetworkSpec, xa, xb):
+    """(link, joint, b_only, a_only) per link at the state pair (xa, xb).
+
+    Each triple is marching_rates(spec_a.rate_vector(link)[ia],
+    spec_b.rate_vector(link)[ib]) with ia and ib the states' indices.
+    """
+    ia, ib = spec_a.index_of(xa), spec_b.index_of(xb)
+    return [
+        (link, *marching_rates(float(spec_a.rate_vector(link)[ia]), float(spec_b.rate_vector(link)[ib])))
+        for link in spec_a.links
+    ]
+
+
 def stateflow_events(log, flows0=None):
     """The state-flow path along a population event log.
 
@@ -383,6 +396,14 @@ def scalar_rate_table(spec: NetworkSpec, link) -> dict:
 
 
 # ------------------------------------------------- reference simulators
+
+
+def exponential(rng: np.random.Generator, rate: float) -> float:
+    """Exp(rate) by the inverse CDF from one-at-a-time uniforms, zeros redrawn."""
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return -math.log1p(-u) / rate
 
 
 def reference_simulate_path(spec: NetworkSpec, init, horizon: float, seed: int):

@@ -351,6 +351,31 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert digests == GOLDEN_DIGESTS[argv], argv
 
 
+# couple on the s=2, beta=1 tandems swapped (original as model A), which
+# are not closed: the flow-order violations are counted and reported.
+NOT_CLOSED_COUPLE_DIGESTS = {
+    "couple_rep0000.csv": "c1959f3c9a95a7af8d78d48070bbd7984f545f264510fc2f438e0358abf5d101",
+    "couple_rep0001.csv": "91c75b3afcc3024fc0fc487286916329cb4d317f426183a32aecc26359dd3208",
+    "couple_summary.json": "c18fa5d744d91afec2d102d6b827a5aeb6b22c8a58b97abea79c9808c522a2be",
+}
+
+
+def test_couple_digests_pinned_on_a_pair_that_is_not_closed(tmp_path, capsys):
+    params = TandemParams.linear(2, 2, 1.0)
+    path_a = write_doc(tmp_path, "original.json", serialize_model(build_original_tandem(params)))
+    path_b = write_doc(tmp_path, "balanced.json", serialize_model(build_balanced_tandem(params)))
+    out = tmp_path / "out"
+    argv = ["couple", "--model-a", path_a, "--model-b", path_b, "--reps", "2", "--horizon", "20"]
+    rc = main(argv + ["--seed", "7", "--out", str(out)])
+    assert rc == 1
+    summary = json.loads((out / "couple_summary.json").read_text())
+    assert (summary["events"], summary["flow_order_violations"]) == (82, 67)
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in os.listdir(out)
+    }
+    assert digests == NOT_CLOSED_COUPLE_DIGESTS
+
+
 def test_verify_tandem_pair_closed(tmp_path, capsys):
     rc = main(["verify", "--family", "tandem-pair", "--out", str(tmp_path)])
     assert rc == 0

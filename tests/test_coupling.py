@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from floworder import coupling
 from floworder.coupling import (
     CoupledSpec,
     build_population_coupling,
@@ -66,30 +68,28 @@ def test_marching_rates_properties(a, b):
 
 def test_identical_specs_diagonal_has_no_one_sided_rates():
     spec = helpers.two_state_chain()
-    coupled = build_population_coupling(spec, spec)
     for x in spec.states:
-        for _, joint, b_only, a_only in coupled.transition_rates(x, x):
+        for _, joint, b_only, a_only in helpers.pair_rates(spec, spec, x, x):
             assert b_only == 0.0
             assert a_only == 0.0
 
 
 def test_unequal_arrival_rates_split():
-    coupled = build_population_coupling(single_node(1.0), single_node(2.0))
-    triples = {link: (j, b, a) for link, j, b, a in coupled.transition_rates((0,), (0,))}
+    spec_a, spec_b = single_node(1.0), single_node(2.0)
+    triples = {link: (j, b, a) for link, j, b, a in helpers.pair_rates(spec_a, spec_b, (0,), (0,))}
     assert triples[(0, 1)] == (1.0, 1.0, 0.0)
     assert triples[(1, 0)] == (0.0, 0.0, 0.0)
 
 
 def test_tandem_pair_arrival_rates_at_empty_and_at_full():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_population_coupling(spec_a, spec_b)
     at_empty = dict(
-        (link, (j, b, a)) for link, j, b, a in coupled.transition_rates((0, 0), (0, 0))
+        (link, (j, b, a)) for link, j, b, a in helpers.pair_rates(spec_a, spec_b, (0, 0), (0, 0))
     )
     assert at_empty[(0, 1)] == (1.0, 0.0, 0.0)
     # both arrival indicators shut off once the first buffer is full
     at_full = dict(
-        (link, (j, b, a)) for link, j, b, a in coupled.transition_rates((2, 0), (2, 0))
+        (link, (j, b, a)) for link, j, b, a in helpers.pair_rates(spec_a, spec_b, (2, 0), (2, 0))
     )
     assert at_full[(0, 1)] == (0.0, 0.0, 0.0)
 
@@ -116,10 +116,9 @@ def test_mismatched_link_family_rejected():
 
 def test_marginality_exhaustive_tandem_pair():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_population_coupling(spec_a, spec_b)
     for xa in spec_a.states:
         for xb in spec_b.states:
-            for link, joint, b_only, a_only in coupled.transition_rates(xa, xb):
+            for link, joint, b_only, a_only in helpers.pair_rates(spec_a, spec_b, xa, xb):
                 # integer-valued rates here, so marginality is exact
                 assert joint + a_only == spec_a.rate_table(link)[xa]
                 assert joint + b_only == spec_b.rate_table(link)[xb]
@@ -131,20 +130,28 @@ def test_marginality_exhaustive_random_dyadic_pairs():
     for _ in range(5):
         spec_a, _ = helpers.random_table_instance(rng, 2, 2)
         spec_b, _ = helpers.random_table_instance(rng, 2, 2)
-        coupled = build_population_coupling(spec_a, spec_b)
         for xa in spec_a.states:
             for xb in spec_b.states:
-                for link, joint, b_only, a_only in coupled.transition_rates(xa, xb):
+                for link, joint, b_only, a_only in helpers.pair_rates(spec_a, spec_b, xa, xb):
                     assert joint + a_only == spec_a.rate_table(link)[xa]
                     assert joint + b_only == spec_b.rate_table(link)[xb]
 
 
 def test_balanced_never_outserves_original_at_equal_states():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     for x in spec_a.states:
-        triples = {l: (j, b, a) for l, j, b, a in coupled.transition_rates(x, x)}
+        triples = {l: (j, b, a) for l, j, b, a in helpers.pair_rates(spec_a, spec_b, x, x)}
         assert triples[(2, 0)][2] == 0.0
+
+
+def test_pair_row_fallback_reads_a_rate_that_vanishes_in_the_running_sum():
+    # Link 1's A-only rate 1.0 disappears in 1e17 + 1.0; it is still the last positive bin.
+    total, cumulative, last = coupling._pair_row([(1e17, 1e17), (1.0, 0.0)])
+    assert cumulative == [1e17] * 6
+    assert last == 5
+    assert total == 1e17 + 1.0
+    # every bin positive but the final one: the last positive bin is 4 (B-only of link 1)
+    assert coupling._pair_row([(1.0, 2.0), (1.0, 3.0)]) == (5.0, [1.0, 2.0, 2.0, 3.0, 5.0, 5.0], 4)
 
 
 # ------------------------------------------------------------- simulation
@@ -275,6 +282,20 @@ def test_projected_event_counts_match_direct_distribution():
         k = len(log.events)
         direct_counts[k] = direct_counts.get(k, 0) + 1
     assert helpers.chi_square_pvalue(proj_counts, direct_counts) >= 1e-3
+
+
+def test_coupled_path_memory_per_event_is_bounded():
+    """The log holds columns, not one object per event (about 440 bytes each before)."""
+    spec_a, spec_b = tandem_pair(10, 10, 10.0)
+    coupled = build_stateflow_coupling(spec_a, spec_b)
+    tracemalloc.start()
+    try:
+        log = simulate_coupled(coupled, (0, 0), (0, 0), 2000.0, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.events) > 40_000
+    assert peak / len(log.events) <= 120
 
 
 # -------------------------------------------------------------------- csv

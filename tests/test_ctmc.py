@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import helpers
-from floworder.coupling import build_population_coupling, simulate_coupled
+from floworder import ctmc
+from floworder.coupling import (
+    build_population_coupling,
+    build_stateflow_coupling,
+    simulate_coupled,
+)
 from floworder.ctmc import (
     ConvergenceError,
     EventLog,
@@ -25,7 +30,7 @@ from floworder.ctmc import (
 )
 from floworder.expr import parse_expression
 from floworder.model import ModelError, NetworkSpec, linear_links, parse_model
-from floworder.rng import exponential, make_stream
+from floworder.rng import make_stream
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
 
@@ -195,17 +200,87 @@ def test_moves_leaving_the_space_rejected():
             run()
 
 
+def kernel_row(rates):
+    """(cumulative, last) of one state's bin rates, as simulate_path builds them."""
+    _, cumulative, last = ctmc._cumulative_rows(np.array([rates], dtype=float))[0]
+    return cumulative, last
+
+
 def test_kernel_rounding_fallback_picks_last_positive_bin():
     # A total above the sum of the bins sends most draws past the last
     # running sum, which is where rounding would otherwise send them.
-    events, _ = gillespie(lambda s: (4.0, [0.5, 0.5, 0.0]), lambda s, b: s + 1, 0, 50.0, seed=3)
+    cumulative, last = kernel_row([0.5, 0.5, 0.0])
+    _, bins, _, _ = gillespie(lambda s: (4.0, cumulative, last), lambda s, b: s + 1, 0, 50.0, seed=3)
     rng = make_stream(3)
     expected = []
-    for _ in events:
-        exponential(rng, 4.0)
+    for _ in bins:
+        helpers.exponential(rng, 4.0)
         expected.append(0 if rng.random() * 4.0 < 0.5 else 1)
-    assert [b for _, b, _ in events] == expected
+    assert list(bins) == expected
     assert expected.count(1) > 2 * expected.count(0)
+
+
+def test_kernel_fallback_reads_a_rate_that_vanishes_in_the_running_sum():
+    # 1e17 + 1.0 == 1e17, so the running sums cannot show that bin 1 is
+    # positive; the fallback must still pick it, never bin 0 or bin 2.
+    cumulative, last = kernel_row([1e17, 1.0, 0.0])
+    assert cumulative[0] == cumulative[1] == cumulative[2] and last == 1
+    _, bins, _, _ = gillespie(lambda s: (2e17, cumulative, last), lambda s, b: s + 1, 0, 1e-15, seed=5)
+    rng = make_stream(5)
+    expected = []
+    for _ in bins:
+        helpers.exponential(rng, 2e17)
+        expected.append(0 if rng.random() * 2e17 < 1e17 else 1)
+    assert list(bins) == expected
+    assert expected.count(0) > 20 and expected.count(1) > 20
+
+
+class StubStream:
+    """Hands out fixed blocks of uniforms, checking each request's size."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def random(self, size):
+        block = self.blocks.pop(0)
+        assert size == len(block)
+        return np.array(block)
+
+
+def test_kernel_rejects_a_zero_uniform_at_a_block_edge(monkeypatch):
+    # Block 1 ends with a zero where the second holding time is drawn: it
+    # is rejected and the holding time takes block 2's first uniform.
+    monkeypatch.setattr(ctmc, "_BLOCK", 3)
+    stub = StubStream([[0.5, 0.25, 0.0], [0.75, 0.5, 0.9]])
+    monkeypatch.setattr(ctmc, "make_stream", lambda seed: stub)
+    t1 = -math.log1p(-0.5) / 2.0
+    t2 = t1 + -math.log1p(-0.75) / 2.0
+    times, bins, states, absorbed = gillespie(
+        lambda s: (2.0, [1.0, 2.0], 1), lambda s, b: s + 1, 0, t2 + 0.1, seed=0
+    )
+    assert list(times) == [t1, t2]
+    assert list(bins) == [0, 1]  # 0.25 * 2 < 1.0; 0.5 * 2 is not
+    assert list(states) == [1, 2]
+    assert not absorbed
+    assert stub.blocks == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paths_across_many_blocks_match_reference_loops(monkeypatch, seed):
+    monkeypatch.setattr(ctmc, "_BLOCK", 7)
+    spec_a = build_balanced_tandem(TandemParams.linear(3, 3, 2.0))
+    spec_b = build_original_tandem(TandemParams.linear(3, 3, 2.0))
+    log = simulate_path(spec_b, (0, 0), 10.0, seed)
+    events, absorbed = helpers.reference_simulate_path(spec_b, (0, 0), 10.0, seed)
+    assert 2 * len(events) > 3 * ctmc._BLOCK  # two uniforms an event: three refills or more
+    assert log.events == events
+    assert log.absorbed == absorbed
+    coupled = build_stateflow_coupling(spec_a, spec_b)
+    log = simulate_coupled(coupled, (1, 0), (0, 1), 10.0, seed)
+    events, absorbed = helpers.reference_simulate_coupled(coupled, (1, 0), (0, 1), 10.0, seed)
+    assert 2 * len(events) > 3 * ctmc._BLOCK
+    assert log.events == events
+    assert log.absorbed == absorbed
 
 
 @given(

@@ -451,6 +451,18 @@ def test_long_flat_sums_and_products_evaluate():
         assert spec.rate_vector((1, 0)).tolist() == [scale * k for k in range(4)]
 
 
+def test_long_flat_sum_models_compare_and_hash():
+    """Equality and hashing must not walk a tree deeper than the recursion limit."""
+    table = " + ".join(f"{k} * ind(x1 = {k})" for k in range(1, 2001))
+    doc = helpers.single_node_doc(table, "x1", 2000, clamp=True)
+    spec_a, spec_b = parse_model(doc), parse_model(doc)
+    assert spec_a == spec_b
+    assert parse_model(serialize_model(spec_a)) == spec_a
+    assert hash(spec_a.rates[(0, 1)]) == hash(spec_b.rates[(0, 1)])
+    other = parse_model(helpers.single_node_doc(table + " + 1", "x1", 2000, clamp=True))
+    assert other != spec_a
+
+
 def test_thousand_entry_service_table_solves(tmp_path, capsys):
     """The original tandem at s1 = 1000 has a 1,000-term service-rate sum."""
     rc = main(

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -400,23 +401,52 @@ def test_pathwise_flow_order_certified_pair_clean():
         assert pathwise_flow_order_check(log) == []
 
 
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_pathwise_flow_order_matches_counter_loop_on_reference_paths(values, swapped, seed):
+    """Violations counted from the bins column equal the loop over the
+    counters that the reference coupled loop carries event by event."""
+    beta, a1, a2, b1, b2 = values
+    params = TandemParams(s1=2, s2=2, beta=beta, delta1=(0.0, a1, a2), delta2=(0.0, b1, b2))
+    pair = [build_balanced_tandem(params), build_original_tandem(params)]
+    if swapped:
+        pair.reverse()
+    coupled = build_stateflow_coupling(*pair)
+    log = simulate_coupled(coupled, (0, 0), (0, 0), 20.0, seed)
+    events, _ = helpers.reference_simulate_coupled(coupled, (0, 0), (0, 0), 20.0, seed)
+    expected = [
+        (ev.time, link)
+        for ev in events
+        for k, link in enumerate(coupled.links)
+        if ev.flows_a[k] > ev.flows_b[k]
+    ]
+    assert pathwise_flow_order_check(log) == expected
+
+
 def test_pathwise_flow_order_flags_hand_built_violation():
     links = linear_links(2)
     events = [
         CoupledEvent(0.2, (0, 1), "joint", (1, 0), (1, 0), (1, 0, 0), (1, 0, 0)),
         CoupledEvent(0.5, (0, 1), "a_only", (2, 0), (1, 0), (2, 0, 0), (1, 0, 0)),
     ]
+    states = ((0, 0), (1, 0), (2, 0))
     log = PairedEventLog(
         initial_a=(0, 0),
         initial_b=(0, 0),
-        initial_flows_a=(0, 0, 0),
-        initial_flows_b=(0, 0, 0),
         links=links,
-        events=events,
+        states_a=states,
+        states_b=states,
+        times=array("d", [0.2, 0.5]),
+        bins=array("q", [0, 2]),  # joint, then A alone, on link 0
+        pairs=array("q", [1 * 3 + 1, 2 * 3 + 1]),
         horizon=1.0,
         absorbed=False,
         with_flows=True,
     )
+    assert log.events == events
     assert pathwise_flow_order_check(log) == [(0.5, (0, 1))]
 
 
@@ -449,14 +479,17 @@ def test_pathwise_population_order_flags_hand_built_violation():
     log = PairedEventLog(
         initial_a=(0, 1),
         initial_b=(0, 0),
-        initial_flows_a=None,
-        initial_flows_b=None,
         links=links,
-        events=events,
+        states_a=((0, 1), (1, 1)),
+        states_b=((0, 0), (1, 0)),
+        times=array("d", [0.7]),
+        bins=array("q", [2]),  # A alone on link 0
+        pairs=array("q", [1 * 2 + 1]),
         horizon=1.0,
         absorbed=False,
         with_flows=False,
     )
+    assert log.events == events
     assert pathwise_population_order_check(log) == [(0.7, 2)]
 
 

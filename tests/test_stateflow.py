@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -197,7 +199,17 @@ def test_recover_counting_definition():
         Event(0.5, (0, 1), (0, 0), (1, 0)),
         Event(1.2, (1, 2), (1, 0), (0, 1)),
     ]
-    log = EventLog(initial=(0, 0), events=events, horizon=2.0, absorbed=False, links=links)
+    log = EventLog(
+        initial=(0, 0),
+        times=array("d", [0.5, 1.2]),
+        moves=array("q", [0, 1]),
+        visits=array("q", [1, 2]),
+        states=((0, 0), (1, 0), (0, 1)),
+        horizon=2.0,
+        absorbed=False,
+        links=links,
+    )
+    assert log.events == events
     traj = recover_flows(log)
     assert traj.value((0, 1), 1.0) == 1
     assert traj.value((1, 2), 1.0) == 0

@@ -1,0 +1,51 @@
+"""The benchmark's traced run patches floworder's functions by name.
+
+bench/tracing.py wraps module attributes of floworder and counts the
+events of each simulated log with len(result.events). These tests keep
+the names it patches, and those counts, in step with the package.
+"""
+
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import tracing
+
+    return tracing
+
+
+def test_every_traced_name_is_an_attribute_of_its_owner(tracing):
+    for owner, attr, _, _ in tracing._targets():
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "argv, counter",
+    [
+        (["couple", "--family", "tandem-pair", "--reps", "2", "--horizon", "20", "--seed", "3"],
+         "coupling.simulate_events"),
+        (["simulate", "--family", "tandem-original", "--reps", "2", "--horizon", "20", "--seed", "3"],
+         "ctmc.simulate_events"),
+    ],
+    ids=["couple", "simulate"],
+)
+def test_traced_run_counts_the_events_it_reports(tracing, argv, counter, tmp_path, capsys):
+    from floworder.cli import main
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        main(argv + ["--out", str(tmp_path)])
+    finally:
+        tracer.restore()
+    _, counts = tracer.take()
+    summary = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
+    assert summary["events"] > 0
+    assert counts[counter] == summary["events"]
