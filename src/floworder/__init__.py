@@ -20,7 +20,6 @@ from .coupling import (
     JOINT,
     CoupledSpec,
     PairedEventLog,
-    build_population_coupling,
     build_stateflow_coupling,
     marching_rates,
     simulate_coupled,
@@ -102,7 +101,6 @@ __all__ = [
     "build_balanced_tandem",
     "build_generator",
     "build_original_tandem",
-    "build_population_coupling",
     "build_stateflow_coupling",
     "check_flow_conditions",
     "check_population_conditions",

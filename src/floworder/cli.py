@@ -181,6 +181,23 @@ def _check_replications(config: RunConfig):
         raise UsageError("--horizon must be finite and nonnegative")
     if config.reps < 1:
         raise UsageError("--reps must be at least 1")
+    if config.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+
+
+def _map_replications(worker, tasks: list, jobs: int) -> list:
+    """worker over tasks, results in task order, on min(jobs, len(tasks)) processes.
+
+    A process pool starts all of its workers up front, so it is never
+    larger than the number of tasks; with one worker the map runs here.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [worker(task) for task in tasks]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def _out_dir(config: RunConfig) -> str:
@@ -285,10 +302,10 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _couple_worker(args):
-    coupled, init_a, init_b, horizon, seed, idx = args
+    coupled, init_a, init_b, horizon, seed = args
     log = simulate_coupled(coupled, init_a, init_b, horizon, seed)
     violations = pathwise_flow_order_check(log)
-    return idx, paired_log_csv(log), len(log.events), len(violations)
+    return paired_log_csv(log), len(log.events), len(violations)
 
 
 def _cmd_couple(config: RunConfig) -> int:
@@ -298,20 +315,14 @@ def _cmd_couple(config: RunConfig) -> int:
     coupled = build_stateflow_coupling(spec_a, spec_b)
     init = _parse_init(config.init) if config.init else (0,) * spec_a.n
     tasks = [
-        (coupled, init, init, config.horizon, replication_seed(config.seed, k), k)
+        (coupled, init, init, config.horizon, replication_seed(config.seed, k))
         for k in range(config.reps)
     ]
-    if config.jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = sorted(pool.map(_couple_worker, tasks))
-    else:
-        results = [_couple_worker(task) for task in tasks]
+    results = _map_replications(_couple_worker, tasks, config.jobs)
     out = _out_dir(config)
     total_events = 0
     total_violations = 0
-    for idx, csv_text, n_events, n_violations in results:
+    for idx, (csv_text, n_events, n_violations) in enumerate(results):
         _write_csv(os.path.join(out, f"couple_rep{idx:04d}.csv"), header, csv_text)
         total_events += n_events
         total_violations += n_violations
@@ -332,9 +343,9 @@ def _cmd_couple(config: RunConfig) -> int:
 
 
 def _sim_worker(args):
-    spec, init, horizon, seed, idx = args
+    spec, init, horizon, seed = args
     log = simulate_path(spec, init, horizon, seed)
-    return idx, event_log_csv(log), len(log.events), log.absorbed
+    return event_log_csv(log), len(log.events), log.absorbed
 
 
 def _cmd_simulate(config: RunConfig) -> int:
@@ -343,20 +354,14 @@ def _cmd_simulate(config: RunConfig) -> int:
     header = _header(config, {"a": spec})
     init = _parse_init(config.init) if config.init else (0,) * spec.n
     tasks = [
-        (spec, init, config.horizon, replication_seed(config.seed, k), k)
+        (spec, init, config.horizon, replication_seed(config.seed, k))
         for k in range(config.reps)
     ]
-    if config.jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = sorted(pool.map(_sim_worker, tasks))
-    else:
-        results = [_sim_worker(task) for task in tasks]
+    results = _map_replications(_sim_worker, tasks, config.jobs)
     out = _out_dir(config)
     total_events = 0
     absorbed = 0
-    for idx, csv_text, n_events, was_absorbed in results:
+    for idx, (csv_text, n_events, was_absorbed) in enumerate(results):
         _write_csv(os.path.join(out, f"sim_rep{idx:04d}.csv"), header, csv_text)
         total_events += n_events
         absorbed += int(was_absorbed)
@@ -531,31 +536,8 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        model_a=args.model_a,
-        model_b=args.model_b,
-        family=args.family,
-        s1=args.s1,
-        s2=args.s2,
-        beta=args.beta,
-        delta1=args.delta1,
-        delta2=args.delta2,
-        seed=args.seed,
-        horizon=args.horizon,
-        reps=args.reps,
-        grid=args.grid,
-        link=args.link,
-        init=args.init,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-        jobs=args.jobs,
-        betas=tuple(args.betas),
-        sizes=tuple(args.sizes),
-        all_witnesses=args.all_witnesses,
-    )
+    # The parser's dests are exactly RunConfig's fields.
+    config = RunConfig(**vars(_PARSER.parse_args(argv)))
     try:
         return run(config)
     except (UsageError, ModelError, SolverError, OSError) as e:

@@ -5,18 +5,20 @@ their rates allow: on each link with component rates a and b, the pair
 takes a joint step at min(a, b), B alone at max(b - a, 0) and A alone at
 max(a - b, 0). Each marginal therefore sees exactly its own rates, and
 whenever one rate dominates the other, only the dominant side can step
-ahead. The coupling exists in a population form, tracking (x, x'), and a
-state-flow form that also carries per-link counters for both sides. Both
-run on ctmc.gillespie over index pairs (i, i'), with the bins (joint,
-B-only, A-only) of each link in declared link order. A pair's row of
-running bin sums is built on its first visit and kept, so only the pairs
-a path reaches are ever evaluated.
+ahead. There is one form, the state-flow coupling: the pair (x, x') with
+per-link flow counters for both sides. It runs on ctmc.gillespie over
+index pairs (i, i'), with the bins (joint, B-only, A-only) of each link
+in declared link order. A pair's row of running bin sums is built on its
+first visit and kept, so only the pairs a path reaches are ever
+evaluated.
 
 A coupled path is a PairedEventLog of three columns: event times, bins
 and state-index pairs. The flow counters are not stored: each is the
 number of events so far on its link in which its side moved, so
 paired_log_csv, ordering.pathwise_flow_order_check and the events view
-count them from the bins column as they go.
+count them from the bins column as they go. The population coupling is
+the same path read without its counters, from the pairs column alone
+(ordering.pathwise_population_order_check).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .model import Link, ModelError, NetworkSpec, State
 __all__ = [
     "marching_rates",
     "CoupledSpec",
-    "build_population_coupling",
     "build_stateflow_coupling",
     "CoupledEvent",
     "PairedEventLog",
@@ -68,7 +69,6 @@ class CoupledSpec:
 
     spec_a: NetworkSpec
     spec_b: NetworkSpec
-    with_flows: bool
 
     def __post_init__(self):
         if self.spec_a.n != self.spec_b.n:
@@ -85,22 +85,24 @@ class CoupledSpec:
         return self.spec_a.n
 
 
-def build_population_coupling(spec_a: NetworkSpec, spec_b: NetworkSpec) -> CoupledSpec:
-    return CoupledSpec(spec_a=spec_a, spec_b=spec_b, with_flows=False)
-
-
 def build_stateflow_coupling(spec_a: NetworkSpec, spec_b: NetworkSpec) -> CoupledSpec:
-    return CoupledSpec(spec_a=spec_a, spec_b=spec_b, with_flows=True)
+    return CoupledSpec(spec_a=spec_a, spec_b=spec_b)
 
 
 class CoupledEvent(NamedTuple):
+    """One coupled event: both states and both sides' counters after it.
+
+    flows_a[k] and flows_b[k] count the events so far on links[k] in
+    which that side moved; both start at zero.
+    """
+
     time: float
     link: Link
     kind: str  # "joint", "b_only" or "a_only"
     state_a: State
     state_b: State
-    flows_a: tuple[int, ...] | None
-    flows_b: tuple[int, ...] | None
+    flows_a: tuple[int, ...]
+    flows_b: tuple[int, ...]
 
 
 @dataclass
@@ -111,7 +113,7 @@ class PairedEventLog:
     position of its link in `links` and kind 0, 1, 2 for joint, B-only
     and A-only; pairs[e] is ia * len(states_b) + ib, the indices in
     states_a and states_b of the two states after it. Flow counters
-    (state-flow form) start at zero.
+    start at zero and are counted from the bins column when read.
     """
 
     initial_a: State
@@ -124,36 +126,35 @@ class PairedEventLog:
     pairs: array
     horizon: float
     absorbed: bool
-    with_flows: bool
-    # The path as CoupledEvent tuples, counters included in the state-flow form.
+    # The path as CoupledEvent tuples, counters included.
     events: EventView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.events = EventView(len(self.times), self._events)
 
     @property
-    def initial_flows_a(self) -> tuple[int, ...] | None:
-        return (0,) * len(self.links) if self.with_flows else None
+    def initial_flows_a(self) -> tuple[int, ...]:
+        return (0,) * len(self.links)
 
     @property
-    def initial_flows_b(self) -> tuple[int, ...] | None:
+    def initial_flows_b(self) -> tuple[int, ...]:
         return self.initial_flows_a
 
     def _events(self):
         links, states_a, states_b = self.links, self.states_a, self.states_b
         width = len(states_b)
         flows_a, flows_b = [0] * len(links), [0] * len(links)
-        fa = fb = None
         for t, b, pair in zip(self.times, self.bins, self.pairs):
             k, kind = divmod(b, 3)
             ia, ib = divmod(pair, width)
-            if self.with_flows:
-                if kind != 1:  # A moved
-                    flows_a[k] += 1
-                if kind != 2:  # B moved
-                    flows_b[k] += 1
-                fa, fb = tuple(flows_a), tuple(flows_b)
-            yield CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
+            if kind != 1:  # A moved
+                flows_a[k] += 1
+            if kind != 2:  # B moved
+                flows_b[k] += 1
+            yield CoupledEvent(
+                t, links[k], _KINDS[kind], states_a[ia], states_b[ib],
+                tuple(flows_a), tuple(flows_b),
+            )
 
     def project(self, side: str) -> EventLog:
         """Component event log of side 'a' or 'b' (joint plus one-sided moves).
@@ -230,7 +231,7 @@ def simulate_coupled(
     horizon: float,
     seed: int,
 ) -> PairedEventLog:
-    """Simulate the coupled chain; counters (state-flow form) start at zero.
+    """Simulate the coupled chain; counters start at zero.
 
     The kernel's state is the pair code ia * len(B's states) + ib.
     Candidate events are ordered (joint, B-only, A-only) within each link
@@ -280,7 +281,6 @@ def simulate_coupled(
         pairs=pairs,
         horizon=float(horizon),
         absorbed=absorbed,
-        with_flows=coupled.with_flows,
     )
 
 
@@ -293,22 +293,20 @@ def paired_log_csv(log: PairedEventLog) -> str:
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
     labels_a, labels_b = _state_labels(log.states_a), _state_labels(log.states_b)
     width = len(log.states_b)
-    with_flows = log.with_flows
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
-    fa = fb = ";".join(cells_a) if with_flows else ""
+    fa = fb = ";".join(cells_a)
     lines = ["time,link_from,link_to,which,stateA,stateB,flowA,flowB"]
     for t, b, pair in zip(log.times, log.bins, log.pairs):
         ia, ib = divmod(pair, width)
-        if with_flows:
-            k, kind = divmod(b, 3)
-            if kind != 1:  # A moved
-                counts_a[k] += 1
-                cells_a[k] = str(counts_a[k])
-                fa = ";".join(cells_a)
-            if kind != 2:  # B moved
-                counts_b[k] += 1
-                cells_b[k] = str(counts_b[k])
-                fb = ";".join(cells_b)
+        k, kind = divmod(b, 3)
+        if kind != 1:  # A moved
+            counts_a[k] += 1
+            cells_a[k] = str(counts_a[k])
+            fa = ";".join(cells_a)
+        if kind != 2:  # B moved
+            counts_b[k] += 1
+            cells_b[k] = str(counts_b[k])
+            fb = ";".join(cells_b)
         lines.append(f"{t!r},{prefixes[b]}{labels_a[ia]},{labels_b[ib]},{fa},{fb}")
     return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 The continuous-time chain lives on the finite state set of a NetworkSpec.
 Its generator is concatenated from the per-link rate and next_index
-arrays, keeping one labeled entry per (state, link) with a positive rate
-so that flows stay attributable to links even when the matrix itself sums
-parallel contributions.
+arrays. A link (i, j) moves x to x - e_i + e_j, and that target fixes
+(i, j), so no two links share a (source, target) pair: the off-diagonal
+of the matrix is exactly the set of moves, and a move's link and rate are
+read back from the spec's rate_vector and next_index arrays.
 
 Simulation: gillespie is the one Gillespie (1977) kernel, over integer
 states and numbered bins: one exponential draw for the holding time, then
@@ -191,9 +192,7 @@ class EventLog:
 class Generator:
     states: tuple[State, ...]
     index: dict
-    entries: tuple  # (src_index, dst_index, rate, link), rate > 0
     matrix: sp.csr_matrix  # includes the diagonal
-    exit_rates: np.ndarray
     unif_rate: float
     _kernel: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
@@ -224,26 +223,24 @@ def build_generator(spec: NetworkSpec) -> Generator:
 
     m = len(spec.states)
     exit_rates = np.zeros(m)
-    src, dst, val, labels = [], [], [], []
-    for link, (rates, next_index) in zip(spec.links, _link_arrays(spec)):
+    rows, cols, vals = [], [], []
+    for rates, next_index in _link_arrays(spec):
         moving = np.flatnonzero(rates > 0.0)
-        src.append(moving)
-        dst.append(next_index[moving])
-        val.append(rates[moving])
-        labels += [link] * moving.size
+        rows.append(moving)
+        cols.append(next_index[moving])
+        vals.append(rates[moving])
         exit_rates += rates  # link by link in declared order, which fixes the rounding
-    src, dst, val = (np.concatenate(v) for v in (src, dst, val))
     leaving = np.flatnonzero(exit_rates > 0.0)
-    rows = np.concatenate([src, leaving])
-    cols = np.concatenate([dst, leaving])
-    vals = np.concatenate([val, -exit_rates[leaving]])
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    rows.append(leaving)
+    cols.append(leaving)
+    vals.append(-exit_rates[leaving])
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    )
     return Generator(
         states=spec.states,
         index=spec.state_index,
-        entries=tuple(zip(src.tolist(), dst.tolist(), val.tolist(), labels)),
         matrix=matrix,
-        exit_rates=exit_rates,
         unif_rate=float(exit_rates.max()),
     )
 
@@ -345,29 +342,26 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
 
 
 def _recurrent_class(gen: Generator):
-    """Indices of the unique recurrent class, or raise ReducibleChainError."""
-    import scipy.sparse as sp
+    """Indices of the unique recurrent class, or raise ReducibleChainError.
+
+    The classes are the strong components of the matrix's graph (the
+    diagonal only adds self-loops), and a class is recurrent when no
+    off-diagonal entry leads out of it.
+    """
     from scipy.sparse.csgraph import connected_components
 
-    m = len(gen.states)
-    if m == 1:
-        return [0]
-    rows = [e[0] for e in gen.entries]
-    cols = [e[1] for e in gen.entries]
-    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    n_comp, labels = connected_components(gen.matrix, directed=True, connection="strong")
+    moves = gen.matrix.tocoo()
+    src, dst = labels[moves.row], labels[moves.col]
     has_exit = np.zeros(n_comp, dtype=bool)
-    for i, j, _, _ in gen.entries:
-        if labels[i] != labels[j]:
-            has_exit[labels[i]] = True
-    recurrent = [c for c in range(n_comp) if not has_exit[c]]
-    if len(recurrent) > 1:
+    has_exit[src[src != dst]] = True
+    recurrent = np.flatnonzero(~has_exit)
+    if recurrent.size > 1:
         classes = [
-            [gen.states[i] for i in range(m) if labels[i] == c] for c in recurrent
+            [gen.states[i] for i in np.flatnonzero(labels == c).tolist()] for c in recurrent
         ]
         raise ReducibleChainError(classes)
-    c = recurrent[0]
-    return [i for i in range(m) if labels[i] == c]
+    return np.flatnonzero(labels == recurrent[0])
 
 
 def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:

@@ -10,7 +10,8 @@ Three mechanized routes, from strongest assumptions to weakest:
     spaces.
   * check_population_conditions: pointwise rate inequalities at pairs
     x <= x' with an equal coordinate, guaranteeing the population of A
-    stays below B coordinatewise under the population coupling.
+    stays below B coordinatewise under the same coupling, read without
+    its counters.
   * verify_tight_configurations: an exact closure check of the flow-order
     relation itself. Per-node balance pins the vector of per-link counter
     gaps once one link's gap is fixed at zero, so all configurations that
@@ -430,14 +431,12 @@ def verify_tight_configurations(
 
 
 def pathwise_flow_order_check(log: PairedEventLog):
-    """Scan a coupled state-flow log for counter-order violations.
+    """Scan a coupled log for counter-order violations.
 
-    Returns (time, link) pairs at which some counter of A exceeds B's.
-    The log must come from the state-flow coupling with equal initial
-    states and zero initial counters.
+    Returns (time, link) pairs, in (event, link) order, at which some
+    counter of A exceeds B's. Counters start at zero and are counted from
+    the bins column; the scan is meaningful for equal initial states.
     """
-    if not log.with_flows:
-        raise ValueError("pathwise flow check needs a state-flow coupled log")
     # A's counter on a link minus B's changes only on one-sided events:
     # +1 when A moves alone (kind 2), -1 when B does (kind 1).
     position, kind = np.divmod(np.asarray(log.bins, dtype=np.int64), 3)
@@ -451,15 +450,17 @@ def pathwise_flow_order_check(log: PairedEventLog):
 def pathwise_population_order_check(log: PairedEventLog):
     """Scan a coupled log for coordinatewise population-order violations.
 
-    Returns (time, node) pairs (nodes 1-based) where A's count exceeds B's.
+    Returns (time, node) pairs (nodes 1-based), in (event, node) order,
+    where A's count exceeds B's. The states after each event are read
+    from the pairs column; the counters are not needed.
     """
-    violations = []
     n = len(log.initial_a)
-    for ev in log.events:
-        for i in range(n):
-            if ev.state_a[i] > ev.state_b[i]:
-                violations.append((ev.time, i + 1))
-    return violations
+    ia, ib = np.divmod(np.asarray(log.pairs, dtype=np.int64), len(log.states_b))
+    states_a = np.asarray(log.states_a, dtype=np.int64).reshape(-1, n)
+    states_b = np.asarray(log.states_b, dtype=np.int64).reshape(-1, n)
+    events, nodes = np.nonzero(states_a[ia] > states_b[ib])
+    times = log.times
+    return [(times[e], i + 1) for e, i in zip(events.tolist(), nodes.tolist())]
 
 
 @dataclass

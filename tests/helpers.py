@@ -105,6 +105,26 @@ def dense_q(spec: NetworkSpec) -> np.ndarray:
     return q
 
 
+def reference_recurrent_classes(spec: NetworkSpec) -> list[list[int]]:
+    """Recurrent classes of the chain, as sorted state indices in order of
+    their smallest member, from dense reachability over dense_q.
+
+    A state is recurrent when every state it reaches reaches it back; its
+    class is the set of states it reaches.
+    """
+    q = dense_q(spec)
+    m = q.shape[0]
+    reach = (q > 0.0) | np.eye(m, dtype=bool)
+    for k in range(m):  # Warshall's transitive closure
+        reach |= np.outer(reach[:, k], reach[k, :])
+    classes = []
+    for i in range(m):
+        members = np.flatnonzero(reach[i]).tolist()
+        if all(reach[j, i] for j in members) and members[0] == i:
+            classes.append(members)
+    return classes
+
+
 def nullspace_stationary(q: np.ndarray) -> np.ndarray:
     """Stationary vector via an orthonormal null-space basis of Q^T."""
     basis = null_space(q.T)
@@ -446,9 +466,7 @@ def reference_simulate_coupled(coupled, init_a, init_b, horizon: float, seed: in
     links = coupled.links
     tables_a = [scalar_rate_table(coupled.spec_a, link) for link in links]
     tables_b = [scalar_rate_table(coupled.spec_b, link) for link in links]
-    with_flows = coupled.with_flows
-    fa = tuple(0 for _ in links) if with_flows else None
-    fb = tuple(0 for _ in links) if with_flows else None
+    fa = fb = tuple(0 for _ in links)
     xa, xb = tuple(init_a), tuple(init_b)
     rng = make_stream(seed)
     events = []
@@ -500,17 +518,26 @@ def reference_simulate_coupled(coupled, init_a, init_b, horizon: float, seed: in
         link = links[chosen_link]
         if chosen_kind != B_ONLY:
             xa = coupled.spec_a.target(xa, link)
-            if with_flows:
-                fa = fa[:chosen_link] + (fa[chosen_link] + 1,) + fa[chosen_link + 1 :]
+            fa = fa[:chosen_link] + (fa[chosen_link] + 1,) + fa[chosen_link + 1 :]
         if chosen_kind != A_ONLY:
             xb = coupled.spec_b.target(xb, link)
-            if with_flows:
-                fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
+            fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
         events.append(CoupledEvent(t_next, link, chosen_kind, xa, xb, fa, fb))
         t = t_next
 
 
 # ------------------------------------------------------ ordering oracles
+
+
+def reference_population_order(log):
+    """pathwise_population_order_check as a loop over the log's events."""
+    violations = []
+    n = len(log.initial_a)
+    for ev in log.events:
+        for i in range(n):
+            if ev.state_a[i] > ev.state_b[i]:
+                violations.append((ev.time, i + 1))
+    return violations
 
 
 def reference_flow_conditions(

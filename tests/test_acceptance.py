@@ -20,7 +20,6 @@ from floworder import (
     build_balanced_tandem,
     build_generator,
     build_original_tandem,
-    build_population_coupling,
     build_stateflow_coupling,
     check_flow_conditions,
     check_population_conditions,
@@ -138,12 +137,13 @@ def flow_batch():
 
 @pytest.fixture(scope="module")
 def pop_batch():
-    """Criterion 5 workload: ordered single-node pair under the population
-    coupling, equal start."""
+    """Criterion 5 workload: ordered single-node pair, equal start, checked
+    on the coupled states alone (the population coupling is the state-flow
+    coupling read without its counters)."""
     spec_a = parse_model(helpers.single_node_doc("1", "2 * x1", 3, clamp=True))
     spec_b = parse_model(helpers.single_node_doc("2", "x1", 3, clamp=True))
     conditions = check_population_conditions(spec_a, spec_b)
-    coupled = build_population_coupling(spec_a, spec_b)
+    coupled = build_stateflow_coupling(spec_a, spec_b)
     violations = 0
     dominated = True
     events = 0
@@ -379,7 +379,7 @@ def test_criterion_10_determinism(flow_batch, pop_batch):
             flow_texts.append(text)
     spec_a = parse_model(helpers.single_node_doc("1", "2 * x1", 3, clamp=True))
     spec_b = parse_model(helpers.single_node_doc("2", "x1", 3, clamp=True))
-    recoupled = build_population_coupling(spec_a, spec_b)
+    recoupled = build_stateflow_coupling(spec_a, spec_b)
     pop_digests = []
     pop_texts = []
     for k in range(POP_REPS):

@@ -277,6 +277,59 @@ def test_couple_jobs_do_not_change_bytes(tmp_path, capsys):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
+def test_simulate_jobs_do_not_change_bytes(tmp_path, capsys):
+    """Replication parallelism must leave every artifact byte-identical."""
+    args = ["simulate", "--family", "tandem-original", "--reps", "4", "--horizon", "5",
+            "--seed", "7"]
+    out1, out2 = tmp_path / "j1", tmp_path / "j2"
+    assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    for name in names:
+        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("command", ["couple", "simulate"])
+def test_jobs_pool_is_no_larger_than_the_replications(command, tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    family = "tandem-pair" if command == "couple" else "tandem-original"
+    base = [command, "--family", family, "--horizon", "2", "--seed", "3"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(base + ["--reps", "3", "--jobs", "64", "--out", str(pooled)]) == 0
+    assert RecordingPool.sizes == [3]
+    assert main(base + ["--reps", "1", "--jobs", "64", "--out", str(tmp_path / "one")]) == 0
+    assert RecordingPool.sizes == [3]  # one replication runs in this process
+    assert not multiprocessing.active_children()
+    assert main(base + ["--reps", "3", "--out", str(serial)]) == 0
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(pooled))
+    for name in names:
+        assert filecmp.cmp(serial / name, pooled / name, shallow=False), name
+
+
 def test_couple_base_seeds_share_no_replication_path(tmp_path, capsys):
     args = ["couple", "--family", "tandem-pair", "--reps", "4", "--horizon", "20"]
     bodies = {}
@@ -443,6 +496,10 @@ def test_malformed_flag_values_exit_two(tmp_path, capsys):
         ["transient", "--family", "tandem-pair", "--grid", "0:inf:1"],
         ["transient", "--family", "tandem-pair", "--grid=-1:1:2"],
         ["simulate", "--family", "tandem-original", "--reps", "-3"],
+        ["couple", "--family", "tandem-pair", "--jobs", "0"],
+        ["couple", "--family", "tandem-pair", "--jobs", "-1"],
+        ["simulate", "--family", "tandem-original", "--jobs", "0"],
+        ["simulate", "--family", "tandem-original", "--jobs", "-1"],
     ],
 )
 def test_out_of_range_values_exit_two(argv, tmp_path, capsys):

@@ -9,7 +9,6 @@ import helpers
 from floworder import coupling
 from floworder.coupling import (
     CoupledSpec,
-    build_population_coupling,
     build_stateflow_coupling,
     marching_rates,
     paired_log_csv,
@@ -98,7 +97,7 @@ def test_mismatched_node_count_rejected():
     a = helpers.two_state_chain()
     b, _ = tandem_pair()
     with pytest.raises(ModelError, match="same number of nodes"):
-        build_population_coupling(a, b)
+        build_stateflow_coupling(a, b)
 
 
 def test_mismatched_link_family_rejected():
@@ -111,7 +110,7 @@ def test_mismatched_link_family_rejected():
     }
     b = parse_model(doc)
     with pytest.raises(ModelError, match="share the link family"):
-        build_population_coupling(a, b)
+        build_stateflow_coupling(a, b)
 
 
 def test_marginality_exhaustive_tandem_pair():
@@ -220,7 +219,7 @@ def test_projections_of_an_absorbed_path_are_absorbed():
 def test_project_rejects_unknown_side():
     spec_a, spec_b = tandem_pair()
     log = simulate_coupled(
-        build_population_coupling(spec_a, spec_b), (0, 0), (0, 0), 1.0, seed=0
+        build_stateflow_coupling(spec_a, spec_b), (0, 0), (0, 0), 1.0, seed=0
     )
     with pytest.raises(ValueError):
         log.project("c")
@@ -249,7 +248,7 @@ def test_tandem_pair_counters_stay_ordered():
 
 def test_bad_initial_states_rejected():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_population_coupling(spec_a, spec_b)
+    coupled = build_stateflow_coupling(spec_a, spec_b)
     with pytest.raises(ModelError, match="first state space"):
         simulate_coupled(coupled, (2, 2), (0, 0), 1.0, seed=0)
     with pytest.raises(ModelError, match="second state space"):
@@ -268,7 +267,7 @@ def test_projected_event_counts_match_direct_distribution():
     # two-sample homogeneity of the A-projection against direct simulation
     spec_a = single_node(1.0)
     spec_b = single_node(2.0)
-    coupled = build_population_coupling(spec_a, spec_b)
+    coupled = build_stateflow_coupling(spec_a, spec_b)
     reps = 10_000
     horizon = 5.0
     proj_counts: dict[int, int] = {}
@@ -319,28 +318,16 @@ def test_paired_log_csv_stateflow():
     assert cells[7] == ";".join(str(v) for v in ev.flows_b)
 
 
-def test_paired_log_csv_population_form_leaves_flow_cells_empty():
-    spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_population_coupling(spec_a, spec_b)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 10.0, seed=2)
-    lines = paired_log_csv(log).strip().split("\n")
-    assert len(lines) > 1
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert cells[6] == "" and cells[7] == ""
-
-
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 0.5]),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_coupled_path_matches_reference_loop(table_seed, p_zero, with_flows, seed):
+def test_coupled_path_matches_reference_loop(table_seed, p_zero, seed):
     rng = np.random.default_rng(table_seed)
     spec_a, _ = helpers.random_table_instance(rng, 2, 1, p_zero)
     spec_b, _ = helpers.random_table_instance(rng, 2, 1, p_zero)
-    coupled = CoupledSpec(spec_a=spec_a, spec_b=spec_b, with_flows=with_flows)
+    coupled = CoupledSpec(spec_a=spec_a, spec_b=spec_b)
     init_a = spec_a.states[int(rng.integers(len(spec_a.states)))]
     init_b = spec_b.states[int(rng.integers(len(spec_b.states)))]
     log = simulate_coupled(coupled, init_a, init_b, 20.0, seed)

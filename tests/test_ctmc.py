@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
+from scipy.sparse import find
 
 import helpers
 from floworder import ctmc
 from floworder.coupling import (
-    build_population_coupling,
     build_stateflow_coupling,
     simulate_coupled,
 )
@@ -37,10 +37,27 @@ from floworder.tandem import TandemParams, build_balanced_tandem, build_original
 # ------------------------------------------------------------ generator
 
 
+def off_diagonal(gen):
+    """(src, dst, rate) of every move: the off-diagonal entries of the generator."""
+    rows, cols, vals = find(gen.matrix)
+    keep = rows != cols
+    return list(zip(rows[keep].tolist(), cols[keep].tolist(), vals[keep].tolist()))
+
+
+def move_link(spec, src, dst):
+    """The one link whose move from state index src positively leads to dst."""
+    (link,) = [
+        link
+        for link in spec.links
+        if spec.rate_vector(link)[src] > 0.0 and spec.next_index(link)[src] == dst
+    ]
+    return link
+
+
 def test_generator_two_state_entries():
     gen = build_generator(helpers.two_state_chain())
-    assert len(gen.entries) == 2
-    moves = {(gen.states[i], gen.states[j]): r for i, j, r, _ in gen.entries}
+    assert len(off_diagonal(gen)) == 2
+    moves = {(gen.states[i], gen.states[j]): r for i, j, r in off_diagonal(gen)}
     assert moves[((0,), (1,))] == 1.0
     assert moves[((1,), (0,))] == 1.0
     assert gen.unif_rate == 1.0
@@ -50,9 +67,10 @@ def test_generator_blocked_transfer_at_full_downstream():
     spec = build_original_tandem(TandemParams.linear(1, 1, 1.0))
     gen = build_generator(spec)
     src = spec.index_of((1, 1))
-    out = [(e[3], e[2]) for e in gen.entries if e[0] == src]
+    out = [(move_link(spec, i, j), r) for i, j, r in off_diagonal(gen) if i == src]
     # transfer 1->2 is shut off when the second buffer is full
     assert out == [((2, 0), 1.0)]
+    assert spec.rate_vector((2, 0))[src] == 1.0
 
 
 def test_generator_all_zero_rates():
@@ -60,7 +78,7 @@ def test_generator_all_zero_rates():
     gen = build_generator(parse_model(doc))
     assert gen.matrix.nnz == 0
     assert gen.unif_rate == 0.0
-    assert gen.entries == ()
+    assert off_diagonal(gen) == []
 
 
 def test_generator_row_sums_vanish():
@@ -174,7 +192,7 @@ def test_non_finite_horizon_rejected(simulator, horizon):
         if simulator == "simulate_path":
             simulate_path(spec, (0,), horizon, seed=0)
         else:
-            simulate_coupled(build_population_coupling(spec, spec), (0,), (0,), horizon, seed=0)
+            simulate_coupled(build_stateflow_coupling(spec, spec), (0,), (0,), horizon, seed=0)
 
 
 def test_moves_leaving_the_space_rejected():
@@ -190,7 +208,7 @@ def test_moves_leaving_the_space_rejected():
         },
         params=params,
     )
-    coupled = build_population_coupling(spec, spec)
+    coupled = build_stateflow_coupling(spec, spec)
     for run in (
         lambda: build_generator(spec),
         lambda: simulate_path(spec, (0,), 1.0, seed=0),
@@ -422,16 +440,43 @@ def test_stationary_zero_tolerance_raises():
     assert str(exc.value).endswith(" above tolerance 0")
 
 
+TWO_CLASS_DOC = {
+    "n": 1,
+    "space": {"list": [[0], [1], [3], [4]]},
+    "rates": {
+        "0->1": "ind(x1 = 0) + ind(x1 = 3)",
+        "1->0": "ind(x1 = 1) + ind(x1 = 4)",
+    },
+}
+
+
+def assert_recurrent_class_matches_reference(spec):
+    """The members, or the classes ReducibleChainError lists, equal the dense oracle's."""
+    expected = helpers.reference_recurrent_classes(spec)
+    gen = build_generator(spec)
+    if len(expected) == 1:
+        assert ctmc._recurrent_class(gen).tolist() == expected[0]
+        return
+    with pytest.raises(ReducibleChainError) as exc:
+        ctmc._recurrent_class(gen)
+    assert sorted(sorted(spec.index_of(x) for x in c) for c in exc.value.classes) == expected
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.sampled_from([0.0, 0.5])
+)
+def test_recurrent_class_matches_dense_reachability(seed, c1, c2, p_zero):
+    # p_zero = 0.5 makes most chains reducible, 0.0 most of them irreducible
+    spec, _ = helpers.random_table_instance(np.random.default_rng(seed), c1, c2, p_zero)
+    assert_recurrent_class_matches_reference(spec)
+
+
+def test_recurrent_classes_of_two_class_chain_match_dense_reachability():
+    assert_recurrent_class_matches_reference(parse_model(TWO_CLASS_DOC))
+
+
 def test_two_recurrent_classes_rejected():
-    doc = {
-        "n": 1,
-        "space": {"list": [[0], [1], [3], [4]]},
-        "rates": {
-            "0->1": "ind(x1 = 0) + ind(x1 = 3)",
-            "1->0": "ind(x1 = 1) + ind(x1 = 4)",
-        },
-    }
-    gen = build_generator(parse_model(doc))
+    gen = build_generator(parse_model(TWO_CLASS_DOC))
     with pytest.raises(ReducibleChainError) as exc:
         stationary_distribution(gen)
     classes = sorted(sorted(c) for c in exc.value.classes)

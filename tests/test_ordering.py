@@ -12,7 +12,6 @@ from floworder import ctmc, ordering
 from floworder.coupling import (
     CoupledEvent,
     PairedEventLog,
-    build_population_coupling,
     build_stateflow_coupling,
     simulate_coupled,
 )
@@ -444,7 +443,6 @@ def test_pathwise_flow_order_flags_hand_built_violation():
         pairs=array("q", [1 * 3 + 1, 2 * 3 + 1]),
         horizon=1.0,
         absorbed=False,
-        with_flows=True,
     )
     assert log.events == events
     assert pathwise_flow_order_check(log) == [(0.5, (0, 1))]
@@ -457,25 +455,40 @@ def test_pathwise_flow_order_identical_specs_clean():
     assert pathwise_flow_order_check(log) == []
 
 
-def test_pathwise_flow_order_needs_flow_log():
-    spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_population_coupling(spec_a, spec_b)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 5.0, seed=0)
-    with pytest.raises(ValueError, match="state-flow"):
-        pathwise_flow_order_check(log)
-
-
 def test_pathwise_population_order_certified_pair_clean():
     spec_a, spec_b = mm1c_pair()
-    coupled = build_population_coupling(spec_a, spec_b)
+    coupled = build_stateflow_coupling(spec_a, spec_b)
     for seed in range(20):
         log = simulate_coupled(coupled, (0,), (0,), 20.0, seed=seed)
         assert pathwise_population_order_check(log) == []
 
 
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    st.booleans(),
+    st.sampled_from([0.0, 20.0]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_pathwise_population_order_matches_event_loop(values, swapped, horizon, pick, seed):
+    """Violations read from the pairs column equal the loop over the events,
+    from unequal starts so that both outcomes occur, and on empty logs."""
+    beta, a1, a2, b1, b2 = values
+    params = TandemParams(s1=2, s2=2, beta=beta, delta1=(0.0, a1, a2), delta2=(0.0, b1, b2))
+    pair = [build_balanced_tandem(params), build_original_tandem(params)]
+    if swapped:
+        pair.reverse()
+    rng = random.Random(pick)
+    init_a, init_b = (rng.choice(spec.states) for spec in pair)
+    log = simulate_coupled(build_stateflow_coupling(*pair), init_a, init_b, horizon, seed)
+    if horizon == 0.0:
+        assert not log.events
+    assert pathwise_population_order_check(log) == helpers.reference_population_order(log)
+
+
 def test_pathwise_population_order_flags_hand_built_violation():
     links = linear_links(2)
-    events = [CoupledEvent(0.7, (0, 1), "a_only", (1, 1), (1, 0), None, None)]
+    events = [CoupledEvent(0.7, (0, 1), "a_only", (1, 1), (1, 0), (1, 0, 0), (0, 0, 0))]
     log = PairedEventLog(
         initial_a=(0, 1),
         initial_b=(0, 0),
@@ -487,7 +500,6 @@ def test_pathwise_population_order_flags_hand_built_violation():
         pairs=array("q", [1 * 2 + 1]),
         horizon=1.0,
         absorbed=False,
-        with_flows=False,
     )
     assert log.events == events
     assert pathwise_population_order_check(log) == [(0.7, 2)]
@@ -645,7 +657,7 @@ def test_soundness_chain_on_certified_instances():
 def test_population_conditions_imply_ordered_paths():
     spec_a, spec_b = mm1c_pair()
     assert check_population_conditions(spec_a, spec_b).passed
-    coupled = build_population_coupling(spec_a, spec_b)
+    coupled = build_stateflow_coupling(spec_a, spec_b)
     for seed in range(30):
         log = simulate_coupled(coupled, (1,), (1,), 15.0, seed=500 + seed)
         assert pathwise_population_order_check(log) == []
