@@ -1,11 +1,12 @@
 """Generator construction, simulation and distribution solvers.
 
 The continuous-time chain lives on the finite state set of a NetworkSpec.
-Its generator is concatenated from the per-link rate and next_index
-arrays. A link (i, j) moves x to x - e_i + e_j, and that target fixes
-(i, j), so no two links share a (source, target) pair: the off-diagonal
-of the matrix is exactly the set of moves, and a move's link and rate are
-read back from the spec's rate_vector and next_index arrays.
+Its generator's CSR arrays are laid down directly from the per-link rate
+and next_index arrays, each row's columns already in sorted order. A
+link (i, j) moves x to x - e_i + e_j, and that target fixes (i, j), so no
+two links share a (source, target) pair: the off-diagonal of the matrix
+is exactly the set of moves, and a move's link and rate are read back
+from the spec's rate_vector and next_index arrays.
 
 Simulation: gillespie is the one Gillespie (1977) kernel, over integer
 states and numbered bins: one exponential draw for the holding time, then
@@ -25,9 +26,11 @@ builds its Event tuples only when they are read.
 Solvers:
 
   * stationary_distribution: one sparse LU factorisation of the
-    recurrent-class generator, shifted off singularity, and two steps of
-    inverse iteration. The chain may have transient states, but exactly
-    one recurrent class.
+    recurrent-class generator, shifted off singularity by subtracting
+    from a copy of its diagonal entries, and two steps of inverse
+    iteration. The chain may have transient states, but exactly one
+    recurrent class; when that class is the whole space the generator's
+    own arrays are factorised, with no reindexing.
   * transient_distribution: uniformization, p(t) = sum_k P(N = k) p0 P^k
     with N ~ Poisson(Lambda t) and P = I + Q / Lambda, truncated at the
     first depth K whose Poisson tail P(N > K) is at most tol.
@@ -219,28 +222,36 @@ def _link_arrays(spec: NetworkSpec):
 
 
 def build_generator(spec: NetworkSpec) -> Generator:
+    """The generator as CSR arrays, assembled directly from the link arrays.
+
+    A state's row holds one slot per link and one for the diagonal, and a
+    slot is stored where its rate (on the diagonal, the exit rate) is
+    positive. A move along a link adds the same vector to every state, and
+    the states are in lexicographic order, so the slots of every row come
+    in one column order: that of the moves' vectors, the diagonal's being
+    zero. Each row's column indices are therefore sorted as they are laid
+    down.
+    """
     import scipy.sparse as sp
 
     m = len(spec.states)
+    arrays = _link_arrays(spec)
     exit_rates = np.zeros(m)
-    rows, cols, vals = [], [], []
-    for rates, next_index in _link_arrays(spec):
-        moving = np.flatnonzero(rates > 0.0)
-        rows.append(moving)
-        cols.append(next_index[moving])
-        vals.append(rates[moving])
+    for rates, _ in arrays:
         exit_rates += rates  # link by link in declared order, which fixes the rounding
-    leaving = np.flatnonzero(exit_rates > 0.0)
-    rows.append(leaving)
-    cols.append(leaving)
-    vals.append(-exit_rates[leaving])
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
+    slots = [(rates > 0.0, next_index, rates) for rates, next_index in arrays]
+    slots.append((exit_rates > 0.0, np.arange(m), -exit_rates))
+    moves = [spec.target((0,) * spec.n, link) for link in spec.links] + [(0,) * spec.n]
+    slots = [slots[k] for k in sorted(range(len(slots)), key=moves.__getitem__)]
+    stored = np.column_stack([s for s, _, _ in slots])
+    indices = np.column_stack([c for _, c, _ in slots])[stored]
+    data = np.column_stack([v for _, _, v in slots])[stored]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
     return Generator(
         states=spec.states,
         index=spec.state_index,
-        matrix=matrix,
+        matrix=sp.csr_matrix((data, indices, indptr), shape=(m, m)),
         unif_rate=float(exit_rates.max()),
     )
 
@@ -346,11 +357,13 @@ def _recurrent_class(gen: Generator):
 
     The classes are the strong components of the matrix's graph (the
     diagonal only adds self-loops), and a class is recurrent when no
-    off-diagonal entry leads out of it.
+    off-diagonal entry leads out of it. A single component is the class.
     """
     from scipy.sparse.csgraph import connected_components
 
     n_comp, labels = connected_components(gen.matrix, directed=True, connection="strong")
+    if n_comp == 1:
+        return np.arange(len(gen.states))
     moves = gen.matrix.tocoo()
     src, dst = labels[moves.row], labels[moves.col]
     has_exit = np.zeros(n_comp, dtype=bool)
@@ -372,7 +385,11 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     directly: Q^T - sigma I, with sigma = 1e-12 times the largest exit
     rate, is factorised once by sparse LU, and two solves of inverse
     iteration from the uniform vector pick out its null direction.
-    The residual is then checked; a miss raises ConvergenceError.
+    When the class is the whole space, Q is gen.matrix itself; otherwise
+    it is the class's rows and columns of it. The shift is subtracted from
+    a copy of Q's stored diagonal entries, and the CSR arrays of the result
+    are read as the CSC arrays of its transpose. The residual is then
+    checked; a miss raises ConvergenceError.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -380,16 +397,22 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     m = len(gen.states)
     members = _recurrent_class(gen)
     k = len(members)
-    pi_full = np.zeros(m)
     if k == 1:
+        pi_full = np.zeros(m)
         pi_full[members[0]] = 1.0
         return pi_full
-    sub = gen.matrix[np.ix_(members, members)].tocsr()
+    sub = gen.matrix if k == m else gen.matrix[np.ix_(members, members)].tocsr()
+    # Every state of a class with more than one state has a positive exit
+    # rate, so each row stores its diagonal entry.
+    rows = np.repeat(np.arange(k), np.diff(sub.indptr))
+    diagonal = np.flatnonzero(sub.indices == rows)
+    data = sub.data.copy()
     # The shift makes the factorisation nonsingular without densifying a
     # row (as a normalisation row of ones would) and without pinning the
     # mass of one state, which is badly conditioned when that state is rare.
-    sigma = 1e-12 * float(-sub.diagonal().min())
-    shifted = (sub.T - sigma * sp.identity(k)).tocsc()
+    sigma = 1e-12 * float(-data[diagonal].min())
+    data[diagonal] -= sigma
+    shifted = sp.csc_matrix((data, sub.indices, sub.indptr), shape=(k, k))
     lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
     pi = np.full(k, 1.0 / k)
     for _ in range(2):
@@ -400,6 +423,9 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     residual = float(np.abs(pi @ sub).max())
     if not residual < tol:  # a NaN residual fails too
         raise ConvergenceError(residual, tol)
+    if k == m:
+        return pi
+    pi_full = np.zeros(m)
     pi_full[members] = pi
     return pi_full
 
@@ -551,10 +577,6 @@ def throughput(spec: NetworkSpec, pi, link: Link) -> float:
     return float(vec @ spec.rate_vector(link))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _state_labels(states) -> list[str]:
     """Each state's coordinates joined by ';', as report cells spell it."""
     return [";".join(map(str, x)) for x in states]
@@ -572,7 +594,6 @@ def event_log_csv(log: EventLog) -> str:
 
 
 def distribution_csv(states, probs) -> str:
-    lines = ["state,probability"]
-    for label, p in zip(_state_labels(states), probs):
-        lines.append(label + "," + _fmt(p))
-    return "\n".join(lines) + "\n"
+    """CSV rows state,probability; states joined by ';'."""
+    rows = map("{},{!r}".format, _state_labels(states), np.asarray(probs, dtype=float).tolist())
+    return "\n".join(["state,probability", *rows]) + "\n"

@@ -13,8 +13,15 @@ transition rate. Supported syntax:
 
 Evaluation is total: there is no division and no partial function, so a
 compiled expression cannot fail at runtime. Comparisons are only legal
-inside ind(...). An expression is evaluated once over the whole state
-array, giving one rate per state.
+inside ind(...).
+
+A text is tokenized in one findall pass, which skips what no token
+matches; a pass whose tokens miss a character that is not white space is
+a tokenize error. The recursive-descent parser reads the token list by
+index. An expression is evaluated once over the whole state array, giving
+one rate per state: numbers and parameters stay Python floats, as does
+any subtree that reads no coordinate, and coordinates come from one float
+copy of the state columns per call.
 """
 
 from __future__ import annotations
@@ -96,119 +103,121 @@ class RateExpr:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op><=|[+\-*(),<=])"
-    r")"
+    r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"  # number
+    r"|[A-Za-z_]\w*"  # name
+    r"|<=|[+\-*(),<=]"  # operator
 )
+
+_OPS = frozenset(["+", "-", "*", "(", ")", ",", "<", "<=", "="])
 
 _COORD = re.compile(r"^x([1-9]\d*)$")
 
 
-def _tokenize(source: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None or m.end() == pos:
-            rest = source[pos:].strip()
-            if not rest:
+def _tokenize(source: str) -> list[str]:
+    """Token texts of `source`, from one findall pass.
+
+    findall skips what no token matches. When the tokens cover every
+    character that is not white space, they are the tokens of a left to
+    right scan; otherwise the text from the first character they miss is
+    reported.
+    """
+    tokens = _TOKEN.findall(source)
+    if "".join(tokens) != "".join(source.split()):
+        pos = 0
+        for m in _TOKEN.finditer(source):
+            if source[pos : m.start()].strip():
                 break
-            raise ExpressionError(f"cannot tokenize {rest!r} in {source!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+            pos = m.end()
+        raise ExpressionError(f"cannot tokenize {source[pos:].strip()!r} in {source!r}")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over a token list, read by index.
+
+    The list ends in the sentinel "", which no rule accepts, so every
+    read is in range and running off the end is a syntax error. A token's
+    kind is read off its text: numbers start with a digit, operators are
+    in _OPS, and every other token is a name.
+    """
+
     def __init__(self, tokens, source, n, param_names):
-        self.tokens = tokens
+        self.tokens = tokens + [""]
         self.source = source
         self.n = n
         self.param_names = param_names
         self.pos = 0
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None)
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
     def expect(self, value):
-        kind, text = self.advance()
-        if kind != "op" or text != value:
+        if self.tokens[self.pos] != value:
             raise ExpressionError(f"expected {value!r} in {self.source!r}")
+        self.pos += 1
 
     def parse(self):
         node = self.expr()
-        if self.pos != len(self.tokens):
+        if self.pos != len(self.tokens) - 1:
             raise ExpressionError(f"trailing input in {self.source!r}")
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.advance()
+        tokens = self.tokens
+        while tokens[self.pos] in ("+", "-"):
+            op = tokens[self.pos]
+            self.pos += 1
             node = BinOp(op, node, self.term())
         return node
 
     def term(self):
         node = self.unary()
-        while self.peek() == ("op", "*"):
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos] == "*":
+            self.pos += 1
             node = BinOp("*", node, self.unary())
         return node
 
     def unary(self):
-        if self.peek() == ("op", "-"):
-            self.advance()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
             return Neg(self.unary())
         return self.atom()
 
     def atom(self):
-        kind, text = self.advance()
-        if kind == "num":
+        text = self.tokens[self.pos]
+        self.pos += 1
+        if text[:1].isdigit():
             return Num(float(text))
-        if kind == "op" and text == "(":
+        if text == "(":
             node = self.expr()
             self.expect(")")
             return node
-        if kind == "name":
-            if text in ("min", "max"):
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) < 2:
-                    raise ExpressionError(f"{text} needs at least two arguments")
-                return Extremum(text, tuple(args))
-            if text == "ind":
-                self.expect("(")
-                tests = [self.comparison()]
-                while self.peek() == ("op", ","):
-                    self.advance()
-                    tests.append(self.comparison())
-                self.expect(")")
-                return Indicator(tuple(tests))
+        if text in ("min", "max"):
+            self.expect("(")
+            args = [self.expr()]
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
+                args.append(self.expr())
+            self.expect(")")
+            if len(args) < 2:
+                raise ExpressionError(f"{text} needs at least two arguments")
+            return Extremum(text, tuple(args))
+        if text == "ind":
+            self.expect("(")
+            tests = [self.comparison()]
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
+                tests.append(self.comparison())
+            self.expect(")")
+            return Indicator(tuple(tests))
+        if text and text not in _OPS:
             return self.identifier(text)
         raise ExpressionError(f"unexpected token in {self.source!r}")
 
     def comparison(self):
         left = self.expr()
-        kind, text = self.advance()
-        if kind != "op" or text not in ("<", "<=", "="):
+        text = self.tokens[self.pos]
+        self.pos += 1
+        if text not in ("<", "<=", "="):
             raise ExpressionError(
                 f"indicator argument must be a comparison in {self.source!r}"
             )
@@ -244,11 +253,24 @@ def parse_expression(source: str, n: int, param_names) -> RateExpr:
 def evaluate(node, states, params) -> np.ndarray:
     """Evaluate an expression node at every row of an (m, n) state array.
 
-    Returns an (m,) float array, computed with numpy's elementwise IEEE
-    operations, so each entry equals the scalar evaluation at that state.
-    min and max fold their arguments left to right and keep the running
-    value unless a later argument compares strictly smaller (larger), as
-    Python's builtins do, so signed zeros and NaNs resolve the same way.
+    Returns a new (m,) float array. Numbers and parameters are Python
+    floats, and a subtree without a coordinate stays one, so it costs no
+    array; coordinates are read from one float copy of the state columns.
+    Python floats and numpy arrays use the same IEEE double operations, so
+    each entry equals the scalar evaluation at that state. min and max
+    fold their arguments left to right and keep the running value unless
+    a later argument compares strictly smaller (larger), as Python's
+    builtins do, so signed zeros and NaNs resolve the same way.
+    """
+    columns = np.ascontiguousarray(np.asarray(states).T, dtype=np.float64)
+    value = _evaluate(node, columns, params)
+    if isinstance(value, float):
+        return np.full(columns.shape[1], value)
+    return value.copy() if isinstance(node, Coord) else value
+
+
+def _evaluate(node, columns, params):
+    """A float where the subtree reads no coordinate, else an (m,) array.
 
     The parser builds a flat sum or product as a left-deep chain of BinOp
     nodes, so the left spine of a chain is walked in a loop, innermost
@@ -261,9 +283,9 @@ def evaluate(node, states, params) -> np.ndarray:
         while isinstance(node, BinOp):
             spine.append(node)
             node = node.left
-        acc = evaluate(node, states, params)
+        acc = _evaluate(node, columns, params)
         for op in reversed(spine):
-            b = evaluate(op.right, states, params)
+            b = _evaluate(op.right, columns, params)
             if op.op == "+":
                 acc = acc + b
             elif op.op == "-":
@@ -272,30 +294,33 @@ def evaluate(node, states, params) -> np.ndarray:
                 acc = acc * b
         return acc
     if isinstance(node, Num):
-        return np.full(len(states), node.value)
+        return node.value
     if isinstance(node, Coord):
-        return states[:, node.index].astype(float)
+        return columns[node.index]
     if isinstance(node, Param):
-        return np.full(len(states), float(params[node.name]))
+        return float(params[node.name])
     if isinstance(node, Neg):
-        return -evaluate(node.operand, states, params)
+        return -_evaluate(node.operand, columns, params)
     if isinstance(node, Extremum):
-        best = evaluate(node.args[0], states, params)
+        best = _evaluate(node.args[0], columns, params)
         for arg in node.args[1:]:
-            value = evaluate(arg, states, params)
+            value = _evaluate(arg, columns, params)
             better = value < best if node.fn == "min" else value > best
-            best = np.where(better, value, best)
+            if isinstance(better, bool):  # two floats
+                best = value if better else best
+            else:
+                best = np.where(better, value, best)
         return best
     if isinstance(node, Indicator):
-        holds = np.ones(len(states), dtype=bool)
+        holds = True
         for test in node.tests:
-            a = evaluate(test.left, states, params)
-            b = evaluate(test.right, states, params)
+            a = _evaluate(test.left, columns, params)
+            b = _evaluate(test.right, columns, params)
             if test.op == "<":
                 holds &= a < b
             elif test.op == "<=":
                 holds &= a <= b
             else:
                 holds &= a == b
-        return holds.astype(float)
+        return holds.astype(np.float64) if isinstance(holds, np.ndarray) else float(holds)
     raise TypeError(f"not an expression node: {node!r}")

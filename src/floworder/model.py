@@ -5,8 +5,10 @@ jobs move along directed links (i, j) over nodes 1..n, with node 0 standing
 for the outside world. A move along (i, j) takes the state from x to
 x - e_i + e_j and occurs at a state-dependent rate given by a rate
 expression. Rates whose target would leave the state space must be zero;
-by default that is enforced as a load error, and the `clamp` flag instead
-multiplies every rate by the in-space indicator of its target.
+by default that is enforced as a load error, and the `clamp` flag (a JSON
+boolean) instead multiplies every rate by the in-space indicator of its
+target. Capacities, state coordinates and link endpoints are integers;
+a number that is not equal to its int is an error, never rounded.
 
 Documents are JSON objects:
 
@@ -90,8 +92,9 @@ def linear_links(n: int) -> tuple[Link, ...]:
 class NetworkSpec:
     """Immutable description of one population process.
 
-    Treat instances as frozen after construction; the state index and the
-    per-link arrays are cached on first use.
+    Treat instances as frozen after construction; the state index, the
+    (m, n) int64 state array and the per-link arrays are cached on first
+    use.
     """
 
     n: int
@@ -102,6 +105,7 @@ class NetworkSpec:
     clamp: bool = False
     _index: dict | None = field(default=None, init=False, repr=False, compare=False)
     _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _coords: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def state_index(self) -> dict[State, int]:
@@ -132,7 +136,9 @@ class NetworkSpec:
         """
         arrays = self._arrays.get(link)
         if arrays is None:
-            coords = np.array(self.states, dtype=np.int64)
+            if self._coords is None:
+                self._coords = np.array(self.states, dtype=np.int64)
+            coords = self._coords
             i, j = link
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
@@ -141,12 +147,13 @@ class NetworkSpec:
                 raise ModelError(
                     f"rate for link {i}->{j} is nested too deeply to evaluate"
                 ) from None
+            moved = coords.copy()
             if i > 0:
-                coords[:, i - 1] -= 1
+                moved[:, i - 1] -= 1
             if j > 0:
-                coords[:, j - 1] += 1
+                moved[:, j - 1] += 1
             index = self.state_index
-            targets = [index.get(y, -1) for y in map(tuple, coords.tolist())]
+            targets = [index.get(y, -1) for y in map(tuple, moved.tolist())]
             next_index = np.array(targets, dtype=np.int64)
             rates = np.where(next_index >= 0, raw, 0.0) if self.clamp else raw
             arrays = self._arrays[link] = (rates, next_index, raw)
@@ -166,6 +173,18 @@ def is_linear_family(spec: NetworkSpec) -> bool:
     return spec.links == linear_links(spec.n)
 
 
+def _integers(raw, message: str) -> tuple[int, ...]:
+    """A JSON array's entries as ints; each must equal its int (1.0 is 1,
+    but 1.6 and "1" are not integers), or ModelError(message) is raised."""
+    try:
+        values = tuple(int(v) for v in raw)
+        if values == tuple(raw):
+            return values
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelError(message)
+
+
 def _parse_space(space, n: int) -> tuple[State, ...]:
     if not isinstance(space, dict):
         raise ModelError("space must be an object with 'box' or 'list'")
@@ -173,13 +192,13 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
     if "box" in keys:
         if not keys <= {"box", "exclude"}:
             raise ModelError(f"unknown space keys {sorted(keys - {'box', 'exclude'})}")
-        caps = space["box"]
-        if len(caps) != n or any(int(c) != c or c < 0 for c in caps):
-            raise ModelError("box needs one nonnegative capacity per node")
-        caps = [int(c) for c in caps]
+        message = "box needs one nonnegative capacity per node"
+        caps = _integers(space["box"], message)
+        if len(caps) != n or any(c < 0 for c in caps):
+            raise ModelError(message)
         excluded = set()
         for raw in space.get("exclude", []):
-            x = tuple(int(v) for v in raw)
+            x = _integers(raw, f"excluded state {raw} must have integer coordinates")
             if len(x) != n:
                 raise ModelError(f"excluded state {x} has wrong dimension")
             if any(v < 0 or v > c for v, c in zip(x, caps)):
@@ -196,7 +215,7 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
         states = []
         seen = set()
         for raw in space["list"]:
-            x = tuple(int(v) for v in raw)
+            x = _integers(raw, f"state {raw} must have integer coordinates")
             if len(x) != n:
                 raise ModelError(f"state {x} has wrong dimension")
             if any(v < 0 for v in x):
@@ -255,7 +274,9 @@ def parse_model(document) -> NetworkSpec:
     if "links" in document:
         links = []
         for raw in document["links"]:
-            link = (int(raw[0]), int(raw[1]))
+            link = _integers(raw, f"link {raw} must be a pair of integer nodes")
+            if len(link) != 2:
+                raise ModelError(f"link {raw} must be a pair of integer nodes")
             if not (0 <= link[0] <= n and 0 <= link[1] <= n):
                 raise ModelError(f"link {link} uses a node outside 0..{n}")
             if link[0] == link[1]:
@@ -277,7 +298,9 @@ def parse_model(document) -> NetworkSpec:
             raise ModelError(f"parameter name {name!r} shadows a coordinate")
         params[name] = float(value)
 
-    clamp = bool(document.get("clamp", False))
+    clamp = document.get("clamp", False)
+    if not isinstance(clamp, bool):
+        raise ModelError(f"clamp must be a JSON boolean, not {clamp!r}")
 
     raw_rates = document["rates"]
     rate_links = set()

@@ -5,7 +5,11 @@ vectors come from a dense null-space computation, transients from a
 fixed-step Runge-Kutta integration, expected flows from Van Loan's block
 matrix exponential, and distribution comparisons from a plain chi-square
 statistic. Rates have a scalar tree-walking evaluator and dict rate
-tables, and simulated paths have the dict-based Gillespie loops the
+tables; rate texts have the match-by-match tokenizer and peek/advance
+parser the package used before its one-pass tokenizer; generators and
+stationary vectors have the COO build and the reindexed, identity-shifted
+factorisation that came before the direct CSR assembly; and simulated
+paths have the dict-based Gillespie loops the
 package used before its rates became arrays over the state index. The
 order checks have the triple loops over links and state pairs that they
 ran before they became block masks. Tests freeze or recompute these
@@ -14,8 +18,10 @@ values and compare the implementation against them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -24,7 +30,7 @@ from scipy.stats import chi2
 
 from floworder import expr
 from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
-from floworder.ctmc import Event
+from floworder.ctmc import ConvergenceError, Event, Generator, _link_arrays, _recurrent_class
 from floworder.model import NetworkSpec, linear_links, parse_model
 from floworder.ordering import (
     _DOMAINS,
@@ -123,6 +129,59 @@ def reference_recurrent_classes(spec: NetworkSpec) -> list[list[int]]:
         if all(reach[j, i] for j in members) and members[0] == i:
             classes.append(members)
     return classes
+
+
+def reference_generator(spec: NetworkSpec):
+    """The generator's CSR matrix through scipy's COO path: each link's moves,
+    then the diagonal, converted (and sorted) by scipy."""
+    import scipy.sparse as sp
+
+    m = len(spec.states)
+    exit_rates = np.zeros(m)
+    rows, cols, vals = [], [], []
+    for rates, next_index in _link_arrays(spec):
+        moving = np.flatnonzero(rates > 0.0)
+        rows.append(moving)
+        cols.append(next_index[moving])
+        vals.append(rates[moving])
+        exit_rates += rates
+    leaving = np.flatnonzero(exit_rates > 0.0)
+    rows.append(leaving)
+    cols.append(leaving)
+    vals.append(-exit_rates[leaving])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    )
+
+
+def reference_stationary(gen: Generator, tol: float = 1e-12) -> np.ndarray:
+    """stationary_distribution on the recurrent class cut out with np.ix_ and
+    shifted as Q^T - sigma I."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    m = len(gen.states)
+    members = _recurrent_class(gen)
+    k = len(members)
+    pi_full = np.zeros(m)
+    if k == 1:
+        pi_full[members[0]] = 1.0
+        return pi_full
+    sub = gen.matrix[np.ix_(members, members)].tocsr()
+    sigma = 1e-12 * float(-sub.diagonal().min())
+    shifted = (sub.T - sigma * sp.identity(k)).tocsc()
+    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
+    pi = np.full(k, 1.0 / k)
+    for _ in range(2):
+        pi = lu.solve(pi)
+        pi /= pi.sum()
+    np.clip(pi, 0.0, None, out=pi)
+    pi /= pi.sum()
+    residual = float(np.abs(pi @ sub).max())
+    if not residual < tol:
+        raise ConvergenceError(residual, tol)
+    pi_full[members] = pi
+    return pi_full
 
 
 def nullspace_stationary(q: np.ndarray) -> np.ndarray:
@@ -379,6 +438,176 @@ def scalar_evaluate(node, x, params) -> float:
                 return 0.0
         return 1.0
     raise TypeError(f"not an expression node: {node!r}")
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:"
+    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_]\w*)"
+    r"|(?P<op><=|[+\-*(),<=])"
+    r")"
+)
+
+_REFERENCE_COORD = re.compile(r"^x([1-9]\d*)$")
+
+
+def _reference_tokenize(source: str) -> list[tuple[str, str]]:
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        if m is None or m.end() == pos:
+            rest = source[pos:].strip()
+            if not rest:
+                break
+            raise expr.ExpressionError(f"cannot tokenize {rest!r} in {source!r}")
+        pos = m.end()
+        if m.lastgroup == "num":
+            tokens.append(("num", m.group("num")))
+        elif m.lastgroup == "name":
+            tokens.append(("name", m.group("name")))
+        else:
+            tokens.append(("op", m.group("op")))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over (kind, text) tokens through peek() and advance()."""
+
+    def __init__(self, tokens, source, n, param_names):
+        self.tokens = tokens
+        self.source = source
+        self.n = n
+        self.param_names = param_names
+        self.pos = 0
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return (None, None)
+
+    def advance(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, value):
+        kind, text = self.advance()
+        if kind != "op" or text != value:
+            raise expr.ExpressionError(f"expected {value!r} in {self.source!r}")
+
+    def parse(self):
+        node = self.expr()
+        if self.pos != len(self.tokens):
+            raise expr.ExpressionError(f"trailing input in {self.source!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            _, op = self.advance()
+            node = expr.BinOp(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek() == ("op", "*"):
+            self.advance()
+            node = expr.BinOp("*", node, self.unary())
+        return node
+
+    def unary(self):
+        if self.peek() == ("op", "-"):
+            self.advance()
+            return expr.Neg(self.unary())
+        return self.atom()
+
+    def atom(self):
+        kind, text = self.advance()
+        if kind == "num":
+            return expr.Num(float(text))
+        if kind == "op" and text == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        if kind == "name":
+            if text in ("min", "max"):
+                self.expect("(")
+                args = [self.expr()]
+                while self.peek() == ("op", ","):
+                    self.advance()
+                    args.append(self.expr())
+                self.expect(")")
+                if len(args) < 2:
+                    raise expr.ExpressionError(f"{text} needs at least two arguments")
+                return expr.Extremum(text, tuple(args))
+            if text == "ind":
+                self.expect("(")
+                tests = [self.comparison()]
+                while self.peek() == ("op", ","):
+                    self.advance()
+                    tests.append(self.comparison())
+                self.expect(")")
+                return expr.Indicator(tuple(tests))
+            return self.identifier(text)
+        raise expr.ExpressionError(f"unexpected token in {self.source!r}")
+
+    def comparison(self):
+        left = self.expr()
+        kind, text = self.advance()
+        if kind != "op" or text not in ("<", "<=", "="):
+            raise expr.ExpressionError(
+                f"indicator argument must be a comparison in {self.source!r}"
+            )
+        right = self.expr()
+        return expr.Comparison(text, left, right)
+
+    def identifier(self, text):
+        m = _REFERENCE_COORD.match(text)
+        if m is not None:
+            k = int(m.group(1))
+            if k > self.n:
+                raise expr.ExpressionError(
+                    f"coordinate {text} out of range for a {self.n}-node network"
+                )
+            return expr.Coord(k - 1)
+        if text in self.param_names:
+            return expr.Param(text)
+        raise expr.ExpressionError(f"unknown identifier {text!r} in {self.source!r}")
+
+
+def same_tree(a, b) -> bool:
+    """Equal expression trees: same node types, fields and leaves.
+
+    Walks an explicit stack, since a tree the parser accepts can be deeper
+    than the recursion limit allows the generated __eq__ to go.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, tuple):
+            if len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif dataclasses.is_dataclass(a):
+            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+        elif a != b:
+            return False
+    return True
+
+
+def reference_parse_expression(source: str, n: int, param_names) -> expr.RateExpr:
+    """parse_expression as a match-by-match tokenizer and a peek/advance parser."""
+    tokens = _reference_tokenize(source)
+    if not tokens:
+        raise expr.ExpressionError("empty expression")
+    try:
+        root = _ReferenceParser(tokens, source, n, frozenset(param_names)).parse()
+    except RecursionError:
+        raise expr.ExpressionError("expression nested too deeply to parse") from None
+    return expr.RateExpr(source=source, root=root, n=n)
 
 
 def scalar_model_error(spec: NetworkSpec):

@@ -375,6 +375,13 @@ GOLDEN_DIGESTS = {
     "verify --family tandem-pair --delta1 0,3,1 --delta2 0,1,3": {
         "closure.json": "4255c25e1fdb3e62dcf36007479d76c1ffa5833b198ac1600b392e589246290d",
     },
+    "solve --family tandem-original --s1 3 --s2 3 --beta 2": {
+        "solve.json": "b1818b484743b343038214a794c31b85090da859c09b53ac5c52a77c5c98abb5",
+        "stationary.csv": "e58d9e8e41ae265f5bcabe9e28509b8c917e727d44dce98dcfedf19933379d73",
+    },
+    "sweep --betas 0.001,1,10000 --sizes 1,5": {
+        "sweep.csv": "e1891790b712094f2f70d7a401344b94901a78c21b2cf16848a3fc19bfcf9f48",
+    },
 }
 
 

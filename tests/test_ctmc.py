@@ -483,6 +483,59 @@ def test_two_recurrent_classes_rejected():
     assert classes == [[(0,), (1,)], [(3,), (4,)]]
 
 
+# ------------------------------------- direct assembly and solve vs oracles
+
+
+def assert_csr_equal(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def assert_stationary_matches_reference(spec):
+    """Same generator arrays as the COO build, and the same pi bytes as the
+    reindexed, identity-shifted solve, or the same error."""
+    gen = build_generator(spec)
+    assert_csr_equal(gen.matrix, helpers.reference_generator(spec))
+    try:
+        expected = helpers.reference_stationary(gen)
+    except (ReducibleChainError, ConvergenceError) as exc:
+        with pytest.raises(type(exc)) as got:
+            stationary_distribution(gen)
+        assert str(got.value) == str(exc)
+        if isinstance(exc, ReducibleChainError):
+            assert got.value.classes == exc.classes
+        return
+    assert stationary_distribution(gen).tobytes() == expected.tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, 0.5])
+)
+def test_generator_and_stationary_match_reference_on_random_tables(seed, c1, c2, p_zero):
+    spec, _ = helpers.random_table_instance(np.random.default_rng(seed), c1, c2, p_zero)
+    assert_stationary_matches_reference(spec)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("build", [build_original_tandem, build_balanced_tandem])
+@pytest.mark.parametrize("s", [1, 4, 12])
+def test_generator_and_stationary_match_reference_on_tandems(s, build, beta):
+    assert_stationary_matches_reference(build(TandemParams.linear(s, s + 1, beta)))
+
+
+def test_stationary_matches_reference_with_transient_states():
+    """A class smaller than the space is cut out of the matrix, as before."""
+    doc = {
+        "n": 1,
+        "space": {"box": [3]},
+        "rates": {"0->1": "ind(x1 < 3)", "1->0": "ind(1 < x1)"},  # state 0 is left for good
+    }
+    spec = parse_model(doc)
+    assert ctmc._recurrent_class(build_generator(spec)).tolist() == [1, 2, 3]
+    assert_stationary_matches_reference(spec)
+
+
 # ------------------------------------------------------------- transient
 
 

@@ -129,3 +129,29 @@ def test_arithmetic_matches_host(a, b):
     assert ev("x1 + x2 * 2 - 1", x) == a + b * 2 - 1
     assert ev("min(x1, x2) + max(x1, x2)", x) == a + b
     assert not math.isnan(ev("-x1 - -x2", x))
+
+
+def bits(values):
+    """Float bit patterns, so signed zeros compare exactly."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [("2", [2.0] * 3), ("max(1e309, 0)", [math.inf] * 3), ("ind(1 < 2)", [1.0] * 3),
+     ("x1", [0.0, 1.0, 2.0]), ("-x1", [-0.0, -1.0, -2.0])],
+)
+def test_evaluate_returns_a_fresh_writable_array(source, expected):
+    """Constant subtrees are Python floats inside the evaluator; the result is
+    still a new (m,) float array that owns its memory, one per call."""
+    states = np.array([(0,), (1,), (2,)], dtype=np.int64)
+    root = parse_expression(source, 1, ()).root
+    out = evaluate(root, states, {})
+    assert out.shape == (3,) and out.dtype == np.float64
+    assert out.flags.writeable and out.flags.owndata
+    assert not np.shares_memory(out, states)
+    assert bits(out) == bits(expected)
+    out[:] = 7.0
+    again = evaluate(root, states, {})
+    assert not np.shares_memory(out, again)
+    assert bits(again) == bits(expected)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import helpers
 from floworder.cli import main
-from floworder.expr import evaluate, parse_expression
+from floworder.expr import ExpressionError, evaluate, parse_expression
 from floworder.model import (
     ModelError,
     NetworkSpec,
@@ -260,6 +261,49 @@ def test_negative_coordinate_state():
         parse_model(doc)
 
 
+@pytest.mark.parametrize("clamp", ["false", "no", 0, 1, None])
+def test_clamp_must_be_a_json_boolean(clamp):
+    doc = helpers.single_node_doc("1", "x1", 1)
+    doc["clamp"] = clamp
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert str(err.value) == f"clamp must be a JSON boolean, not {clamp!r}"
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ({"list": [[0, 0], [1.6, 1]]}, "state [1.6, 1] must have integer coordinates"),
+        ({"list": [[0, 0], ["1", 1]]}, "state ['1', 1] must have integer coordinates"),
+        ({"box": [1, 1], "exclude": [[1.9, 0]]}, "excluded state [1.9, 0] must have integer coordinates"),
+        ({"box": [1, 1], "exclude": [[1, None]]}, "excluded state [1, None] must have integer coordinates"),
+    ],
+    ids=["list-float", "list-string", "exclude-float", "exclude-null"],
+)
+def test_fractional_coordinates_rejected(space, message):
+    doc = {"n": 2, "space": space, "rates": {"0->1": "0", "1->2": "0", "2->0": "0"}}
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("raw", [[0, 1.9], [0.5, 1], [0, 1, 0], [0], [0, "1"]])
+def test_link_endpoints_must_be_two_integers(raw):
+    doc = {"n": 1, "space": {"box": [1]}, "links": [[1, 0], raw],
+           "rates": {"0->1": "0", "1->0": "0"}}
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert str(err.value) == f"link {raw} must be a pair of integer nodes"
+
+
+def test_integral_floats_still_name_states_and_links():
+    """The rule is the one box capacities follow: a value equal to its int."""
+    doc = {"n": 1, "space": {"list": [[0.0], [1.0]]}, "links": [[0.0, 1.0], [1, 0]],
+           "rates": {"0->1": "ind(x1 < 1)", "1->0": "x1"}, "clamp": False}
+    spec = parse_model(doc)
+    assert spec.states == ((0,), (1,)) and spec.links == ((0, 1), (1, 0))
+
+
 def test_not_json_text():
     with pytest.raises(ModelError, match="not valid JSON"):
         parse_model("{nope")
@@ -500,18 +544,81 @@ def test_fuzzed_rate_texts_raise_only_model_errors(rate):
         assert_cli_exits_two(one_node_doc(rate))
 
 
-@given(
-    st.sampled_from(
-        [("(", ")"), ("-", ""), ("min(x1, ", ")"), ("ind(", " < 2)"), ("2 * ", ""), ("x1 + ", "")]
-    ),
-    st.integers(1, 3000),
-    st.integers(0, 3),
-)
-def test_deeply_nested_rate_texts_raise_only_model_errors(wrapper, depth, cut):
+_WRAPPERS = [("(", ")"), ("-", ""), ("min(x1, ", ")"), ("ind(", " < 2)"), ("2 * ", ""), ("x1 + ", "")]
+
+
+def nested_text(wrapper, depth, cut):
     opening, closing = wrapper
     rate = opening * depth + "x1" + closing * depth
-    rate = rate[: len(rate) - cut]
+    return rate[: len(rate) - cut]
+
+
+@given(st.sampled_from(_WRAPPERS), st.integers(1, 3000), st.integers(0, 3))
+def test_deeply_nested_rate_texts_raise_only_model_errors(wrapper, depth, cut):
+    rate = nested_text(wrapper, depth, cut)
     try:
         parse_model(one_node_doc(rate))
     except ModelError:
         assert_cli_exits_two(one_node_doc(rate))
+
+
+def parse_outcome(parse, source):
+    """("tree", root) or ("error", message) of parsing source on one node with beta."""
+    try:
+        return "tree", parse(source, 1, {"beta"}).root
+    except ExpressionError as e:
+        return "error", str(e)
+
+
+def assert_parser_matches_reference(source):
+    """The index parser gives the reference parser's tree or error message.
+
+    Running out of stack is the one allowed difference. The reference
+    calls peek() and advance() where the index parser reads the list, so
+    it needs a frame more at the end of the input, and at one nesting
+    depth it runs out of stack where the index parser reports the syntax
+    error. There the index parser must match the reference given more
+    stack, and it never runs out where the reference does not.
+    """
+    too_deep = "error", "expression nested too deeply to parse"
+    got = parse_outcome(parse_expression, source)
+    expected = parse_outcome(helpers.reference_parse_expression, source)
+    if expected == too_deep and got != too_deep:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 50)
+        try:
+            expected = parse_outcome(helpers.reference_parse_expression, source)
+        finally:
+            sys.setrecursionlimit(limit)
+    assert got[0] == expected[0], (got, expected)
+    if got[0] == "tree":
+        assert helpers.same_tree(got[1], expected[1])
+    else:
+        assert got[1] == expected[1]
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+        st.text(max_size=30),
+        expressions(),
+    )
+)
+def test_parser_matches_reference_on_fuzzed_texts(source):
+    assert_parser_matches_reference(source)
+
+
+@given(st.sampled_from(_WRAPPERS), st.integers(1, 3000), st.integers(0, 3))
+def test_parser_matches_reference_on_nested_texts(wrapper, depth, cut):
+    assert_parser_matches_reference(nested_text(wrapper, depth, cut))
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["1 $ 2", "x1 + 2 .5", "min(x1, 2)  #  ", "\tx1\u00a0+ 1 \u00e9 ", "   ", "", "1e", "x1.5",
+     "-" * 980 + "x1", "-" * 980, "(" * 240 + "x1" + ")" * 240],
+)
+def test_parser_matches_reference_on_edge_texts(source):
+    """Untokenizable text after white space, Unicode white space, trailing
+    white space, empty input, and nesting near the stack limit."""
+    assert_parser_matches_reference(source)

@@ -49,3 +49,30 @@ def test_traced_run_counts_the_events_it_reports(tracing, argv, counter, tmp_pat
     summary = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
     assert summary["events"] > 0
     assert counts[counter] == summary["events"]
+
+
+@pytest.mark.parametrize(
+    "argv, calls, nnz",
+    [
+        (["sweep", "--betas", "1", "--sizes", "1,2"], 4, 60),
+        (["solve", "--family", "tandem-original", "--s1", "3", "--s2", "3", "--beta", "2"], 1, None),
+    ],
+    ids=["sweep", "solve"],
+)
+def test_traced_run_records_one_span_per_generator_and_solve(tracing, argv, calls, nnz, tmp_path, capsys):
+    """The per-layer metrics read these spans, so the calls behind them must not
+    move: one generator and one stationary solve per model solved."""
+    from floworder.cli import main
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    finally:
+        tracer.restore()
+    _, counts = tracer.take()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("ctmc.generator") == calls
+    assert names.count("ctmc.stationary") == calls
+    if nnz is not None:
+        assert counts["ctmc.generator_nnz"] == nnz
