@@ -46,10 +46,7 @@ def main() -> None:
         )
         violations = pathwise_flow_order_check(log)
         total_violations += len(violations)
-        if log.events:
-            fa, fb = log.events[-1].flows_a, log.events[-1].flows_b
-        else:
-            fa, fb = log.initial_flows_a, log.initial_flows_b
+        fa, fb = log.flows("a")[-1].tolist(), log.flows("b")[-1].tolist()
         cells = [f"{a}/{b}" for a, b in zip(fa, fb)]
         print(f"{k:>4} {len(log.events):>7} {cells[0]:>12} {cells[1]:>12} "
               f"{cells[2]:>12} {len(violations):>11}")

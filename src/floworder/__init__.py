@@ -9,7 +9,10 @@ rate-condition checkers, an exhaustive closure verifier,
 marching-soldiers couplings with cumulative flow counters, and exact
 solvers for stationary and transient questions, so that throughput
 orderings between two such models can be certified pathwise or in
-expectation. All simulation runs on one Gillespie kernel.
+expectation. All simulation runs on one Gillespie kernel. A simulated
+path keeps its flow counters as one int64 array, read with
+EventLog.flows() or PairedEventLog.flows(side): row 0 is the zero start
+and row e + 1 the counters after event e.
 """
 
 __version__ = "0.1.0"
@@ -43,6 +46,7 @@ from .model import (
     ModelError,
     NetworkSpec,
     ValidationReport,
+    balance_signature,
     linear_links,
     load_model,
     model_digest,
@@ -64,7 +68,6 @@ from .ordering import (
     verify_tight_configurations,
 )
 from .rng import make_stream, replication_seed
-from .stateflow import FlowTrajectory, balance_signature, recover_flows
 from .tandem import (
     TandemParams,
     build_balanced_tandem,
@@ -84,7 +87,6 @@ __all__ = [
     "CoupledSpec",
     "EventLog",
     "ExpressionError",
-    "FlowTrajectory",
     "Generator",
     "MeanOrderReport",
     "ModelError",
@@ -117,7 +119,6 @@ __all__ = [
     "pathwise_flow_order_check",
     "pathwise_population_order_check",
     "product_form_residual",
-    "recover_flows",
     "replication_seed",
     "serialize_model",
     "simulate_coupled",

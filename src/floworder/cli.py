@@ -278,10 +278,8 @@ def _cmd_check(config: RunConfig) -> int:
     population = check_population_conditions(
         spec_a, spec_b, all_witnesses=config.all_witnesses
     )
-    path_f = _write_report(config, header, "check_flow", flow.to_dict(include_runtime=False))
-    path_p = _write_report(
-        config, header, "check_population", population.to_dict(include_runtime=False)
-    )
+    path_f = _write_report(config, header, "check_flow", flow.to_dict())
+    path_p = _write_report(config, header, "check_population", population.to_dict())
     print(f"flow conditions: {'pass' if flow.passed else 'fail'} -> {path_f}")
     print(
         f"population conditions: {'pass' if population.passed else 'fail'} -> {path_p}"
@@ -293,7 +291,7 @@ def _cmd_verify(config: RunConfig) -> int:
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
     report = verify_tight_configurations(spec_a, spec_b)
-    path = _write_report(config, header, "closure", report.to_dict(include_runtime=False))
+    path = _write_report(config, header, "closure", report.to_dict())
     print(
         f"closure: {'closed' if report.closed else 'not closed'} "
         f"({report.checked} tight configurations) -> {path}"
@@ -413,9 +411,7 @@ def _cmd_transient(config: RunConfig) -> int:
     for t, ma, mb, mg in zip(report.times, report.mean_a, report.mean_b, report.margins):
         rows.append(f"{t!r},{ma!r},{mb!r},{mg!r}")
     _write_csv(os.path.join(out, "transient.csv"), header, "\n".join(rows) + "\n")
-    _write_json(
-        os.path.join(out, "transient.json"), header, report.to_dict(include_runtime=False)
-    )
+    _write_json(os.path.join(out, "transient.json"), header, report.to_dict())
     worst = min(report.margins)
     print(
         f"mean-flow margins on {len(times)} times: "

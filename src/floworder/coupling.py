@@ -13,21 +13,26 @@ first visit and kept, so only the pairs a path reaches are ever
 evaluated.
 
 A coupled path is a PairedEventLog of three columns: event times, bins
-and state-index pairs. The flow counters are not stored: each is the
-number of events so far on its link in which its side moved, so
-paired_log_csv, ordering.pathwise_flow_order_check and the events view
-count them from the bins column as they go. The population coupling is
-the same path read without its counters, from the pairs column alone
-(ordering.pathwise_population_order_check).
+and state-index pairs. The bin code 3 * k + kind and the pair code
+ia * len(states_b) + ib are decoded here, once per log and as arrays,
+and every reader goes through the log's array views: flows(side), each
+side's counters as one (events + 1, links) int64 array, and
+visits(side), each side's state index after every event. The flow-order
+scan (ordering.pathwise_flow_order_check) compares the two flows arrays;
+the population coupling is the same path read without its counters,
+from the visits arrays alone (ordering.pathwise_population_order_check).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
-from .ctmc import EventLog, EventView, _link_arrays, _state_labels, gillespie
+import numpy as np
+
+from .ctmc import EventLog, EventView, _flow_counts, _link_arrays, _state_labels, gillespie
 from .model import Link, ModelError, NetworkSpec, State
 
 __all__ = [
@@ -44,6 +49,14 @@ JOINT = "joint"
 B_ONLY = "b_only"
 A_ONLY = "a_only"
 _KINDS = (JOINT, B_ONLY, A_ONLY)  # bin order within a link: bin = 3 * link + kind
+# Per side: its entry in a decoded pair, and the kind in which it stays put.
+_SIDES = {"a": (0, 1), "b": (1, 2)}
+
+
+def _side(side: str) -> tuple[int, int]:
+    if side not in _SIDES:
+        raise ValueError("side must be 'a' or 'b'")
+    return _SIDES[side]
 
 
 def marching_rates(a: float, a_prime: float) -> tuple[float, float, float]:
@@ -112,8 +125,9 @@ class PairedEventLog:
     times[e] is the time of event e; bins[e] is 3 * k + kind, with k the
     position of its link in `links` and kind 0, 1, 2 for joint, B-only
     and A-only; pairs[e] is ia * len(states_b) + ib, the indices in
-    states_a and states_b of the two states after it. Flow counters
-    start at zero and are counted from the bins column when read.
+    states_a and states_b of the two states after it. Both codes are
+    decoded once, on first read; flows(side) and visits(side) are the
+    decoded views.
     """
 
     initial_a: State
@@ -132,29 +146,44 @@ class PairedEventLog:
     def __post_init__(self):
         self.events = EventView(len(self.times), self._events)
 
-    @property
-    def initial_flows_a(self) -> tuple[int, ...]:
-        return (0,) * len(self.links)
+    @cached_property
+    def _bin_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(link position, kind) of every event, read-only."""
+        return _read_only(np.divmod(np.asarray(self.bins, dtype=np.int64), 3))
 
-    @property
-    def initial_flows_b(self) -> tuple[int, ...]:
-        return self.initial_flows_a
+    @cached_property
+    def _pair_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A's state index, B's state index) after every event, read-only."""
+        pairs = np.asarray(self.pairs, dtype=np.int64)
+        return _read_only(np.divmod(pairs, len(self.states_b)))
+
+    def flows(self, side: str) -> np.ndarray:
+        """Flow counters of side 'a' or 'b', as an (events + 1, links) int64 array.
+
+        Row 0 is the zero start and row e + 1 holds the counters after
+        event e: column k counts the events so far on links[k] in which
+        that side moved (joint or its own one-sided kind).
+        """
+        _, still = _side(side)
+        positions, kinds = self._bin_codes
+        return _flow_counts(positions, kinds != still, len(self.links))
+
+    def visits(self, side: str) -> np.ndarray:
+        """State index of side 'a' or 'b' after every event, read-only."""
+        column, _ = _side(side)
+        return self._pair_codes[column]
 
     def _events(self):
         links, states_a, states_b = self.links, self.states_a, self.states_b
-        width = len(states_b)
-        flows_a, flows_b = [0] * len(links), [0] * len(links)
-        for t, b, pair in zip(self.times, self.bins, self.pairs):
-            k, kind = divmod(b, 3)
-            ia, ib = divmod(pair, width)
-            if kind != 1:  # A moved
-                flows_a[k] += 1
-            if kind != 2:  # B moved
-                flows_b[k] += 1
-            yield CoupledEvent(
-                t, links[k], _KINDS[kind], states_a[ia], states_b[ib],
-                tuple(flows_a), tuple(flows_b),
-            )
+        positions, kinds = (codes.tolist() for codes in self._bin_codes)
+        visits_a, visits_b = (codes.tolist() for codes in self._pair_codes)
+        # zip over the columns yields each row as a tuple
+        flows_a = zip(*self.flows("a")[1:].T.tolist())
+        flows_b = zip(*self.flows("b")[1:].T.tolist())
+        for t, k, kind, ia, ib, fa, fb in zip(
+            self.times, positions, kinds, visits_a, visits_b, flows_a, flows_b
+        ):
+            yield CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
 
     def project(self, side: str) -> EventLog:
         """Component event log of side 'a' or 'b' (joint plus one-sided moves).
@@ -163,28 +192,25 @@ class PairedEventLog:
         neither side can move. A side that absorbs while the other still
         moves is not flagged, because the log holds no rates to tell.
         """
-        if side not in ("a", "b"):
-            raise ValueError("side must be 'a' or 'b'")
-        skip = 1 if side == "a" else 2  # the other side's one-sided kind
-        which = 0 if side == "a" else 1
-        width = len(self.states_b)
-        times, moves, visits = array("d"), array("q"), array("q")
-        for t, b, pair in zip(self.times, self.bins, self.pairs):
-            k, kind = divmod(b, 3)
-            if kind != skip:
-                times.append(t)
-                moves.append(k)
-                visits.append(divmod(pair, width)[which])
+        column, still = _side(side)
+        positions, kinds = self._bin_codes
+        moved = kinds != still
         return EventLog(
             initial=self.initial_a if side == "a" else self.initial_b,
-            times=times,
-            moves=moves,
-            visits=visits,
+            times=array("d", np.asarray(self.times)[moved].tobytes()),
+            moves=array("q", positions[moved].tobytes()),
+            visits=array("q", self._pair_codes[column][moved].tobytes()),
             states=self.states_a if side == "a" else self.states_b,
             horizon=self.horizon,
             absorbed=self.absorbed,
             links=self.links,
         )
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _pair_row(component_rates):
@@ -288,18 +314,18 @@ def paired_log_csv(log: PairedEventLog) -> str:
     """CSV rows: time,link_from,link_to,which,stateA,stateB,flowA,flowB.
 
     Each state's label and each bin's `i,j,kind,` prefix are formatted
-    once; a counter cell is re-joined only when its side moved.
+    once; the counters are counted as the rows are written, from the
+    log's decoded codes, and a cell is re-joined only when its side moved.
     """
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
     labels_a, labels_b = _state_labels(log.states_a), _state_labels(log.states_b)
-    width = len(log.states_b)
+    positions, kinds = (codes.tolist() for codes in log._bin_codes)
+    visits_a, visits_b = (codes.tolist() for codes in log._pair_codes)
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
     fa = fb = ";".join(cells_a)
     lines = ["time,link_from,link_to,which,stateA,stateB,flowA,flowB"]
-    for t, b, pair in zip(log.times, log.bins, log.pairs):
-        ia, ib = divmod(pair, width)
-        k, kind = divmod(b, 3)
+    for t, b, k, kind, ia, ib in zip(log.times, log.bins, positions, kinds, visits_a, visits_b):
         if kind != 1:  # A moved
             counts_a[k] += 1
             cells_a[k] = str(counts_a[k])

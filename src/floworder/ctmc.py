@@ -21,7 +21,8 @@ returned as columns (times, bins, states), not as one object per event.
 simulate_path runs the kernel with one bin per link, all rows from one
 cumulative sum over the state index; coupling's simulate_coupled runs it
 on index pairs with three bins per link. EventLog keeps the columns and
-builds its Event tuples only when they are read.
+builds its Event tuples only when they are read; its flow counters, one
+per link, are one int64 array counted from the moves column (flows()).
 
 Solvers:
 
@@ -186,9 +187,26 @@ class EventLog:
             yield Event(t, links[k], pre, post)
             pre = post
 
+    def flows(self) -> np.ndarray:
+        """The flow counters as an (events + 1, links) int64 array.
+
+        Row 0 is the zero start and row e + 1 holds the counters after
+        event e: column k counts the events so far along links[k].
+        """
+        moves = np.asarray(self.moves, dtype=np.int64)
+        return _flow_counts(moves, 1, len(self.links))
+
     def state_at(self, t: float) -> State:
         e = bisect_right(self.times, t)
         return self.states[self.visits[e - 1]] if e else self.initial
+
+
+def _flow_counts(positions: np.ndarray, moved, links: int) -> np.ndarray:
+    """(events + 1, links) counters from zero: event e adds moved[e] (a 0/1
+    mask, or 1 for every event) to the counter of link position positions[e]."""
+    counts = np.zeros((positions.size + 1, links), dtype=np.int64)
+    counts[np.arange(1, positions.size + 1), positions] = moved
+    return np.cumsum(counts, axis=0, out=counts)
 
 
 @dataclass

@@ -8,7 +8,9 @@ expression. Rates whose target would leave the state space must be zero;
 by default that is enforced as a load error, and the `clamp` flag (a JSON
 boolean) instead multiplies every rate by the in-space indicator of its
 target. Capacities, state coordinates and link endpoints are integers;
-a number that is not equal to its int is an error, never rounded.
+a number that is not equal to its int is an error, never rounded, and so
+is a JSON boolean. Parameter values are JSON numbers, never strings or
+booleans. A document of any other shape is a ModelError.
 
 Documents are JSON objects:
 
@@ -50,6 +52,7 @@ __all__ = [
     "ValidationReport",
     "linear_links",
     "is_linear_family",
+    "balance_signature",
     "parse_model",
     "load_model",
     "serialize_model",
@@ -173,16 +176,46 @@ def is_linear_family(spec: NetworkSpec) -> bool:
     return spec.links == linear_links(spec.n)
 
 
+def balance_signature(x: State, flows, links) -> tuple[int, ...]:
+    """Per-node balance b_i = x_i - inflow_i + outflow_i.
+
+    flows[k] is the counter of links[k] (a tuple, or a row of a flows
+    array). Every move of the state-flow chain, x to x - e_i + e_j with
+    the counter of (i, j) up by one, leaves b unchanged, so b is constant
+    along a path; with counters starting at zero it is the initial
+    population.
+    """
+    b = [int(v) for v in x]
+    for (i, j), count in zip(links, flows):
+        if i >= 1:
+            b[i - 1] += int(count)
+        if j >= 1:
+            b[j - 1] -= int(count)
+    return tuple(b)
+
+
 def _integers(raw, message: str) -> tuple[int, ...]:
     """A JSON array's entries as ints; each must equal its int (1.0 is 1,
-    but 1.6 and "1" are not integers), or ModelError(message) is raised."""
+    but 1.6, "1" and true are not integers), or ModelError(message) is raised."""
     try:
         values = tuple(int(v) for v in raw)
-        if values == tuple(raw):
+        if values == tuple(raw) and not any(isinstance(v, bool) for v in raw):
             return values
     except (TypeError, ValueError, OverflowError):
         pass
     raise ModelError(message)
+
+
+def _array(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} must be a JSON object, not {value!r}")
+    return value
 
 
 def _parse_space(space, n: int) -> tuple[State, ...]:
@@ -197,7 +230,7 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
         if len(caps) != n or any(c < 0 for c in caps):
             raise ModelError(message)
         excluded = set()
-        for raw in space.get("exclude", []):
+        for raw in _array(space.get("exclude", []), "exclude"):
             x = _integers(raw, f"excluded state {raw} must have integer coordinates")
             if len(x) != n:
                 raise ModelError(f"excluded state {x} has wrong dimension")
@@ -214,7 +247,7 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
             raise ModelError(f"unknown space keys {sorted(keys - {'list'})}")
         states = []
         seen = set()
-        for raw in space["list"]:
+        for raw in _array(space["list"], "list"):
             x = _integers(raw, f"state {raw} must have integer coordinates")
             if len(x) != n:
                 raise ModelError(f"state {x} has wrong dimension")
@@ -252,7 +285,7 @@ def parse_model(document) -> NetworkSpec:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a decode error, or an integer too long to convert
             raise ModelError(f"not valid JSON: {e}") from None
     if not isinstance(document, dict):
         raise ModelError("model document must be a JSON object")
@@ -273,7 +306,7 @@ def parse_model(document) -> NetworkSpec:
 
     if "links" in document:
         links = []
-        for raw in document["links"]:
+        for raw in _array(document["links"], "links"):
             link = _integers(raw, f"link {raw} must be a pair of integer nodes")
             if len(link) != 2:
                 raise ModelError(f"link {raw} must be a pair of integer nodes")
@@ -289,20 +322,25 @@ def parse_model(document) -> NetworkSpec:
         links = linear_links(n)
 
     params = {}
-    for name, value in document.get("params", {}).items():
+    for name, value in _object(document.get("params", {}), "params").items():
         if not isinstance(name, str) or not name.isidentifier():
             raise ModelError(f"parameter name {name!r} is not an identifier")
         if name in ("min", "max", "ind"):
             raise ModelError(f"parameter name {name!r} is reserved")
         if re.fullmatch(r"x[1-9]\d*", name):
             raise ModelError(f"parameter name {name!r} shadows a coordinate")
-        params[name] = float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ModelError(f"parameter {name} must be a JSON number, not {value!r}")
+        try:
+            params[name] = float(value)
+        except OverflowError:
+            raise ModelError(f"parameter {name} is too large for a double") from None
 
     clamp = document.get("clamp", False)
     if not isinstance(clamp, bool):
         raise ModelError(f"clamp must be a JSON boolean, not {clamp!r}")
 
-    raw_rates = document["rates"]
+    raw_rates = _object(document["rates"], "rates")
     rate_links = set()
     rates: dict[Link, RateExpr] = {}
     for key, source in raw_rates.items():
@@ -347,7 +385,11 @@ def parse_model(document) -> NetworkSpec:
 
 def load_model(path) -> NetworkSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ModelError(f"model file is not UTF-8 text: {e}") from None
+    return parse_model(text)
 
 
 def serialize_model(spec: NetworkSpec) -> dict:

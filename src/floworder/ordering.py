@@ -31,19 +31,19 @@ reports list witnesses in the order a scan by A's state, then B's, meets
 them.
 
 Pathwise and statistical diagnostics complement the exact routes:
-violation scans over coupled logs, an empirical tail comparison with a
-three-standard-error margin, and a mean-flow margin check on a time grid.
+violation scans over a coupled log's flows and visits arrays, an
+empirical tail comparison with a three-standard-error margin, and a
+mean-flow margin check on a time grid.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import A_ONLY, B_ONLY, JOINT, PairedEventLog
+from .coupling import PairedEventLog
 from .ctmc import ToleranceError, transient_mean_flow
 from .model import Link, ModelError, NetworkSpec, State, is_linear_family
 
@@ -109,7 +109,6 @@ class ConditionReport:
     domains: dict
     conditions: tuple[ConditionResult, ...]
     all_witnesses: bool
-    runtime: float
 
     @property
     def passed(self) -> bool:
@@ -119,8 +118,8 @@ class ConditionReport:
     def witnesses(self) -> tuple[Witness, ...]:
         return tuple(w for c in self.conditions for w in c.witnesses)
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "verdict": "pass" if self.passed else "fail",
             "kind": self.kind,
             "domains": dict(self.domains),
@@ -136,9 +135,6 @@ class ConditionReport:
             "witnesses": [w.to_dict() for w in self.witnesses],
             "margins": [],
         }
-        if include_runtime:
-            d["runtime"] = self.runtime
-        return d
 
 
 def _require_linear_pair(spec_a: NetworkSpec, spec_b: NetworkSpec):
@@ -185,7 +181,6 @@ def check_flow_conditions(
     first witness per condition is kept.
     """
     _require_linear_pair(spec_a, spec_b)
-    start = time.perf_counter()
     n = spec_a.n
     xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
     blocks = _row_blocks(len(xa), len(xb))
@@ -217,7 +212,6 @@ def check_flow_conditions(
         domains=dict(_DOMAINS),
         conditions=tuple(conditions),
         all_witnesses=all_witnesses,
-        runtime=time.perf_counter() - start,
     )
 
 
@@ -238,7 +232,6 @@ def check_population_conditions(
     all_witnesses=False only the first is kept per node.
     """
     _require_linear_pair(spec_a, spec_b)
-    start = time.perf_counter()
     n = spec_a.n
     xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
@@ -283,7 +276,6 @@ def check_population_conditions(
         domains=dict(_DOMAINS),
         conditions=conditions,
         all_witnesses=all_witnesses,
-        runtime=time.perf_counter() - start,
     )
 
 
@@ -330,10 +322,9 @@ class ClosureReport:
     checked: int
     gap_bound: int
     domains: dict
-    runtime: float
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "verdict": "pass" if self.closed else "fail",
             "closed": self.closed,
             "domains": dict(self.domains),
@@ -350,9 +341,6 @@ class ClosureReport:
             "gap_exceeded": [c.to_dict() for c in self.gap_exceeded],
             "margins": [],
         }
-        if include_runtime:
-            d["runtime"] = self.runtime
-        return d
 
 
 def verify_tight_configurations(
@@ -385,7 +373,6 @@ def verify_tight_configurations(
     B's.
     """
     _require_linear_pair(spec_a, spec_b)
-    start = time.perf_counter()
     n = spec_a.n
     xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
     max_coord = int(max(xa.max(initial=0), xb.max(initial=0)))
@@ -426,7 +413,6 @@ def verify_tight_configurations(
         checked=checked,
         gap_bound=bound,
         domains=dict(_DOMAINS),
-        runtime=time.perf_counter() - start,
     )
 
 
@@ -434,15 +420,11 @@ def pathwise_flow_order_check(log: PairedEventLog):
     """Scan a coupled log for counter-order violations.
 
     Returns (time, link) pairs, in (event, link) order, at which some
-    counter of A exceeds B's. Counters start at zero and are counted from
-    the bins column; the scan is meaningful for equal initial states.
+    counter of A exceeds B's, comparing the rows after each event of the
+    log's two flows arrays. Counters start at zero, so the scan is
+    meaningful for equal initial states.
     """
-    # A's counter on a link minus B's changes only on one-sided events:
-    # +1 when A moves alone (kind 2), -1 when B does (kind 1).
-    position, kind = np.divmod(np.asarray(log.bins, dtype=np.int64), 3)
-    steps = np.zeros((kind.size, len(log.links)), dtype=np.int64)
-    steps[np.arange(kind.size), position] = (kind == 2).astype(np.int64) - (kind == 1)
-    events, ahead = np.nonzero(np.cumsum(steps, axis=0) > 0)
+    events, ahead = np.nonzero(log.flows("a")[1:] > log.flows("b")[1:])
     times, links = log.times, log.links
     return [(times[e], links[k]) for e, k in zip(events.tolist(), ahead.tolist())]
 
@@ -452,13 +434,12 @@ def pathwise_population_order_check(log: PairedEventLog):
 
     Returns (time, node) pairs (nodes 1-based), in (event, node) order,
     where A's count exceeds B's. The states after each event are read
-    from the pairs column; the counters are not needed.
+    through the log's visits arrays; the counters are not needed.
     """
     n = len(log.initial_a)
-    ia, ib = np.divmod(np.asarray(log.pairs, dtype=np.int64), len(log.states_b))
     states_a = np.asarray(log.states_a, dtype=np.int64).reshape(-1, n)
     states_b = np.asarray(log.states_b, dtype=np.int64).reshape(-1, n)
-    events, nodes = np.nonzero(states_a[ia] > states_b[ib])
+    events, nodes = np.nonzero(states_a[log.visits("a")] > states_b[log.visits("b")])
     times = log.times
     return [(times[e], i + 1) for e, i in zip(events.tolist(), nodes.tolist())]
 
@@ -471,7 +452,7 @@ class TailOrderReport:
     max_violation: float
     consistent: bool
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "verdict": "pass" if self.consistent else "fail",
             "conditions": [],
@@ -527,10 +508,9 @@ class MeanOrderReport:
     margins: tuple[float, ...]  # mean_b - mean_a per time
     tol: float
     passed: bool
-    runtime: float
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "verdict": "pass" if self.passed else "fail",
             "link": list(self.link),
             "tol": self.tol,
@@ -541,9 +521,6 @@ class MeanOrderReport:
                 for t, ma, mb, mg in zip(self.times, self.mean_a, self.mean_b, self.margins)
             ],
         }
-        if include_runtime:
-            d["runtime"] = self.runtime
-        return d
 
 
 def mean_order_check(
@@ -569,7 +546,6 @@ def mean_order_check(
     """
     if not 0.0 <= tol < math.inf:
         raise ToleranceError(f"margin tolerance must be finite and nonnegative, not {tol:g}")
-    start = time.perf_counter()
     init = tuple(int(v) for v in init)
     if init not in spec_a.state_index or init not in spec_b.state_index:
         raise ModelError(f"initial state {init} must lie in both state spaces")
@@ -585,5 +561,4 @@ def mean_order_check(
         margins=margins,
         tol=tol,
         passed=all(m >= -tol for m in margins),
-        runtime=time.perf_counter() - start,
     )

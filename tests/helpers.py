@@ -22,7 +22,6 @@ import dataclasses
 import json
 import math
 import re
-import time
 
 import numpy as np
 from scipy.linalg import expm, null_space
@@ -383,14 +382,14 @@ def pair_rates(spec_a: NetworkSpec, spec_b: NetworkSpec, xa, xb):
     ]
 
 
-def stateflow_events(log, flows0=None):
+def stateflow_events(log):
     """The state-flow path along a population event log.
 
     One (time, link, state, flows) tuple per event, state and counters
     after the move; counters are aligned with log.links and counted move
-    by move from flows0 (default zero), as the augmented chain does.
+    by move from zero, as the augmented chain does.
     """
-    flows = tuple(int((flows0 or {}).get(link, 0)) for link in log.links)
+    flows = (0,) * len(log.links)
     position = {link: k for k, link in enumerate(log.links)}
     out = []
     for ev in log.events:
@@ -774,7 +773,6 @@ def reference_flow_conditions(
 ) -> ConditionReport:
     """check_flow_conditions as a loop over every link, A state and B state."""
     _require_linear_pair(spec_a, spec_b)
-    start = time.perf_counter()
     n = spec_a.n
     links = spec_a.links
     tables_a = [spec_a.rate_vector(link).tolist() for link in links]
@@ -810,7 +808,6 @@ def reference_flow_conditions(
         domains=dict(_DOMAINS),
         conditions=tuple(conditions),
         all_witnesses=all_witnesses,
-        runtime=time.perf_counter() - start,
     )
 
 
@@ -819,7 +816,6 @@ def reference_population_conditions(
 ) -> ConditionReport:
     """check_population_conditions as a loop over every pair of states and node."""
     _require_linear_pair(spec_a, spec_b)
-    start = time.perf_counter()
     n = spec_a.n
     links = spec_a.links
     tables_a = [spec_a.rate_vector(link).tolist() for link in links]
@@ -864,7 +860,6 @@ def reference_population_conditions(
         domains=dict(_DOMAINS),
         conditions=conditions,
         all_witnesses=all_witnesses,
-        runtime=time.perf_counter() - start,
     )
 
 
@@ -874,7 +869,6 @@ def reference_closure(
     """verify_tight_configurations as a loop over every tight link and pair of states,
     with the gap vector rebuilt from node balance link by link."""
     _require_linear_pair(spec_a, spec_b)
-    start = time.perf_counter()
     n = spec_a.n
     links = spec_a.links
     tables_a = [spec_a.rate_vector(link).tolist() for link in links]
@@ -915,5 +909,4 @@ def reference_closure(
         checked=checked,
         gap_bound=bound,
         domains=dict(_DOMAINS),
-        runtime=time.perf_counter() - start,
     )

@@ -28,7 +28,6 @@ from floworder import (
     pathwise_flow_order_check,
     pathwise_population_order_check,
     product_form_residual,
-    recover_flows,
     replication_seed,
     simulate_coupled,
     simulate_path,
@@ -57,37 +56,38 @@ def digest(text):
 
 
 def audit_coupled_log(log):
-    """Both component paths keep a constant balance signature and counters
-    that a plain event log reproduces exactly. Returns events audited."""
+    """Both component paths keep a constant balance signature along their
+    flows arrays, and each projection's own flows array, read at every
+    coupled event time, gives the same counters. Returns events audited."""
     links = log.links
-    sig_a = balance_signature(log.initial_a, dict(zip(links, log.initial_flows_a)))
-    sig_b = balance_signature(log.initial_b, dict(zip(links, log.initial_flows_b)))
-    for ev in log.events:
-        assert balance_signature(ev.state_a, dict(zip(links, ev.flows_a))) == sig_a
-        assert balance_signature(ev.state_b, dict(zip(links, ev.flows_b))) == sig_b
-    traj_a = recover_flows(log.project("a"))
-    traj_b = recover_flows(log.project("b"))
-    for ev in log.events:
-        assert traj_a.counters_at(ev.time) == dict(zip(links, ev.flows_a))
-        assert traj_b.counters_at(ev.time) == dict(zip(links, ev.flows_b))
+    for side, initial, states in (
+        ("a", log.initial_a, log.states_a),
+        ("b", log.initial_b, log.states_b),
+    ):
+        flows = log.flows(side)
+        sig = balance_signature(initial, flows[0], links)
+        for i, row in zip(log.visits(side).tolist(), flows[1:].tolist()):
+            assert balance_signature(states[i], row, links) == sig
+        proj = log.project(side)
+        at = np.searchsorted(np.asarray(proj.times), np.asarray(log.times), side="right")
+        assert np.array_equal(proj.flows()[at], flows[1:])
     return len(log.events)
 
 
 def audit_stateflow_log(spec, log, seed):
     """Single-model variant of the audit on a population log: counters
     counted move by move keep the balance signature constant, and the same
-    seed lets recover_flows rebuild them from a fresh population log alone."""
+    seed lets flows() rebuild them from a fresh population log alone."""
     links = log.links
     path = helpers.stateflow_events(log)
-    sig = balance_signature(log.initial, dict.fromkeys(links, 0))
+    sig = balance_signature(log.initial, (0,) * len(links), links)
     for _, _, state, flows in path:
-        assert balance_signature(state, dict(zip(links, flows))) == sig
+        assert balance_signature(state, flows, links) == sig
     plain = simulate_path(spec, log.initial, log.horizon, seed)
-    traj = recover_flows(plain)
-    for t, _, _, flows in path:
-        assert traj.counters_at(t) == dict(zip(links, flows))
+    rows = plain.flows()
+    assert [tuple(row) for row in rows[1:].tolist()] == [flows for _, _, _, flows in path]
     final = path[-1][3] if path else (0,) * len(links)
-    assert traj.final() == dict(zip(links, final))
+    assert tuple(rows[-1].tolist()) == final
     return len(path)
 
 

@@ -15,8 +15,7 @@ from floworder.coupling import (
     simulate_coupled,
 )
 from floworder.ctmc import simulate_path
-from floworder.model import ModelError, parse_model
-from floworder.stateflow import balance_signature
+from floworder.model import ModelError, balance_signature, parse_model
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
 
@@ -230,11 +229,13 @@ def test_balance_pair_conserved_along_coupled_paths():
     coupled = build_stateflow_coupling(spec_a, spec_b)
     log = simulate_coupled(coupled, (0, 0), (0, 0), 40.0, seed=13)
     links = log.links
-    sig_a = balance_signature(log.initial_a, dict(zip(links, log.initial_flows_a)))
-    sig_b = balance_signature(log.initial_b, dict(zip(links, log.initial_flows_b)))
-    for ev in log.events:
-        assert balance_signature(ev.state_a, dict(zip(links, ev.flows_a))) == sig_a
-        assert balance_signature(ev.state_b, dict(zip(links, ev.flows_b))) == sig_b
+    flows_a, flows_b = log.flows("a"), log.flows("b")
+    sig_a = balance_signature(log.initial_a, flows_a[0], links)
+    sig_b = balance_signature(log.initial_b, flows_b[0], links)
+    assert (sig_a, sig_b) == ((0, 0), (0, 0))
+    for ia, ib, row_a, row_b in zip(log.visits("a"), log.visits("b"), flows_a[1:], flows_b[1:]):
+        assert balance_signature(log.states_a[ia], row_a, links) == sig_a
+        assert balance_signature(log.states_b[ib], row_b, links) == sig_b
 
 
 def test_tandem_pair_counters_stay_ordered():
@@ -318,6 +319,20 @@ def test_paired_log_csv_stateflow():
     assert cells[7] == ";".join(str(v) for v in ev.flows_b)
 
 
+def assert_arrays_match_reference(log, events):
+    """Each side's flows and visits arrays against the reference loop's events."""
+    for side, states, flows_of, state_of in (
+        ("a", log.states_a, lambda ev: ev.flows_a, lambda ev: ev.state_a),
+        ("b", log.states_b, lambda ev: ev.flows_b, lambda ev: ev.state_b),
+    ):
+        flows = log.flows(side)
+        assert flows.shape == (len(events) + 1, len(log.links))
+        assert not flows[0].any()
+        assert [tuple(row) for row in flows[1:].tolist()] == [flows_of(ev) for ev in events]
+        assert [states[i] for i in log.visits(side).tolist()] == [state_of(ev) for ev in events]
+        assert not log.visits(side).flags.writeable  # the log's own decoded column
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 0.5]),
@@ -334,6 +349,7 @@ def test_coupled_path_matches_reference_loop(table_seed, p_zero, seed):
     events, absorbed = helpers.reference_simulate_coupled(coupled, init_a, init_b, 20.0, seed)
     assert log.events == events
     assert log.absorbed == absorbed
+    assert_arrays_match_reference(log, events)
 
 
 @given(
@@ -353,3 +369,4 @@ def test_coupled_path_matches_reference_loop_on_tandems(values_a, values_b, seed
     events, absorbed = helpers.reference_simulate_coupled(coupled, (1, 0), (1, 0), 20.0, seed)
     assert log.events == events
     assert log.absorbed == absorbed
+    assert_arrays_match_reference(log, events)

@@ -296,6 +296,61 @@ def test_link_endpoints_must_be_two_integers(raw):
     assert str(err.value) == f"link {raw} must be a pair of integer nodes"
 
 
+MALFORMED_SHAPES = {
+    "param-null": ({"params": {"beta": None}}, "parameter beta must be a JSON number, not None"),
+    "param-list": ({"params": {"beta": [1]}}, "parameter beta must be a JSON number, not [1]"),
+    "param-string": ({"params": {"beta": "2"}}, "parameter beta must be a JSON number, not '2'"),
+    "param-bool": ({"params": {"beta": True}}, "parameter beta must be a JSON number, not True"),
+    "param-huge": ({"params": {"beta": 10**400}}, "parameter beta is too large for a double"),
+    "params-list": ({"params": [1]}, "params must be a JSON object, not [1]"),
+    "rates-list": ({"rates": ["1", "x1"]}, "rates must be a JSON object, not ['1', 'x1']"),
+    "exclude-int": ({"space": {"box": [1], "exclude": 3}}, "exclude must be a JSON array, not 3"),
+    "list-int": ({"space": {"list": 5}}, "list must be a JSON array, not 5"),
+    "links-int": ({"links": 5}, "links must be a JSON array, not 5"),
+    "box-bool": ({"space": {"box": [True]}}, "box needs one nonnegative capacity per node"),
+    "list-bool": ({"space": {"list": [[0], [True]]}}, "state [True] must have integer coordinates"),
+    "link-bool": ({"links": [[0, 1], [True, 0]]}, "link [True, 0] must be a pair of integer nodes"),
+}
+
+
+def malformed_doc(change):
+    doc = helpers.single_node_doc("beta * ind(x1 < 1)", "x1", 1, params={"beta": 1.0})
+    doc.update(change)
+    return doc
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES)
+def test_malformed_shapes_are_model_errors(change, message):
+    with pytest.raises(ModelError) as err:
+        parse_model(malformed_doc(change))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("change", [c for c, _ in MALFORMED_SHAPES.values()], ids=MALFORMED_SHAPES)
+def test_malformed_shapes_exit_two(command, change, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malformed_doc(change)))
+    models = ["--model-a", str(path)] + (["--model-b", str(path)] if command == "check" else [])
+    assert main([command, *models, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("floworder: ")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"n": 1, "params": {"beta": ' + b"9" * 5000 + b"}}", "floworder: not valid JSON: "),
+        (b"\xff\xfe{}", "floworder: model file is not UTF-8 text: "),
+    ],
+    ids=["integer-too-long", "not-utf8"],
+)
+def test_unreadable_documents_exit_two(content, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["solve", "--model-a", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_integral_floats_still_name_states_and_links():
     """The rule is the one box capacities follow: a value equal to its int."""
     doc = {"n": 1, "space": {"list": [[0.0], [1.0]]}, "links": [[0.0, 1.0], [1, 0]],
