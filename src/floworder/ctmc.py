@@ -42,10 +42,14 @@ Solvers:
     sum_{k>K} P(N > k) at the largest time.
 
 Both take their Poisson weights from _poisson_weights, the one place the
-truncation policy lives.
+truncation policy lives; a mean Lambda t that overflows to infinity
+raises SolverError there. Both read the transposed kernel P^T, built once
+per generator as a CSC matrix and cached, so each power is one column
+product vec = P^T vec; no sparse matrix is made per step. The stationary
+residual max|pi Q| is the column product Q^T pi in the same way.
 
 scipy is imported inside the four functions that build or factor sparse
-matrices (build_generator, Generator.uniformized_kernel, _recurrent_class
+matrices (build_generator, Generator.transposed_kernel, _recurrent_class
 and stationary_distribution), not at module level. Importing scipy.sparse
 and its csgraph and linalg parts takes longer than importing numpy and
 the rest of floworder together, and at module level every process that
@@ -215,16 +219,21 @@ class Generator:
     index: dict
     matrix: sp.csr_matrix  # includes the diagonal
     unif_rate: float
-    _kernel: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _kernel_t: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
 
-    def uniformized_kernel(self) -> sp.csr_matrix:
-        """I + Q / unif_rate; requires unif_rate > 0."""
-        if self._kernel is None:
+    def transposed_kernel(self) -> sp.csc_matrix:
+        """P^T as a CSC matrix, P = I + Q / unif_rate; requires unif_rate > 0.
+
+        Built on first use and cached, P itself is not kept. A power step
+        p P is then one column product P^T p, the csc_matvec that p @ P
+        runs after transposing P, on the same arrays, so bit-equal to it.
+        """
+        if self._kernel_t is None:
             import scipy.sparse as sp
 
             m = len(self.states)
-            self._kernel = (sp.identity(m, format="csr") + self.matrix / self.unif_rate).tocsr()
-        return self._kernel
+            self._kernel_t = (sp.identity(m, format="csr") + self.matrix / self.unif_rate).T
+        return self._kernel_t
 
 
 def _link_arrays(spec: NetworkSpec):
@@ -438,7 +447,7 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
         pi /= pi.sum()
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ sub).max())
+    residual = float(np.abs(sub.T @ pi).max())
     if not residual < tol:  # a NaN residual fails too
         raise ConvergenceError(residual, tol)
     if k == m:
@@ -490,7 +499,11 @@ def _poisson_weights(q: float) -> tuple[np.ndarray, np.ndarray]:
     underflows before it is negligible, and tails are summed from the
     right, so small tails keep their relative accuracy. K = q + 40 sqrt(q)
     + 200 puts the mass beyond K below 1e-300, which the tails treat as 0.
+    q is the uniformization rate times a time; an infinite (overflowed)
+    or NaN q has no truncation depth and raises SolverError.
     """
+    if not q < math.inf:
+        raise SolverError(f"Poisson mean Lambda*t = {q:g} is not finite; no truncation depth")
     if q == 0.0:
         return np.ones(1), np.zeros(1)
     kmax = int(q + 40.0 * math.sqrt(q) + 200.0)
@@ -520,7 +533,8 @@ def transient_distribution(gen: Generator, p0, t: float, tol: float = 1e-12) -> 
     p(t) = sum_{k<=K} P(N = k) p0 P^k with N ~ Poisson(unif_rate t) and
     P = I + Q / unif_rate. K is the first depth with P(N > K) <= tol, so
     the dropped mass is at most tol; the result is renormalized. A tol no
-    depth meets (negative or NaN) raises ToleranceError.
+    depth meets (negative or NaN) raises ToleranceError, and a unif_rate t
+    that overflows to infinity raises SolverError.
     """
     vec = distribution_vector(gen, p0)
     if not 0.0 <= t < math.inf:
@@ -529,10 +543,10 @@ def transient_distribution(gen: Generator, p0, t: float, tol: float = 1e-12) -> 
         return vec
     w, tail = _poisson_weights(gen.unif_rate * t)
     depth = _truncation_depth(tail, tol)
-    kernel = gen.uniformized_kernel()
+    kernel_t = gen.transposed_kernel()
     acc = w[0] * vec
     for k in range(1, depth + 1):
-        vec = vec @ kernel
+        vec = kernel_t @ vec
         acc += w[k] * vec
     np.clip(acc, 0.0, None, out=acc)
     return acc / acc.sum()
@@ -553,7 +567,8 @@ def transient_mean_flow(
     weights. The truncation error at every time is at most
     (max r / Lambda) sum_{k>K} P(N > k) <= tol. Every term is nonnegative,
     so rounding adds a relative error of order K times machine epsilon on
-    top. A tol no depth meets (negative or NaN) raises ToleranceError.
+    top. A tol no depth meets (negative or NaN) raises ToleranceError, and
+    a Lambda t that overflows to infinity raises SolverError.
     """
     if link not in spec.rates:
         raise ModelError(f"unknown link {link}")
@@ -570,11 +585,11 @@ def transient_mean_flow(
     dropped = np.zeros(tail.size)
     dropped[:-1] = np.cumsum(tail[:0:-1])[::-1]  # sum_{j>k} P(N > j)
     depth = _truncation_depth(rate_vec.max() / lam * dropped, tol)
-    kernel = gen.uniformized_kernel()
+    kernel_t = gen.transposed_kernel()
     rewards = np.empty(depth + 1)
     rewards[0] = vec @ rate_vec
     for k in range(1, depth + 1):
-        vec = vec @ kernel
+        vec = kernel_t @ vec
         rewards[k] = vec @ rate_vec
     means = []
     for t in times:

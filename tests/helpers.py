@@ -8,7 +8,9 @@ statistic. Rates have a scalar tree-walking evaluator and dict rate
 tables; rate texts have the match-by-match tokenizer and peek/advance
 parser the package used before its one-pass tokenizer; generators and
 stationary vectors have the COO build and the reindexed, identity-shifted
-factorisation that came before the direct CSR assembly; and simulated
+factorisation that came before the direct CSR assembly; the transient
+solvers have the row-vector loops vec = vec @ P that came before the
+cached transposed kernel; and simulated
 paths have the dict-based Gillespie loops the
 package used before its rates became arrays over the state index. The
 order checks have the triple loops over links and state pairs that they
@@ -29,8 +31,18 @@ from scipy.stats import chi2
 
 from floworder import expr
 from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
-from floworder.ctmc import ConvergenceError, Event, Generator, _link_arrays, _recurrent_class
-from floworder.model import NetworkSpec, linear_links, parse_model
+from floworder.ctmc import (
+    ConvergenceError,
+    Event,
+    Generator,
+    _link_arrays,
+    _poisson_weights,
+    _recurrent_class,
+    _truncation_depth,
+    build_generator,
+    distribution_vector,
+)
+from floworder.model import ModelError, NetworkSpec, linear_links, parse_model
 from floworder.ordering import (
     _DOMAINS,
     ClosureReport,
@@ -367,6 +379,66 @@ def van_loan_mean_flow(spec: NetworkSpec, p0, link, times) -> np.ndarray:
     block[:m, m] = [table[x] for x in spec.states]
     p0 = np.asarray(p0, dtype=float)
     return np.array([p0 @ expm(block * t)[:m, m] for t in times])
+
+
+def reference_kernel(gen: Generator):
+    """P = I + Q / unif_rate as the CSR matrix scipy's sum makes."""
+    import scipy.sparse as sp
+
+    m = len(gen.states)
+    return (sp.identity(m, format="csr") + gen.matrix / gen.unif_rate).tocsr()
+
+
+def reference_transient_distribution(
+    gen: Generator, p0, t: float, tol: float = 1e-12
+) -> np.ndarray:
+    """transient_distribution with its powers taken as row vector times P."""
+    vec = distribution_vector(gen, p0)
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    if t == 0.0 or gen.unif_rate == 0.0:
+        return vec
+    w, tail = _poisson_weights(gen.unif_rate * t)
+    depth = _truncation_depth(tail, tol)
+    kernel = reference_kernel(gen)
+    acc = w[0] * vec
+    for k in range(1, depth + 1):
+        vec = vec @ kernel
+        acc += w[k] * vec
+    np.clip(acc, 0.0, None, out=acc)
+    return acc / acc.sum()
+
+
+def reference_transient_mean_flow(
+    spec: NetworkSpec, p0, link, times, tol: float = 1e-10
+) -> tuple[float, ...]:
+    """transient_mean_flow with its powers taken as row vector times P."""
+    if link not in spec.rates:
+        raise ModelError(f"unknown link {link}")
+    times = tuple(float(t) for t in times)
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("times must be finite and nonnegative")
+    gen = build_generator(spec)
+    rate_vec = spec.rate_vector(link)
+    vec = distribution_vector(gen, p0)
+    lam = gen.unif_rate
+    if lam == 0.0:  # no link ever fires
+        return (0.0,) * len(times)
+    _, tail = _poisson_weights(lam * max(times, default=0.0))
+    dropped = np.zeros(tail.size)
+    dropped[:-1] = np.cumsum(tail[:0:-1])[::-1]  # sum_{j>k} P(N > j)
+    depth = _truncation_depth(rate_vec.max() / lam * dropped, tol)
+    kernel = reference_kernel(gen)
+    rewards = np.empty(depth + 1)
+    rewards[0] = vec @ rate_vec
+    for k in range(1, depth + 1):
+        vec = vec @ kernel
+        rewards[k] = vec @ rate_vec
+    means = []
+    for t in times:
+        tail = _poisson_weights(lam * t)[1][: depth + 1]
+        means.append(float(tail @ rewards[: tail.size]) / lam)
+    return tuple(means)
 
 
 def pair_rates(spec_a: NetworkSpec, spec_b: NetworkSpec, xa, xb):

@@ -181,6 +181,16 @@ def test_transient_swapped_pair_rejects_tolerances_that_decide_nothing(tol, tmp_
     assert not out.exists()
 
 
+def test_transient_overflowing_poisson_mean_is_one_error_line(tmp_path, capsys):
+    """beta = 1e308 makes Lambda * t overflow to infinity: exit 2, no traceback."""
+    out = tmp_path / "out"
+    argv = ["transient", "--family", "tandem-pair", "--beta", "1e308", "--grid", "0:10:1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "floworder: Poisson mean Lambda*t = inf is not finite; no truncation depth\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "verify", "couple", "simulate", "solve", "sweep"])
 def test_every_command_rejects_nan_tolerance(command, tmp_path, capsys):
     family = {"simulate": "tandem-original", "solve": "tandem-original"}.get(command, "tandem-pair")
@@ -381,6 +391,10 @@ GOLDEN_DIGESTS = {
     },
     "sweep --betas 0.001,1,10000 --sizes 1,5": {
         "sweep.csv": "e1891790b712094f2f70d7a401344b94901a78c21b2cf16848a3fc19bfcf9f48",
+    },
+    "transient --family tandem-pair --s1 3 --s2 3 --beta 3 --grid 0:4:2": {
+        "transient.csv": "c133c928239c92d4096d306c3039c818b12469a4ecd253bade8496cfbd2de841",
+        "transient.json": "6aa846337bd0097805062f13512ea91e7a948830e24dd6e6a05955dcb921ab8f",
     },
 }
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 from scipy.sparse import find
+from scipy.sparse._base import _spbase
 
 import helpers
 from floworder import ctmc
@@ -16,6 +17,7 @@ from floworder.ctmc import (
     ConvergenceError,
     EventLog,
     ReducibleChainError,
+    SolverError,
     ToleranceError,
     build_generator,
     distribution_csv,
@@ -604,6 +606,109 @@ def test_transient_preserves_mass_and_sign():
     p = transient_distribution(gen, (0, 0), 3.0, tol=1e-12)
     assert p.min() >= 0.0
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_overflowing_poisson_mean_raises_solver_error():
+    """Lambda * t = inf has no truncation depth: a SolverError, not an OverflowError."""
+    spec = build_original_tandem(TandemParams.linear(2, 2, 1e308))
+    with pytest.raises(SolverError, match=r"Lambda\*t = inf"):
+        transient_distribution(build_generator(spec), (0, 0), 10.0)
+    with pytest.raises(SolverError, match=r"Lambda\*t = inf"):
+        transient_mean_flow(spec, (0, 0), (0, 1), (0.0, 10.0))
+
+
+def assert_transient_matches_reference(spec, p0, times):
+    """The cached P^T is scipy's I + Q / Lambda transposed, and both solvers
+    are bit-equal to the reference loops that take powers as vec @ P."""
+    gen = build_generator(spec)
+    if gen.unif_rate > 0.0:
+        kernel_t, reference = gen.transposed_kernel(), helpers.reference_kernel(gen)
+        assert kernel_t.format == "csc" and kernel_t is gen.transposed_kernel()
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(kernel_t, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # An absorbing state's row of P is the identity's alone.
+        for i in np.flatnonzero(np.diff(gen.matrix.indptr) == 0).tolist():
+            column = slice(kernel_t.indptr[i], kernel_t.indptr[i + 1])
+            assert kernel_t.indices[column].tolist() == [i]
+            assert kernel_t.data[column].tolist() == [1.0]
+    for t in times:
+        got = transient_distribution(gen, p0, t)
+        assert got.tobytes() == helpers.reference_transient_distribution(gen, p0, t).tobytes()
+    for link in spec.links:
+        got = transient_mean_flow(spec, p0, link, times)
+        assert repr(got) == repr(helpers.reference_transient_mean_flow(spec, p0, link, times))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.5]),
+    st.booleans(),
+)
+def test_transient_solvers_match_reference_loops_on_random_tables(seed, c1, c2, p_zero, dense):
+    rng = np.random.default_rng(seed)
+    spec, _ = helpers.random_table_instance(rng, c1, c2, p_zero)
+    m = len(spec.states)
+    p0 = rng.dirichlet(np.ones(m)) if dense else spec.states[rng.integers(m)]
+    times = (0.0,) + tuple(sorted(rng.uniform(0.0, 5.0, 2).tolist()))
+    assert_transient_matches_reference(spec, p0, times)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 1e4])
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([build_original_tandem, build_balanced_tandem]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_transient_solvers_match_reference_loops_on_tandems(beta, s1, s2, build, shares, seed):
+    spec = build(TandemParams.linear(s1, s2, beta))
+    start = spec.states[np.random.default_rng(seed).integers(len(spec.states))]
+    horizon = 20.0 / max(1.0, beta)  # Lambda <= max(1, beta) + 4, so Lambda t <= 100
+    assert_transient_matches_reference(spec, start, tuple(f * horizon for f in shares))
+
+
+def test_transient_solvers_match_reference_loops_with_a_dropped_diagonal():
+    """Exit rates 2, 4, 2: the middle state's entry of P is 1 - 4 / 4 = 0.0,
+    which I + Q / Lambda does not store."""
+    spec = helpers.mm1c_chain(2.0, 2.0, 2)
+    gen = build_generator(spec)
+    kernel_t = gen.transposed_kernel()
+    assert gen.unif_rate == 4.0
+    assert 1 not in kernel_t.indices[kernel_t.indptr[1] : kernel_t.indptr[2]].tolist()
+    assert gen.matrix[1, 1] == -4.0
+    for start in spec.states:
+        assert_transient_matches_reference(spec, start, (0.0, 0.3, 2.5))
+
+
+def test_power_steps_build_no_sparse_matrices(monkeypatch):
+    """Every power is a product with the one cached P^T, so the sparse matrices
+    a mean-flow call builds do not grow in number with the truncation depth."""
+    made, depths = [], []
+    init = _spbase.__init__
+    depth = ctmc._truncation_depth
+
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    def recording_depth(*args):
+        depths.append(depth(*args))
+        return depths[-1]
+
+    monkeypatch.setattr(_spbase, "__init__", counting_init)
+    monkeypatch.setattr(ctmc, "_truncation_depth", recording_depth)
+    spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
+    counts = []
+    for t in (1.0, 50.0):
+        made.clear()
+        transient_mean_flow(spec, (0, 0), (0, 1), (t,))
+        counts.append(len(made))
+    assert depths[1] > 8 * depths[0]
+    assert counts[0] == counts[1] > 0
 
 
 # ------------------------------------------------- distribution arguments
