@@ -3,7 +3,9 @@
 The package models finite-state Markov population processes whose moves
 shift one unit along a directed link, with node 0 standing for the
 outside world. Each link's rates are held as an array over the
-lexicographic state index, next to the index each move leads to. For the
+lexicographic state index, next to the index each move leads to; both
+are built, and every rate checked, when a NetworkSpec is constructed, so
+no spec reaches a solver or checker with an invalid rate. For the
 linear link family 0 -> 1 -> ... -> n -> 0 it provides pointwise
 rate-condition checkers, an exhaustive closure verifier,
 marching-soldiers couplings with cumulative flow counters, and exact
@@ -45,14 +47,12 @@ from .expr import ExpressionError, RateExpr, parse_expression
 from .model import (
     ModelError,
     NetworkSpec,
-    ValidationReport,
     balance_signature,
     linear_links,
     load_model,
     model_digest,
     parse_model,
     serialize_model,
-    validate_spec,
 )
 from .ordering import (
     ClosureReport,
@@ -98,7 +98,6 @@ __all__ = [
     "TailOrderReport",
     "TandemParams",
     "ToleranceError",
-    "ValidationReport",
     "balance_signature",
     "build_balanced_tandem",
     "build_generator",
@@ -127,6 +126,5 @@ __all__ = [
     "throughput",
     "transient_distribution",
     "transient_mean_flow",
-    "validate_spec",
     "verify_tight_configurations",
 ]

@@ -55,7 +55,13 @@ from .ordering import (
     verify_tight_configurations,
 )
 from .rng import replication_seed
-from .tandem import TandemParams, build_balanced_tandem, build_original_tandem, loss_rate
+from .tandem import (
+    TandemParams,
+    build_balanced_tandem,
+    build_original_tandem,
+    loss_rate,
+    loss_rate_applies,
+)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -388,7 +394,7 @@ def _cmd_solve(config: RunConfig) -> int:
         f"{i}->{j}": throughput(spec, pi, (i, j)) for (i, j) in spec.links
     }
     payload = {"throughput": throughputs}
-    if "beta" in spec.params and (0, 1) in spec.links:
+    if loss_rate_applies(spec):
         payload["loss_rate"] = loss_rate(spec, pi)
     _write_json(os.path.join(out, "solve.json"), header, payload)
     arrival = throughputs.get("0->1")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctmc import EventLog, EventView, _flow_counts, _link_arrays, _state_labels, gillespie
+from .ctmc import EventLog, EventView, _flow_counts, _state_labels, gillespie
 from .model import Link, ModelError, NetworkSpec, State
 
 __all__ = [
@@ -265,26 +265,29 @@ def simulate_coupled(
     A pair's total rate is summed link by link, each link's three rates
     first.
     """
+    spec_a, spec_b = coupled.spec_a, coupled.spec_b
     xa = tuple(int(v) for v in init_a)
     xb = tuple(int(v) for v in init_b)
-    if xa not in coupled.spec_a.state_index:
+    if xa not in spec_a.state_index:
         raise ModelError(f"initial state {xa} not in the first state space")
-    if xb not in coupled.spec_b.state_index:
+    if xb not in spec_b.state_index:
         raise ModelError(f"initial state {xb} not in the second state space")
-    arrays_a, arrays_b = _link_arrays(coupled.spec_a), _link_arrays(coupled.spec_b)
-    rates = [(ra.tolist(), rb.tolist()) for (ra, _), (rb, _) in zip(arrays_a, arrays_b)]
-    width = len(coupled.spec_b.states)
+    rates = [
+        (spec_a.rate_vector(link).tolist(), spec_b.rate_vector(link).tolist())
+        for link in coupled.links
+    ]
+    width = len(spec_b.states)
 
     def row(pair):
         ia, ib = divmod(pair, width)
         return _pair_row([(rates_a[ia], rates_b[ib]) for rates_a, rates_b in rates])
 
     # Per bin, where each side goes: a side that does not move keeps its index.
-    stay_a = list(range(len(coupled.spec_a.states)))
+    stay_a = list(range(len(spec_a.states)))
     stay_b = list(range(width))
     targets = []
-    for (_, next_a), (_, next_b) in zip(arrays_a, arrays_b):
-        next_a, next_b = next_a.tolist(), next_b.tolist()
+    for link in coupled.links:
+        next_a, next_b = spec_a.next_index(link).tolist(), spec_b.next_index(link).tolist()
         targets += [(next_a, next_b), (stay_a, next_b), (next_a, stay_b)]
 
     def advance(pair, b):
@@ -292,7 +295,7 @@ def simulate_coupled(
         next_a, next_b = targets[b]
         return next_a[ia] * width + next_b[ib]
 
-    start = coupled.spec_a.state_index[xa] * width + coupled.spec_b.state_index[xb]
+    start = spec_a.state_index[xa] * width + spec_b.state_index[xb]
     times, bins, pairs, absorbed = gillespie(
         _Rows(row).__getitem__, advance, start, horizon, seed
     )
@@ -300,8 +303,8 @@ def simulate_coupled(
         initial_a=xa,
         initial_b=xb,
         links=coupled.links,
-        states_a=coupled.spec_a.states,
-        states_b=coupled.spec_b.states,
+        states_a=spec_a.states,
+        states_b=spec_b.states,
         times=times,
         bins=bins,
         pairs=pairs,

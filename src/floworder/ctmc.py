@@ -6,7 +6,9 @@ and next_index arrays, each row's columns already in sorted order. A
 link (i, j) moves x to x - e_i + e_j, and that target fixes (i, j), so no
 two links share a (source, target) pair: the off-diagonal of the matrix
 is exactly the set of moves, and a move's link and rate are read back
-from the spec's rate_vector and next_index arrays.
+from the spec's rate_vector and next_index arrays. The spec checked its
+rates when it was built (no positive rate leaves the space), so the
+generator and the simulators read those arrays as they are.
 
 Simulation: gillespie is the one Gillespie (1977) kernel, over integer
 states and numbered bins: one exponential draw for the holding time, then
@@ -42,8 +44,9 @@ Solvers:
     sum_{k>K} P(N > k) at the largest time.
 
 Both take their Poisson weights from _poisson_weights, the one place the
-truncation policy lives; a mean Lambda t that overflows to infinity
-raises SolverError there. Both read the transposed kernel P^T, built once
+truncation policy lives; a mean Lambda t that overflows to infinity, or
+whose truncation depth passes _MAX_POISSON_DEPTH, raises SolverError
+there. Both read the transposed kernel P^T, built once
 per generator as a CSC matrix and cached, so each power is one column
 product vec = P^T vec; no sparse matrix is made per step. The stationary
 residual max|pi Q| is the column product Q^T pi in the same way.
@@ -67,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Link, ModelError, NetworkSpec, State, validate_spec
+from .model import Link, ModelError, NetworkSpec, State
 from .rng import make_stream
 
 __all__ = [
@@ -236,18 +239,6 @@ class Generator:
         return self._kernel_t
 
 
-def _link_arrays(spec: NetworkSpec):
-    """Per-link (rates, next_index) arrays; a positive rate leaving the space raises."""
-    issues = validate_spec(spec).issues
-    if issues:
-        (i, j), x = issues[0].link, issues[0].state
-        raise ModelError(
-            f"rate for link {i}->{j} is positive at state {x} "
-            f"but the move leaves the state space"
-        )
-    return [(spec.rate_vector(link), spec.next_index(link)) for link in spec.links]
-
-
 def build_generator(spec: NetworkSpec) -> Generator:
     """The generator as CSR arrays, assembled directly from the link arrays.
 
@@ -262,11 +253,12 @@ def build_generator(spec: NetworkSpec) -> Generator:
     import scipy.sparse as sp
 
     m = len(spec.states)
-    arrays = _link_arrays(spec)
     exit_rates = np.zeros(m)
-    for rates, _ in arrays:
+    slots = []
+    for link in spec.links:
+        rates = spec.rate_vector(link)
         exit_rates += rates  # link by link in declared order, which fixes the rounding
-    slots = [(rates > 0.0, next_index, rates) for rates, next_index in arrays]
+        slots.append((rates > 0.0, spec.next_index(link), rates))
     slots.append((exit_rates > 0.0, np.arange(m), -exit_rates))
     moves = [spec.target((0,) * spec.n, link) for link in spec.links] + [(0,) * spec.n]
     slots = [slots[k] for k in sorted(range(len(slots)), key=moves.__getitem__)]
@@ -361,9 +353,8 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     init = tuple(int(v) for v in init)
     if init not in spec.state_index:
         raise ModelError(f"initial state {init} not in the state space")
-    arrays = _link_arrays(spec)
-    rows = _cumulative_rows(np.column_stack([r for r, _ in arrays]))
-    next_index = [n.tolist() for _, n in arrays]
+    rows = _cumulative_rows(np.column_stack([spec.rate_vector(link) for link in spec.links]))
+    next_index = [spec.next_index(link).tolist() for link in spec.links]
     times, moves, visits, absorbed = gillespie(
         rows.__getitem__, lambda i, b: next_index[b][i], spec.state_index[init], horizon, seed
     )
@@ -492,6 +483,11 @@ def distribution_vector(gen: Generator, p0) -> np.ndarray:
     return np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum()
 
 
+# Largest Poisson truncation depth _poisson_weights lays out: each of its
+# arrays then holds at most 8 MB, and a solver at most this many powers.
+_MAX_POISSON_DEPTH = 10**6
+
+
 def _poisson_weights(q: float) -> tuple[np.ndarray, np.ndarray]:
     """Poisson(q) probabilities P(N = k) and right tails P(N > k), k = 0..K.
 
@@ -500,15 +496,22 @@ def _poisson_weights(q: float) -> tuple[np.ndarray, np.ndarray]:
     right, so small tails keep their relative accuracy. K = q + 40 sqrt(q)
     + 200 puts the mass beyond K below 1e-300, which the tails treat as 0.
     q is the uniformization rate times a time; an infinite (overflowed)
-    or NaN q has no truncation depth and raises SolverError.
+    or NaN q has no truncation depth, and a K above _MAX_POISSON_DEPTH is
+    refused before anything is allocated: both raise SolverError.
     """
     if not q < math.inf:
         raise SolverError(f"Poisson mean Lambda*t = {q:g} is not finite; no truncation depth")
     if q == 0.0:
         return np.ones(1), np.zeros(1)
     kmax = int(q + 40.0 * math.sqrt(q) + 200.0)
+    if kmax > _MAX_POISSON_DEPTH:
+        raise SolverError(
+            f"Poisson mean Lambda*t = {q:g} needs truncation depth {kmax}, "
+            f"above the limit {_MAX_POISSON_DEPTH}"
+        )
     mode = int(q)
-    steps = np.log(q / np.arange(1, kmax + 1))  # log P(N = k) / P(N = k - 1)
+    with np.errstate(divide="ignore"):  # q / k underflows to 0 when q is subnormal
+        steps = np.log(q / np.arange(1, kmax + 1))  # log P(N = k) / P(N = k - 1)
     logw = np.zeros(kmax + 1)
     logw[mode + 1 :] = np.cumsum(steps[mode:])
     logw[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
@@ -534,7 +537,8 @@ def transient_distribution(gen: Generator, p0, t: float, tol: float = 1e-12) -> 
     P = I + Q / unif_rate. K is the first depth with P(N > K) <= tol, so
     the dropped mass is at most tol; the result is renormalized. A tol no
     depth meets (negative or NaN) raises ToleranceError, and a unif_rate t
-    that overflows to infinity raises SolverError.
+    that overflows to infinity or is too large to truncate raises
+    SolverError.
     """
     vec = distribution_vector(gen, p0)
     if not 0.0 <= t < math.inf:
@@ -568,7 +572,8 @@ def transient_mean_flow(
     (max r / Lambda) sum_{k>K} P(N > k) <= tol. Every term is nonnegative,
     so rounding adds a relative error of order K times machine epsilon on
     top. A tol no depth meets (negative or NaN) raises ToleranceError, and
-    a Lambda t that overflows to infinity raises SolverError.
+    a Lambda t that overflows to infinity or is too large to truncate
+    raises SolverError.
     """
     if link not in spec.rates:
         raise ModelError(f"unknown link {link}")

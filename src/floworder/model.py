@@ -27,8 +27,10 @@ States are enumerated in lexicographic order, which fixes the index map
 used by every solver and report in the package. Each link is held as two
 arrays over that index: its effective rate at every state, and the index
 of the state each move leads to (-1 where the move leaves the space).
-Both are built once per link, from one evaluation of its expression over
-the whole state array, and validation reads them as masks.
+Both are built once per link, when a NetworkSpec is constructed, from one
+evaluation of its expression over the whole state array, and the rate
+rules above are checked on them there. A spec built directly is held to
+the same rules as a parsed document.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -48,8 +51,6 @@ __all__ = [
     "State",
     "ModelError",
     "NetworkSpec",
-    "ValidationIssue",
-    "ValidationReport",
     "linear_links",
     "is_linear_family",
     "balance_signature",
@@ -57,7 +58,6 @@ __all__ = [
     "load_model",
     "serialize_model",
     "model_digest",
-    "validate_spec",
 ]
 
 Link = tuple[int, int]
@@ -66,22 +66,6 @@ State = tuple[int, ...]
 
 class ModelError(ValueError):
     """Malformed model document or invalid specification."""
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    state: State
-    link: Link
-    rate: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.issues
 
 
 def linear_links(n: int) -> tuple[Link, ...]:
@@ -93,11 +77,17 @@ def linear_links(n: int) -> tuple[Link, ...]:
 
 @dataclass(eq=True)
 class NetworkSpec:
-    """Immutable description of one population process.
+    """Immutable description of one population process, validated when built.
 
-    Treat instances as frozen after construction; the state index, the
-    (m, n) int64 state array and the per-link arrays are cached on first
-    use.
+    Construction evaluates each link's expression once over the (m, n)
+    int64 state array and keeps the link's two arrays: its effective rate
+    at every state (clamp applied) and the index of the state each move
+    leads to (-1 where the move leaves the space). It raises ModelError at
+    the first bad state, links in declared order and states in
+    enumeration order: a rate that is not finite, then a negative one,
+    then (unless clamp is set) a positive rate whose move leaves the
+    space. So every spec, parsed or built directly, is a valid model.
+    Treat instances as frozen.
     """
 
     n: int
@@ -106,15 +96,44 @@ class NetworkSpec:
     rates: dict[Link, RateExpr]
     params: dict[str, float]
     clamp: bool = False
-    _index: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _coords: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    state_index: dict[State, int] = field(init=False, repr=False, compare=False)
+    _arrays: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def state_index(self) -> dict[State, int]:
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self.states)}
-        return self._index
+    def __post_init__(self):
+        self.state_index = index = {x: k for k, x in enumerate(self.states)}
+        coords = np.array(self.states, dtype=np.int64)
+        self._arrays = {}
+        for i, j in self.links:
+            name = f"{i}->{j}"
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
+                    unclamped = evaluate(self.rates[(i, j)].root, coords, self.params)
+            except RecursionError:
+                raise ModelError(f"rate for link {name} is nested too deeply to evaluate") from None
+            moved = coords.copy()
+            if i > 0:
+                moved[:, i - 1] -= 1
+            if j > 0:
+                moved[:, j - 1] += 1
+            targets = [index.get(y, -1) for y in map(tuple, moved.tolist())]
+            next_index = np.array(targets, dtype=np.int64)
+            bad = ~np.isfinite(unclamped) | (unclamped < 0)
+            if not self.clamp:
+                bad |= (unclamped > 0) & (next_index < 0)
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                k = int(hits[0])
+                x, r = self.states[k], float(unclamped[k])
+                if not math.isfinite(r):
+                    raise ModelError(f"rate for link {name} is not finite at state {x}")
+                if r < 0:
+                    raise ModelError(f"rate for link {name} is negative at state {x}: {r}")
+                raise ModelError(
+                    f"rate for link {name} is positive at state {x} "
+                    f"but the move leaves the state space; set clamp to allow this"
+                )
+            rates = np.where(next_index >= 0, unclamped, 0.0) if self.clamp else unclamped
+            self._arrays[(i, j)] = (rates, next_index)
 
     def index_of(self, x: State) -> int:
         try:
@@ -132,39 +151,11 @@ class NetworkSpec:
         return tuple(y)
 
     def rate_vector(self, link: Link) -> np.ndarray:
-        """Effective rates of `link` aligned with the state enumeration, clamp applied.
-
-        The first call for a link evaluates its expression once over all
-        states and maps every state to the index of its target.
-        """
-        arrays = self._arrays.get(link)
-        if arrays is None:
-            if self._coords is None:
-                self._coords = np.array(self.states, dtype=np.int64)
-            coords = self._coords
-            i, j = link
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
-                    raw = evaluate(self.rates[link].root, coords, self.params)
-            except RecursionError:
-                raise ModelError(
-                    f"rate for link {i}->{j} is nested too deeply to evaluate"
-                ) from None
-            moved = coords.copy()
-            if i > 0:
-                moved[:, i - 1] -= 1
-            if j > 0:
-                moved[:, j - 1] += 1
-            index = self.state_index
-            targets = [index.get(y, -1) for y in map(tuple, moved.tolist())]
-            next_index = np.array(targets, dtype=np.int64)
-            rates = np.where(next_index >= 0, raw, 0.0) if self.clamp else raw
-            arrays = self._arrays[link] = (rates, next_index, raw)
-        return arrays[0]
+        """Effective rates of `link` aligned with the state enumeration, clamp applied."""
+        return self._arrays[link][0]
 
     def next_index(self, link: Link) -> np.ndarray:
         """Index of the state a move along `link` leads to; -1 if it leaves the space."""
-        self.rate_vector(link)
         return self._arrays[link][1]
 
     def rate_table(self, link: Link) -> dict[State, float]:
@@ -277,10 +268,10 @@ def _parse_link_key(key: str) -> Link:
 def parse_model(document) -> NetworkSpec:
     """Build a NetworkSpec from a JSON document (text or parsed object).
 
-    The whole document is validated here: schema, expression identifiers,
-    nonnegativity of every rate on every state, and the requirement that
-    rates vanish whenever their target leaves the state space (unless the
-    clamp flag asks for automatic clamping).
+    The document's schema and expression identifiers are checked here;
+    the rates themselves (finite and nonnegative at every state, and zero
+    where the move leaves the state space unless the clamp flag is set)
+    are checked when the NetworkSpec is built.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -359,28 +350,9 @@ def parse_model(document) -> NetworkSpec:
         raise ModelError(f"missing rate for link {missing[0]}")
     rates = {link: rates[link] for link in links}
 
-    spec = NetworkSpec(
+    return NetworkSpec(
         n=n, links=links, states=states, rates=rates, params=params, clamp=clamp
     )
-
-    for link in links:
-        spec.rate_vector(link)  # builds the link's arrays once
-        _, next_index, raw = spec._arrays[link]
-        finite = np.isfinite(raw)
-        leaves = (raw > 0) & (next_index < 0) & (not clamp)
-        bad = np.flatnonzero(~finite | (raw < 0) | leaves)
-        if bad.size:
-            k = int(bad[0])
-            x, r, name = states[k], float(raw[k]), f"{link[0]}->{link[1]}"
-            if not finite[k]:
-                raise ModelError(f"rate for link {name} is not finite at state {x}")
-            if r < 0:
-                raise ModelError(f"rate for link {name} is negative at state {x}: {r}")
-            raise ModelError(
-                f"rate for link {name} is positive at state {x} "
-                f"but the move leaves the state space; set clamp to allow this"
-            )
-    return spec
 
 
 def load_model(path) -> NetworkSpec:
@@ -408,14 +380,3 @@ def model_digest(spec: NetworkSpec) -> str:
     """Stable content hash used in report headers."""
     text = json.dumps(serialize_model(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def validate_spec(spec: NetworkSpec) -> ValidationReport:
-    """List every (state, link) whose effective rate escapes the state space."""
-    issues = []
-    for link in spec.links:
-        rates = spec.rate_vector(link)
-        escaping = (rates > 0) & (spec.next_index(link) < 0)
-        for k in np.flatnonzero(escaping).tolist():
-            issues.append(ValidationIssue(state=spec.states[k], link=link, rate=float(rates[k])))
-    return ValidationReport(issues=tuple(issues))

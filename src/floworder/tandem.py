@@ -30,6 +30,7 @@ __all__ = [
     "build_original_tandem",
     "build_balanced_tandem",
     "loss_rate",
+    "loss_rate_applies",
     "product_form_residual",
 ]
 
@@ -141,12 +142,22 @@ def build_balanced_tandem(params: TandemParams) -> NetworkSpec:
     return parse_model(doc)
 
 
+def loss_rate_applies(spec: NetworkSpec) -> bool:
+    """Whether loss_rate's precondition holds: the model has a 'beta'
+    parameter and a 0->1 link whose rate is beta or 0 at every state."""
+    if "beta" not in spec.params or (0, 1) not in spec.links:
+        return False
+    arrivals = spec.rate_vector((0, 1))
+    return bool(((arrivals == spec.params["beta"]) | (arrivals == 0.0)).all())
+
+
 def loss_rate(spec: NetworkSpec, pi) -> float:
     """Stationary rate of rejected arrivals: beta minus accepted throughput.
 
     Cross-checked against beta times the stationary mass of states where
     the arrival rate is blocked to zero; the two routes must agree to
-    1e-10, which holds whenever arrivals run at either beta or zero.
+    1e-10, which holds whenever arrivals run at either beta or zero
+    (loss_rate_applies).
     """
     if "beta" not in spec.params:
         raise ModelError("loss rate needs a 'beta' parameter on the model")

@@ -35,7 +35,6 @@ from floworder.ctmc import (
     ConvergenceError,
     Event,
     Generator,
-    _link_arrays,
     _poisson_weights,
     _recurrent_class,
     _truncation_depth,
@@ -150,7 +149,8 @@ def reference_generator(spec: NetworkSpec):
     m = len(spec.states)
     exit_rates = np.zeros(m)
     rows, cols, vals = [], [], []
-    for rates, next_index in _link_arrays(spec):
+    for link in spec.links:
+        rates, next_index = spec.rate_vector(link), spec.next_index(link)
         moving = np.flatnonzero(rates > 0.0)
         rows.append(moving)
         cols.append(next_index[moving])
@@ -681,27 +681,42 @@ def reference_parse_expression(source: str, n: int, param_names) -> expr.RateExp
     return expr.RateExpr(source=source, root=root, n=n)
 
 
-def scalar_model_error(spec: NetworkSpec):
-    """The rate error parse_model reports for spec, found state by state, or None.
+def scalar_model_error(n, links, states, rates, params, clamp=False):
+    """The rate error NetworkSpec(n, links, ...) raises, found state by state, or None.
 
-    Links in declared order, states in lexicographic order; at a state a
-    rate that is not finite is reported before a negative one, and that
-    before a positive rate whose move leaves the space (unless clamped).
+    Takes the parts a spec is built from, since a spec with a bad rate
+    cannot be built. Links in declared order, states in the given order;
+    at a state a rate that is not finite is reported before a negative
+    one, and that before a positive rate whose move leaves the space
+    (unless clamped).
     """
-    for link in spec.links:
-        name = f"{link[0]}->{link[1]}"
-        for x in spec.states:
-            r = scalar_evaluate(spec.rates[link].root, x, spec.params)
+    space = set(states)
+    for i, j in links:
+        name = f"{i}->{j}"
+        for x in states:
+            r = scalar_evaluate(rates[(i, j)].root, x, params)
             if not math.isfinite(r):
                 return f"rate for link {name} is not finite at state {x}"
             if r < 0:
                 return f"rate for link {name} is negative at state {x}: {r}"
-            if not spec.clamp and r > 0 and spec.target(x, link) not in spec.state_index:
+            y = list(x)
+            if i > 0:
+                y[i - 1] -= 1
+            if j > 0:
+                y[j - 1] += 1
+            if not clamp and r > 0 and tuple(y) not in space:
                 return (
                     f"rate for link {name} is positive at state {x} "
                     f"but the move leaves the state space; set clamp to allow this"
                 )
     return None
+
+
+def no_escaping_rate(spec: NetworkSpec) -> bool:
+    """True when no link of spec has a positive rate whose move leaves the space."""
+    return not any(
+        ((spec.rate_vector(link) > 0) & (spec.next_index(link) < 0)).any() for link in spec.links
+    )
 
 
 def scalar_rate_table(spec: NetworkSpec, link) -> dict:

@@ -191,6 +191,18 @@ def test_transient_overflowing_poisson_mean_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_transient_poisson_depth_above_the_limit_is_one_error_line(tmp_path, capsys):
+    """beta = 1e20 at t = 10 asks for a depth near 1e21: exit 2 before any
+    weight array is laid out, not a numpy size error."""
+    out = tmp_path / "out"
+    argv = ["transient", "--family", "tandem-pair", "--beta", "1e20", "--grid", "0:10:1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floworder: Poisson mean Lambda*t = 1e+21 needs truncation depth ")
+    assert err.endswith(", above the limit 1000000\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "verify", "couple", "simulate", "solve", "sweep"])
 def test_every_command_rejects_nan_tolerance(command, tmp_path, capsys):
     family = {"simulate": "tandem-original", "solve": "tandem-original"}.get(command, "tandem-pair")
@@ -229,6 +241,25 @@ def test_solve_without_beta_omits_loss(tmp_path, capsys):
     body = json.loads((tmp_path / "solve.json").read_text())
     assert "loss_rate" not in body
     assert set(body["throughput"]) == {"0->1", "1->0"}
+
+
+def test_solve_omits_loss_where_arrivals_are_not_beta_or_zero(tmp_path, capsys):
+    """Arrivals at beta / 2 have no loss-rate accounting: the field is left
+    out and solve succeeds, with both report files written."""
+    doc = {
+        "n": 1,
+        "space": {"box": [3]},
+        "params": {"beta": 2.0},
+        "rates": {"0->1": "0.5 * beta * ind(x1 < 3)", "1->0": "x1"},
+    }
+    path = write_doc(tmp_path, "half_beta.json", doc)
+    rc = main(["solve", "--model-a", path, "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    body = json.loads((tmp_path / "solve.json").read_text())
+    assert "loss_rate" not in body
+    assert set(body["throughput"]) == {"0->1", "1->0"}
+    assert (tmp_path / "stationary.csv").exists()
 
 
 def test_simulate_replication_files(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -198,26 +200,24 @@ def test_non_finite_horizon_rejected(simulator, horizon):
 
 
 def test_moves_leaving_the_space_rejected():
-    # built directly, bypassing parse-time strictness
+    # built directly, not parsed: no spec with an escaping rate reaches the
+    # generator or the simulators, since construction refuses it
     params = {"b": 2.0}
-    spec = NetworkSpec(
-        n=1,
-        links=linear_links(1),
-        states=((0,), (1,)),
-        rates={
-            (0, 1): parse_expression("b", 1, params),
-            (1, 0): parse_expression("x1", 1, params),
-        },
-        params=params,
+    with pytest.raises(ModelError) as err:
+        NetworkSpec(
+            n=1,
+            links=linear_links(1),
+            states=((0,), (1,)),
+            rates={
+                (0, 1): parse_expression("b", 1, params),
+                (1, 0): parse_expression("x1", 1, params),
+            },
+            params=params,
+        )
+    assert str(err.value) == (
+        "rate for link 0->1 is positive at state (1,) "
+        "but the move leaves the state space; set clamp to allow this"
     )
-    coupled = build_stateflow_coupling(spec, spec)
-    for run in (
-        lambda: build_generator(spec),
-        lambda: simulate_path(spec, (0,), 1.0, seed=0),
-        lambda: simulate_coupled(coupled, (0,), (0,), 1.0, seed=0),
-    ):
-        with pytest.raises(ModelError, match=r"positive at state \(1,\) but the move leaves"):
-            run()
 
 
 def kernel_row(rates):
@@ -615,6 +615,36 @@ def test_overflowing_poisson_mean_raises_solver_error():
         transient_distribution(build_generator(spec), (0, 0), 10.0)
     with pytest.raises(SolverError, match=r"Lambda\*t = inf"):
         transient_mean_flow(spec, (0, 0), (0, 1), (0.0, 10.0))
+
+
+def test_poisson_depth_above_the_limit_raises_before_allocating():
+    """A Lambda * t whose truncation depth passes the limit is refused before
+    its weight arrays are laid out (2e6 would take four 16 MB arrays)."""
+    q = 2e6
+    assert int(q + 40.0 * math.sqrt(q) + 200.0) > ctmc._MAX_POISSON_DEPTH
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match=r"Lambda\*t = 2e\+06 needs truncation depth 2056768,"):
+            ctmc._poisson_weights(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    spec = build_original_tandem(TandemParams.linear(2, 2, 1e20))
+    with pytest.raises(SolverError, match="above the limit 1000000"):
+        transient_distribution(build_generator(spec), (0, 0), 1.0)
+    with pytest.raises(SolverError, match="above the limit 1000000"):
+        transient_mean_flow(spec, (0, 0), (0, 1), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-310])
+def test_subnormal_poisson_mean_gives_weights_without_a_warning(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, tail = ctmc._poisson_weights(q)
+    assert w.size == 201
+    assert w[0] == 1.0 and w[1] == q and not w[2:].any()
+    assert tail[0] == q and not tail[1:].any()
 
 
 def assert_transient_matches_reference(spec, p0, times):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,7 +21,6 @@ from floworder.model import (
     model_digest,
     parse_model,
     serialize_model,
-    validate_spec,
 )
 
 
@@ -96,41 +96,72 @@ def test_clamp_flag_zeroes_escaping_moves():
     assert table[(0,)] == 1.0
     assert table[(1,)] == 1.0
     assert table[(2,)] == 0.0
-    assert validate_spec(spec).valid
+    assert helpers.no_escaping_rate(spec)
 
 
-def test_validate_spec_reports_forced_violation():
-    # built directly, bypassing parse-time strictness, to exercise the report
-    from floworder.expr import parse_expression
-
-    params = {"b": 2.0}
-    spec = NetworkSpec(
+def one_node_parts(arrival, box=2, params=None, clamp=False):
+    """The parts of a one-node spec over 0..box, for building it directly."""
+    params = {"b": 2.0} if params is None else params
+    return dict(
         n=1,
         links=linear_links(1),
-        states=((0,), (1,)),
+        states=tuple((k,) for k in range(box + 1)),
         rates={
-            (0, 1): parse_expression("b", 1, params),
+            (0, 1): parse_expression(arrival, 1, params),
             (1, 0): parse_expression("x1", 1, params),
         },
         params=params,
-        clamp=False,
+        clamp=clamp,
     )
-    report = validate_spec(spec)
-    assert not report.valid
-    assert any(issue.state == (1,) and issue.link == (0, 1) for issue in report.issues)
-    assert report.issues[0].rate == 2.0
 
 
-def test_validate_spec_balanced_tandem_clean():
+def test_construction_rejects_forced_violation():
+    # built directly, not parsed: construction holds it to the same rules
+    with pytest.raises(ModelError) as err:
+        NetworkSpec(**one_node_parts("b", box=1))
+    assert str(err.value) == (
+        "rate for link 0->1 is positive at state (1,) "
+        "but the move leaves the state space; set clamp to allow this"
+    )
+    assert NetworkSpec(**one_node_parts("b", box=1, clamp=True)).rate_table((0, 1)) == {
+        (0,): 2.0,
+        (1,): 0.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "arrival, params, message",
+    [
+        # the arrival rate b stays positive at the full state (2,)
+        ("b", {"b": 2.0},
+         "rate for link 0->1 is positive at state (2,) "
+         "but the move leaves the state space; set clamp to allow this"),
+        # inf - inf is NaN at every state
+        ("(b - b) * ind(x1 < 1)", {"b": math.inf},
+         "rate for link 0->1 is not finite at state (0,)"),
+    ],
+    ids=["escaping", "nan"],
+)
+def test_direct_specs_with_escaping_or_nan_rates_are_rejected(arrival, params, message):
+    """Specs built directly that the order checks and throughput once took as
+    valid models; construction now refuses them."""
+    parts = one_node_parts(arrival, params=params)
+    assert helpers.scalar_model_error(**parts) == message
+    with pytest.raises(ModelError) as err:
+        NetworkSpec(**parts)
+    assert str(err.value) == message
+
+
+def test_balanced_tandem_has_no_escaping_rate():
     from floworder.tandem import TandemParams, build_balanced_tandem
 
     spec = build_balanced_tandem(TandemParams.linear(2, 2, 1.0))
-    assert validate_spec(spec).valid
+    assert helpers.no_escaping_rate(spec)
 
 
 def test_exit_link_never_leaves():
     doc = {"n": 1, "space": {"box": [3]}, "rates": {"0->1": "ind(x1 < 3)", "1->0": "x1"}}
-    assert validate_spec(parse_model(doc)).valid
+    assert helpers.no_escaping_rate(parse_model(doc))
 
 
 def test_positive_rates_have_in_space_targets():
@@ -461,7 +492,7 @@ def test_rate_arrays_bit_equal_scalar_oracle_on_clamp_documents(exprs, c1, c2, a
         "clamp": True,
     }
     params = {"a": a, "b": b}
-    spec = NetworkSpec(
+    parts = dict(
         n=2,
         links=linear_links(2),
         states=tuple((i, j) for i in range(c1 + 1) for j in range(c2 + 1)),
@@ -469,13 +500,15 @@ def test_rate_arrays_bit_equal_scalar_oracle_on_clamp_documents(exprs, c1, c2, a
         params=params,
         clamp=True,
     )
-    expected = helpers.scalar_model_error(spec)
+    expected = helpers.scalar_model_error(**parts)
     if expected is None:
         assert_arrays_match_oracle(parse_model(doc))
+        assert_arrays_match_oracle(NetworkSpec(**parts))
     else:
-        with pytest.raises(ModelError) as err:
-            parse_model(doc)
-        assert str(err.value) == expected
+        for build in (lambda: parse_model(doc), lambda: NetworkSpec(**parts)):
+            with pytest.raises(ModelError) as err:
+                build()
+            assert str(err.value) == expected
 
 
 @given(
@@ -486,7 +519,7 @@ def test_rate_arrays_bit_equal_scalar_oracle_on_clamp_documents(exprs, c1, c2, a
 )
 def test_validation_errors_match_scalar_oracle(exprs, c1, c2, clamp):
     params = {"a": 0.5, "b": 3.0}
-    spec = NetworkSpec(
+    parts = dict(
         n=2,
         links=linear_links(2),
         states=tuple((i, j) for i in range(c1 + 1) for j in range(c2 + 1)),
@@ -494,13 +527,24 @@ def test_validation_errors_match_scalar_oracle(exprs, c1, c2, clamp):
         params=params,
         clamp=clamp,
     )
-    expected = helpers.scalar_model_error(spec)
+    doc = {
+        "n": 2,
+        "space": {"box": [c1, c2]},
+        "params": params,
+        "rates": dict(zip(("0->1", "1->2", "2->0"), exprs)),
+        "clamp": clamp,
+    }
+    expected = helpers.scalar_model_error(**parts)
     if expected is None:
+        spec = NetworkSpec(**parts)
+        assert helpers.no_escaping_rate(spec)
+        assert parse_model(doc) == spec
         assert parse_model(serialize_model(spec)) == spec
     else:
-        with pytest.raises(ModelError) as err:
-            parse_model(serialize_model(spec))
-        assert str(err.value) == expected
+        for build in (lambda: parse_model(doc), lambda: NetworkSpec(**parts)):
+            with pytest.raises(ModelError) as err:
+                build()
+            assert str(err.value) == expected
 
 
 # ------------------------------------------- malformed and deep expressions

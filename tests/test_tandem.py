@@ -5,13 +5,14 @@ import pytest
 
 import helpers
 from floworder.ctmc import build_generator, stationary_distribution, throughput
-from floworder.model import ModelError, parse_model, validate_spec
+from floworder.model import ModelError, parse_model
 from floworder.ordering import check_flow_conditions
 from floworder.tandem import (
     TandemParams,
     build_balanced_tandem,
     build_original_tandem,
     loss_rate,
+    loss_rate_applies,
     product_form_residual,
 )
 
@@ -111,7 +112,7 @@ def test_balanced_blocks_departures_at_full_first_queue():
 def test_balanced_passes_boundary_validation():
     for s1, s2 in ((1, 1), (2, 2), (3, 2)):
         spec = build_balanced_tandem(TandemParams.linear(s1, s2, 1.0))
-        assert validate_spec(spec).valid
+        assert helpers.no_escaping_rate(spec)
 
 
 def test_variants_differ_only_on_two_indicator_sets():
@@ -190,6 +191,15 @@ def test_loss_rate_needs_beta_parameter():
     spec = helpers.two_state_chain()
     with pytest.raises(ModelError, match="beta"):
         loss_rate(spec, [0.5, 0.5])
+
+
+def test_loss_rate_applies_only_where_arrivals_are_beta_or_zero():
+    for params in (TandemParams.linear(2, 2, 1.5), TandemParams(1, 1, 0.0, (0, 1), (0, 1))):
+        assert loss_rate_applies(build_original_tandem(params))
+        assert loss_rate_applies(build_balanced_tandem(params))
+    assert not loss_rate_applies(helpers.two_state_chain())
+    half = helpers.single_node_doc("0.5 * beta * ind(x1 < 3)", "x1", 3, params={"beta": 2.0})
+    assert not loss_rate_applies(parse_model(half))
 
 
 def test_loss_rate_detects_partial_blocking():
