@@ -12,7 +12,6 @@ from floworder import (
     TandemParams,
     build_balanced_tandem,
     build_original_tandem,
-    build_stateflow_coupling,
     pathwise_flow_order_check,
     replication_seed,
     simulate_coupled,
@@ -30,9 +29,7 @@ def main() -> None:
     args = ap.parse_args()
 
     params = TandemParams.linear(args.s1, args.s2, args.beta)
-    coupled = build_stateflow_coupling(
-        build_balanced_tandem(params), build_original_tandem(params)
-    )
+    balanced, original = build_balanced_tandem(params), build_original_tandem(params)
     init = (0,) * 2
 
     print(f"tandem pair s=({args.s1},{args.s2}) beta={args.beta} "
@@ -42,7 +39,7 @@ def main() -> None:
     total_violations = 0
     for k in range(args.reps):
         log = simulate_coupled(
-            coupled, init, init, args.horizon, replication_seed(args.seed, k)
+            balanced, original, init, init, args.horizon, replication_seed(args.seed, k)
         )
         violations = pathwise_flow_order_check(log)
         total_violations += len(violations)

@@ -23,9 +23,7 @@ from .coupling import (
     A_ONLY,
     B_ONLY,
     JOINT,
-    CoupledSpec,
     PairedEventLog,
-    build_stateflow_coupling,
     marching_rates,
     simulate_coupled,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "ClosureReport",
     "ConditionReport",
     "ConvergenceError",
-    "CoupledSpec",
     "EventLog",
     "ExpressionError",
     "Generator",
@@ -102,7 +99,6 @@ __all__ = [
     "build_balanced_tandem",
     "build_generator",
     "build_original_tandem",
-    "build_stateflow_coupling",
     "check_flow_conditions",
     "check_population_conditions",
     "empirical_tail_order",

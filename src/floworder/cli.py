@@ -23,7 +23,10 @@ model errors.
 The argument parser is built once, when this module is imported, with
 the options every subcommand shares on one parent parser; main() only
 calls parse_args, which leaves the parser as it was. A process that
-calls main() many times pays for the parser once.
+calls main() many times pays for the parser once. The parser is also
+the only place that names an option and its default: each command's
+handler reads the parsed namespace as it is, and main() checks --tol
+and dispatches on the command.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
-from .coupling import build_stateflow_coupling, paired_log_csv, simulate_coupled
+from .coupling import paired_log_csv, simulate_coupled
 from .ctmc import (
     SolverError,
     build_generator,
@@ -63,61 +65,24 @@ from .tandem import (
     loss_rate_applies,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """One parsed CLI invocation; identical configs give identical outputs."""
-
-    command: str
-    model_a: str | None = None
-    model_b: str | None = None
-    family: str | None = None
-    s1: int = 2
-    s2: int = 2
-    beta: float = 1.0
-    delta1: tuple[float, ...] | None = None
-    delta2: tuple[float, ...] | None = None
-    seed: int = 0
-    horizon: float = 10.0
-    reps: int = 1
-    grid: str = "0:10:10"
-    link: str = "0->1"
-    init: str | None = None
-    tol: float = 1e-8
-    out: str | None = None
-    fmt: str = "json"
-    jobs: int = 1
-    betas: tuple[float, ...] = (0.5, 1.0, 2.0)
-    sizes: tuple[int, ...] = (1, 2, 3)
-    all_witnesses: bool = field(default=False)
-
-
-def _tandem_params(config: RunConfig) -> TandemParams:
-    if config.delta1 is None and config.delta2 is None:
-        base = TandemParams.linear(config.s1, config.s2, config.beta)
-        return base
-    delta1 = (
-        config.delta1
-        if config.delta1 is not None
-        else tuple(float(k) for k in range(config.s1 + 1))
-    )
-    delta2 = (
-        config.delta2
-        if config.delta2 is not None
-        else tuple(float(k) for k in range(config.s2 + 1))
-    )
+def _tandem_params(config: argparse.Namespace) -> TandemParams:
     return TandemParams(
-        s1=config.s1, s2=config.s2, beta=config.beta, delta1=delta1, delta2=delta2
+        s1=config.s1,
+        s2=config.s2,
+        beta=config.beta,
+        delta1=range(config.s1 + 1) if config.delta1 is None else config.delta1,
+        delta2=range(config.s2 + 1) if config.delta2 is None else config.delta2,
     )
 
 
-def _single_model(config: RunConfig) -> NetworkSpec:
+def _single_model(config: argparse.Namespace) -> NetworkSpec:
     if config.family is not None and config.model_a is not None:
         raise UsageError("give either --model-a or --family, not both")
     if config.family is not None:
@@ -135,7 +100,7 @@ def _single_model(config: RunConfig) -> NetworkSpec:
     return load_model(config.model_a)
 
 
-def _model_pair(config: RunConfig) -> tuple[NetworkSpec, NetworkSpec]:
+def _model_pair(config: argparse.Namespace) -> tuple[NetworkSpec, NetworkSpec]:
     if config.family is not None:
         if config.model_a is not None or config.model_b is not None:
             raise UsageError("give either model paths or --family, not both")
@@ -180,7 +145,7 @@ def _parse_init(text: str) -> tuple[int, ...]:
         raise UsageError("--init must look like a semicolon-joined state, e.g. 0;0") from None
 
 
-def _check_replications(config: RunConfig):
+def _check_replications(config: argparse.Namespace):
     if config.seed < 0:
         raise UsageError("--seed must be nonnegative")
     if not 0.0 <= config.horizon < math.inf:
@@ -206,13 +171,13 @@ def _map_replications(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _out_dir(config: RunConfig) -> str:
+def _out_dir(config: argparse.Namespace) -> str:
     out = config.out or os.environ.get("FLOWORDER_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _header(config: RunConfig, models: dict[str, NetworkSpec]) -> dict:
+def _header(config: argparse.Namespace, models: dict[str, NetworkSpec]) -> dict:
     return {
         "tool": "floworder",
         "version": __version__,
@@ -266,7 +231,7 @@ def _report_rows(report_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(config: RunConfig, header: dict, stem: str, report_dict: dict) -> str:
+def _write_report(config: argparse.Namespace, header: dict, stem: str, report_dict: dict) -> str:
     out = _out_dir(config)
     if config.fmt == "csv":
         path = os.path.join(out, f"{stem}.csv")
@@ -277,7 +242,7 @@ def _write_report(config: RunConfig, header: dict, stem: str, report_dict: dict)
     return path
 
 
-def _cmd_check(config: RunConfig) -> int:
+def _cmd_check(config: argparse.Namespace) -> int:
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
     flow = check_flow_conditions(spec_a, spec_b, all_witnesses=config.all_witnesses)
@@ -293,7 +258,7 @@ def _cmd_check(config: RunConfig) -> int:
     return 0 if flow.passed else 1
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
     report = verify_tight_configurations(spec_a, spec_b)
@@ -306,20 +271,18 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _couple_worker(args):
-    coupled, init_a, init_b, horizon, seed = args
-    log = simulate_coupled(coupled, init_a, init_b, horizon, seed)
+    log = simulate_coupled(*args)
     violations = pathwise_flow_order_check(log)
     return paired_log_csv(log), len(log.events), len(violations)
 
 
-def _cmd_couple(config: RunConfig) -> int:
+def _cmd_couple(config: argparse.Namespace) -> int:
     _check_replications(config)
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     init = _parse_init(config.init) if config.init else (0,) * spec_a.n
     tasks = [
-        (coupled, init, init, config.horizon, replication_seed(config.seed, k))
+        (spec_a, spec_b, init, init, config.horizon, replication_seed(config.seed, k))
         for k in range(config.reps)
     ]
     results = _map_replications(_couple_worker, tasks, config.jobs)
@@ -352,7 +315,7 @@ def _sim_worker(args):
     return event_log_csv(log), len(log.events), log.absorbed
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: argparse.Namespace) -> int:
     _check_replications(config)
     spec = _single_model(config)
     header = _header(config, {"a": spec})
@@ -381,7 +344,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _cmd_solve(config: argparse.Namespace) -> int:
     spec = _single_model(config)
     header = _header(config, {"a": spec})
     gen = build_generator(spec)
@@ -403,7 +366,7 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_transient(config: RunConfig) -> int:
+def _cmd_transient(config: argparse.Namespace) -> int:
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
     times = _parse_grid(config.grid)
@@ -426,7 +389,7 @@ def _cmd_transient(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: argparse.Namespace) -> int:
     header = _header(config, {})
     rows = [
         "beta,s1,s2,throughput_balanced,throughput_original,"
@@ -462,15 +425,6 @@ _COMMANDS = {
     "transient": _cmd_transient,
     "sweep": _cmd_sweep,
 }
-
-
-def run(config: RunConfig) -> int:
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command {config.command!r}")
-    if not 0.0 <= config.tol < math.inf:
-        raise UsageError("--tol must be finite and nonnegative")
-    return handler(config)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -538,10 +492,11 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    # The parser's dests are exactly RunConfig's fields.
-    config = RunConfig(**vars(_PARSER.parse_args(argv)))
+    config = _PARSER.parse_args(argv)
     try:
-        return run(config)
+        if not 0.0 <= config.tol < math.inf:
+            raise UsageError("--tol must be finite and nonnegative")
+        return _COMMANDS[config.command](config)
     except (UsageError, ModelError, SolverError, OSError) as e:
         print(f"floworder: {e}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ takes a joint step at min(a, b), B alone at max(b - a, 0) and A alone at
 max(a - b, 0). Each marginal therefore sees exactly its own rates, and
 whenever one rate dominates the other, only the dominant side can step
 ahead. There is one form, the state-flow coupling: the pair (x, x') with
-per-link flow counters for both sides. It runs on ctmc.gillespie over
+per-link flow counters for both sides, simulated by
+simulate_coupled(spec_a, spec_b, ...) straight from the two specs. It
+runs on ctmc.gillespie over
 index pairs (i, i'), with the bins (joint, B-only, A-only) of each link
 in declared link order. A pair's row of running bin sums is built on its
 first visit and kept, so only the pairs a path reaches are ever
@@ -37,8 +39,6 @@ from .model import Link, ModelError, NetworkSpec, State
 
 __all__ = [
     "marching_rates",
-    "CoupledSpec",
-    "build_stateflow_coupling",
     "CoupledEvent",
     "PairedEventLog",
     "simulate_coupled",
@@ -69,37 +69,6 @@ def marching_rates(a: float, a_prime: float) -> tuple[float, float, float]:
         raise ValueError("component rates must be nonnegative")
     joint = a if a <= a_prime else a_prime
     return (joint, max(a_prime - a, 0.0), max(a - a_prime, 0.0))
-
-
-@dataclass
-class CoupledSpec:
-    """A pair of specs over one link family, coupled link by link.
-
-    The coupled generator is never materialized; simulate_coupled builds
-    the rates of a pair from the component rate arrays when a path first
-    reaches it, so the reachable pair space stays implicit.
-    """
-
-    spec_a: NetworkSpec
-    spec_b: NetworkSpec
-
-    def __post_init__(self):
-        if self.spec_a.n != self.spec_b.n:
-            raise ModelError("coupled specs must have the same number of nodes")
-        if self.spec_a.links != self.spec_b.links:
-            raise ModelError("coupled specs must share the link family")
-
-    @property
-    def links(self) -> tuple[Link, ...]:
-        return self.spec_a.links
-
-    @property
-    def n(self) -> int:
-        return self.spec_a.n
-
-
-def build_stateflow_coupling(spec_a: NetworkSpec, spec_b: NetworkSpec) -> CoupledSpec:
-    return CoupledSpec(spec_a=spec_a, spec_b=spec_b)
 
 
 class CoupledEvent(NamedTuple):
@@ -251,13 +220,19 @@ class _Rows(dict):
 
 
 def simulate_coupled(
-    coupled: CoupledSpec,
+    spec_a: NetworkSpec,
+    spec_b: NetworkSpec,
     init_a,
     init_b,
     horizon: float,
     seed: int,
 ) -> PairedEventLog:
-    """Simulate the coupled chain; counters start at zero.
+    """Simulate the coupling of spec_a and spec_b; counters start at zero.
+
+    Both specs must have the same nodes and the same link family. The
+    coupled generator is never materialized: a pair's rates are built
+    from the component rate arrays when a path first reaches it, so the
+    reachable pair space stays implicit.
 
     The kernel's state is the pair code ia * len(B's states) + ib.
     Candidate events are ordered (joint, B-only, A-only) within each link
@@ -265,7 +240,11 @@ def simulate_coupled(
     A pair's total rate is summed link by link, each link's three rates
     first.
     """
-    spec_a, spec_b = coupled.spec_a, coupled.spec_b
+    if spec_a.n != spec_b.n:
+        raise ModelError("coupled specs must have the same number of nodes")
+    if spec_a.links != spec_b.links:
+        raise ModelError("coupled specs must share the link family")
+    links = spec_a.links
     xa = tuple(int(v) for v in init_a)
     xb = tuple(int(v) for v in init_b)
     if xa not in spec_a.state_index:
@@ -274,7 +253,7 @@ def simulate_coupled(
         raise ModelError(f"initial state {xb} not in the second state space")
     rates = [
         (spec_a.rate_vector(link).tolist(), spec_b.rate_vector(link).tolist())
-        for link in coupled.links
+        for link in links
     ]
     width = len(spec_b.states)
 
@@ -286,7 +265,7 @@ def simulate_coupled(
     stay_a = list(range(len(spec_a.states)))
     stay_b = list(range(width))
     targets = []
-    for link in coupled.links:
+    for link in links:
         next_a, next_b = spec_a.next_index(link).tolist(), spec_b.next_index(link).tolist()
         targets += [(next_a, next_b), (stay_a, next_b), (next_a, stay_b)]
 
@@ -302,7 +281,7 @@ def simulate_coupled(
     return PairedEventLog(
         initial_a=xa,
         initial_b=xb,
-        links=coupled.links,
+        links=links,
         states_a=spec_a.states,
         states_b=spec_b.states,
         times=times,

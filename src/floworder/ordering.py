@@ -318,7 +318,6 @@ class ClosureWitness:
 class ClosureReport:
     closed: bool
     witnesses: tuple[ClosureWitness, ...]
-    gap_exceeded: tuple[TightConfiguration, ...]
     checked: int
     gap_bound: int
     domains: dict
@@ -338,14 +337,13 @@ class ClosureReport:
                 }
             ],
             "witnesses": [w.to_dict() for w in self.witnesses],
-            "gap_exceeded": [c.to_dict() for c in self.gap_exceeded],
+            # no realizable gap exceeds gap_bound (see verify_tight_configurations)
+            "gap_exceeded": [],
             "margins": [],
         }
 
 
-def verify_tight_configurations(
-    spec_a: NetworkSpec, spec_b: NetworkSpec, gap_bound: int | None = None
-) -> ClosureReport:
+def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> ClosureReport:
     """Exact closure check of the flow-order relation under the coupling.
 
     For equal starts with zero counters, node balance forces
@@ -365,18 +363,14 @@ def verify_tight_configurations(
     A's states times all of B's, about 2**16 pairs each, which bounds its
     temporaries to a few MiB whatever the size of the spaces.
 
-    The default gap_bound, n times the largest coordinate in either
-    space, provably covers every realizable gap vector. A smaller bound
-    makes any configuration that overflows it count against closure
-    instead of being dropped silently. Witnesses and overflowing
-    configurations come per tight link, then in order of A's state and
-    B's.
+    The report's gap_bound is n times the largest coordinate c in either
+    space, and no gap can exceed it: S_j - S_i is the sum of x'_l - x_l
+    over i < l <= j, each term lies in [-c, c], so max S - min S <= n·c.
+    Witnesses come per tight link, then in order of A's state and B's.
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
     xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
-    max_coord = int(max(xa.max(initial=0), xb.max(initial=0)))
-    bound = n * max_coord if gap_bound is None else int(gap_bound)
     # P_j per state, one row per j, so that S_j of a block is one contiguous plane
     prefix_a = np.zeros((n + 1, len(xa)), dtype=xa.dtype)
     prefix_b = np.zeros((n + 1, len(xb)), dtype=xb.dtype)
@@ -384,34 +378,25 @@ def verify_tight_configurations(
     prefix_b[1:] = xb.cumsum(axis=1).T
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
     witnesses: list[list] = [[] for _ in range(n + 1)]
-    exceeded: list[list] = [[] for _ in range(n + 1)]
     checked = 0
     for rows in _row_blocks(len(xa), len(xb)):
         s = prefix_b[:, None, :] - prefix_a[:, rows, None]
         top = s.max(axis=0)
-        over = top - s.min(axis=0) > bound
         for k, (ra, rb) in enumerate(rates):
             tight = s[k] == top  # realizable with d_k = 0
             checked += int(np.count_nonzero(tight))
-            flagged = tight & (over | (ra[rows, None] > rb))
-            ia, ib = _hits(flagged, rows, False)
+            ia, ib = _hits(tight & (ra[rows, None] > rb), rows, False)
             for i, j in zip(ia.tolist(), ib.tolist()):
                 s_ij = s[:, i - rows.start, j]
                 gaps = tuple((s_ij[k] - s_ij).tolist())
                 config = TightConfiguration(k, spec_a.states[i], spec_b.states[j], gaps)
-                if over[i - rows.start, j]:
-                    exceeded[k].append(config)
-                else:
-                    witnesses[k].append(ClosureWitness(config, float(ra[i]), float(rb[j])))
+                witnesses[k].append(ClosureWitness(config, float(ra[i]), float(rb[j])))
     witnesses = [w for per_link in witnesses for w in per_link]
-    exceeded = [c for per_link in exceeded for c in per_link]
-    closed = not witnesses and not exceeded
     return ClosureReport(
-        closed=closed,
+        closed=not witnesses,
         witnesses=tuple(witnesses),
-        gap_exceeded=tuple(exceeded),
         checked=checked,
-        gap_bound=bound,
+        gap_bound=n * int(max(xa.max(initial=0), xb.max(initial=0))),
         domains=dict(_DOMAINS),
     )
 

@@ -18,6 +18,7 @@ other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class TandemParams:
     def __post_init__(self):
         if self.s1 < 1 or self.s2 < 1:
             raise ModelError("buffer sizes must be at least 1")
-        if self.beta < 0:
-            raise ModelError("beta must be nonnegative")
+        if not 0 <= self.beta < math.inf:
+            raise ModelError(f"beta must be nonnegative and finite, not {self.beta!r}")
         object.__setattr__(self, "delta1", tuple(float(v) for v in self.delta1))
         object.__setattr__(self, "delta2", tuple(float(v) for v in self.delta2))
         for name, table, size in (
@@ -58,31 +59,18 @@ class TandemParams:
                 raise ModelError(f"{name} needs one value per occupancy 0..{size}")
             if table[0] != 0.0:
                 raise ModelError(f"{name}(0) must be zero")
-            if any(v < 0 for v in table):
-                raise ModelError(f"{name} must be nonnegative")
+            if not all(0 <= v < math.inf for v in table):
+                raise ModelError(f"{name} must be nonnegative and finite")
 
     @staticmethod
     def linear(s1: int, s2: int, beta: float) -> "TandemParams":
         """Single-server-per-job tables delta_i(k) = k."""
-        return TandemParams(
-            s1=s1,
-            s2=s2,
-            beta=beta,
-            delta1=tuple(float(k) for k in range(s1 + 1)),
-            delta2=tuple(float(k) for k in range(s2 + 1)),
-        )
-
-    @property
-    def delta1_increasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.delta1, self.delta1[1:]))
-
-    @property
-    def delta2_increasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.delta2, self.delta2[1:]))
+        return TandemParams(s1, s2, beta, range(s1 + 1), range(s2 + 1))
 
     @property
     def increasing(self) -> bool:
-        return self.delta1_increasing and self.delta2_increasing
+        """Whether both service tables are nondecreasing in the occupancy."""
+        return all(a <= b for t in (self.delta1, self.delta2) for a, b in zip(t, t[1:]))
 
 
 def _table_expression(coord: int, prefix: str, table) -> tuple[str, dict]:
@@ -96,12 +84,16 @@ def _table_expression(coord: int, prefix: str, table) -> tuple[str, dict]:
     return (" + ".join(terms) if terms else "0"), params
 
 
-def build_original_tandem(params: TandemParams) -> NetworkSpec:
+def _tandem(params: TandemParams, balanced: bool) -> NetworkSpec:
+    """The tandem model document of either variant, parsed."""
     d1, p1 = _table_expression(1, "delta1", params.delta1)
     d2, p2 = _table_expression(2, "delta2", params.delta2)
+    space = {"box": [params.s1, params.s2]}
+    if balanced:
+        space["exclude"] = [[params.s1, params.s2]]
     doc = {
         "n": 2,
-        "space": {"box": [params.s1, params.s2]},
+        "space": space,
         "links": [[0, 1], [1, 2], [2, 0]],
         "params": {
             "beta": params.beta,
@@ -111,35 +103,20 @@ def build_original_tandem(params: TandemParams) -> NetworkSpec:
             **p2,
         },
         "rates": {
-            "0->1": "beta * ind(x1 < s1)",
+            "0->1": "beta * ind(x1 < s1, x2 < s2)" if balanced else "beta * ind(x1 < s1)",
             "1->2": f"({d1}) * ind(x2 < s2)",
-            "2->0": d2,
+            "2->0": f"({d2}) * ind(x1 < s1)" if balanced else d2,
         },
     }
     return parse_model(doc)
+
+
+def build_original_tandem(params: TandemParams) -> NetworkSpec:
+    return _tandem(params, balanced=False)
 
 
 def build_balanced_tandem(params: TandemParams) -> NetworkSpec:
-    d1, p1 = _table_expression(1, "delta1", params.delta1)
-    d2, p2 = _table_expression(2, "delta2", params.delta2)
-    doc = {
-        "n": 2,
-        "space": {"box": [params.s1, params.s2], "exclude": [[params.s1, params.s2]]},
-        "links": [[0, 1], [1, 2], [2, 0]],
-        "params": {
-            "beta": params.beta,
-            "s1": params.s1,
-            "s2": params.s2,
-            **p1,
-            **p2,
-        },
-        "rates": {
-            "0->1": "beta * ind(x1 < s1, x2 < s2)",
-            "1->2": f"({d1}) * ind(x2 < s2)",
-            "2->0": f"({d2}) * ind(x1 < s1)",
-        },
-    }
-    return parse_model(doc)
+    return _tandem(params, balanced=True)
 
 
 def loss_rate_applies(spec: NetworkSpec) -> bool:
@@ -156,8 +133,9 @@ def loss_rate(spec: NetworkSpec, pi) -> float:
 
     Cross-checked against beta times the stationary mass of states where
     the arrival rate is blocked to zero; the two routes must agree to
-    1e-10, which holds whenever arrivals run at either beta or zero
-    (loss_rate_applies).
+    1e-10 * max(1, beta), which holds whenever arrivals run at either
+    beta or zero (loss_rate_applies). The bound scales with beta because
+    both routes round at the scale of beta.
     """
     if "beta" not in spec.params:
         raise ModelError("loss rate needs a 'beta' parameter on the model")
@@ -168,7 +146,7 @@ def loss_rate(spec: NetworkSpec, pi) -> float:
     arrivals = spec.rate_vector((0, 1))
     blocked_mass = float(vec[arrivals == 0.0].sum())
     alternative = beta * blocked_mass
-    if abs(direct - alternative) > 1e-10:
+    if abs(direct - alternative) > 1e-10 * max(1.0, beta):
         raise ModelError(
             "loss-rate accounting mismatch: "
             f"{direct!r} by subtraction vs {alternative!r} by blocked mass"

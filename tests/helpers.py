@@ -776,11 +776,13 @@ def reference_simulate_path(spec: NetworkSpec, init, horizon: float, seed: int):
         t = t_next
 
 
-def reference_simulate_coupled(coupled, init_a, init_b, horizon: float, seed: int):
+def reference_simulate_coupled(
+    spec_a: NetworkSpec, spec_b: NetworkSpec, init_a, init_b, horizon: float, seed: int
+):
     """Dict-table coupled Gillespie loop: (events, absorbed) with the package's draws."""
-    links = coupled.links
-    tables_a = [scalar_rate_table(coupled.spec_a, link) for link in links]
-    tables_b = [scalar_rate_table(coupled.spec_b, link) for link in links]
+    links = spec_a.links
+    tables_a = [scalar_rate_table(spec_a, link) for link in links]
+    tables_b = [scalar_rate_table(spec_b, link) for link in links]
     fa = fb = tuple(0 for _ in links)
     xa, xb = tuple(init_a), tuple(init_b)
     rng = make_stream(seed)
@@ -832,10 +834,10 @@ def reference_simulate_coupled(coupled, init_a, init_b, horizon: float, seed: in
                     break
         link = links[chosen_link]
         if chosen_kind != B_ONLY:
-            xa = coupled.spec_a.target(xa, link)
+            xa = spec_a.target(xa, link)
             fa = fa[:chosen_link] + (fa[chosen_link] + 1,) + fa[chosen_link + 1 :]
         if chosen_kind != A_ONLY:
-            xb = coupled.spec_b.target(xb, link)
+            xb = spec_b.target(xb, link)
             fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
         events.append(CoupledEvent(t_next, link, chosen_kind, xa, xb, fa, fb))
         t = t_next
@@ -950,11 +952,23 @@ def reference_population_conditions(
     )
 
 
+@dataclasses.dataclass
+class ReferenceClosure(ClosureReport):
+    """A ClosureReport plus the tight configurations whose largest gap
+    exceeds gap_bound; those count against closure."""
+
+    gap_exceeded: tuple[TightConfiguration, ...] = ()
+
+
 def reference_closure(
     spec_a: NetworkSpec, spec_b: NetworkSpec, gap_bound: int | None = None
-) -> ClosureReport:
+) -> ReferenceClosure:
     """verify_tight_configurations as a loop over every tight link and pair of states,
-    with the gap vector rebuilt from node balance link by link."""
+    with the gap vector rebuilt from node balance link by link.
+
+    gap_bound defaults to the n * c of verify_tight_configurations; with a
+    smaller one, a configuration whose largest gap exceeds it is listed in
+    gap_exceeded instead of being checked."""
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
     links = spec_a.links
@@ -988,12 +1002,11 @@ def reference_closure(
                 rb = tables_b[k][ib]
                 if ra > rb:
                     witnesses.append(ClosureWitness(config, ra, rb))
-    closed = not witnesses and not exceeded
-    return ClosureReport(
-        closed=closed,
+    return ReferenceClosure(
+        closed=not witnesses and not exceeded,
         witnesses=tuple(witnesses),
-        gap_exceeded=tuple(exceeded),
         checked=checked,
         gap_bound=bound,
         domains=dict(_DOMAINS),
+        gap_exceeded=tuple(exceeded),
     )

@@ -20,7 +20,6 @@ from floworder import (
     build_balanced_tandem,
     build_generator,
     build_original_tandem,
-    build_stateflow_coupling,
     check_flow_conditions,
     check_population_conditions,
     mean_order_check,
@@ -100,7 +99,6 @@ def tandem_pair(s1, s2, beta):
 def flow_batch():
     """Criterion 2 workload; audit timing kept apart from the sim budget."""
     bal, orig = tandem_pair(3, 3, 1.0)
-    coupled = build_stateflow_coupling(bal, orig)
     violations = 0
     events = 0
     audited = 0
@@ -111,7 +109,7 @@ def flow_batch():
     for k in range(FLOW_REPS):
         t0 = time.monotonic()
         log = simulate_coupled(
-            coupled, (0, 0), (0, 0), FLOW_HORIZON, replication_seed(FLOW_SEED, k)
+            bal, orig, (0, 0), (0, 0), FLOW_HORIZON, replication_seed(FLOW_SEED, k)
         )
         violations += len(pathwise_flow_order_check(log))
         sim_check_seconds += time.monotonic() - t0
@@ -124,7 +122,7 @@ def flow_batch():
             first_texts.append(text)
         events += len(log.events)
     return {
-        "links": coupled.links,
+        "links": bal.links,
         "violations": violations,
         "events": events,
         "audited_events": audited,
@@ -143,7 +141,6 @@ def pop_batch():
     spec_a = parse_model(helpers.single_node_doc("1", "2 * x1", 3, clamp=True))
     spec_b = parse_model(helpers.single_node_doc("2", "x1", 3, clamp=True))
     conditions = check_population_conditions(spec_a, spec_b)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     violations = 0
     dominated = True
     events = 0
@@ -151,7 +148,7 @@ def pop_batch():
     first_texts = []
     for k in range(POP_REPS):
         log = simulate_coupled(
-            coupled, (0,), (0,), POP_HORIZON, replication_seed(POP_SEED, k)
+            spec_a, spec_b, (0,), (0,), POP_HORIZON, replication_seed(POP_SEED, k)
         )
         violations += len(pathwise_population_order_check(log))
         dominated &= all(ev.state_a[0] <= ev.state_b[0] for ev in log.events)
@@ -322,10 +319,9 @@ def test_criterion_08_soundness_chain():
         assert flow.passed, f"pair {i} was not certified"
         closure = verify_tight_configurations(spec_a, spec_b)
         assert closure.closed, f"pair {i} not closed: {closure.witnesses[:1]}"
-        coupled = build_stateflow_coupling(spec_a, spec_b)
         for k in range(10):
             log = simulate_coupled(
-                coupled, (0, 0), (0, 0), 10.0, replication_seed(8000 + i, k)
+                spec_a, spec_b, (0, 0), (0, 0), 10.0, replication_seed(8000 + i, k)
             )
             assert pathwise_flow_order_check(log) == []
             audit_coupled_log(log)
@@ -366,12 +362,11 @@ def test_criterion_09_stationary_solver_and_product_form():
 
 def test_criterion_10_determinism(flow_batch, pop_batch):
     bal, orig = tandem_pair(3, 3, 1.0)
-    coupled = build_stateflow_coupling(bal, orig)
     flow_digests = []
     flow_texts = []
     for k in range(FLOW_REPS):
         log = simulate_coupled(
-            coupled, (0, 0), (0, 0), FLOW_HORIZON, replication_seed(FLOW_SEED, k)
+            bal, orig, (0, 0), (0, 0), FLOW_HORIZON, replication_seed(FLOW_SEED, k)
         )
         text = paired_log_csv(log)
         flow_digests.append(digest(text))
@@ -379,12 +374,11 @@ def test_criterion_10_determinism(flow_batch, pop_batch):
             flow_texts.append(text)
     spec_a = parse_model(helpers.single_node_doc("1", "2 * x1", 3, clamp=True))
     spec_b = parse_model(helpers.single_node_doc("2", "x1", 3, clamp=True))
-    recoupled = build_stateflow_coupling(spec_a, spec_b)
     pop_digests = []
     pop_texts = []
     for k in range(POP_REPS):
         log = simulate_coupled(
-            recoupled, (0,), (0,), POP_HORIZON, replication_seed(POP_SEED, k)
+            spec_a, spec_b, (0,), (0,), POP_HORIZON, replication_seed(POP_SEED, k)
         )
         text = paired_log_csv(log)
         pop_digests.append(digest(text))

@@ -1,9 +1,11 @@
 """Command-line front end: exit codes, artifact files, reproducibility headers."""
 
+import argparse
 import filecmp
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -231,6 +233,40 @@ def test_solve_original_tandem(tmp_path, capsys):
     assert len(rows) == 9
     total = sum(float(r.split(",")[1]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--family", "tandem-original", "--beta", "1e6", "--s1", "3", "--s2", "3"],
+        ["solve", "--family", "tandem-balanced", "--beta", "1e6", "--s1", "3", "--s2", "3"],
+        ["sweep", "--betas", "1e6", "--sizes", "2"],
+    ],
+    ids=["solve-original", "solve-balanced", "sweep"],
+)
+def test_loss_rate_accounting_holds_at_large_beta(argv, tmp_path, capsys):
+    """The two loss-rate routes round at the scale of beta, so they agree to
+    within 1e-10 * beta here rather than to 1e-10."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["check", "--family", "tandem-pair", "--beta", "nan"], "beta"),
+        (["check", "--family", "tandem-pair", "--delta1", "0,1,nan"], "delta1"),
+        (["solve", "--family", "tandem-original", "--delta2", "0,inf,1"], "delta2"),
+        (["sweep", "--betas", "inf"], "beta"),
+    ],
+    ids=["beta-nan", "delta1-nan", "delta2-inf", "sweep-beta-inf"],
+)
+def test_non_finite_tandem_parameters_exit_two_naming_the_field(argv, field, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"floworder: {field} must be nonnegative and finite")
+    assert err.count("\n") == 1
+    assert not os.listdir(tmp_path)
 
 
 def test_solve_without_beta_omits_loss(tmp_path, capsys):
@@ -573,6 +609,25 @@ def test_missing_model_file_exits_two(tmp_path, capsys):
     rc = main(["solve", "--model-a", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
     assert "floworder: " in capsys.readouterr().err
+
+
+def test_every_option_is_read_by_the_cli():
+    """The parser is the CLI's only config: an option whose dest cli.py never
+    reads as config.<dest> would be a dead knob with a default nobody uses."""
+    from floworder import cli
+
+    with open(cli.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    subparsers = cli._PARSER._subparsers._group_actions[0].choices
+    dests = {
+        action.dest
+        for parser in subparsers.values()
+        for action in parser._actions
+        if action.default is not argparse.SUPPRESS  # --help sets no dest
+    }
+    assert dests >= {"model_a", "fmt", "all_witnesses", "betas", "sizes"}
+    unread = sorted(d for d in dests if not re.search(rf"\bconfig\.{d}\b", source))
+    assert unread == []
 
 
 def test_version_flag(capsys):

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 import helpers
 from floworder import coupling
 from floworder.coupling import (
-    CoupledSpec,
-    build_stateflow_coupling,
     marching_rates,
     paired_log_csv,
     simulate_coupled,
@@ -96,7 +94,7 @@ def test_mismatched_node_count_rejected():
     a = helpers.two_state_chain()
     b, _ = tandem_pair()
     with pytest.raises(ModelError, match="same number of nodes"):
-        build_stateflow_coupling(a, b)
+        simulate_coupled(a, b, (0,), (0, 0), 1.0, seed=0)
 
 
 def test_mismatched_link_family_rejected():
@@ -109,7 +107,7 @@ def test_mismatched_link_family_rejected():
     }
     b = parse_model(doc)
     with pytest.raises(ModelError, match="share the link family"):
-        build_stateflow_coupling(a, b)
+        simulate_coupled(a, b, (0,), (0,), 1.0, seed=0)
 
 
 def test_marginality_exhaustive_tandem_pair():
@@ -157,17 +155,14 @@ def test_pair_row_fallback_reads_a_rate_that_vanishes_in_the_running_sum():
 
 def test_zero_horizon_empty():
     spec_a, spec_b = tandem_pair()
-    log = simulate_coupled(
-        build_stateflow_coupling(spec_a, spec_b), (0, 0), (0, 0), 0.0, seed=1
-    )
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 0.0, seed=1)
     assert log.events == []
     assert not log.absorbed
 
 
 def test_identical_specs_all_joint_and_diagonal():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
-    coupled = build_stateflow_coupling(spec, spec)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 30.0, seed=6)
+    log = simulate_coupled(spec, spec, (0, 0), (0, 0), 30.0, seed=6)
     assert len(log.events) > 10
     for ev in log.events:
         assert ev.kind == "joint"
@@ -177,8 +172,7 @@ def test_identical_specs_all_joint_and_diagonal():
 
 def test_projection_matches_identical_direct_path():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
-    coupled = build_stateflow_coupling(spec, spec)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 30.0, seed=6)
+    log = simulate_coupled(spec, spec, (0, 0), (0, 0), 30.0, seed=6)
     # on the diagonal the coupled chain draws exactly like the single chain
     direct = simulate_path(spec, (0, 0), 30.0, seed=6)
     proj = log.project("a")
@@ -189,8 +183,7 @@ def test_projection_matches_identical_direct_path():
 
 def test_projections_are_valid_component_paths():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 40.0, seed=77)
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 40.0, seed=77)
     assert len(log.events) > 20
     for side, spec in (("a", spec_a), ("b", spec_b)):
         proj = log.project(side)
@@ -208,7 +201,7 @@ def test_projections_are_valid_component_paths():
 
 def test_projections_of_an_absorbed_path_are_absorbed():
     drain = parse_model(helpers.single_node_doc("0", "x1", 3))
-    log = simulate_coupled(build_stateflow_coupling(drain, drain), (3,), (3,), 1e9, seed=4)
+    log = simulate_coupled(drain, drain, (3,), (3,), 1e9, seed=4)
     direct = simulate_path(drain, (3,), 1e9, seed=4)
     assert log.absorbed and direct.absorbed
     assert log.project("a").absorbed
@@ -217,17 +210,14 @@ def test_projections_of_an_absorbed_path_are_absorbed():
 
 def test_project_rejects_unknown_side():
     spec_a, spec_b = tandem_pair()
-    log = simulate_coupled(
-        build_stateflow_coupling(spec_a, spec_b), (0, 0), (0, 0), 1.0, seed=0
-    )
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 1.0, seed=0)
     with pytest.raises(ValueError):
         log.project("c")
 
 
 def test_balance_pair_conserved_along_coupled_paths():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 40.0, seed=13)
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 40.0, seed=13)
     links = log.links
     flows_a, flows_b = log.flows("a"), log.flows("b")
     sig_a = balance_signature(log.initial_a, flows_a[0], links)
@@ -240,27 +230,24 @@ def test_balance_pair_conserved_along_coupled_paths():
 
 def test_tandem_pair_counters_stay_ordered():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     for rep in range(50):
-        log = simulate_coupled(coupled, (0, 0), (0, 0), 20.0, seed=9000 + rep)
+        log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 20.0, seed=9000 + rep)
         for ev in log.events:
             assert all(fa <= fb for fa, fb in zip(ev.flows_a, ev.flows_b))
 
 
 def test_bad_initial_states_rejected():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     with pytest.raises(ModelError, match="first state space"):
-        simulate_coupled(coupled, (2, 2), (0, 0), 1.0, seed=0)
+        simulate_coupled(spec_a, spec_b, (2, 2), (0, 0), 1.0, seed=0)
     with pytest.raises(ModelError, match="second state space"):
-        simulate_coupled(coupled, (0, 0), (9, 9), 1.0, seed=0)
+        simulate_coupled(spec_a, spec_b, (0, 0), (9, 9), 1.0, seed=0)
 
 
 def test_same_seed_reproducible():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
-    a = simulate_coupled(coupled, (0, 0), (0, 0), 25.0, seed=4)
-    b = simulate_coupled(coupled, (0, 0), (0, 0), 25.0, seed=4)
+    a = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 25.0, seed=4)
+    b = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 25.0, seed=4)
     assert a == b
 
 
@@ -268,12 +255,11 @@ def test_projected_event_counts_match_direct_distribution():
     # two-sample homogeneity of the A-projection against direct simulation
     spec_a = single_node(1.0)
     spec_b = single_node(2.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     reps = 10_000
     horizon = 5.0
     proj_counts: dict[int, int] = {}
     for rep in range(reps):
-        log = simulate_coupled(coupled, (0,), (0,), horizon, seed=rep)
+        log = simulate_coupled(spec_a, spec_b, (0,), (0,), horizon, seed=rep)
         k = sum(1 for ev in log.events if ev.kind in ("joint", "a_only"))
         proj_counts[k] = proj_counts.get(k, 0) + 1
     direct_counts: dict[int, int] = {}
@@ -287,10 +273,9 @@ def test_projected_event_counts_match_direct_distribution():
 def test_coupled_path_memory_per_event_is_bounded():
     """The log holds columns, not one object per event (about 440 bytes each before)."""
     spec_a, spec_b = tandem_pair(10, 10, 10.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
     tracemalloc.start()
     try:
-        log = simulate_coupled(coupled, (0, 0), (0, 0), 2000.0, seed=1)
+        log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 2000.0, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -303,8 +288,7 @@ def test_coupled_path_memory_per_event_is_bounded():
 
 def test_paired_log_csv_stateflow():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    coupled = build_stateflow_coupling(spec_a, spec_b)
-    log = simulate_coupled(coupled, (0, 0), (0, 0), 10.0, seed=2)
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 10.0, seed=2)
     lines = paired_log_csv(log).strip().split("\n")
     assert lines[0] == "time,link_from,link_to,which,stateA,stateB,flowA,flowB"
     assert len(lines) == len(log.events) + 1
@@ -342,11 +326,12 @@ def test_coupled_path_matches_reference_loop(table_seed, p_zero, seed):
     rng = np.random.default_rng(table_seed)
     spec_a, _ = helpers.random_table_instance(rng, 2, 1, p_zero)
     spec_b, _ = helpers.random_table_instance(rng, 2, 1, p_zero)
-    coupled = CoupledSpec(spec_a=spec_a, spec_b=spec_b)
     init_a = spec_a.states[int(rng.integers(len(spec_a.states)))]
     init_b = spec_b.states[int(rng.integers(len(spec_b.states)))]
-    log = simulate_coupled(coupled, init_a, init_b, 20.0, seed)
-    events, absorbed = helpers.reference_simulate_coupled(coupled, init_a, init_b, 20.0, seed)
+    log = simulate_coupled(spec_a, spec_b, init_a, init_b, 20.0, seed)
+    events, absorbed = helpers.reference_simulate_coupled(
+        spec_a, spec_b, init_a, init_b, 20.0, seed
+    )
     assert log.events == events
     assert log.absorbed == absorbed
     assert_arrays_match_reference(log, events)
@@ -362,11 +347,12 @@ def test_coupled_path_matches_reference_loop_on_tandems(values_a, values_b, seed
         beta, a1, a2, b1, b2 = values
         return TandemParams(s1=2, s2=2, beta=beta, delta1=(0.0, a1, a2), delta2=(0.0, b1, b2))
 
-    coupled = build_stateflow_coupling(
-        build_balanced_tandem(params(values_a)), build_original_tandem(params(values_b))
+    spec_a = build_balanced_tandem(params(values_a))
+    spec_b = build_original_tandem(params(values_b))
+    log = simulate_coupled(spec_a, spec_b, (1, 0), (1, 0), 20.0, seed)
+    events, absorbed = helpers.reference_simulate_coupled(
+        spec_a, spec_b, (1, 0), (1, 0), 20.0, seed
     )
-    log = simulate_coupled(coupled, (1, 0), (1, 0), 20.0, seed)
-    events, absorbed = helpers.reference_simulate_coupled(coupled, (1, 0), (1, 0), 20.0, seed)
     assert log.events == events
     assert log.absorbed == absorbed
     assert_arrays_match_reference(log, events)

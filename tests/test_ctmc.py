@@ -12,7 +12,6 @@ from scipy.sparse._base import _spbase
 import helpers
 from floworder import ctmc
 from floworder.coupling import (
-    build_stateflow_coupling,
     simulate_coupled,
 )
 from floworder.ctmc import (
@@ -196,7 +195,7 @@ def test_non_finite_horizon_rejected(simulator, horizon):
         if simulator == "simulate_path":
             simulate_path(spec, (0,), horizon, seed=0)
         else:
-            simulate_coupled(build_stateflow_coupling(spec, spec), (0,), (0,), horizon, seed=0)
+            simulate_coupled(spec, spec, (0,), (0,), horizon, seed=0)
 
 
 def test_moves_leaving_the_space_rejected():
@@ -295,9 +294,10 @@ def test_paths_across_many_blocks_match_reference_loops(monkeypatch, seed):
     assert 2 * len(events) > 3 * ctmc._BLOCK  # two uniforms an event: three refills or more
     assert log.events == events
     assert log.absorbed == absorbed
-    coupled = build_stateflow_coupling(spec_a, spec_b)
-    log = simulate_coupled(coupled, (1, 0), (0, 1), 10.0, seed)
-    events, absorbed = helpers.reference_simulate_coupled(coupled, (1, 0), (0, 1), 10.0, seed)
+    log = simulate_coupled(spec_a, spec_b, (1, 0), (0, 1), 10.0, seed)
+    events, absorbed = helpers.reference_simulate_coupled(
+        spec_a, spec_b, (1, 0), (0, 1), 10.0, seed
+    )
     assert 2 * len(events) > 3 * ctmc._BLOCK
     assert log.events == events
     assert log.absorbed == absorbed

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ def test_params_linear_tables():
 
 
 def test_params_monotonicity_flags():
-    p = TandemParams(2, 2, 1.0, (0, 2, 1), (0, 1, 1))
-    assert not p.delta1_increasing
-    assert p.delta2_increasing
-    assert not p.increasing
+    assert TandemParams(2, 2, 1.0, (0, 1, 1), (0, 1, 1)).increasing
+    # only delta1 decreases, then only delta2
+    assert not TandemParams(2, 2, 1.0, (0, 2, 1), (0, 1, 1)).increasing
+    assert not TandemParams(2, 2, 1.0, (0, 1, 1), (0, 2, 1)).increasing
 
 
 def test_params_validation():
@@ -49,6 +50,13 @@ def test_params_validation():
         TandemParams(1, 1, 1.0, (1, 1), (0, 1))
     with pytest.raises(ModelError, match="delta2 must be nonnegative"):
         TandemParams(1, 1, 1.0, (0, 1), (0, -1))
+    for value in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="^beta must be nonnegative and finite"):
+            TandemParams(1, 1, value, (0, 1), (0, 1))
+        with pytest.raises(ModelError, match="^delta1 must be nonnegative and finite"):
+            TandemParams(2, 1, 1.0, (0, 1, value), (0, 1))
+        with pytest.raises(ModelError, match="^delta2 must be nonnegative and finite"):
+            TandemParams(1, 1, 1.0, (0, 1), (0, value))
 
 
 # -------------------------------------------------------------- builders
