@@ -349,16 +349,18 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     header = _header(config, {"a": spec})
     gen = build_generator(spec)
     pi = stationary_distribution(gen, tol=min(config.tol, 1e-12))
-    out = _out_dir(config)
-    _write_csv(
-        os.path.join(out, "stationary.csv"), header, distribution_csv(spec.states, pi)
-    )
     throughputs = {
         f"{i}->{j}": throughput(spec, pi, (i, j)) for (i, j) in spec.links
     }
     payload = {"throughput": throughputs}
     if loss_rate_applies(spec):
         payload["loss_rate"] = loss_rate(spec, pi)
+    # every figure is computed before the first file is written, so an
+    # error leaves no partial report set behind
+    out = _out_dir(config)
+    _write_csv(
+        os.path.join(out, "stationary.csv"), header, distribution_csv(spec.states, pi)
+    )
     _write_json(os.path.join(out, "solve.json"), header, payload)
     arrival = throughputs.get("0->1")
     note = f", accepted throughput {arrival:.6g}" if arrival is not None else ""

@@ -108,11 +108,15 @@ class ReducibleChainError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """The stationary vector's residual max|pi Q| is not below the tolerance."""
+    """The stationary vector's residual max|pi Q| / unif_rate is not below
+    the tolerance."""
 
     def __init__(self, residual, tol):
         self.residual = residual
-        super().__init__(f"stationary residual {residual:g} above tolerance {tol:g}")
+        super().__init__(
+            f"stationary residual {residual:g} (relative to the largest exit rate) "
+            f"above tolerance {tol:g}"
+        )
 
 
 class ToleranceError(SolverError):
@@ -396,7 +400,8 @@ def _recurrent_class(gen: Generator):
 
 
 def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
-    """Stationary distribution with residual max|pi Q| below `tol`.
+    """Stationary distribution with relative residual max|pi Q| / Λ below
+    `tol`, Λ = gen.unif_rate being the largest exit rate.
 
     Transient states (outside the unique recurrent class) get mass zero.
     On the recurrent class the balance equations pi Q = 0 are solved
@@ -407,7 +412,10 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     it is the class's rows and columns of it. The shift is subtracted from
     a copy of Q's stored diagonal entries, and the CSR arrays of the result
     are read as the CSC arrays of its transpose. The residual is then
-    checked; a miss raises ConvergenceError.
+    checked; a miss raises ConvergenceError. max|pi Q| grows with the
+    rates, so it is divided by Λ: Q and c·Q give the same verdict for any
+    c > 0, whatever the unit of time. With Λ = 0 nothing moves and the
+    residual is 0.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -438,7 +446,8 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
         pi /= pi.sum()
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    residual = float(np.abs(sub.T @ pi).max())
+    lam = gen.unif_rate
+    residual = float(np.abs(sub.T @ pi).max()) / lam if lam > 0 else 0.0
     if not residual < tol:  # a NaN residual fails too
         raise ConvergenceError(residual, tol)
     if k == m:

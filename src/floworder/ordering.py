@@ -23,12 +23,19 @@ Three mechanized routes, from strongest assumptions to weakest:
 The closure check is implied by the flow conditions but not conversely,
 so it can certify pairs the pointwise conditions reject.
 
-All three enumerate |A|·|B| pairs of states (closure once per tight
-link, so |A|·|B|·(n+1) configurations) as numpy masks over blocks of
-A's states times all of B's, about 2**16 pairs a block. Their temporary
-arrays therefore stay within a few MiB at any state-space size, and
-reports list witnesses in the order a scan by A's state, then B's, meets
-them.
+All three quantify over |A|·|B| pairs of states (closure once per tight
+link, so |A|·|B|·(n+1) configurations), but none forms those pairs to
+reach a verdict. Every premise is a dominance relation on one to n
+coordinates, so each condition is one query on a grid of those
+coordinates' values over both spaces: a prefix minimum or maximum of
+B's rate, or for closure's `checked` an int64 prefix count of B's
+states, read at each of A's states. A query costs O(|A| + |B| + cells),
+where cells is at most about n!·|B| on a box, and it keeps a few arrays
+of O(n**2) integers per state; a grid of more than _BLOCK_PAIRS cells
+is swept in slabs, so it is never held whole. Pairs are listed only to
+write witnesses, one row of A's state against all of B's for each state
+of A that has a violating partner, so reports list witnesses in the
+order a scan by A's state, then B's, meets them.
 
 Pathwise and statistical diagnostics complement the exact routes:
 violation scans over a coupled log's flows and visits arrays, an
@@ -38,6 +45,7 @@ mean-flow margin check on a time grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,9 +78,9 @@ __all__ = [
 # convention explicitly so a reader can audit what was enumerated.
 _DOMAINS = {"state_a": "model A state space", "state_b": "model B state space"}
 
-# The exact checks scan all pairs of states as blocks of A's states times
-# all of B's with about this many pairs each, so their temporaries stay a
-# few MiB however large the two state spaces are.
+# The exact checks sweep a dominance grid of more cells than this in slabs
+# of about this many cells (one slice of the grid at least), so that no
+# grid is held whole, however large the two state spaces are.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -144,23 +152,76 @@ def _require_linear_pair(spec_a: NetworkSpec, spec_b: NetworkSpec):
         raise ModelError("order checks need the same number of nodes on both models")
 
 
-def _row_blocks(m_a: int, m_b: int):
-    """Slices of A's state indices, each covering at most _BLOCK_PAIRS pairs
-    with all of B's states (one row when B alone has more)."""
-    step = max(1, _BLOCK_PAIRS // m_b)
-    return [slice(lo, min(lo + step, m_a)) for lo in range(0, m_a, step)]
+def _coords(spec_a: NetworkSpec, spec_b: NetworkSpec) -> np.ndarray:
+    """The states of A, then those of B, as one int64 array, a row each."""
+    m, n = len(spec_a.states) + len(spec_b.states), spec_a.n
+    flat = itertools.chain.from_iterable(itertools.chain(spec_a.states, spec_b.states))
+    return np.fromiter(flat, dtype=np.int64, count=m * n).reshape(m, n)
 
 
-def _hits(mask, rows: slice, first_only: bool):
-    """(ia, ib) of the True entries of a block mask, in row-major order.
+def _axes(cells, m_a: int):
+    """Grid axes for the columns of cells, whose first m_a rows belong to
+    A's states and the rest to B's: an (A's cells, B's cells, size) triple
+    per column. The array holds the columns' values and is overwritten
+    with their cells.
 
-    ia indexes A's whole state space; with first_only at most one hit.
+    Cells are ordered as the values are. A column whose values span no
+    more integers than the two spaces have states indexes the grid by its
+    value less the least value; any other column, such as coordinates near
+    10**9 on a few listed states, by its rank among the distinct values of
+    both spaces. So no axis is longer than |A| + |B|.
     """
-    flat = np.flatnonzero(mask)
-    if first_only:
-        flat = flat[:1]
-    ia, ib = np.divmod(flat, mask.shape[1])
-    return ia + rows.start, ib
+    cells -= cells.min(axis=0)
+    sizes = (cells.max(axis=0) + 1).tolist()
+    for c, size in enumerate(sizes):
+        if size > len(cells):
+            distinct, cells[:, c] = np.unique(cells[:, c], return_inverse=True)
+            sizes[c] = len(distinct)
+    return [(cells[:m_a, c], cells[m_a:, c], size) for c, size in enumerate(sizes)]
+
+
+def _dominance(op, identity, values_b, axes, exact: int = 0):
+    """For each of A's states x, op reduced over values_b at the states x'
+    of B whose cell is at most x's on every axis, and equal to it on the
+    first `exact` axes; identity where no state of B qualifies.
+
+    op is np.minimum, np.maximum or np.add, with identity inf, -inf or 0;
+    axes come from _axes. B's values are put on the grid of cells, which
+    is accumulated by op along every axis but the exact ones and read at
+    A's cells: O(|A| + |B| + cells) work, and no pair of states is formed.
+    A grid of more than _BLOCK_PAIRS cells is swept in slabs of about that
+    many cells (one slice at least) along its first axis. Each slab is
+    accumulated along the other axes, then along the first, starting from
+    the last slice of the slab before it.
+    """
+    cells_a, cells_b, shape = zip(*axes)
+    step = max(1, _BLOCK_PAIRS // math.prod(shape[1:]))
+    if step >= shape[0]:
+        grid = np.empty(shape, dtype=values_b.dtype)
+        grid.fill(identity)
+        op.at(grid, cells_b, values_b)
+        for axis in range(exact, len(shape)):
+            op.accumulate(grid, axis=axis, out=grid)
+        return grid[cells_a]
+    order_a, order_b = np.argsort(cells_a[0]), np.argsort(cells_b[0])
+    lows = list(range(0, shape[0], step))
+    cut_a = np.searchsorted(cells_a[0][order_a], lows + [shape[0]]).tolist()
+    cut_b = np.searchsorted(cells_b[0][order_b], lows + [shape[0]]).tolist()
+    out = np.empty(len(order_a), dtype=values_b.dtype)
+    carry = None
+    for s, lo in enumerate(lows):
+        in_a, in_b = order_a[cut_a[s] : cut_a[s + 1]], order_b[cut_b[s] : cut_b[s + 1]]
+        slab = np.full((min(step, shape[0] - lo),) + shape[1:], identity, dtype=values_b.dtype)
+        op.at(slab, (cells_b[0][in_b] - lo,) + tuple(b[in_b] for b in cells_b[1:]), values_b[in_b])
+        for axis in range(max(exact, 1), len(shape)):
+            op.accumulate(slab, axis=axis, out=slab)
+        if not exact:
+            if carry is not None:
+                op(slab[0], carry, out=slab[0])
+            op.accumulate(slab, axis=0, out=slab)
+            carry = slab[-1]
+        out[in_a] = slab[(cells_a[0][in_a] - lo,) + tuple(a[in_a] for a in cells_a[1:])]
+    return out
 
 
 def check_flow_conditions(
@@ -176,34 +237,45 @@ def check_flow_conditions(
                          x_{k+1} >= x'_{k+1}    implies  rate_A <= rate_B
       k = n (exit):      x_n <= x'_n            implies  rate_A <= rate_B
 
+    Each premise is a dominance relation on one or two coordinates, so
+    link k fails at x exactly when rate_A(x) exceeds the least rate_B over
+    the x' it admits: one prefix or suffix minimum on a grid of those
+    coordinates' values over both spaces, read at every x (see
+    _dominance). Pairs are listed only for the states x where that
+    happens, one vectorised row against all of B's states each, and only
+    for the first such x unless all_witnesses is set.
+
     Verdicts are exact rate comparisons with no tolerance. Witnesses come
     in order of A's state, then B's. With all_witnesses=False only the
     first witness per condition is kept.
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
-    blocks = _row_blocks(len(xa), len(xb))
+    x, m_a = _coords(spec_a, spec_b), len(spec_a.states)
+    xa, xb = x[:m_a], x[m_a:]
+    # the axes of x_1, ..., x_n and of -x_1, ..., -x_n
+    axis = _axes(np.concatenate([x, -x], axis=1), m_a)
     conditions = []
     for k, link in enumerate(spec_a.links):
         name = f"flow-link-{k}"
         ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
+        # x admits the x' with x'_k >= x_k and x'_{k+1} <= x_{k+1}
+        axes = ([axis[n + k - 1]] if k > 0 else []) + ([axis[k]] if k < n else [])
+        failing = np.nonzero(ra > _dominance(np.minimum, np.inf, rb, axes))[0]
         witnesses = []
-        for rows in blocks:
-            failing = ra[rows, None] > rb
+        for i in (failing if all_witnesses else failing[:1]).tolist():
+            hit = rb < ra[i]
             if k > 0:
-                failing &= xa[rows, k - 1, None] <= xb[:, k - 1]
+                hit &= xb[:, k - 1] >= xa[i, k - 1]
             if k < n:
-                failing &= xa[rows, k, None] >= xb[:, k]
-            ia, ib = _hits(failing, rows, not all_witnesses)
-            for i, j, rate_a, rate_b in zip(
-                ia.tolist(), ib.tolist(), ra[ia].tolist(), rb[ib].tolist()
-            ):
+                hit &= xb[:, k] <= xa[i, k]
+            hits = np.nonzero(hit)[0]
+            for j in (hits if all_witnesses else hits[:1]).tolist():
                 witnesses.append(
-                    Witness(name, "rate", spec_a.states[i], spec_b.states[j], rate_a, rate_b)
+                    Witness(
+                        name, "rate", spec_a.states[i], spec_b.states[j], float(ra[i]), float(rb[j])
+                    )
                 )
-            if witnesses and not all_witnesses:
-                break
         conditions.append(
             ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
         )
@@ -227,54 +299,60 @@ def check_population_conditions(
       outflow:  the rate out of node i of A is at least B's
 
     For node 1 the inflow is the arrival link; for node n the outflow is
-    the exit link. Witnesses come in order of A's state, then B's, with
-    the inflow part first at a pair that fails both; with
-    all_witnesses=False only the first is kept per node.
+    the exit link. On the slice x'_i = x_i the premise is x'_j >= x_j for
+    every other j, so node i fails at x exactly when A's inflow exceeds
+    the least inflow of B over the premise, or A's outflow falls short of
+    the largest outflow: an (n-1)-D suffix minimum and maximum on a grid
+    of coordinate values over both spaces, read at every x (see
+    _dominance). Pairs are listed only for the states x where that
+    happens, one vectorised row against all of B's states each, and only
+    for the first such x unless all_witnesses is set.
+
+    Witnesses come in order of A's state, then B's, with the inflow part
+    first at a pair that fails both; with all_witnesses=False only the
+    first is kept per node.
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    x, m_a = _coords(spec_a, spec_b), len(spec_a.states)
+    xa, xb = x[:m_a], x[m_a:]
+    # the axes of x_1, ..., x_n and of -x_1, ..., -x_n
+    axis = _axes(np.concatenate([x, -x], axis=1), m_a)
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
-    witnesses_by_node: dict[int, list] = {i: [] for i in range(1, n + 1)}
-    for rows in _row_blocks(len(xa), len(xb)):
-        below = np.ones((rows.stop - rows.start, len(xb)), dtype=bool)
-        for i in range(n):
-            below &= xa[rows, i, None] <= xb[:, i]
-        for node in range(1, n + 1):
-            found = witnesses_by_node[node]
-            if found and not all_witnesses:
-                continue  # first witness already found for this node
-            name = f"population-node-{node}"
-            premise = below & (xa[rows, node - 1, None] == xb[:, node - 1])
-            # arrival link for node 1, else link (node-1, node); out via link node
-            (ra_in, rb_in), (ra_out, rb_out) = rates[node - 1], rates[node]
-            inflow = premise & (ra_in[rows, None] > rb_in)
-            outflow = premise & (ra_out[rows, None] < rb_out)
-            ia, ib = _hits(inflow | outflow, rows, not all_witnesses)
-            for i, j in zip(ia.tolist(), ib.tolist()):
+    conditions = []
+    for node in range(1, n + 1):
+        name = f"population-node-{node}"
+        c = node - 1
+        # arrival link for node 1, else link (node-1, node); out via link node
+        (ra_in, rb_in), (ra_out, rb_out) = rates[c], rates[node]
+        # x admits the x' with x'_i = x_i and x'_j >= x_j for every other j
+        axes = [axis[c]] + [axis[n + j] for j in range(n) if j != c]
+        least_in = _dominance(np.minimum, np.inf, rb_in, axes, exact=1)
+        most_out = _dominance(np.maximum, -np.inf, rb_out, axes, exact=1)
+        failing = np.nonzero((ra_in > least_in) | (ra_out < most_out))[0]
+        witnesses = []
+        for i in (failing if all_witnesses else failing[:1]).tolist():
+            premise = (xb[:, c] == xa[i, c]) & (xb >= xa[i]).all(axis=1)
+            inflow = premise & (rb_in < ra_in[i])
+            outflow = premise & (rb_out > ra_out[i])
+            hits = np.nonzero(inflow | outflow)[0]
+            for j in (hits if all_witnesses else hits[:1]).tolist():
                 xa_i, xb_j = spec_a.states[i], spec_b.states[j]
-                if inflow[i - rows.start, j]:
-                    found.append(
+                if inflow[j]:
+                    witnesses.append(
                         Witness(name, "inflow", xa_i, xb_j, float(ra_in[i]), float(rb_in[j]))
                     )
-                if outflow[i - rows.start, j] and (all_witnesses or not found):
-                    found.append(
+                if outflow[j] and (all_witnesses or not witnesses):
+                    witnesses.append(
                         Witness(name, "outflow", xa_i, xb_j, float(ra_out[i]), float(rb_out[j]))
                     )
-        if not all_witnesses and all(witnesses_by_node.values()):
-            break
-    conditions = tuple(
-        ConditionResult(
-            condition=f"population-node-{node}",
-            passed=not witnesses_by_node[node],
-            witnesses=tuple(witnesses_by_node[node]),
+        conditions.append(
+            ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
         )
-        for node in range(1, n + 1)
-    )
     return ConditionReport(
         kind="population",
         domains=dict(_DOMAINS),
-        conditions=conditions,
+        conditions=tuple(conditions),
         all_witnesses=all_witnesses,
     )
 
@@ -358,10 +436,15 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     In prefix sums: with P_j = x_1 + ... + x_j (P_0 = 0) for each model
     and S = P' - P, a vector of length n+1, the gap vector tight at k is
     d = S_k - S. The pair is realizable at k exactly when S_k = max S,
-    and then max d = max S - min S for every such k. So one S array
-    settles every tight link of a pair, and the scan runs over blocks of
-    A's states times all of B's, about 2**16 pairs each, which bounds its
-    temporaries to a few MiB whatever the size of the spaces.
+    that is when u(x) <= u(x') componentwise for u(x)_j = P_k - P_j,
+    j != k; and then max d = max S - min S for every such k. So for each
+    tight link the verdict is an n-D suffix minimum of rate_B on the grid
+    of u's ranks over both spaces, read at each of A's states, and
+    `checked` is the int64 suffix count of B's states on the same grid,
+    summed over A's states (see _dominance): O(|A| + |B| + cells) work
+    per link, with no pair listed. Pairs are listed only on A's states
+    with a violating partner, each such row against all of B's states,
+    and the gap vectors of the witnesses are read off S.
 
     The report's gap_bound is n times the largest coordinate c in either
     space, and no gap can exceed it: S_j - S_i is the sum of x'_l - x_l
@@ -370,33 +453,34 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
-    # P_j per state, one row per j, so that S_j of a block is one contiguous plane
-    prefix_a = np.zeros((n + 1, len(xa)), dtype=xa.dtype)
-    prefix_b = np.zeros((n + 1, len(xb)), dtype=xb.dtype)
-    prefix_a[1:] = xa.cumsum(axis=1).T
-    prefix_b[1:] = xb.cumsum(axis=1).T
-    rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
-    witnesses: list[list] = [[] for _ in range(n + 1)]
+    x, m_a = _coords(spec_a, spec_b), len(spec_a.states)
+    # P_0 = 0, P_1, ..., P_n per state, one row per state
+    prefix = np.zeros((len(x), n + 1), dtype=np.int64)
+    np.cumsum(x, axis=1, out=prefix[:, 1:])
+    prefix_a, prefix_b = prefix[:m_a], prefix[m_a:]
+    # axis (n + 1) k + j is that of P_j - P_k
+    axis = _axes((prefix[:, None, :] - prefix[:, :, None]).reshape(len(x), -1), m_a)
+    ones = np.ones(len(prefix_b), dtype=np.int64)
+    witnesses = []
     checked = 0
-    for rows in _row_blocks(len(xa), len(xb)):
-        s = prefix_b[:, None, :] - prefix_a[:, rows, None]
-        top = s.max(axis=0)
-        for k, (ra, rb) in enumerate(rates):
-            tight = s[k] == top  # realizable with d_k = 0
-            checked += int(np.count_nonzero(tight))
-            ia, ib = _hits(tight & (ra[rows, None] > rb), rows, False)
-            for i, j in zip(ia.tolist(), ib.tolist()):
-                s_ij = s[:, i - rows.start, j]
-                gaps = tuple((s_ij[k] - s_ij).tolist())
+    for k, link in enumerate(spec_a.links):
+        ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
+        # realizable at k: P'_j - P'_k <= P_j - P_k for every j != k
+        axes = [axis[(n + 1) * k + j] for j in range(n + 1) if j != k]
+        checked += int(_dominance(np.add, 0, ones, axes).sum())
+        failing = np.nonzero(ra > _dominance(np.minimum, np.inf, rb, axes))[0]
+        for i in failing.tolist():
+            s = prefix_b - prefix_a[i]
+            tight = s[:, k] == s.max(axis=1)  # realizable with d_k = 0
+            for j in np.nonzero(tight & (rb < ra[i]))[0].tolist():
+                gaps = tuple((s[j, k] - s[j]).tolist())
                 config = TightConfiguration(k, spec_a.states[i], spec_b.states[j], gaps)
-                witnesses[k].append(ClosureWitness(config, float(ra[i]), float(rb[j])))
-    witnesses = [w for per_link in witnesses for w in per_link]
+                witnesses.append(ClosureWitness(config, float(ra[i]), float(rb[j])))
     return ClosureReport(
         closed=not witnesses,
         witnesses=tuple(witnesses),
         checked=checked,
-        gap_bound=n * int(max(xa.max(initial=0), xb.max(initial=0))),
+        gap_bound=n * int(x.max(initial=0)),
         domains=dict(_DOMAINS),
     )
 

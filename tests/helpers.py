@@ -14,7 +14,8 @@ cached transposed kernel; and simulated
 paths have the dict-based Gillespie loops the
 package used before its rates became arrays over the state index. The
 order checks have the triple loops over links and state pairs that they
-ran before they became block masks. Tests freeze or recompute these
+ran before they became block masks, and the block masks over A's states
+times all of B's that they ran before they became grid queries. Tests freeze or recompute these
 values and compare the implementation against them.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 from scipy.stats import chi2
 
-from floworder import expr
+from floworder import expr, ordering
 from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
 from floworder.ctmc import (
     ConvergenceError,
@@ -1009,4 +1010,158 @@ def reference_closure(
         gap_bound=bound,
         domains=dict(_DOMAINS),
         gap_exceeded=tuple(exceeded),
+    )
+
+
+# ------------------------------------------------------ block-scan oracles
+#
+# The order checks as they ran before they became dominance queries on a
+# grid: numpy masks over blocks of A's states times all of B's, about
+# ordering._BLOCK_PAIRS pairs a block (read at call time, so a test that
+# patches it moves these blocks' edges too).
+
+
+def _row_blocks(m_a: int, m_b: int):
+    """Slices of A's state indices, each covering at most _BLOCK_PAIRS pairs
+    with all of B's states (one row when B alone has more)."""
+    step = max(1, ordering._BLOCK_PAIRS // m_b)
+    return [slice(lo, min(lo + step, m_a)) for lo in range(0, m_a, step)]
+
+
+def _hits(mask, rows: slice, first_only: bool):
+    """(ia, ib) of the True entries of a block mask, in row-major order.
+
+    ia indexes A's whole state space; with first_only at most one hit.
+    """
+    flat = np.flatnonzero(mask)
+    if first_only:
+        flat = flat[:1]
+    ia, ib = np.divmod(flat, mask.shape[1])
+    return ia + rows.start, ib
+
+
+def blocked_flow_conditions(
+    spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
+) -> ConditionReport:
+    """check_flow_conditions as a block scan over every pair of states."""
+    _require_linear_pair(spec_a, spec_b)
+    n = spec_a.n
+    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    blocks = _row_blocks(len(xa), len(xb))
+    conditions = []
+    for k, link in enumerate(spec_a.links):
+        name = f"flow-link-{k}"
+        ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
+        witnesses = []
+        for rows in blocks:
+            failing = ra[rows, None] > rb
+            if k > 0:
+                failing &= xa[rows, k - 1, None] <= xb[:, k - 1]
+            if k < n:
+                failing &= xa[rows, k, None] >= xb[:, k]
+            ia, ib = _hits(failing, rows, not all_witnesses)
+            for i, j, rate_a, rate_b in zip(
+                ia.tolist(), ib.tolist(), ra[ia].tolist(), rb[ib].tolist()
+            ):
+                witnesses.append(
+                    Witness(name, "rate", spec_a.states[i], spec_b.states[j], rate_a, rate_b)
+                )
+            if witnesses and not all_witnesses:
+                break
+        conditions.append(
+            ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
+        )
+    return ConditionReport(
+        kind="flow",
+        domains=dict(_DOMAINS),
+        conditions=tuple(conditions),
+        all_witnesses=all_witnesses,
+    )
+
+
+def blocked_population_conditions(
+    spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
+) -> ConditionReport:
+    """check_population_conditions as a block scan over every pair of states."""
+    _require_linear_pair(spec_a, spec_b)
+    n = spec_a.n
+    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
+    witnesses_by_node: dict[int, list] = {i: [] for i in range(1, n + 1)}
+    for rows in _row_blocks(len(xa), len(xb)):
+        below = np.ones((rows.stop - rows.start, len(xb)), dtype=bool)
+        for i in range(n):
+            below &= xa[rows, i, None] <= xb[:, i]
+        for node in range(1, n + 1):
+            found = witnesses_by_node[node]
+            if found and not all_witnesses:
+                continue  # first witness already found for this node
+            name = f"population-node-{node}"
+            premise = below & (xa[rows, node - 1, None] == xb[:, node - 1])
+            # arrival link for node 1, else link (node-1, node); out via link node
+            (ra_in, rb_in), (ra_out, rb_out) = rates[node - 1], rates[node]
+            inflow = premise & (ra_in[rows, None] > rb_in)
+            outflow = premise & (ra_out[rows, None] < rb_out)
+            ia, ib = _hits(inflow | outflow, rows, not all_witnesses)
+            for i, j in zip(ia.tolist(), ib.tolist()):
+                xa_i, xb_j = spec_a.states[i], spec_b.states[j]
+                if inflow[i - rows.start, j]:
+                    found.append(
+                        Witness(name, "inflow", xa_i, xb_j, float(ra_in[i]), float(rb_in[j]))
+                    )
+                if outflow[i - rows.start, j] and (all_witnesses or not found):
+                    found.append(
+                        Witness(name, "outflow", xa_i, xb_j, float(ra_out[i]), float(rb_out[j]))
+                    )
+        if not all_witnesses and all(witnesses_by_node.values()):
+            break
+    conditions = tuple(
+        ConditionResult(
+            condition=f"population-node-{node}",
+            passed=not witnesses_by_node[node],
+            witnesses=tuple(witnesses_by_node[node]),
+        )
+        for node in range(1, n + 1)
+    )
+    return ConditionReport(
+        kind="population",
+        domains=dict(_DOMAINS),
+        conditions=conditions,
+        all_witnesses=all_witnesses,
+    )
+
+
+def blocked_closure(spec_a: NetworkSpec, spec_b: NetworkSpec) -> ClosureReport:
+    """verify_tight_configurations as a block scan over every pair of states,
+    once per tight link, with S = P' - P of a whole block at a time."""
+    _require_linear_pair(spec_a, spec_b)
+    n = spec_a.n
+    xa, xb = np.asarray(spec_a.states), np.asarray(spec_b.states)
+    # P_j per state, one row per j, so that S_j of a block is one contiguous plane
+    prefix_a = np.zeros((n + 1, len(xa)), dtype=xa.dtype)
+    prefix_b = np.zeros((n + 1, len(xb)), dtype=xb.dtype)
+    prefix_a[1:] = xa.cumsum(axis=1).T
+    prefix_b[1:] = xb.cumsum(axis=1).T
+    rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
+    witnesses: list[list] = [[] for _ in range(n + 1)]
+    checked = 0
+    for rows in _row_blocks(len(xa), len(xb)):
+        s = prefix_b[:, None, :] - prefix_a[:, rows, None]
+        top = s.max(axis=0)
+        for k, (ra, rb) in enumerate(rates):
+            tight = s[k] == top  # realizable with d_k = 0
+            checked += int(np.count_nonzero(tight))
+            ia, ib = _hits(tight & (ra[rows, None] > rb), rows, False)
+            for i, j in zip(ia.tolist(), ib.tolist()):
+                s_ij = s[:, i - rows.start, j]
+                gaps = tuple((s_ij[k] - s_ij).tolist())
+                config = TightConfiguration(k, spec_a.states[i], spec_b.states[j], gaps)
+                witnesses[k].append(ClosureWitness(config, float(ra[i]), float(rb[j])))
+    witnesses = [w for per_link in witnesses for w in per_link]
+    return ClosureReport(
+        closed=not witnesses,
+        witnesses=tuple(witnesses),
+        checked=checked,
+        gap_bound=n * int(max(xa.max(initial=0), xb.max(initial=0))),
+        domains=dict(_DOMAINS),
     )

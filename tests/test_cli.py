@@ -21,6 +21,7 @@ from floworder import (
     serialize_model,
 )
 from floworder.cli import main
+from floworder.model import ModelError
 
 
 @pytest.fixture(autouse=True)
@@ -603,6 +604,20 @@ def test_solve_zero_tolerance_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("floworder: stationary residual ")
     assert "above tolerance 0" in err
+
+
+def test_solve_failure_leaves_no_partial_report_set(tmp_path, capsys, monkeypatch):
+    """solve computes every figure before it writes a file."""
+    from floworder import cli
+
+    def refuse(spec, pi):
+        raise ModelError("loss rate refused")
+
+    monkeypatch.setattr(cli, "loss_rate", refuse)
+    rc = main(["solve", "--family", "tandem-original", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "loss rate refused" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_model_file_exits_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -440,6 +441,50 @@ def test_stationary_zero_tolerance_raises():
     assert exc.value.residual >= 0.0
     assert str(exc.value).startswith("stationary residual ")
     assert str(exc.value).endswith(" above tolerance 0")
+
+
+def scaled_generator(gen, c):
+    """The generator of the same chain run c times as fast: c·Q."""
+    return dataclasses.replace(gen, matrix=gen.matrix * c, unif_rate=gen.unif_rate * c)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e8])
+def test_stationary_verdict_does_not_depend_on_the_time_unit(c):
+    """max|pi Q| grows with the rates and is checked relative to the
+    largest exit rate: Q and c·Q are both accepted and give the same pi.
+    The stiff tandem with beta = 1e8 passes too."""
+    gen = build_generator(build_original_tandem(TandemParams.linear(2, 2, 1.0)))
+    pi = stationary_distribution(gen)
+    assert np.abs(stationary_distribution(scaled_generator(gen, c)) - pi).max() < 1e-14
+    stiff = build_generator(build_original_tandem(TandemParams.linear(2, 2, 1e8)))
+    stiff_pi = stationary_distribution(stiff)
+    assert np.abs(stationary_distribution(scaled_generator(stiff, c)) - stiff_pi).max() < 1e-14
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e8])
+def test_stationary_rejects_a_perturbed_vector_at_every_time_unit(c, monkeypatch):
+    """A relative error of 1e-6 in every other entry of the solves is
+    rejected whatever the rates' scale."""
+    import scipy.sparse.linalg
+
+    factorise = scipy.sparse.linalg.splu
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            x[::2] *= 1 + 1e-6
+            return x
+
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "splu", lambda *args, **kw: Perturbed(factorise(*args, **kw))
+    )
+    gen = build_generator(build_original_tandem(TandemParams.linear(2, 2, 1.0)))
+    with pytest.raises(ConvergenceError) as exc:
+        stationary_distribution(scaled_generator(gen, c))
+    assert exc.value.residual > 1e-9
 
 
 TWO_CLASS_DOC = {

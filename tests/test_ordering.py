@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from array import array
 
@@ -269,7 +270,7 @@ def test_closure_implied_by_conditions_on_random_pairs(seed, c1, c2):
         assert verify_tight_configurations(spec_a, spec_b).closed
 
 
-# ------------------------------------------- block masks against the loops
+# ------------------------------------------ grid queries against the scans
 
 
 def random_box_spec(rng, caps, p_zero):
@@ -304,39 +305,6 @@ def model_pairs(draw):
     return random_box_spec(rng, draw(caps), p_zero), random_box_spec(rng, draw(caps), p_zero)
 
 
-def assert_same_report(report, oracle):
-    # repr also tells Python floats and ints from numpy scalars, and the
-    # dataclasses compare the state and gap tuples themselves
-    assert repr(report.to_dict()) == repr(oracle.to_dict())
-    assert report.witnesses == oracle.witnesses
-
-
-@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
-@given(pair=model_pairs(), all_witnesses=st.booleans())
-def test_condition_checks_match_loop_oracles(block, pair, all_witnesses):
-    spec_a, spec_b = pair
-    with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(ordering, "_BLOCK_PAIRS", block)
-        flow = check_flow_conditions(spec_a, spec_b, all_witnesses)
-        population = check_population_conditions(spec_a, spec_b, all_witnesses)
-    assert_same_report(flow, helpers.reference_flow_conditions(spec_a, spec_b, all_witnesses))
-    assert_same_report(
-        population, helpers.reference_population_conditions(spec_a, spec_b, all_witnesses)
-    )
-
-
-@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
-@given(pair=model_pairs())
-def test_closure_matches_loop_oracle(block, pair):
-    spec_a, spec_b = pair
-    with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(ordering, "_BLOCK_PAIRS", block)
-        report = verify_tight_configurations(spec_a, spec_b)
-    assert_same_report(report, helpers.reference_closure(spec_a, spec_b))
-
-
 @st.composite
 def tandem_pairs(draw):
     """Balanced and original tandems with random buffers, beta and tables,
@@ -349,6 +317,81 @@ def tandem_pairs(draw):
 
     pair = tandem_pair(s1, s2, draw(rate), table(s1), table(s2))
     return pair if draw(st.booleans()) else pair[::-1]
+
+
+# Runs of consecutive values far apart: the coordinates are sparse and
+# reach 10**9, yet a move often stays inside a listed space.
+SPARSE_VALUES = (0, 1, 2, 500_000_000, 500_000_001, 999_999_999, 1_000_000_000)
+
+
+@st.composite
+def list_pairs(draw):
+    """Listed spaces on one to three nodes, drawn from SPARSE_VALUES per
+    coordinate, with dyadic rate tables that are often zero; A's and B's
+    spaces share values, so every premise holds somewhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    grid = list(itertools.product(SPARSE_VALUES, repeat=n))
+
+    def spec():
+        size = draw(st.integers(1, min(len(grid), 12)))
+        states = [grid[i] for i in sorted(rng.choice(len(grid), size, replace=False))]
+        rates = {}
+        for i, j in linear_links(n):
+            table = {x: 0.0 if rng.random() < 0.3 else helpers.dyadic(rng) for x in states}
+            rates[f"{i}->{j}"] = helpers.table_to_expression(table)
+        return parse_model(
+            {"n": n, "space": {"list": [list(x) for x in states]}, "rates": rates, "clamp": True}
+        )
+
+    return spec(), spec()
+
+
+def assert_same_report(report, oracle):
+    # repr also tells Python floats and ints from numpy scalars, and the
+    # dataclasses compare the state and gap tuples themselves
+    assert repr(report.to_dict()) == repr(oracle.to_dict())
+    assert report.witnesses == oracle.witnesses
+
+
+any_pairs = st.one_of(model_pairs(), tandem_pairs(), list_pairs())
+
+
+@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
+@given(pair=any_pairs, all_witnesses=st.booleans())
+def test_condition_checks_match_loop_oracles(block, pair, all_witnesses):
+    """The grid queries give the block scans' and the loops' reports byte
+    for byte; a small _BLOCK_PAIRS sweeps the grids in slabs."""
+    spec_a, spec_b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ordering, "_BLOCK_PAIRS", block)
+        flow = check_flow_conditions(spec_a, spec_b, all_witnesses)
+        population = check_population_conditions(spec_a, spec_b, all_witnesses)
+        blocked_flow = helpers.blocked_flow_conditions(spec_a, spec_b, all_witnesses)
+        blocked_population = helpers.blocked_population_conditions(spec_a, spec_b, all_witnesses)
+    assert_same_report(flow, blocked_flow)
+    assert_same_report(population, blocked_population)
+    assert_same_report(flow, helpers.reference_flow_conditions(spec_a, spec_b, all_witnesses))
+    assert_same_report(
+        population, helpers.reference_population_conditions(spec_a, spec_b, all_witnesses)
+    )
+
+
+@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
+@given(pair=any_pairs)
+def test_closure_matches_loop_oracle(block, pair):
+    """Verdict, witnesses and the exact `checked` count of the grid
+    queries equal the block scan's and the loop's."""
+    spec_a, spec_b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ordering, "_BLOCK_PAIRS", block)
+        report = verify_tight_configurations(spec_a, spec_b)
+        blocked = helpers.blocked_closure(spec_a, spec_b)
+    assert_same_report(report, blocked)
+    assert report.checked == blocked.checked
+    assert_same_report(report, helpers.reference_closure(spec_a, spec_b))
 
 
 @given(pair=st.one_of(model_pairs(), tandem_pairs()))
@@ -397,6 +440,39 @@ def test_exact_checks_at_thirty_by_thirty():
             "rate_b": 1.0,
         }
     ]
+
+
+def test_exact_checks_at_two_hundred_by_two_hundred():
+    """40,400 and 40,401 states, so 1.6e9 pairs a link: each check is a few
+    grid queries plus one listed row, well within 3 s and 16 MiB."""
+    spec_a, spec_b = tandem_pair(200, 200, 200.0)
+    assert (len(spec_a.states), len(spec_b.states)) == (40_400, 40_401)
+    reports = []
+    for check in (check_flow_conditions, check_population_conditions, verify_tight_configurations):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            reports.append(check(spec_a, spec_b))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 3.0, f"{check.__name__} took {elapsed:.2f} s"
+        assert peak < 16 * 2**20, f"{check.__name__} peaked at {peak / 2**20:.1f} MiB"
+    flow, population, closure = reports
+    assert flow.passed
+    assert [w.to_dict() for w in population.witnesses] == [
+        {
+            "condition": "population-node-2",
+            "part": "outflow",
+            "state_a": [200, 1],
+            "state_b": [200, 1],
+            "rate_a": 0.0,
+            "rate_b": 1.0,
+        }
+    ]
+    assert closure.closed
+    assert closure.checked == 1_643_047_900
 
 
 # ------------------------------------------------------- pathwise checks
