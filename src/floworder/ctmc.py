@@ -108,14 +108,14 @@ class ReducibleChainError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """The stationary vector's residual max|pi Q| / unif_rate is not below
-    the tolerance."""
+    """The stationary vector's residual max|pi Q|, divided by the recurrent
+    class's largest exit rate, is not below the tolerance."""
 
     def __init__(self, residual, tol):
         self.residual = residual
         super().__init__(
-            f"stationary residual {residual:g} (relative to the largest exit rate) "
-            f"above tolerance {tol:g}"
+            f"stationary residual {residual:g} (relative to the recurrent class's "
+            f"largest exit rate) above tolerance {tol:g}"
         )
 
 
@@ -401,7 +401,7 @@ def _recurrent_class(gen: Generator):
 
 def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     """Stationary distribution with relative residual max|pi Q| / Λ below
-    `tol`, Λ = gen.unif_rate being the largest exit rate.
+    `tol`, Λ being the largest exit rate of a state of the recurrent class.
 
     Transient states (outside the unique recurrent class) get mass zero.
     On the recurrent class the balance equations pi Q = 0 are solved
@@ -414,8 +414,9 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     are read as the CSC arrays of its transpose. The residual is then
     checked; a miss raises ConvergenceError. max|pi Q| grows with the
     rates, so it is divided by Λ: Q and c·Q give the same verdict for any
-    c > 0, whatever the unit of time. With Λ = 0 nothing moves and the
-    residual is 0.
+    c > 0, whatever the unit of time. Λ is taken over the class alone, the
+    states the residual is measured on, so a fast transient state does not
+    loosen the check; a class of more than one state has Λ > 0.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -436,7 +437,8 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     # The shift makes the factorisation nonsingular without densifying a
     # row (as a normalisation row of ones would) and without pinning the
     # mass of one state, which is badly conditioned when that state is rare.
-    sigma = 1e-12 * float(-data[diagonal].min())
+    rate = float(-data[diagonal].min())  # Λ, the class's largest exit rate
+    sigma = 1e-12 * rate
     data[diagonal] -= sigma
     shifted = sp.csc_matrix((data, sub.indices, sub.indptr), shape=(k, k))
     lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
@@ -446,8 +448,7 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
         pi /= pi.sum()
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    lam = gen.unif_rate
-    residual = float(np.abs(sub.T @ pi).max()) / lam if lam > 0 else 0.0
+    residual = float(np.abs(sub.T @ pi).max()) / rate
     if not residual < tol:  # a NaN residual fails too
         raise ConvergenceError(residual, tol)
     if k == m:

@@ -79,10 +79,11 @@ def linear_links(n: int) -> tuple[Link, ...]:
 class NetworkSpec:
     """Immutable description of one population process, validated when built.
 
-    Construction evaluates each link's expression once over the (m, n)
-    int64 state array and keeps the link's two arrays: its effective rate
-    at every state (clamp applied) and the index of the state each move
-    leads to (-1 where the move leaves the space). It raises ModelError at
+    Construction builds `coords`, the states as a read-only (m, n) int64
+    array, evaluates each link's expression once over it and keeps the
+    link's two arrays: its effective rate at every state (clamp applied)
+    and the index of the state each move leads to (-1 where the move
+    leaves the space). It raises ModelError at
     the first bad state, links in declared order and states in
     enumeration order: a rate that is not finite, then a negative one,
     then (unless clamp is set) a positive rate whose move leaves the
@@ -97,11 +98,13 @@ class NetworkSpec:
     params: dict[str, float]
     clamp: bool = False
     state_index: dict[State, int] = field(init=False, repr=False, compare=False)
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
     _arrays: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.state_index = index = {x: k for k, x in enumerate(self.states)}
-        coords = np.array(self.states, dtype=np.int64)
+        self.coords = coords = np.array(self.states, dtype=np.int64)
+        coords.setflags(write=False)
         self._arrays = {}
         for i, j in self.links:
             name = f"{i}->{j}"

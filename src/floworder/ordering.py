@@ -24,18 +24,23 @@ The closure check is implied by the flow conditions but not conversely,
 so it can certify pairs the pointwise conditions reject.
 
 All three quantify over |A|·|B| pairs of states (closure once per tight
-link, so |A|·|B|·(n+1) configurations), but none forms those pairs to
-reach a verdict. Every premise is a dominance relation on one to n
-coordinates, so each condition is one query on a grid of those
-coordinates' values over both spaces: a prefix minimum or maximum of
-B's rate, or for closure's `checked` an int64 prefix count of B's
-states, read at each of A's states. A query costs O(|A| + |B| + cells),
-where cells is at most about n!·|B| on a box, and it keeps a few arrays
-of O(n**2) integers per state; a grid of more than _BLOCK_PAIRS cells
-is swept in slabs, so it is never held whole. Pairs are listed only to
-write witnesses, one row of A's state against all of B's for each state
-of A that has a violating partner, so reports list witnesses in the
-order a scan by A's state, then B's, meets them.
+link, so |A|·|B|·(n+1) configurations). Every premise is a dominance
+relation on one to n coordinates, so each condition is one query on a
+grid of those coordinates' values over both spaces: a prefix minimum or
+maximum of B's rate, or for closure's `checked` an int64 prefix count
+of B's states, read at each of A's states. A grid query costs
+O(|A| + |B| + cells) and forms no pair; the grid is swept in slabs of
+about _BLOCK_PAIRS cells, so it is never held whole. Where the pairs
+fit in one block of _BLOCK_PAIRS, where the grid would have more cells
+than there are pairs (a few states spread over many values, as on a
+listed diagonal), or where one slice of it alone would exceed a block,
+the query scans the pairs instead, a block at a time. So no query costs
+much more than a scan of the pairs, and the working memory is a few
+arrays of O(n**2) integers per state plus a few blocks: a few MiB at
+the default block. Pairs are listed only to write witnesses, one row of
+A's state against all of B's for each state of A that has a violating
+partner, so reports list witnesses in the order a scan by A's state,
+then B's, meets them.
 
 Pathwise and statistical diagnostics complement the exact routes:
 violation scans over a coupled log's flows and visits arrays, an
@@ -45,7 +50,6 @@ mean-flow margin check on a time grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,13 +156,6 @@ def _require_linear_pair(spec_a: NetworkSpec, spec_b: NetworkSpec):
         raise ModelError("order checks need the same number of nodes on both models")
 
 
-def _coords(spec_a: NetworkSpec, spec_b: NetworkSpec) -> np.ndarray:
-    """The states of A, then those of B, as one int64 array, a row each."""
-    m, n = len(spec_a.states) + len(spec_b.states), spec_a.n
-    flat = itertools.chain.from_iterable(itertools.chain(spec_a.states, spec_b.states))
-    return np.fromiter(flat, dtype=np.int64, count=m * n).reshape(m, n)
-
-
 def _axes(cells, m_a: int):
     """Grid axes for the columns of cells, whose first m_a rows belong to
     A's states and the rest to B's: an (A's cells, B's cells, size) triple
@@ -180,48 +177,79 @@ def _axes(cells, m_a: int):
     return [(cells[:m_a, c], cells[m_a:, c], size) for c, size in enumerate(sizes)]
 
 
-def _dominance(op, identity, values_b, axes, exact: int = 0):
-    """For each of A's states x, op reduced over values_b at the states x'
-    of B whose cell is at most x's on every axis, and equal to it on the
-    first `exact` axes; identity where no state of B qualifies.
+def _reversed(axis):
+    """The axis of a column's negation: its cells in reverse order."""
+    cells_a, cells_b, size = axis
+    return size - 1 - cells_a, size - 1 - cells_b, size
+
+
+def _dominance(axes, queries, exact: bool = False):
+    """For each query (op, identity, values_b) and each of A's states x,
+    op reduced over values_b at the states x' of B whose cell is at most
+    x's on every axis, and equal to it on the first if `exact`; identity
+    where no state of B qualifies. One array per query, indexed by A's
+    states.
 
     op is np.minimum, np.maximum or np.add, with identity inf, -inf or 0;
-    axes come from _axes. B's values are put on the grid of cells, which
-    is accumulated by op along every axis but the exact ones and read at
+    axes come from _axes. Each query puts B's values on the grid of cells,
+    accumulates it by op along every axis but an exact one and reads it at
     A's cells: O(|A| + |B| + cells) work, and no pair of states is formed.
-    A grid of more than _BLOCK_PAIRS cells is swept in slabs of about that
-    many cells (one slice at least) along its first axis. Each slab is
-    accumulated along the other axes, then along the first, starting from
-    the last slice of the slab before it.
+    The grid is swept in slabs of about _BLOCK_PAIRS cells, one slice at
+    least, along its first axis: each slab is accumulated along the other
+    axes, then along the first, starting from the last slice of the slab
+    before it.
+
+    The pairs are scanned instead (_scan_rows) where they fit in one block
+    of _BLOCK_PAIRS, a single pass of a few numpy calls, which on small
+    spaces costs less than sorting the states into slabs; where the grid
+    has more cells than there are pairs; and where one slice alone has
+    more cells than a block. So a query never costs much more than the
+    scan, and besides a few arrays over the states its memory stays
+    within a few blocks of _BLOCK_PAIRS either way.
     """
     cells_a, cells_b, shape = zip(*axes)
-    step = max(1, _BLOCK_PAIRS // math.prod(shape[1:]))
-    if step >= shape[0]:
-        grid = np.empty(shape, dtype=values_b.dtype)
-        grid.fill(identity)
-        op.at(grid, cells_b, values_b)
-        for axis in range(exact, len(shape)):
-            op.accumulate(grid, axis=axis, out=grid)
-        return grid[cells_a]
+    pairs, slice_cells = len(cells_a[0]) * len(cells_b[0]), math.prod(shape[1:])
+    if pairs <= _BLOCK_PAIRS or slice_cells * shape[0] > pairs or slice_cells > _BLOCK_PAIRS:
+        return _scan_rows(cells_a, cells_b, queries, exact)
+    step = _BLOCK_PAIRS // slice_cells
     order_a, order_b = np.argsort(cells_a[0]), np.argsort(cells_b[0])
-    lows = list(range(0, shape[0], step))
-    cut_a = np.searchsorted(cells_a[0][order_a], lows + [shape[0]]).tolist()
-    cut_b = np.searchsorted(cells_b[0][order_b], lows + [shape[0]]).tolist()
-    out = np.empty(len(order_a), dtype=values_b.dtype)
-    carry = None
-    for s, lo in enumerate(lows):
+    ends = list(range(0, shape[0], step)) + [shape[0]]
+    cut_a = np.searchsorted(cells_a[0], ends, sorter=order_a).tolist()
+    cut_b = np.searchsorted(cells_b[0], ends, sorter=order_b).tolist()
+    outs = [np.empty(len(order_a), dtype=values_b.dtype) for _, _, values_b in queries]
+    carries = [None] * len(queries)
+    for s, lo in enumerate(ends[:-1]):
         in_a, in_b = order_a[cut_a[s] : cut_a[s + 1]], order_b[cut_b[s] : cut_b[s + 1]]
-        slab = np.full((min(step, shape[0] - lo),) + shape[1:], identity, dtype=values_b.dtype)
-        op.at(slab, (cells_b[0][in_b] - lo,) + tuple(b[in_b] for b in cells_b[1:]), values_b[in_b])
-        for axis in range(max(exact, 1), len(shape)):
-            op.accumulate(slab, axis=axis, out=slab)
-        if not exact:
-            if carry is not None:
-                op(slab[0], carry, out=slab[0])
-            op.accumulate(slab, axis=0, out=slab)
-            carry = slab[-1]
-        out[in_a] = slab[(cells_a[0][in_a] - lo,) + tuple(a[in_a] for a in cells_a[1:])]
-    return out
+        at_a = (cells_a[0][in_a] - lo,) + tuple(a[in_a] for a in cells_a[1:])
+        at_b = (cells_b[0][in_b] - lo,) + tuple(b[in_b] for b in cells_b[1:])
+        for q, (op, identity, values_b) in enumerate(queries):
+            slab = np.full((ends[s + 1] - lo,) + shape[1:], identity, dtype=values_b.dtype)
+            op.at(slab, at_b, values_b[in_b])
+            for axis in range(1, len(shape)):
+                op.accumulate(slab, axis=axis, out=slab)
+            if not exact:
+                if carries[q] is not None:
+                    op(slab[0], carries[q], out=slab[0])
+                op.accumulate(slab, axis=0, out=slab)
+                carries[q] = slab[-1]
+            outs[q][in_a] = slab[at_a]
+    return outs
+
+
+def _scan_rows(cells_a, cells_b, queries, exact: bool):
+    """_dominance by scanning the pairs, in blocks of A's states against
+    all of B's of about _BLOCK_PAIRS pairs (one row when B alone has more)."""
+    outs = [np.empty(len(cells_a[0]), dtype=values_b.dtype) for _, _, values_b in queries]
+    step = max(1, _BLOCK_PAIRS // len(cells_b[0]))
+    first = np.equal if exact else np.less_equal
+    for lo in range(0, len(cells_a[0]), step):
+        rows = slice(lo, lo + step)
+        admitted = first(cells_b[0], cells_a[0][rows, None])
+        for a, b in zip(cells_a[1:], cells_b[1:]):
+            admitted &= b <= a[rows, None]
+        for out, (op, identity, values_b) in zip(outs, queries):
+            out[rows] = op.reduce(np.where(admitted, values_b, identity), axis=1)
+    return outs
 
 
 def check_flow_conditions(
@@ -240,10 +268,11 @@ def check_flow_conditions(
     Each premise is a dominance relation on one or two coordinates, so
     link k fails at x exactly when rate_A(x) exceeds the least rate_B over
     the x' it admits: one prefix or suffix minimum on a grid of those
-    coordinates' values over both spaces, read at every x (see
-    _dominance). Pairs are listed only for the states x where that
-    happens, one vectorised row against all of B's states each, and only
-    for the first such x unless all_witnesses is set.
+    coordinates' values over both spaces, read at every x, or a scan of
+    the pairs where that costs less (see _dominance). Pairs are listed
+    only for the states x where that happens, one vectorised row against
+    all of B's states each, and only for the first such x unless
+    all_witnesses is set.
 
     Verdicts are exact rate comparisons with no tolerance. Witnesses come
     in order of A's state, then B's. With all_witnesses=False only the
@@ -251,17 +280,16 @@ def check_flow_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    x, m_a = _coords(spec_a, spec_b), len(spec_a.states)
-    xa, xb = x[:m_a], x[m_a:]
-    # the axes of x_1, ..., x_n and of -x_1, ..., -x_n
-    axis = _axes(np.concatenate([x, -x], axis=1), m_a)
+    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.states)
+    axis = _axes(np.concatenate([xa, xb]), m_a)  # of x_1, ..., x_n
     conditions = []
     for k, link in enumerate(spec_a.links):
         name = f"flow-link-{k}"
         ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
         # x admits the x' with x'_k >= x_k and x'_{k+1} <= x_{k+1}
-        axes = ([axis[n + k - 1]] if k > 0 else []) + ([axis[k]] if k < n else [])
-        failing = np.nonzero(ra > _dominance(np.minimum, np.inf, rb, axes))[0]
+        axes = ([_reversed(axis[k - 1])] if k > 0 else []) + ([axis[k]] if k < n else [])
+        (least,) = _dominance(axes, [(np.minimum, np.inf, rb)])
+        failing = np.nonzero(ra > least)[0]
         witnesses = []
         for i in (failing if all_witnesses else failing[:1]).tolist():
             hit = rb < ra[i]
@@ -303,10 +331,11 @@ def check_population_conditions(
     every other j, so node i fails at x exactly when A's inflow exceeds
     the least inflow of B over the premise, or A's outflow falls short of
     the largest outflow: an (n-1)-D suffix minimum and maximum on a grid
-    of coordinate values over both spaces, read at every x (see
-    _dominance). Pairs are listed only for the states x where that
-    happens, one vectorised row against all of B's states each, and only
-    for the first such x unless all_witnesses is set.
+    of coordinate values over both spaces, read at every x, or a scan of
+    the pairs where that costs less (see _dominance). Pairs are listed
+    only for the states x where that happens, one vectorised row against
+    all of B's states each, and only for the first such x unless
+    all_witnesses is set.
 
     Witnesses come in order of A's state, then B's, with the inflow part
     first at a pair that fails both; with all_witnesses=False only the
@@ -314,10 +343,8 @@ def check_population_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    x, m_a = _coords(spec_a, spec_b), len(spec_a.states)
-    xa, xb = x[:m_a], x[m_a:]
-    # the axes of x_1, ..., x_n and of -x_1, ..., -x_n
-    axis = _axes(np.concatenate([x, -x], axis=1), m_a)
+    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.states)
+    axis = _axes(np.concatenate([xa, xb]), m_a)  # of x_1, ..., x_n
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
     conditions = []
     for node in range(1, n + 1):
@@ -326,9 +353,10 @@ def check_population_conditions(
         # arrival link for node 1, else link (node-1, node); out via link node
         (ra_in, rb_in), (ra_out, rb_out) = rates[c], rates[node]
         # x admits the x' with x'_i = x_i and x'_j >= x_j for every other j
-        axes = [axis[c]] + [axis[n + j] for j in range(n) if j != c]
-        least_in = _dominance(np.minimum, np.inf, rb_in, axes, exact=1)
-        most_out = _dominance(np.maximum, -np.inf, rb_out, axes, exact=1)
+        axes = [axis[c]] + [_reversed(axis[j]) for j in range(n) if j != c]
+        least_in, most_out = _dominance(
+            axes, [(np.minimum, np.inf, rb_in), (np.maximum, -np.inf, rb_out)], exact=True
+        )
         failing = np.nonzero((ra_in > least_in) | (ra_out < most_out))[0]
         witnesses = []
         for i in (failing if all_witnesses else failing[:1]).tolist():
@@ -441,10 +469,11 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     tight link the verdict is an n-D suffix minimum of rate_B on the grid
     of u's ranks over both spaces, read at each of A's states, and
     `checked` is the int64 suffix count of B's states on the same grid,
-    summed over A's states (see _dominance): O(|A| + |B| + cells) work
-    per link, with no pair listed. Pairs are listed only on A's states
-    with a violating partner, each such row against all of B's states,
-    and the gap vectors of the witnesses are read off S.
+    summed over A's states: O(|A| + |B| + cells) work per link, with no
+    pair listed, or a scan of the pairs where that costs less (see
+    _dominance). Pairs are listed only on A's states with a violating
+    partner, each such row against all of B's states, and the gap
+    vectors of the witnesses are read off S.
 
     The report's gap_bound is n times the largest coordinate c in either
     space, and no gap can exceed it: S_j - S_i is the sum of x'_l - x_l
@@ -453,22 +482,25 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    x, m_a = _coords(spec_a, spec_b), len(spec_a.states)
+    x, m_a = np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.states)
     # P_0 = 0, P_1, ..., P_n per state, one row per state
     prefix = np.zeros((len(x), n + 1), dtype=np.int64)
     np.cumsum(x, axis=1, out=prefix[:, 1:])
     prefix_a, prefix_b = prefix[:m_a], prefix[m_a:]
-    # axis (n + 1) k + j is that of P_j - P_k
-    axis = _axes((prefix[:, None, :] - prefix[:, :, None]).reshape(len(x), -1), m_a)
+    # the axes of P_j - P_k for k < j; that of P_k - P_j is one reversed
+    above = [(k, j) for k in range(n + 1) for j in range(k + 1, n + 1)]
+    ks, js = (list(c) for c in zip(*above))
+    axis = dict(zip(above, _axes(prefix[:, js] - prefix[:, ks], m_a)))
     ones = np.ones(len(prefix_b), dtype=np.int64)
     witnesses = []
     checked = 0
     for k, link in enumerate(spec_a.links):
         ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
         # realizable at k: P'_j - P'_k <= P_j - P_k for every j != k
-        axes = [axis[(n + 1) * k + j] for j in range(n + 1) if j != k]
-        checked += int(_dominance(np.add, 0, ones, axes).sum())
-        failing = np.nonzero(ra > _dominance(np.minimum, np.inf, rb, axes))[0]
+        axes = [_reversed(axis[j, k]) if j < k else axis[k, j] for j in range(n + 1) if j != k]
+        admitted, least = _dominance(axes, [(np.add, 0, ones), (np.minimum, np.inf, rb)])
+        checked += int(admitted.sum())
+        failing = np.nonzero(ra > least)[0]
         for i in failing.tolist():
             s = prefix_b - prefix_a[i]
             tight = s[:, k] == s.max(axis=1)  # realizable with d_k = 0

@@ -180,7 +180,8 @@ def reference_stationary(gen: Generator, tol: float = 1e-12) -> np.ndarray:
         pi_full[members[0]] = 1.0
         return pi_full
     sub = gen.matrix[np.ix_(members, members)].tocsr()
-    sigma = 1e-12 * float(-sub.diagonal().min())
+    rate = float(-sub.diagonal().min())
+    sigma = 1e-12 * rate
     shifted = (sub.T - sigma * sp.identity(k)).tocsc()
     lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
     pi = np.full(k, 1.0 / k)
@@ -189,7 +190,7 @@ def reference_stationary(gen: Generator, tol: float = 1e-12) -> np.ndarray:
         pi /= pi.sum()
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ sub).max())
+    residual = float(np.abs(pi @ sub).max()) / rate
     if not residual < tol:
         raise ConvergenceError(residual, tol)
     pi_full[members] = pi

@@ -461,10 +461,9 @@ def test_stationary_verdict_does_not_depend_on_the_time_unit(c):
     assert np.abs(stationary_distribution(scaled_generator(stiff, c)) - stiff_pi).max() < 1e-14
 
 
-@pytest.mark.parametrize("c", [1e-6, 1.0, 1e8])
-def test_stationary_rejects_a_perturbed_vector_at_every_time_unit(c, monkeypatch):
-    """A relative error of 1e-6 in every other entry of the solves is
-    rejected whatever the rates' scale."""
+def perturb_solves(monkeypatch):
+    """Every sparse LU solve returns its answer with every other entry off
+    by a relative error of 1e-6."""
     import scipy.sparse.linalg
 
     factorise = scipy.sparse.linalg.splu
@@ -481,10 +480,40 @@ def test_stationary_rejects_a_perturbed_vector_at_every_time_unit(c, monkeypatch
     monkeypatch.setattr(
         scipy.sparse.linalg, "splu", lambda *args, **kw: Perturbed(factorise(*args, **kw))
     )
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e8])
+def test_stationary_rejects_a_perturbed_vector_at_every_time_unit(c, monkeypatch):
+    """A relative error of 1e-6 in every other entry of the solves is
+    rejected whatever the rates' scale."""
+    perturb_solves(monkeypatch)
     gen = build_generator(build_original_tandem(TandemParams.linear(2, 2, 1.0)))
     with pytest.raises(ConvergenceError) as exc:
         stationary_distribution(scaled_generator(gen, c))
     assert exc.value.residual > 1e-9
+
+
+# State 2 is never entered and leaves at rate 1e6; the recurrent class
+# {0, 1} moves at rate 1.
+FAST_TRANSIENT_DOC = {
+    "n": 1,
+    "space": {"list": [[0], [1], [2]]},
+    "rates": {"0->1": "ind(x1 = 0)", "1->0": "ind(x1 = 1) + 1e6 * ind(x1 = 2)"},
+}
+
+
+def test_stationary_residual_is_relative_to_the_recurrent_class(monkeypatch):
+    """The residual is measured on the recurrent class and divided by its
+    largest exit rate, 1, not by the chain's, 1e6: a vector off by 1e-6
+    is rejected, though its residual over 1e6 would pass."""
+    gen = build_generator(parse_model(FAST_TRANSIENT_DOC))
+    assert gen.unif_rate == 1e6
+    assert stationary_distribution(gen) == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+    perturb_solves(monkeypatch)
+    with pytest.raises(ConvergenceError) as exc:
+        stationary_distribution(gen)
+    assert 1e-7 < exc.value.residual < 1e-6
+    assert exc.value.residual / 1e6 < 1e-12
 
 
 TWO_CLASS_DOC = {

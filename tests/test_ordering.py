@@ -354,14 +354,19 @@ def assert_same_report(report, oracle):
     assert report.witnesses == oracle.witnesses
 
 
-any_pairs = st.one_of(model_pairs(), tandem_pairs(), list_pairs())
+BLOCKS = pytest.mark.parametrize(
+    "block", [None, 7, 40], ids=["block-default", "block-7", "block-40"]
+)
+# tandem and listed pairs, each with its own examples
+OTHER_PAIRS = pytest.mark.parametrize(
+    "pairs", [tandem_pairs(), list_pairs()], ids=["tandem", "list"]
+)
 
 
-@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
-@given(pair=any_pairs, all_witnesses=st.booleans())
-def test_condition_checks_match_loop_oracles(block, pair, all_witnesses):
-    """The grid queries give the block scans' and the loops' reports byte
-    for byte; a small _BLOCK_PAIRS sweeps the grids in slabs."""
+def assert_conditions_match_oracles(block, pair, all_witnesses):
+    """The queries give the block scans' and the loops' reports byte for
+    byte; a small _BLOCK_PAIRS sweeps the grids in slabs and sends other
+    queries to the row scan."""
     spec_a, spec_b = pair
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
@@ -378,11 +383,9 @@ def test_condition_checks_match_loop_oracles(block, pair, all_witnesses):
     )
 
 
-@pytest.mark.parametrize("block", [None, 7, 40], ids=["block-default", "block-7", "block-40"])
-@given(pair=any_pairs)
-def test_closure_matches_loop_oracle(block, pair):
-    """Verdict, witnesses and the exact `checked` count of the grid
-    queries equal the block scan's and the loop's."""
+def assert_closure_matches_oracles(block, pair):
+    """Verdict, witnesses and the exact `checked` count of the queries
+    equal the block scan's and the loop's."""
     spec_a, spec_b = pair
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
@@ -392,6 +395,34 @@ def test_closure_matches_loop_oracle(block, pair):
     assert_same_report(report, blocked)
     assert report.checked == blocked.checked
     assert_same_report(report, helpers.reference_closure(spec_a, spec_b))
+
+
+@BLOCKS
+@given(pair=model_pairs(), all_witnesses=st.booleans())
+def test_condition_checks_match_loop_oracles(block, pair, all_witnesses):
+    assert_conditions_match_oracles(block, pair, all_witnesses)
+
+
+@BLOCKS
+@OTHER_PAIRS
+@given(data=st.data(), all_witnesses=st.booleans())
+def test_condition_checks_match_oracles_on_tandem_and_list_pairs(
+    block, pairs, data, all_witnesses
+):
+    assert_conditions_match_oracles(block, data.draw(pairs), all_witnesses)
+
+
+@BLOCKS
+@given(pair=model_pairs())
+def test_closure_matches_loop_oracle(block, pair):
+    assert_closure_matches_oracles(block, pair)
+
+
+@BLOCKS
+@OTHER_PAIRS
+@given(data=st.data())
+def test_closure_matches_oracles_on_tandem_and_list_pairs(block, pairs, data):
+    assert_closure_matches_oracles(block, data.draw(pairs))
 
 
 @given(pair=st.one_of(model_pairs(), tandem_pairs()))
@@ -473,6 +504,55 @@ def test_exact_checks_at_two_hundred_by_two_hundred():
     ]
     assert closure.closed
     assert closure.checked == 1_643_047_900
+
+
+def thin_pair(states):
+    """A listed space and the same space with its arrival rate raised by 1
+    at the fourth state, so that some conditions fail."""
+    n = len(states[0])
+    rates = {f"{i}->{j}": (f"x{i}" if i else "1") for i, j in linear_links(n)}
+    doc = {"n": n, "space": {"list": [list(x) for x in states]}, "rates": rates, "clamp": True}
+    spec_b = parse_model(doc)
+    raised = " * ".join(f"ind(x{c + 1} = {v})" for c, v in enumerate(states[3]))
+    doc["rates"] = {**rates, "0->1": f"1 + {raised}"}
+    return parse_model(doc), spec_b
+
+
+@pytest.mark.parametrize(
+    "states, verdict",
+    [
+        # every move leaves the diagonal, so every rate is clamped to 0
+        ([(i,) * 4 for i in range(1001)], "pass"),
+        (list(itertools.product((0, 1), repeat=10)), "fail"),
+    ],
+    ids=["diagonal-4x1001", "box-2^10"],
+)
+def test_exact_checks_scan_the_pairs_on_thin_spaces(states, verdict):
+    """Few states spread over many values on every axis: a grid on the
+    diagonal would have about 1e12 cells a closure link, one slice alone
+    about 1e9, and on the ten-node 0/1 box about 4e7 cells against 1e6
+    pairs. The queries scan the pairs instead, each call within 3 s and
+    16 MiB, and give the block scans' reports."""
+    spec_a, spec_b = thin_pair(states)
+    checks = [
+        (check_flow_conditions, helpers.blocked_flow_conditions),
+        (check_population_conditions, helpers.blocked_population_conditions),
+        (verify_tight_configurations, helpers.blocked_closure),
+    ]
+    for check, oracle in checks:
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = check(spec_a, spec_b)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 3.0, f"{check.__name__} took {elapsed:.2f} s"
+        assert peak < 16 * 2**20, f"{check.__name__} peaked at {peak / 2**20:.1f} MiB"
+        expected = oracle(spec_a, spec_b)
+        assert_same_report(report, expected)
+        assert report.to_dict()["verdict"] == verdict
 
 
 # ------------------------------------------------------- pathwise checks
