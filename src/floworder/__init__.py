@@ -2,9 +2,10 @@
 
 The package models finite-state Markov population processes whose moves
 shift one unit along a directed link, with node 0 standing for the
-outside world. Each link's rates are held as an array over the
-lexicographic state index, next to the index each move leads to; both
-are built, and every rate checked, when a NetworkSpec is constructed, so
+outside world. Each link's rates are held as an array over the state
+index, next to the index each move leads to; both are built, by array
+operations and one key search, and every rate checked, when a
+NetworkSpec is constructed, so
 no spec reaches a solver or checker with an invalid rate. For the
 linear link family 0 -> 1 -> ... -> n -> 0 it provides pointwise
 rate-condition checkers, an exhaustive closure verifier,

@@ -247,9 +247,10 @@ def simulate_coupled(
     links = spec_a.links
     xa = tuple(int(v) for v in init_a)
     xb = tuple(int(v) for v in init_b)
-    if xa not in spec_a.state_index:
+    start_a, start_b = spec_a.find(xa), spec_b.find(xb)
+    if start_a < 0:
         raise ModelError(f"initial state {xa} not in the first state space")
-    if xb not in spec_b.state_index:
+    if start_b < 0:
         raise ModelError(f"initial state {xb} not in the second state space")
     rates = [
         (spec_a.rate_vector(link).tolist(), spec_b.rate_vector(link).tolist())
@@ -274,7 +275,7 @@ def simulate_coupled(
         next_a, next_b = targets[b]
         return next_a[ia] * width + next_b[ib]
 
-    start = spec_a.state_index[xa] * width + spec_b.state_index[xb]
+    start = start_a * width + start_b
     times, bins, pairs, absorbed = gillespie(
         _Rows(row).__getitem__, advance, start, horizon, seed
     )

@@ -2,7 +2,9 @@
 
 The continuous-time chain lives on the finite state set of a NetworkSpec.
 Its generator's CSR arrays are laid down directly from the per-link rate
-and next_index arrays, each row's columns already in sorted order. A
+and next_index arrays, each row's columns already in sorted order when
+the states are lexicographic, as parsed ones are (and sorted afterwards
+when a spec built directly lists them in another order). A
 link (i, j) moves x to x - e_i + e_j, and that target fixes (i, j), so no
 two links share a (source, target) pair: the off-diagonal of the matrix
 is exactly the set of moves, and a move's link and rate are read back
@@ -66,6 +68,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -223,10 +226,14 @@ def _flow_counts(positions: np.ndarray, moved, links: int) -> np.ndarray:
 @dataclass
 class Generator:
     states: tuple[State, ...]
-    index: dict
     matrix: sp.csr_matrix  # includes the diagonal
     unif_rate: float
     _kernel_t: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def index(self) -> dict:
+        """Index of every state, as a dict built on first use."""
+        return {x: k for k, x in enumerate(self.states)}
 
     def transposed_kernel(self) -> sp.csc_matrix:
         """P^T as a CSC matrix, P = I + Q / unif_rate; requires unif_rate > 0.
@@ -248,11 +255,15 @@ def build_generator(spec: NetworkSpec) -> Generator:
 
     A state's row holds one slot per link and one for the diagonal, and a
     slot is stored where its rate (on the diagonal, the exit rate) is
-    positive. A move along a link adds the same vector to every state, and
-    the states are in lexicographic order, so the slots of every row come
-    in one column order: that of the moves' vectors, the diagonal's being
-    zero. Each row's column indices are therefore sorted as they are laid
-    down.
+    positive. A move along a link adds the same vector to every state, so
+    when the states are in lexicographic order, as a parsed document's
+    are, the slots of every row come in one column order: that of the
+    moves' vectors, the diagonal's being zero. Each row's column indices
+    are then sorted as they are laid down. A spec built directly may list
+    its states in another order, and the solvers read the arrays as
+    canonical CSR, so the rows are sorted afterwards: scipy's
+    sort_indices first checks the order in one pass and leaves sorted
+    rows as they are.
     """
     import scipy.sparse as sp
 
@@ -271,12 +282,9 @@ def build_generator(spec: NetworkSpec) -> Generator:
     data = np.column_stack([v for _, _, v in slots])[stored]
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return Generator(
-        states=spec.states,
-        index=spec.state_index,
-        matrix=sp.csr_matrix((data, indices, indptr), shape=(m, m)),
-        unif_rate=float(exit_rates.max()),
-    )
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+    matrix.sort_indices()
+    return Generator(states=spec.states, matrix=matrix, unif_rate=float(exit_rates.max()))
 
 
 # Uniforms drawn from the stream per call of rng.random.
@@ -355,12 +363,13 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     A state's total exit rate is summed link by link in declared order.
     """
     init = tuple(int(v) for v in init)
-    if init not in spec.state_index:
+    start = spec.find(init)
+    if start < 0:
         raise ModelError(f"initial state {init} not in the state space")
     rows = _cumulative_rows(np.column_stack([spec.rate_vector(link) for link in spec.links]))
     next_index = [spec.next_index(link).tolist() for link in spec.links]
     times, moves, visits, absorbed = gillespie(
-        rows.__getitem__, lambda i, b: next_index[b][i], spec.state_index[init], horizon, seed
+        rows.__getitem__, lambda i, b: next_index[b][i], start, horizon, seed
     )
     return EventLog(
         initial=init,

@@ -43,47 +43,53 @@ class ExpressionError(ValueError):
     """Syntax error or unknown identifier in a rate expression."""
 
 
-@dataclass(frozen=True)
+# Nodes are slotted dataclasses that nothing changes once the parser has
+# built them. A slotted __init__ costs less than half of a frozen one's,
+# which sets each field through object.__setattr__, and the generated
+# __eq__ still compares trees field by field.
+
+
+@dataclass(slots=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Coord:
     index: int  # 0-based position in the state vector
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp:
     op: str  # '+', '-' or '*'
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     operand: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Extremum:
     fn: str  # 'min' or 'max'
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Comparison:
     op: str  # '<', '<=' or '='
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Indicator:
     tests: tuple  # of Comparison, conjoined
 
@@ -276,11 +282,12 @@ def _evaluate(node, columns, params):
     nodes, so the left spine of a chain is walked in a loop, innermost
     operation first, and recursion goes only into right operands. The
     recursion depth is then set by how deeply terms nest, not by how many
-    terms a sum or product has.
+    terms a sum or product has. A node is dispatched on its exact class.
     """
-    if isinstance(node, BinOp):
+    kind = type(node)
+    if kind is BinOp:
         spine = []
-        while isinstance(node, BinOp):
+        while type(node) is BinOp:
             spine.append(node)
             node = node.left
         acc = _evaluate(node, columns, params)
@@ -293,15 +300,15 @@ def _evaluate(node, columns, params):
             else:
                 acc = acc * b
         return acc
-    if isinstance(node, Num):
+    if kind is Num:
         return node.value
-    if isinstance(node, Coord):
+    if kind is Coord:
         return columns[node.index]
-    if isinstance(node, Param):
+    if kind is Param:
         return float(params[node.name])
-    if isinstance(node, Neg):
+    if kind is Neg:
         return -_evaluate(node.operand, columns, params)
-    if isinstance(node, Extremum):
+    if kind is Extremum:
         best = _evaluate(node.args[0], columns, params)
         for arg in node.args[1:]:
             value = _evaluate(arg, columns, params)
@@ -311,16 +318,17 @@ def _evaluate(node, columns, params):
             else:
                 best = np.where(better, value, best)
         return best
-    if isinstance(node, Indicator):
-        holds = True
+    if kind is Indicator:
+        holds = None
         for test in node.tests:
             a = _evaluate(test.left, columns, params)
             b = _evaluate(test.right, columns, params)
             if test.op == "<":
-                holds &= a < b
+                test_holds = a < b
             elif test.op == "<=":
-                holds &= a <= b
+                test_holds = a <= b
             else:
-                holds &= a == b
+                test_holds = a == b
+            holds = test_holds if holds is None else holds & test_holds
         return holds.astype(np.float64) if isinstance(holds, np.ndarray) else float(holds)
     raise TypeError(f"not an expression node: {node!r}")

@@ -23,14 +23,27 @@ Documents are JSON objects:
       "clamp": false
     }
 
-States are enumerated in lexicographic order, which fixes the index map
-used by every solver and report in the package. Each link is held as two
-arrays over that index: its effective rate at every state, and the index
+A parsed document's states are enumerated in lexicographic order, which
+fixes the index map used by every solver and report in the package. The
+space is held as `coords`, one (m, n) int64 array, and each link as two
+arrays over its rows: the effective rate at every state, and the index
 of the state each move leads to (-1 where the move leaves the space).
-Both are built once per link, when a NetworkSpec is constructed, from one
-evaluation of its expression over the whole state array, and the rate
-rules above are checked on them there. A spec built directly is held to
-the same rules as a parsed document.
+All are built when a NetworkSpec is constructed, at array speed, and the
+rate rules above are checked on them there:
+
+  * coords comes from one np.fromiter over the state tuples;
+  * every state gets a mixed-radix int64 key whose order is the
+    lexicographic one, so a move along link (i, j) changes a key by a
+    constant, and one np.searchsorted of every link's moved keys finds
+    all the next_index arrays (whole rows, as records, replace the key
+    where it would overflow int64);
+  * each expression is evaluated once over the whole state array.
+
+A spec built directly is held to the same rules as a parsed document,
+its space included, but may list its states in any order; keys out of
+order are argsorted before the search. No dict from state to index is
+built unless a caller asks for NetworkSpec.state_index; index lookups go
+through NetworkSpec.find, which compares columns.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +93,25 @@ def linear_links(n: int) -> tuple[Link, ...]:
 class NetworkSpec:
     """Immutable description of one population process, validated when built.
 
-    Construction builds `coords`, the states as a read-only (m, n) int64
-    array, evaluates each link's expression once over it and keeps the
+    Construction checks the state space as a parsed document's is
+    checked (every state has n integer coordinates, none negative, none
+    listed twice, at least one state), with _parse_space's messages. It builds
+    `coords`, the states as a read-only (m, n) int64 array, and finds
+    every link's next_index by one key search (_move_targets). It then
+    evaluates each link's expression once over `coords` and keeps the
     link's two arrays: its effective rate at every state (clamp applied)
     and the index of the state each move leads to (-1 where the move
-    leaves the space). It raises ModelError at
-    the first bad state, links in declared order and states in
-    enumeration order: a rate that is not finite, then a negative one,
-    then (unless clamp is set) a positive rate whose move leaves the
-    space. So every spec, parsed or built directly, is a valid model.
-    Treat instances as frozen.
+    leaves the space). It raises ModelError at the first bad state, links
+    in declared order and states in the given order: a rate that is not
+    finite, then a negative one, then (unless clamp is set) a positive
+    rate whose move leaves the space. So every spec, parsed or built
+    directly, is a valid model. Treat instances as frozen.
+
+    Parsed documents list their states in lexicographic order, so
+    build_generator lays each row's columns down sorted. A spec built
+    directly may list them in any order; its generator's rows are then
+    sorted afterwards. `state_index`, the dict from state tuple to index,
+    is built on first use; no command needs it.
     """
 
     n: int
@@ -97,29 +120,20 @@ class NetworkSpec:
     rates: dict[Link, RateExpr]
     params: dict[str, float]
     clamp: bool = False
-    state_index: dict[State, int] = field(init=False, repr=False, compare=False)
     coords: np.ndarray = field(init=False, repr=False, compare=False)
     _arrays: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.state_index = index = {x: k for k, x in enumerate(self.states)}
-        self.coords = coords = np.array(self.states, dtype=np.int64)
-        coords.setflags(write=False)
+        self.coords = coords = _state_array(self.states, self.n)
+        targets = _move_targets(coords, self.links, self.states)
         self._arrays = {}
-        for i, j in self.links:
+        for (i, j), next_index in zip(self.links, targets):
             name = f"{i}->{j}"
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
                     unclamped = evaluate(self.rates[(i, j)].root, coords, self.params)
             except RecursionError:
                 raise ModelError(f"rate for link {name} is nested too deeply to evaluate") from None
-            moved = coords.copy()
-            if i > 0:
-                moved[:, i - 1] -= 1
-            if j > 0:
-                moved[:, j - 1] += 1
-            targets = [index.get(y, -1) for y in map(tuple, moved.tolist())]
-            next_index = np.array(targets, dtype=np.int64)
             bad = ~np.isfinite(unclamped) | (unclamped < 0)
             if not self.clamp:
                 bad |= (unclamped > 0) & (next_index < 0)
@@ -138,11 +152,32 @@ class NetworkSpec:
             rates = np.where(next_index >= 0, unclamped, 0.0) if self.clamp else unclamped
             self._arrays[(i, j)] = (rates, next_index)
 
+    @cached_property
+    def state_index(self) -> dict[State, int]:
+        """Index of every state, as a dict built on first use."""
+        return {x: k for k, x in enumerate(self.states)}
+
+    def find(self, x: State) -> int:
+        """Index of state x, or -1 if it is not in the space.
+
+        Each column of `coords` is compared with its coordinate, so no dict
+        is built. A coordinate outside [0, 2**63) is no state's; it is
+        turned away first, since numpy 1 compares an int64 column with a
+        Python int in [2**63, 2**64) in float64, where 2**63 - 1 equals
+        2**63."""
+        if len(x) != self.n or not all(0 <= v < 2**63 for v in x):
+            return -1
+        hits = self.coords[:, 0] == x[0]
+        for d in range(1, self.n):
+            hits &= self.coords[:, d] == x[d]
+        hits = np.flatnonzero(hits)
+        return int(hits[0]) if hits.size else -1
+
     def index_of(self, x: State) -> int:
-        try:
-            return self.state_index[tuple(x)]
-        except KeyError:
-            raise ModelError(f"state {tuple(x)} not in the state space") from None
+        k = self.find(x)
+        if k < 0:
+            raise ModelError(f"state {tuple(x)} not in the state space")
+        return k
 
     def target(self, x: State, link: Link) -> State:
         i, j = link
@@ -164,6 +199,127 @@ class NetworkSpec:
     def rate_table(self, link: Link) -> dict[State, float]:
         """Effective rate of `link` at every state, as a new dict read off rate_vector."""
         return dict(zip(self.states, self.rate_vector(link).tolist()))
+
+
+def _check_state(x: State, n: int, seen: set) -> None:
+    """Raise ModelError if state x breaks a space rule; `seen` holds the
+    states before it, and x is added."""
+    if len(x) != n:
+        raise ModelError(f"state {x} has wrong dimension")
+    if any(v < 0 for v in x):
+        raise ModelError(f"state {x} has a negative coordinate")
+    if x in seen:
+        raise ModelError(f"duplicate state {x}")
+    seen.add(x)
+
+
+def _check_space(states, n: int) -> None:
+    """Raise the ModelError of the first state of `states` that breaks a
+    space rule, in the given order and with _parse_space's messages; a
+    coordinate must equal its int, as _integers rules."""
+    seen = set()
+    for x in states:
+        _check_state(_integers(x, f"state {list(x)} must have integer coordinates"), n, seen)
+
+
+def _first_bad_state(states, n: int):
+    """_check_space where a vectorised check has flagged some state."""
+    _check_space(states, n)
+    raise AssertionError("no state breaks a space rule")
+
+
+def _state_array(states, n: int) -> np.ndarray:
+    """The states as a read-only (m, n) int64 array, from one np.fromiter
+    over their coordinates.
+
+    A state with other than n coordinates would shift every row after it,
+    and np.fromiter truncates a float, so lengths and coordinate types are
+    checked first; only a space with some coordinate other than a Python
+    int is checked state by state. A coordinate too large for int64 is a
+    ModelError."""
+    m = len(states)
+    if m == 0:
+        raise ModelError("empty state space")
+    if set(map(len, states)) != {n}:
+        _first_bad_state(states, n)
+    if set(map(type, itertools.chain.from_iterable(states))) != {int}:
+        _check_space(states, n)
+    try:
+        coords = np.fromiter(itertools.chain.from_iterable(states), np.int64, m * n)
+    except OverflowError:
+        raise ModelError("state coordinates must be below 2**63") from None
+    coords = coords.reshape(m, n)
+    coords.setflags(write=False)
+    return coords
+
+
+def _move_targets(coords: np.ndarray, links, states) -> np.ndarray:
+    """The (len(links), m) array of next_index rows, a move's target index
+    or -1.
+
+    Every row gets a key whose order is the rows' lexicographic order
+    (_row_keys), and one np.searchsorted finds every link's moved keys
+    among the sorted keys. Keys already increasing are the parsed case
+    and need no sort; otherwise a stable argsort orders them, and two
+    equal keys are a duplicate state. A negative coordinate, or a
+    duplicate, raises the first bad state's ModelError."""
+    if coords.min() < 0:
+        _first_bad_state(states, coords.shape[1])
+    keys, moved = _row_keys(coords, links)
+    if keys.dtype.names is None and bool((keys[1:] > keys[:-1]).all()):
+        order, sorted_keys = None, keys
+    else:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            _first_bad_state(states, coords.shape[1])
+    pos = np.searchsorted(sorted_keys, moved)
+    found = sorted_keys.take(pos, mode="clip") == moved  # pos = m is never a hit
+    if order is not None:
+        pos = order.take(pos, mode="clip")
+    return np.where(found, pos, -1)
+
+
+def _row_keys(coords: np.ndarray, links) -> tuple[np.ndarray, np.ndarray]:
+    """Sort keys of the rows of `coords`, and the keys of every link's
+    moved rows, shape (len(links), m). A moved row that is no state's gets
+    a key that no state has.
+
+    The key is a mixed-radix int64 number with the coordinates as digits,
+    most significant first, in radix max + 3: a moved coordinate lies in
+    [-1, max + 1], so keys stay distinct and ordered one step out on
+    either side, and a link's moved key is the key plus a constant. Where
+    that radix product would overflow int64, the keys are the rows
+    themselves, as records of n int64 fields, which numpy compares field
+    by field.
+    """
+    n = coords.shape[1]
+    radix = [hi + 3 for hi in coords.max(axis=0).tolist()]
+    if math.prod(radix) >= 2**63:
+        return _row_records(coords, links)
+    weights = [1] * n
+    for d in range(n - 2, -1, -1):
+        weights[d] = weights[d + 1] * radix[d + 1]
+    keys = coords @ np.array(weights, dtype=np.int64)
+    weight = [0] + weights  # node 0, the outside, has no coordinate
+    moved = np.add.outer([weight[j] - weight[i] for i, j in links], keys)
+    return keys, moved
+
+
+def _row_records(coords: np.ndarray, links) -> tuple[np.ndarray, np.ndarray]:
+    """_row_keys where the radix key would overflow int64: each row as one
+    record."""
+    m, n = coords.shape
+    record = np.dtype([(f"x{d}", np.int64) for d in range(n)])
+    moved = np.empty((len(links), m), dtype=record)
+    for k, (i, j) in enumerate(links):
+        y = coords.copy()
+        if i > 0:
+            y[:, i - 1] -= 1  # a coordinate of 0 goes to -1, which no state has
+        if j > 0:
+            y[:, j - 1] += 1  # one of 2**63 - 1 wraps to a negative one
+        moved[k] = y.view(record).ravel()
+    return np.ascontiguousarray(coords).view(record).ravel(), moved
 
 
 def is_linear_family(spec: NetworkSpec) -> bool:
@@ -231,11 +387,9 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
             if any(v < 0 or v > c for v, c in zip(x, caps)):
                 raise ModelError(f"excluded state {x} lies outside the box")
             excluded.add(x)
-        states = [
-            x
-            for x in itertools.product(*(range(c + 1) for c in caps))
-            if x not in excluded
-        ]
+        # product lists the box in lexicographic order, so no sort is needed
+        box = itertools.product(*(range(c + 1) for c in caps))
+        states = tuple(itertools.filterfalse(excluded.__contains__, box))
     elif "list" in keys:
         if keys != {"list"}:
             raise ModelError(f"unknown space keys {sorted(keys - {'list'})}")
@@ -243,19 +397,14 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
         seen = set()
         for raw in _array(space["list"], "list"):
             x = _integers(raw, f"state {raw} must have integer coordinates")
-            if len(x) != n:
-                raise ModelError(f"state {x} has wrong dimension")
-            if any(v < 0 for v in x):
-                raise ModelError(f"state {x} has a negative coordinate")
-            if x in seen:
-                raise ModelError(f"duplicate state {x}")
-            seen.add(x)
+            _check_state(x, n, seen)
             states.append(x)
+        states = tuple(sorted(states))
     else:
         raise ModelError("space must contain 'box' or 'list'")
     if not states:
         raise ModelError("empty state space")
-    return tuple(sorted(states))
+    return states
 
 
 def _parse_link_key(key: str) -> Link:
@@ -371,7 +520,7 @@ def serialize_model(spec: NetworkSpec) -> dict:
     """Canonical document form; parsing it back yields an equal NetworkSpec."""
     return {
         "n": spec.n,
-        "space": {"list": [list(x) for x in spec.states]},
+        "space": {"list": spec.coords.tolist()},
         "links": [list(link) for link in spec.links],
         "params": {k: spec.params[k] for k in sorted(spec.params)},
         "rates": {f"{i}->{j}": spec.rates[(i, j)].source for (i, j) in spec.links},

@@ -648,7 +648,7 @@ def mean_order_check(
     if not 0.0 <= tol < math.inf:
         raise ToleranceError(f"margin tolerance must be finite and nonnegative, not {tol:g}")
     init = tuple(int(v) for v in init)
-    if init not in spec_a.state_index or init not in spec_b.state_index:
+    if spec_a.find(init) < 0 or spec_b.find(init) < 0:
         raise ModelError(f"initial state {init} must lie in both state spaces")
     times = tuple(float(t) for t in times)
     mean_a = transient_mean_flow(spec_a, init, link, times, flow_tol)

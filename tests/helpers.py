@@ -714,6 +714,25 @@ def scalar_model_error(n, links, states, rates, params, clamp=False):
     return None
 
 
+def reference_next_index(spec: NetworkSpec, link) -> np.ndarray:
+    """next_index of `link` by one dict lookup per state, the route
+    NetworkSpec took before its key search."""
+    index = {x: k for k, x in enumerate(spec.states)}
+    return np.array([index.get(spec.target(x, link), -1) for x in spec.states], dtype=np.int64)
+
+
+def permuted_spec(spec: NetworkSpec, order) -> NetworkSpec:
+    """spec built directly with its states listed in the given order of indices."""
+    return NetworkSpec(
+        n=spec.n,
+        links=spec.links,
+        states=tuple(spec.states[k] for k in order),
+        rates=spec.rates,
+        params=spec.params,
+        clamp=spec.clamp,
+    )
+
+
 def no_escaping_rate(spec: NetworkSpec) -> bool:
     """True when no link of spec has a positive rate whose move leaves the space."""
     return not any(
@@ -724,9 +743,10 @@ def no_escaping_rate(spec: NetworkSpec) -> bool:
 def scalar_rate_table(spec: NetworkSpec, link) -> dict:
     """Effective rate of `link` at every state, one scalar evaluation each."""
     table = {}
+    space = set(spec.states)
     for x in spec.states:
         r = scalar_evaluate(spec.rates[link].root, x, spec.params)
-        if spec.clamp and spec.target(x, link) not in spec.state_index:
+        if spec.clamp and spec.target(x, link) not in space:
             r = 0.0
         table[x] = r
     return table

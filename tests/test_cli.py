@@ -723,3 +723,28 @@ def test_help_text_pinned(command):
     env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run(argv, capture_output=True, env=env, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--family", "tandem-pair", "--s1", "3", "--s2", "2"],
+        ["verify", "--family", "tandem-pair", "--s1", "3", "--s2", "2"],
+        ["solve", "--family", "tandem-original", "--s1", "3", "--s2", "2"],
+        ["sweep", "--betas", "1", "--sizes", "1,2"],
+    ],
+    ids=["check", "verify", "solve", "sweep"],
+)
+def test_commands_build_no_state_dict(argv, tmp_path, monkeypatch, capsys):
+    """The state-to-index dicts are built on first use, and these commands
+    never use them: every lookup they make is a key search or a scan."""
+    from floworder.ctmc import Generator
+    from floworder.model import NetworkSpec
+
+    def refuse(self):
+        raise AssertionError("a per-state dict was built")
+
+    monkeypatch.setattr(NetworkSpec, "state_index", property(refuse))
+    monkeypatch.setattr(Generator, "index", property(refuse))
+    assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
+    capsys.readouterr()

@@ -401,6 +401,31 @@ def test_stationary_with_transient_states():
     assert pi == pytest.approx([1.0, 0.0, 0.0], abs=0)
 
 
+@pytest.mark.parametrize("build", [build_original_tandem, build_balanced_tandem])
+@pytest.mark.parametrize("permutation", ["reversed", "shuffled"])
+def test_permuted_spec_gives_the_permuted_solutions(build, permutation):
+    """A spec built directly with its states out of lexicographic order has
+    its generator rows sorted, so every solver gives the sorted spec's
+    answers, permuted. Without the sort, the reversed 2x2 original raised
+    ConvergenceError (residual 0.33), its CSR columns read unsorted."""
+    spec = build(TandemParams.linear(2, 3, 1.0))
+    m = len(spec.states)
+    if permutation == "reversed":
+        order = np.arange(m)[::-1]
+    else:
+        order = np.random.default_rng(3).permutation(m)
+    permuted = helpers.permuted_spec(spec, order.tolist())
+    gen, gen_permuted = build_generator(spec), build_generator(permuted)
+    assert gen.matrix.has_canonical_format and gen_permuted.matrix.has_canonical_format
+    pi, pi_permuted = stationary_distribution(gen), stationary_distribution(gen_permuted)
+    assert np.abs(pi_permuted - pi[order]).max() < 1e-12
+    for link in spec.links:
+        assert abs(throughput(permuted, pi_permuted, link) - throughput(spec, pi, link)) < 1e-12
+        means = transient_mean_flow(spec, (1, 1), link, (0.5, 2.0))
+        means_permuted = transient_mean_flow(permuted, (1, 1), link, (0.5, 2.0))
+        assert np.abs(np.subtract(means_permuted, means)).max() < 1e-12
+
+
 def test_stationary_stiff_large_tandem_solves():
     # 2,601 states with arrivals 1e4 times faster than service.
     spec = build_original_tandem(TandemParams.linear(50, 50, 1e4))

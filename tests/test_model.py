@@ -5,6 +5,8 @@ import math
 import os
 import sys
 import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, strategies as st
 
 import helpers
 from floworder.cli import main
+from floworder.ctmc import build_generator
 from floworder.expr import ExpressionError, evaluate, parse_expression
 from floworder.model import (
     ModelError,
@@ -462,17 +465,20 @@ def assert_arrays_match_oracle(spec):
     for link in spec.links:
         oracle = helpers.scalar_rate_table(spec, link)
         assert bits(spec.rate_vector(link)) == bits([oracle[x] for x in spec.states])
-        targets = [spec.target(x, link) for x in spec.states]
-        expected = [spec.state_index.get(y, -1) for y in targets]
-        assert spec.next_index(link).tolist() == expected
+        expected = helpers.reference_next_index(spec, link)
+        assert spec.next_index(link).tolist() == expected.tolist()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
 def test_rate_arrays_bit_equal_scalar_oracle_on_random_tables(seed, c1, c2):
-    spec, tables = helpers.random_table_instance(np.random.default_rng(seed), c1, c2)
-    assert_arrays_match_oracle(spec)
-    for link in spec.links:
-        assert spec.rate_table(link) == tables[link]
+    rng = np.random.default_rng(seed)
+    spec, tables = helpers.random_table_instance(rng, c1, c2)
+    # the same spec built directly with its states in a random order
+    permuted = helpers.permuted_spec(spec, rng.permutation(len(spec.states)).tolist())
+    for built in (spec, permuted):
+        assert_arrays_match_oracle(built)
+        for link in spec.links:
+            assert built.rate_table(link) == tables[link]
 
 
 @given(
@@ -545,6 +551,197 @@ def test_validation_errors_match_scalar_oracle(exprs, c1, c2, clamp):
             with pytest.raises(ModelError) as err:
                 build()
             assert str(err.value) == expected
+
+
+# ------------------------------------------------ state spaces and keys
+
+
+def unit_rate_parts(n, states):
+    """The parts of a clamped spec on `states` whose every link has rate 1."""
+    return dict(
+        n=n,
+        links=linear_links(n),
+        states=states,
+        rates={link: parse_expression("1", n, {}) for link in linear_links(n)},
+        params={},
+        clamp=True,
+    )
+
+
+def space_outcome(build):
+    """The spec `build` returns, or the message of the ModelError it raises."""
+    try:
+        return build()
+    except ModelError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize(
+    "n, states, message",
+    [
+        (2, ((0, 0), (0, 0), (0, 1)), "duplicate state (0, 0)"),
+        (2, ((0, -1), (0, 0)), "state (0, -1) has a negative coordinate"),
+        (3, ((0, 0, 0), (1,)), "state (1,) has wrong dimension"),
+        (2, ((0, 1), (0, 0), (0, 1), (0, -1)), "duplicate state (0, 1)"),
+        (1, (), "empty state space"),
+        (2, ((0, 2**63),), "state coordinates must be below 2**63"),
+        (1, ((0,), (0.5,)), "state [0.5] must have integer coordinates"),
+        (1, ((-0.5,),), "state [-0.5] must have integer coordinates"),
+        (2, ((0, 0), (1.0, 0), (1, 0)), "duplicate state (1, 0)"),
+        (2, ((0, True),), "state [0, True] must have integer coordinates"),
+    ],
+    ids=[
+        "duplicate",
+        "negative",
+        "ragged",
+        "first-bad-state",
+        "empty",
+        "beyond-int64",
+        "half",
+        "negative-half",
+        "float-duplicate",
+        "bool",
+    ],
+)
+def test_direct_spaces_follow_the_parsed_rules(n, states, message):
+    """A spec built directly is held to _parse_space's rules and messages,
+    the first bad state in the given order deciding; a coordinate beyond
+    int64 is a ModelError too, parsed or not."""
+    parts = unit_rate_parts(n, states)
+    doc = {
+        "n": n,
+        "space": {"list": [list(x) for x in states]},
+        "rates": {f"{i}->{j}": "1" for i, j in parts["links"]},
+        "clamp": True,
+    }
+    assert space_outcome(lambda: NetworkSpec(**parts)) == message
+    assert space_outcome(lambda: parse_model(doc)) == message
+
+
+@given(st.lists(st.lists(st.integers(-1, 2), min_size=1, max_size=3).map(tuple), max_size=6))
+def test_direct_space_errors_match_parsed_documents(states):
+    """Any list of states: the same error as the parsed document, or a spec
+    whose next_index is the dict route's in the given order."""
+    parts = unit_rate_parts(2, tuple(states))
+    doc = {
+        "n": 2,
+        "space": {"list": [list(x) for x in states]},
+        "rates": {"0->1": "1", "1->2": "1", "2->0": "1"},
+        "clamp": True,
+    }
+    built = space_outcome(lambda: NetworkSpec(**parts))
+    parsed = space_outcome(lambda: parse_model(doc))
+    if isinstance(parsed, str):
+        assert built == parsed
+    else:
+        assert set(built.states) == set(parsed.states)
+        assert build_generator(built).matrix.has_canonical_format
+        assert_arrays_match_oracle(built)
+
+
+@given(
+    st.lists(expressions(), min_size=3, max_size=3),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_permuted_states_match_the_dict_route_and_scalar_errors(exprs, c1, c2, clamp, rnd):
+    """States in any order: next_index and the rates equal the dict route and
+    the scalar oracle, and a bad rate is reported at the first bad state
+    in the given order."""
+    params = {"a": 0.5, "b": 3.0}
+    states = [(i, j) for i in range(c1 + 1) for j in range(c2 + 1)]
+    rnd.shuffle(states)
+    parts = dict(
+        n=2,
+        links=linear_links(2),
+        states=tuple(states),
+        rates={link: parse_expression(e, 2, params) for link, e in zip(linear_links(2), exprs)},
+        params=params,
+        clamp=clamp,
+    )
+    expected = helpers.scalar_model_error(**parts)
+    if expected is None:
+        assert_arrays_match_oracle(NetworkSpec(**parts))
+    else:
+        with pytest.raises(ModelError) as err:
+            NetworkSpec(**parts)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "n, values",
+    [
+        (1, (0, 2**63 - 2, 2**63 - 1)),
+        (3, (0, 1, 2**62, 2**62 + 1, 2**63 - 1)),
+        (64, (0, 1)),
+        (70, (0, 1, 2, 2**62)),
+    ],
+    ids=["one-node-max", "near-2^62", "64-nodes", "70-nodes"],
+)
+@given(data=st.data())
+def test_next_index_matches_dict_route_past_int64_keys(n, values, data):
+    """Spaces whose mixed-radix key would overflow int64: coordinates near
+    2**62 and many nodes, whose rows are then compared as records, listed
+    in any order and with some moves one value away. A move off 2**63 - 1
+    leaves the space."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = data.draw(st.integers(1, 12))
+    rows = {tuple(int(v) for v in rng.choice(values, n)) for _ in range(size)}
+    states = list(rows)
+    # neighbours one step along a random node make some moves land in the space
+    for x in list(rows)[:3]:
+        d = int(rng.integers(n))
+        y = x[:d] + (x[d] + 1,) + x[d + 1 :]
+        if y[d] < 2**63 and y not in rows:
+            rows.add(y)
+            states.append(y)
+    order = data.draw(st.permutations(range(len(states))))
+    spec = NetworkSpec(**unit_rate_parts(n, tuple(states[k] for k in order)))
+    assert_arrays_match_oracle(spec)
+    for x in states:
+        assert spec.states[spec.index_of(x)] == x
+
+
+def test_three_node_parse_at_c60_within_budget():
+    """The three-node original at capacities (60, 61, 59), lambda = 1.3 and
+    service min(x_i, 2): 226,920 states, built without per-state Python
+    beyond the state tuples themselves."""
+    doc = {
+        "n": 3,
+        "space": {"box": [60, 61, 59]},
+        "params": {"lam": 1.3},
+        "rates": {
+            "0->1": "lam * ind(x1 < 60)",
+            "1->2": "min(x1, 2) * ind(x2 < 61)",
+            "2->3": "min(x2, 2) * ind(x3 < 59)",
+            "3->0": "min(x3, 2)",
+        },
+    }
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        spec = parse_model(doc)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec.states) == 226_920
+    assert elapsed < 3.0
+    assert peak < 64 * 2**20
+    k = spec.index_of((60, 1, 0))
+    assert spec.rate_vector((0, 1))[k] == 0.0 and spec.next_index((0, 1))[k] == -1
+    assert spec.states[spec.next_index((1, 2))[k]] == (59, 2, 0)
+
+
+def test_state_index_is_built_on_first_use():
+    spec = parse_model(helpers.tandem_doc_text(2, 2, 1.0))
+    assert "state_index" not in vars(spec)
+    assert spec.state_index == {x: k for k, x in enumerate(spec.states)}
+    assert spec.index_of((1, 2)) == spec.state_index[(1, 2)]
+    for outside in ((3, 0), (1,), (-1, 0), (2**63, 0), (2**64 - 1, 0), (2**70, 0)):
+        assert spec.find(outside) == -1
 
 
 # ------------------------------------------- malformed and deep expressions
