@@ -57,10 +57,8 @@ from .ordering import (
     ClosureReport,
     ConditionReport,
     MeanOrderReport,
-    TailOrderReport,
     check_flow_conditions,
     check_population_conditions,
-    empirical_tail_order,
     mean_order_check,
     pathwise_flow_order_check,
     pathwise_population_order_check,
@@ -93,7 +91,6 @@ __all__ = [
     "RateExpr",
     "ReducibleChainError",
     "SolverError",
-    "TailOrderReport",
     "TandemParams",
     "ToleranceError",
     "balance_signature",
@@ -102,7 +99,6 @@ __all__ = [
     "build_original_tandem",
     "check_flow_conditions",
     "check_population_conditions",
-    "empirical_tail_order",
     "linear_links",
     "load_model",
     "loss_rate",

@@ -27,6 +27,12 @@ calls main() many times pays for the parser once. The parser is also
 the only place that names an option and its default: each command's
 handler reads the parsed namespace as it is, and main() checks --tol
 and dispatches on the command.
+
+CSV bodies are written as their writers yield them, in chunks. couple
+and simulate check --init before they make the output directory; each
+replication's worker then writes that replication's file as soon as its
+path ends and returns only counts, so no replication's text outlives it
+and a process pool carries no text. The summary JSON is written last.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ import os
 import sys
 
 from . import __version__
-from .coupling import paired_log_csv, simulate_coupled
+from .coupling import _start_pair, paired_log_csv, simulate_coupled
 from .ctmc import (
     SolverError,
+    _start_index,
     build_generator,
     distribution_csv,
     event_log_csv,
@@ -208,27 +215,28 @@ def _header_lines(header: dict) -> list[str]:
     return lines
 
 
-def _write_csv(path: str, header: dict, body: str):
+def _write_csv(path: str, header: dict, chunks):
+    """The header's comment lines, then the body's text chunks as they come."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in _header_lines(header):
             fh.write(line + "\n")
-        fh.write(body)
+        fh.writelines(chunks)
 
 
-def _report_rows(report_dict: dict) -> str:
-    lines = ["condition,passed,part,state_a,state_b,rate_a,rate_b"]
+def _report_rows(report_dict: dict) -> list[str]:
+    lines = ["condition,passed,part,state_a,state_b,rate_a,rate_b\n"]
     for cond in report_dict.get("conditions", []):
         if not cond["witnesses"]:
-            lines.append(f"{cond['condition']},{cond['passed']},,,,,")
+            lines.append(f"{cond['condition']},{cond['passed']},,,,,\n")
         for w in cond["witnesses"]:
             sa = ";".join(str(v) for v in w.get("state_a", []))
             sb = ";".join(str(v) for v in w.get("state_b", []))
             part = w.get("part", "")
             lines.append(
                 f"{cond['condition']},{cond['passed']},{part},{sa},{sb},"
-                f"{w.get('rate_a', '')!r},{w.get('rate_b', '')!r}"
+                f"{w.get('rate_a', '')!r},{w.get('rate_b', '')!r}\n"
             )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _write_report(config: argparse.Namespace, header: dict, stem: str, report_dict: dict) -> str:
@@ -270,29 +278,35 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     return 0 if report.closed else 1
 
 
+def _initial_state(config: argparse.Namespace, spec: NetworkSpec) -> tuple[int, ...]:
+    return _parse_init(config.init) if config.init else (0,) * spec.n
+
+
 def _couple_worker(args):
-    log = simulate_coupled(*args)
-    violations = pathwise_flow_order_check(log)
-    return paired_log_csv(log), len(log.events), len(violations)
+    path, header, spec_a, spec_b, init, horizon, seed = args
+    log = simulate_coupled(spec_a, spec_b, init, init, horizon, seed)
+    violations = len(pathwise_flow_order_check(log))
+    _write_csv(path, header, paired_log_csv(log))
+    return len(log.events), violations
 
 
 def _cmd_couple(config: argparse.Namespace) -> int:
     _check_replications(config)
     spec_a, spec_b = _model_pair(config)
     header = _header(config, {"a": spec_a, "b": spec_b})
-    init = _parse_init(config.init) if config.init else (0,) * spec_a.n
+    init = _initial_state(config, spec_a)
+    _start_pair(spec_a, spec_b, init, init)  # before the output directory is made
+    out = _out_dir(config)
     tasks = [
-        (spec_a, spec_b, init, init, config.horizon, replication_seed(config.seed, k))
+        (
+            os.path.join(out, f"couple_rep{k:04d}.csv"), header,
+            spec_a, spec_b, init, config.horizon, replication_seed(config.seed, k),
+        )
         for k in range(config.reps)
     ]
     results = _map_replications(_couple_worker, tasks, config.jobs)
-    out = _out_dir(config)
-    total_events = 0
-    total_violations = 0
-    for idx, (csv_text, n_events, n_violations) in enumerate(results):
-        _write_csv(os.path.join(out, f"couple_rep{idx:04d}.csv"), header, csv_text)
-        total_events += n_events
-        total_violations += n_violations
+    total_events = sum(n_events for n_events, _ in results)
+    total_violations = sum(n_violations for _, n_violations in results)
     summary = {
         "replications": config.reps,
         "horizon": config.horizon,
@@ -310,28 +324,29 @@ def _cmd_couple(config: argparse.Namespace) -> int:
 
 
 def _sim_worker(args):
-    spec, init, horizon, seed = args
+    path, header, spec, init, horizon, seed = args
     log = simulate_path(spec, init, horizon, seed)
-    return event_log_csv(log), len(log.events), log.absorbed
+    _write_csv(path, header, event_log_csv(log))
+    return len(log.events), log.absorbed
 
 
 def _cmd_simulate(config: argparse.Namespace) -> int:
     _check_replications(config)
     spec = _single_model(config)
     header = _header(config, {"a": spec})
-    init = _parse_init(config.init) if config.init else (0,) * spec.n
+    init = _initial_state(config, spec)
+    _start_index(spec, init)  # before the output directory is made
+    out = _out_dir(config)
     tasks = [
-        (spec, init, config.horizon, replication_seed(config.seed, k))
+        (
+            os.path.join(out, f"sim_rep{k:04d}.csv"), header,
+            spec, init, config.horizon, replication_seed(config.seed, k),
+        )
         for k in range(config.reps)
     ]
     results = _map_replications(_sim_worker, tasks, config.jobs)
-    out = _out_dir(config)
-    total_events = 0
-    absorbed = 0
-    for idx, (csv_text, n_events, was_absorbed) in enumerate(results):
-        _write_csv(os.path.join(out, f"sim_rep{idx:04d}.csv"), header, csv_text)
-        total_events += n_events
-        absorbed += int(was_absorbed)
+    total_events = sum(n_events for n_events, _ in results)
+    absorbed = sum(int(was_absorbed) for _, was_absorbed in results)
     summary = {
         "replications": config.reps,
         "horizon": config.horizon,
@@ -373,15 +388,15 @@ def _cmd_transient(config: argparse.Namespace) -> int:
     header = _header(config, {"a": spec_a, "b": spec_b})
     times = _parse_grid(config.grid)
     link = _parse_link(config.link)
-    init = _parse_init(config.init) if config.init else (0,) * spec_a.n
+    init = _initial_state(config, spec_a)
     report = mean_order_check(
         spec_a, spec_b, link, times, init, tol=config.tol
     )
     out = _out_dir(config)
-    rows = ["time,mean_a,mean_b,margin"]
+    rows = ["time,mean_a,mean_b,margin\n"]
     for t, ma, mb, mg in zip(report.times, report.mean_a, report.mean_b, report.margins):
-        rows.append(f"{t!r},{ma!r},{mb!r},{mg!r}")
-    _write_csv(os.path.join(out, "transient.csv"), header, "\n".join(rows) + "\n")
+        rows.append(f"{t!r},{ma!r},{mb!r},{mg!r}\n")
+    _write_csv(os.path.join(out, "transient.csv"), header, rows)
     _write_json(os.path.join(out, "transient.json"), header, report.to_dict())
     worst = min(report.margins)
     print(
@@ -395,7 +410,7 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
     header = _header(config, {})
     rows = [
         "beta,s1,s2,throughput_balanced,throughput_original,"
-        "loss_balanced,loss_original,margin"
+        "loss_balanced,loss_original,margin\n"
     ]
     for beta in config.betas:
         for s in config.sizes:
@@ -409,11 +424,11 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
             rows.append(
                 f"{beta!r},{s},{s},{thr_bal!r},{thr_orig!r},"
                 f"{loss_rate(balanced, pi_bal)!r},{loss_rate(original, pi_orig)!r},"
-                f"{thr_orig - thr_bal!r}"
+                f"{thr_orig - thr_bal!r}\n"
             )
     out = _out_dir(config)
     path = os.path.join(out, "sweep.csv")
-    _write_csv(path, header, "\n".join(rows) + "\n")
+    _write_csv(path, header, rows)
     print(f"swept {len(config.betas) * len(config.sizes)} tandem instances -> {path}")
     return 0
 

@@ -16,13 +16,17 @@ evaluated.
 
 A coupled path is a PairedEventLog of three columns: event times, bins
 and state-index pairs. The bin code 3 * k + kind and the pair code
-ia * len(states_b) + ib are decoded here, once per log and as arrays,
-and every reader goes through the log's array views: flows(side), each
-side's counters as one (events + 1, links) int64 array, and
-visits(side), each side's state index after every event. The flow-order
-scan (ordering.pathwise_flow_order_check) compares the two flows arrays;
-the population coupling is the same path read without its counters,
-from the visits arrays alone (ordering.pathwise_population_order_check).
+ia * len(states_b) + ib are decoded here, as arrays. The log's views
+decode them once per log: flows(side), each side's counters as one
+(events + 1, links) int64 array, and visits(side), each side's state
+index after every event. The population coupling is the same path read
+without its counters, from the visits arrays alone
+(ordering.pathwise_population_order_check). The CSV writer
+paired_log_csv and the flow-order scan (ordering.pathwise_flow_order_check,
+through _flow_blocks) decode the codes a block of ctmc._CSV_ROWS events
+at a time instead, carrying the counters from block to block, so
+neither holds more than a block beside the log's own columns; the
+writer yields its text as chunks, one per block.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctmc import EventLog, EventView, _flow_counts, _state_labels, gillespie
+from .ctmc import _CSV_ROWS, EventLog, EventView, _flow_counts, _state_labels, gillespie
 from .model import Link, ModelError, NetworkSpec, State
 
 __all__ = [
@@ -219,6 +223,21 @@ class _Rows(dict):
         return row
 
 
+def _start_pair(spec_a: NetworkSpec, spec_b: NetworkSpec, xa: State, xb: State):
+    """Indices of the two initial states, or ModelError when the specs
+    cannot be coupled from them."""
+    if spec_a.n != spec_b.n:
+        raise ModelError("coupled specs must have the same number of nodes")
+    if spec_a.links != spec_b.links:
+        raise ModelError("coupled specs must share the link family")
+    start_a, start_b = spec_a.find(xa), spec_b.find(xb)
+    if start_a < 0:
+        raise ModelError(f"initial state {xa} not in the first state space")
+    if start_b < 0:
+        raise ModelError(f"initial state {xb} not in the second state space")
+    return start_a, start_b
+
+
 def simulate_coupled(
     spec_a: NetworkSpec,
     spec_b: NetworkSpec,
@@ -240,18 +259,10 @@ def simulate_coupled(
     A pair's total rate is summed link by link, each link's three rates
     first.
     """
-    if spec_a.n != spec_b.n:
-        raise ModelError("coupled specs must have the same number of nodes")
-    if spec_a.links != spec_b.links:
-        raise ModelError("coupled specs must share the link family")
-    links = spec_a.links
     xa = tuple(int(v) for v in init_a)
     xb = tuple(int(v) for v in init_b)
-    start_a, start_b = spec_a.find(xa), spec_b.find(xb)
-    if start_a < 0:
-        raise ModelError(f"initial state {xa} not in the first state space")
-    if start_b < 0:
-        raise ModelError(f"initial state {xb} not in the second state space")
+    start_a, start_b = _start_pair(spec_a, spec_b, xa, xb)
+    links = spec_a.links
     rates = [
         (spec_a.rate_vector(link).tolist(), spec_b.rate_vector(link).tolist())
         for link in links
@@ -293,29 +304,62 @@ def simulate_coupled(
     )
 
 
-def paired_log_csv(log: PairedEventLog) -> str:
+def _flow_blocks(log: PairedEventLog):
+    """Both sides' flows arrays, a block of at most _CSV_ROWS events at a time.
+
+    Yields (start, flows_a, flows_b) for the events start, start + 1, ...
+    of one block: row 0 of each array holds that side's counters before
+    the block and row e + 1 those after its event e, so the arrays are
+    rows start to start + block of flows("a") and flows("b"). Each block
+    decodes its own slice of the bin codes, and the counters carry over
+    from one block to the next.
+    """
+    links = len(log.links)
+    before_a = before_b = 0
+    for start in range(0, len(log.bins), _CSV_ROWS):
+        codes = np.asarray(log.bins[start : start + _CSV_ROWS], dtype=np.int64)
+        positions, kinds = np.divmod(codes, 3)
+        flows_a = _flow_counts(positions, kinds != _SIDES["a"][1], links, before_a)
+        flows_b = _flow_counts(positions, kinds != _SIDES["b"][1], links, before_b)
+        yield start, flows_a, flows_b
+        before_a, before_b = flows_a[-1], flows_b[-1]
+
+
+def paired_log_csv(log: PairedEventLog):
     """CSV rows: time,link_from,link_to,which,stateA,stateB,flowA,flowB.
 
-    Each state's label and each bin's `i,j,kind,` prefix are formatted
-    once; the counters are counted as the rows are written, from the
-    log's decoded codes, and a cell is re-joined only when its side moved.
+    A generator of text chunks: the header line, then the rows at most
+    _CSV_ROWS to a chunk, so a long log is never held as one string;
+    "".join of the chunks is the whole CSV text. Each chunk decodes its
+    own slice of the bin and pair codes with numpy. Each state's label
+    and each bin's `i,j,kind,` prefix are formatted once; the counters
+    are counted as the rows are written, carried from chunk to chunk, and
+    a cell is re-joined only when its side moved.
     """
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
     labels_a, labels_b = _state_labels(log.states_a), _state_labels(log.states_b)
-    positions, kinds = (codes.tolist() for codes in log._bin_codes)
-    visits_a, visits_b = (codes.tolist() for codes in log._pair_codes)
+    width = len(log.states_b)
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
     fa = fb = ";".join(cells_a)
-    lines = ["time,link_from,link_to,which,stateA,stateB,flowA,flowB"]
-    for t, b, k, kind, ia, ib in zip(log.times, log.bins, positions, kinds, visits_a, visits_b):
-        if kind != 1:  # A moved
-            counts_a[k] += 1
-            cells_a[k] = str(counts_a[k])
-            fa = ";".join(cells_a)
-        if kind != 2:  # B moved
-            counts_b[k] += 1
-            cells_b[k] = str(counts_b[k])
-            fb = ";".join(cells_b)
-        lines.append(f"{t!r},{prefixes[b]}{labels_a[ia]},{labels_b[ib]},{fa},{fb}")
-    return "\n".join(lines) + "\n"
+    yield "time,link_from,link_to,which,stateA,stateB,flowA,flowB\n"
+    for start in range(0, len(log.times), _CSV_ROWS):
+        stop = start + _CSV_ROWS
+        bins = log.bins[start:stop]
+        positions, kinds = (c.tolist() for c in np.divmod(np.asarray(bins, dtype=np.int64), 3))
+        pairs = np.asarray(log.pairs[start:stop], dtype=np.int64)
+        visits_a, visits_b = (c.tolist() for c in np.divmod(pairs, width))
+        lines = []
+        for t, b, k, kind, ia, ib in zip(
+            log.times[start:stop], bins, positions, kinds, visits_a, visits_b
+        ):
+            if kind != 1:  # A moved
+                counts_a[k] += 1
+                cells_a[k] = str(counts_a[k])
+                fa = ";".join(cells_a)
+            if kind != 2:  # B moved
+                counts_b[k] += 1
+                cells_b[k] = str(counts_b[k])
+                fb = ";".join(cells_b)
+            lines.append(f"{t!r},{prefixes[b]}{labels_a[ia]},{labels_b[ib]},{fa},{fb}\n")
+        yield "".join(lines)

@@ -28,6 +28,11 @@ on index pairs with three bins per link. EventLog keeps the columns and
 builds its Event tuples only when they are read; its flow counters, one
 per link, are one int64 array counted from the moves column (flows()).
 
+Reports: the CSV writers event_log_csv and distribution_csv (and
+coupling's paired_log_csv) are generators of text chunks of at most
+_CSV_ROWS rows each, so a caller writes a long report as it is made and
+never holds its whole text.
+
 Solvers:
 
   * stationary_distribution: one sparse LU factorisation of the
@@ -69,6 +74,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -215,10 +221,12 @@ class EventLog:
         return self.states[self.visits[e - 1]] if e else self.initial
 
 
-def _flow_counts(positions: np.ndarray, moved, links: int) -> np.ndarray:
-    """(events + 1, links) counters from zero: event e adds moved[e] (a 0/1
-    mask, or 1 for every event) to the counter of link position positions[e]."""
+def _flow_counts(positions: np.ndarray, moved, links: int, start=0) -> np.ndarray:
+    """(events + 1, links) counters from `start` (row 0; zero by default):
+    event e adds moved[e] (a 0/1 mask, or 1 for every event) to the counter
+    of link position positions[e]."""
     counts = np.zeros((positions.size + 1, links), dtype=np.int64)
+    counts[0] = start
     counts[np.arange(1, positions.size + 1), positions] = moved
     return np.cumsum(counts, axis=0, out=counts)
 
@@ -354,6 +362,14 @@ def _cumulative_rows(rates: np.ndarray) -> list:
     return list(zip(cumulative[:, -1].tolist(), cumulative.tolist(), last.tolist()))
 
 
+def _start_index(spec: NetworkSpec, init: State) -> int:
+    """Index of the initial state, or ModelError when it is not a state."""
+    start = spec.find(init)
+    if start < 0:
+        raise ModelError(f"initial state {init} not in the state space")
+    return start
+
+
 def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLog:
     """Gillespie path up to `horizon`, one bin per link in declared order.
 
@@ -363,9 +379,7 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     A state's total exit rate is summed link by link in declared order.
     """
     init = tuple(int(v) for v in init)
-    start = spec.find(init)
-    if start < 0:
-        raise ModelError(f"initial state {init} not in the state space")
+    start = _start_index(spec, init)
     rows = _cumulative_rows(np.column_stack([spec.rate_vector(link) for link in spec.links]))
     next_index = [spec.next_index(link).tolist() for link in spec.links]
     times, moves, visits, absorbed = gillespie(
@@ -634,23 +648,46 @@ def throughput(spec: NetworkSpec, pi, link: Link) -> float:
     return float(vec @ spec.rate_vector(link))
 
 
+# Rows in each chunk the CSV writers yield.
+_CSV_ROWS = 4096
+
+
 def _state_labels(states) -> list[str]:
-    """Each state's coordinates joined by ';', as report cells spell it."""
-    return [";".join(map(str, x)) for x in states]
+    """Each state's coordinates joined by ';', as report cells spell it.
+
+    One str.format call per state, over the transposed coordinates.
+    """
+    if len(states) == 0:
+        return []
+    return list(map(";".join(["{}"] * len(states[0])).format, *zip(*states)))
 
 
-def event_log_csv(log: EventLog) -> str:
-    """CSV rows time,link_from,link_to,state_after; states joined by ';'."""
+def _chunks(lines):
+    """Lines (each ending in a newline) joined _CSV_ROWS at a time."""
+    while chunk := "".join(islice(lines, _CSV_ROWS)):
+        yield chunk
+
+
+def event_log_csv(log: EventLog):
+    """CSV rows time,link_from,link_to,state_after; states joined by ';'.
+
+    A generator of text chunks: the header line, then the rows at most
+    _CSV_ROWS to a chunk, so a long log is never held as one string.
+    "".join of the chunks is the whole CSV text.
+    """
     prefixes = [f"{i},{j}," for i, j in log.links]
     labels = _state_labels(log.states)
-    lines = ["time,link_from,link_to,state_after"]
-    lines += [
-        f"{t!r},{prefixes[k]}{labels[i]}" for t, k, i in zip(log.times, log.moves, log.visits)
-    ]
-    return "\n".join(lines) + "\n"
+    yield "time,link_from,link_to,state_after\n"
+    rows = zip(log.times, log.moves, log.visits)
+    yield from _chunks(f"{t!r},{prefixes[k]}{labels[i]}\n" for t, k, i in rows)
 
 
-def distribution_csv(states, probs) -> str:
-    """CSV rows state,probability; states joined by ';'."""
-    rows = map("{},{!r}".format, _state_labels(states), np.asarray(probs, dtype=float).tolist())
-    return "\n".join(["state,probability", *rows]) + "\n"
+def distribution_csv(states, probs):
+    """CSV rows state,probability; states joined by ';'.
+
+    A generator of text chunks, as event_log_csv: the header line, then
+    the rows at most _CSV_ROWS to a chunk.
+    """
+    yield "state,probability\n"
+    probs = np.asarray(probs, dtype=float).tolist()
+    yield from _chunks(map("{},{!r}\n".format, _state_labels(states), probs))

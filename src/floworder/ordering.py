@@ -42,9 +42,8 @@ A's state against all of B's for each state of A that has a violating
 partner, so reports list witnesses in the order a scan by A's state,
 then B's, meets them.
 
-Pathwise and statistical diagnostics complement the exact routes:
-violation scans over a coupled log's flows and visits arrays, an
-empirical tail comparison with a three-standard-error margin, and a
+Pathwise and expected-flow diagnostics complement the exact routes:
+violation scans over a coupled log's flows and visits arrays, and a
 mean-flow margin check on a time grid.
 """
 
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import PairedEventLog
+from .coupling import PairedEventLog, _flow_blocks
 from .ctmc import ToleranceError, transient_mean_flow
 from .model import Link, ModelError, NetworkSpec, State, is_linear_family
 
@@ -67,13 +66,11 @@ __all__ = [
     "ClosureWitness",
     "ClosureReport",
     "MeanOrderReport",
-    "TailOrderReport",
     "check_flow_conditions",
     "check_population_conditions",
     "verify_tight_configurations",
     "pathwise_flow_order_check",
     "pathwise_population_order_check",
-    "empirical_tail_order",
     "mean_order_check",
 ]
 
@@ -522,12 +519,17 @@ def pathwise_flow_order_check(log: PairedEventLog):
 
     Returns (time, link) pairs, in (event, link) order, at which some
     counter of A exceeds B's, comparing the rows after each event of the
-    log's two flows arrays. Counters start at zero, so the scan is
-    meaningful for equal initial states.
+    log's two flows arrays. The arrays are formed a block of events at a
+    time, the counters carried from block to block, so the scan holds one
+    block of them, never the whole (events + 1, links) pair. Counters
+    start at zero, so the scan is meaningful for equal initial states.
     """
-    events, ahead = np.nonzero(log.flows("a")[1:] > log.flows("b")[1:])
     times, links = log.times, log.links
-    return [(times[e], links[k]) for e, k in zip(events.tolist(), ahead.tolist())]
+    found = []
+    for start, flows_a, flows_b in _flow_blocks(log):
+        events, ahead = np.nonzero(flows_a[1:] > flows_b[1:])
+        found += [(times[start + e], links[k]) for e, k in zip(events.tolist(), ahead.tolist())]
+    return found
 
 
 def pathwise_population_order_check(log: PairedEventLog):
@@ -543,61 +545,6 @@ def pathwise_population_order_check(log: PairedEventLog):
     events, nodes = np.nonzero(states_a[log.visits("a")] > states_b[log.visits("b")])
     times = log.times
     return [(times[e], i + 1) for e, i in zip(events.tolist(), nodes.tolist())]
-
-
-@dataclass
-class TailOrderReport:
-    thresholds: tuple[float, ...]
-    violations: tuple[float, ...]  # survival(A) - survival(B) per threshold
-    margins: tuple[float, ...]  # three standard errors per threshold
-    max_violation: float
-    consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.consistent else "fail",
-            "conditions": [],
-            "witnesses": [],
-            "margins": [
-                {
-                    "threshold": s,
-                    "violation": v,
-                    "allowance": m,
-                }
-                for s, v, m in zip(self.thresholds, self.violations, self.margins)
-            ],
-            "max_violation": self.max_violation,
-        }
-
-
-def empirical_tail_order(samples_a, samples_b) -> TailOrderReport:
-    """Compare empirical survival functions of two samples.
-
-    Consistent with A below B (in the strong order sense) when every
-    positive excess of A's survival over B's stays within three standard
-    errors of the difference estimate at that threshold.
-    """
-    a = np.asarray(list(samples_a), dtype=float)
-    b = np.asarray(list(samples_b), dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
-    thresholds = np.unique(np.concatenate([a, b]))
-    violations = []
-    margins = []
-    na, nb = a.size, b.size
-    for s in thresholds:
-        pa = float(np.mean(a > s))
-        pb = float(np.mean(b > s))
-        violations.append(pa - pb)
-        margins.append(3.0 * math.sqrt(pa * (1 - pa) / na + pb * (1 - pb) / nb))
-    consistent = all(v <= m for v, m in zip(violations, margins))
-    return TailOrderReport(
-        thresholds=tuple(float(s) for s in thresholds),
-        violations=tuple(violations),
-        margins=tuple(margins),
-        max_violation=max([0.0] + violations),
-        consistent=consistent,
-    )
 
 
 @dataclass

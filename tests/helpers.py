@@ -15,8 +15,11 @@ paths have the dict-based Gillespie loops the
 package used before its rates became arrays over the state index. The
 order checks have the triple loops over links and state pairs that they
 ran before they became block masks, and the block masks over A's states
-times all of B's that they ran before they became grid queries. Tests freeze or recompute these
-values and compare the implementation against them.
+times all of B's that they ran before they became grid queries. The CSV
+writers have the whole-text versions that returned one string before
+they yielded chunks, and the pathwise flow-order scan has the one scan
+of a log's whole flows arrays that came before its blocks. Tests freeze
+or recompute these values and compare the implementation against them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from scipy.stats import chi2
 from floworder import expr, ordering
 from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
 from floworder.ctmc import (
+    _CSV_ROWS,
     ConvergenceError,
     Event,
     Generator,
@@ -879,6 +883,13 @@ def reference_population_order(log):
     return violations
 
 
+def flows_array_flow_order(log):
+    """pathwise_flow_order_check as one scan of the log's two whole flows arrays."""
+    events, ahead = np.nonzero(log.flows("a")[1:] > log.flows("b")[1:])
+    times, links = log.times, log.links
+    return [(times[e], links[k]) for e, k in zip(events.tolist(), ahead.tolist())]
+
+
 def reference_flow_conditions(
     spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
 ) -> ConditionReport:
@@ -1186,3 +1197,73 @@ def blocked_closure(spec_a: NetworkSpec, spec_b: NetworkSpec) -> ClosureReport:
         gap_bound=n * int(max(xa.max(initial=0), xb.max(initial=0))),
         domains=dict(_DOMAINS),
     )
+
+
+# ------------------------------------------------------- whole-text writers
+
+
+# Row counts a chunked CSV writer must get right: no row, one row, exactly
+# one block, and several blocks plus a remainder.
+CHUNK_ROW_COUNTS = (0, 1, _CSV_ROWS, 3 * _CSV_ROWS + 17)
+
+
+def chunk_row_counts(rows: int) -> list[int]:
+    """Rows in each chunk a CSV writer yields: the header, whole blocks, the rest."""
+    whole, rest = divmod(rows, _CSV_ROWS)
+    return [1] + [_CSV_ROWS] * whole + ([rest] if rest else [])
+
+
+def text_lines(chunks) -> list[str]:
+    """The joined text's lines, newlines kept: equal exactly when the texts
+    are, and a mismatch reports the first differing line, not a diff of
+    the whole text."""
+    return "".join(chunks).splitlines(keepends=True)
+
+
+def _whole_text_labels(states) -> list[str]:
+    return [";".join(map(str, x)) for x in states]
+
+
+def whole_event_log_csv(log) -> str:
+    """event_log_csv as the one string it returned before it yielded chunks."""
+    prefixes = [f"{i},{j}," for i, j in log.links]
+    labels = _whole_text_labels(log.states)
+    lines = ["time,link_from,link_to,state_after"]
+    lines += [
+        f"{t!r},{prefixes[k]}{labels[i]}" for t, k, i in zip(log.times, log.moves, log.visits)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def whole_distribution_csv(states, probs) -> str:
+    """distribution_csv as the one string it returned before it yielded chunks."""
+    rows = map(
+        "{},{!r}".format, _whole_text_labels(states), np.asarray(probs, dtype=float).tolist()
+    )
+    return "\n".join(["state,probability", *rows]) + "\n"
+
+
+def whole_paired_log_csv(log) -> str:
+    """paired_log_csv as the one string it returned before it yielded chunks,
+    decoding the log's codes whole."""
+    kinds_text = (JOINT, B_ONLY, A_ONLY)
+    prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in kinds_text]
+    labels_a, labels_b = _whole_text_labels(log.states_a), _whole_text_labels(log.states_b)
+    positions, kinds = (c.tolist() for c in np.divmod(np.asarray(log.bins, dtype=np.int64), 3))
+    pairs = np.asarray(log.pairs, dtype=np.int64)
+    visits_a, visits_b = (c.tolist() for c in np.divmod(pairs, len(log.states_b)))
+    counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
+    cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
+    fa = fb = ";".join(cells_a)
+    lines = ["time,link_from,link_to,which,stateA,stateB,flowA,flowB"]
+    for t, b, k, kind, ia, ib in zip(log.times, log.bins, positions, kinds, visits_a, visits_b):
+        if kind != 1:  # A moved
+            counts_a[k] += 1
+            cells_a[k] = str(counts_a[k])
+            fa = ";".join(cells_a)
+        if kind != 2:  # B moved
+            counts_b[k] += 1
+            cells_b[k] = str(counts_b[k])
+            fb = ";".join(cells_b)
+        lines.append(f"{t!r},{prefixes[b]}{labels_a[ia]},{labels_b[ib]},{fa},{fb}")
+    return "\n".join(lines) + "\n"

@@ -116,7 +116,7 @@ def flow_batch():
         t0 = time.monotonic()
         audited += audit_coupled_log(log)
         audit_seconds += time.monotonic() - t0
-        text = paired_log_csv(log)
+        text = "".join(paired_log_csv(log))
         digests.append(digest(text))
         if k < 3:
             first_texts.append(text)
@@ -152,7 +152,7 @@ def pop_batch():
         )
         violations += len(pathwise_population_order_check(log))
         dominated &= all(ev.state_a[0] <= ev.state_b[0] for ev in log.events)
-        text = paired_log_csv(log)
+        text = "".join(paired_log_csv(log))
         digests.append(digest(text))
         if k < 3:
             first_texts.append(text)
@@ -368,7 +368,7 @@ def test_criterion_10_determinism(flow_batch, pop_batch):
         log = simulate_coupled(
             bal, orig, (0, 0), (0, 0), FLOW_HORIZON, replication_seed(FLOW_SEED, k)
         )
-        text = paired_log_csv(log)
+        text = "".join(paired_log_csv(log))
         flow_digests.append(digest(text))
         if k < 3:
             flow_texts.append(text)
@@ -380,7 +380,7 @@ def test_criterion_10_determinism(flow_batch, pop_batch):
         log = simulate_coupled(
             spec_a, spec_b, (0,), (0,), POP_HORIZON, replication_seed(POP_SEED, k)
         )
-        text = paired_log_csv(log)
+        text = "".join(paired_log_csv(log))
         pop_digests.append(digest(text))
         if k < 3:
             pop_texts.append(text)

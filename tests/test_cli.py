@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -366,6 +367,60 @@ def test_simulate_jobs_do_not_change_bytes(tmp_path, capsys):
     assert names == sorted(os.listdir(out2))
     for name in names:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "command, family", [("couple", "tandem-pair"), ("simulate", "tandem-original")]
+)
+def test_initial_state_outside_the_space_leaves_no_output_directory(
+    command, family, jobs, tmp_path, capsys
+):
+    """--init is checked against the spaces before the output directory is made."""
+    out = tmp_path / "out"
+    argv = [command, "--family", family, "--reps", "2", "--init", "9;9", "--jobs", jobs]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "initial state (9, 9) not in the" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_couple_link_family_mismatch_leaves_no_output_directory(tmp_path, capsys):
+    one_node = helpers.single_node_doc("ind(x1 < 1)", "x1", 1)
+    reversed_links = dict(one_node, links=[[1, 0], [0, 1]])
+    path_a = write_doc(tmp_path, "a.json", one_node)
+    path_b = write_doc(tmp_path, "b.json", reversed_links)
+    out = tmp_path / "out"
+    argv = ["couple", "--model-a", path_a, "--model-b", path_b, "--out", str(out)]
+    assert main(argv) == 2
+    assert "share the link family" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, family", [("couple", "tandem-pair"), ("simulate", "tandem-original")]
+)
+def test_event_command_memory_grows_by_the_live_columns_only(command, family, tmp_path, capsys):
+    """Each replication writes its CSV in blocks as it ends, so an extra event
+    costs the live replication's three columns (24 bytes) and no report text.
+    Holding every replication's text to the end cost 218 bytes an event for
+    couple and 105 for simulate on this workload."""
+
+    def traced_peak(horizon):
+        out = tmp_path / str(horizon)
+        argv = [command, "--family", family, "--s1", "10", "--s2", "10", "--beta", "10",
+                "--reps", "2", "--horizon", str(horizon), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, json.loads((out / f"{command}_summary.json").read_text())["events"]
+
+    peak_short, events_short = traced_peak(1000)
+    peak_long, events_long = traced_peak(8000)
+    assert events_long - events_short > 250_000
+    assert (peak_long - peak_short) / (events_long - events_short) <= 40
 
 
 class RecordingPool:

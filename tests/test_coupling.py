@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from floworder.coupling import (
 )
 from floworder.ctmc import simulate_path
 from floworder.model import ModelError, balance_signature, parse_model
+from floworder.ordering import pathwise_flow_order_check
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
 
@@ -289,7 +291,7 @@ def test_coupled_path_memory_per_event_is_bounded():
 def test_paired_log_csv_stateflow():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 10.0, seed=2)
-    lines = paired_log_csv(log).strip().split("\n")
+    lines = "".join(paired_log_csv(log)).strip().split("\n")
     assert lines[0] == "time,link_from,link_to,which,stateA,stateB,flowA,flowB"
     assert len(lines) == len(log.events) + 1
     ev = log.events[0]
@@ -301,6 +303,40 @@ def test_paired_log_csv_stateflow():
     assert cells[5] == ";".join(str(v) for v in ev.state_b)
     assert cells[6] == ";".join(str(v) for v in ev.flows_a)
     assert cells[7] == ";".join(str(v) for v in ev.flows_b)
+
+
+@pytest.fixture(scope="module", params=["closed", "not closed"])
+def long_coupled_path(request):
+    """A coupled path of several CSV blocks, on the tandem pair either way
+    round: balanced below original (closed) or original below balanced
+    (not closed, with flow-order violations)."""
+    balanced, original = tandem_pair(2, 2, 1.0)
+    spec_a, spec_b = (balanced, original) if request.param == "closed" else (original, balanced)
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 6000.0, seed=3)
+    assert len(log.times) > helpers.CHUNK_ROW_COUNTS[-1]
+    return log
+
+
+@pytest.mark.parametrize("rows", helpers.CHUNK_ROW_COUNTS)
+def test_paired_log_csv_chunks_join_to_the_whole_text(long_coupled_path, rows):
+    log = dataclasses.replace(
+        long_coupled_path,
+        times=long_coupled_path.times[:rows],
+        bins=long_coupled_path.bins[:rows],
+        pairs=long_coupled_path.pairs[:rows],
+    )
+    chunks = list(paired_log_csv(log))
+    assert helpers.text_lines(chunks) == helpers.text_lines([helpers.whole_paired_log_csv(log)])
+    assert [chunk.count("\n") for chunk in chunks] == helpers.chunk_row_counts(rows)
+
+
+def test_writer_and_flow_scan_leave_the_cached_codes_unbuilt(long_coupled_path):
+    """The CSV writer and the flow-order scan decode block by block; the
+    log's whole-path code arrays are built only for readers that ask."""
+    log = dataclasses.replace(long_coupled_path)
+    "".join(paired_log_csv(log))
+    pathwise_flow_order_check(log)
+    assert "_bin_codes" not in vars(log) and "_pair_codes" not in vars(log)
 
 
 def assert_arrays_match_reference(log, events):

@@ -1014,7 +1014,7 @@ def test_throughput_dimension_mismatch():
 def test_event_log_csv_shape():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
     log = simulate_path(spec, (0, 0), 5.0, seed=11)
-    text = event_log_csv(log)
+    text = "".join(event_log_csv(log))
     lines = text.strip().split("\n")
     assert lines[0] == "time,link_from,link_to,state_after"
     assert len(lines) == len(log.events) + 1
@@ -1028,7 +1028,7 @@ def test_event_log_csv_shape():
 def test_event_log_csv_round_trips_floats():
     spec = helpers.two_state_chain()
     log = simulate_path(spec, (0,), 5.0, seed=2)
-    rows = event_log_csv(log).strip().split("\n")[1:]
+    rows = "".join(event_log_csv(log)).strip().split("\n")[1:]
     times = [float(r.split(",")[0]) for r in rows]
     assert times == [ev.time for ev in log.events]
 
@@ -1036,8 +1036,40 @@ def test_event_log_csv_round_trips_floats():
 def test_distribution_csv_shape():
     spec = helpers.mm1c_chain(1.0, 2.0, 2)
     pi = stationary_distribution(build_generator(spec))
-    lines = distribution_csv(spec.states, pi).strip().split("\n")
+    lines = "".join(distribution_csv(spec.states, pi)).strip().split("\n")
     assert lines[0] == "state,probability"
     assert lines[1].split(",")[0] == "0"
     assert float(lines[1].split(",")[1]) == pi[0]
     assert len(lines) == 4
+
+
+@pytest.fixture(scope="module")
+def long_path():
+    spec = build_original_tandem(TandemParams.linear(10, 10, 10.0))
+    log = simulate_path(spec, (0, 0), 600.0, seed=4)
+    assert len(log.times) > helpers.CHUNK_ROW_COUNTS[-1]
+    return log
+
+
+@pytest.mark.parametrize("rows", helpers.CHUNK_ROW_COUNTS)
+def test_event_log_csv_chunks_join_to_the_whole_text(long_path, rows):
+    log = dataclasses.replace(
+        long_path,
+        times=long_path.times[:rows],
+        moves=long_path.moves[:rows],
+        visits=long_path.visits[:rows],
+    )
+    chunks = list(event_log_csv(log))
+    assert helpers.text_lines(chunks) == helpers.text_lines([helpers.whole_event_log_csv(log)])
+    assert [chunk.count("\n") for chunk in chunks] == helpers.chunk_row_counts(rows)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("rows", helpers.CHUNK_ROW_COUNTS)
+def test_distribution_csv_chunks_join_to_the_whole_text(rows, n):
+    states = tuple((k // 97, k % 97, 3)[:n] for k in range(rows))
+    probs = np.random.default_rng(rows).random(rows)
+    chunks = list(distribution_csv(states, probs))
+    whole = helpers.whole_distribution_csv(states, probs)
+    assert helpers.text_lines(chunks) == helpers.text_lines([whole])
+    assert [chunk.count("\n") for chunk in chunks] == helpers.chunk_row_counts(rows)

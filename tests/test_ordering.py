@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import time
@@ -15,12 +16,10 @@ from floworder.coupling import (
     PairedEventLog,
     simulate_coupled,
 )
-from floworder.ctmc import simulate_path
 from floworder.model import ModelError, NetworkSpec, linear_links, parse_model
 from floworder.ordering import (
     check_flow_conditions,
     check_population_conditions,
-    empirical_tail_order,
     mean_order_check,
     pathwise_flow_order_check,
     pathwise_population_order_check,
@@ -645,6 +644,25 @@ def test_pathwise_flow_order_identical_specs_clean():
     assert pathwise_flow_order_check(log) == []
 
 
+@pytest.mark.parametrize("horizon", [2000.0, 8000.0])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_blockwise_flow_order_scan_equals_the_flows_array_scan(horizon, swapped):
+    """The scan forms the flows arrays a block at a time, the counters carried
+    across blocks; it must list what one scan of the whole arrays lists."""
+    spec_a, spec_b = tandem_pair(2, 2, 1.0, (0, 2, 1), (0, 2, 1))
+    if swapped:
+        spec_a, spec_b = spec_b, spec_a
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), horizon, seed=1)
+    found = pathwise_flow_order_check(log)
+    assert found == helpers.flows_array_flow_order(log)
+    assert len(log.times) > ctmc._CSV_ROWS
+    if not swapped and horizon == 2000.0:
+        assert (len(log.events), len(found)) == (4437, 276)
+    if swapped:  # A out-serves B: violations in every block, read off carried counters
+        blocks = {bisect.bisect_left(log.times, t) // ctmc._CSV_ROWS for t, _ in found}
+        assert blocks == set(range(len(log.times) // ctmc._CSV_ROWS + 1))
+
+
 def test_pathwise_population_order_certified_pair_clean():
     spec_a, spec_b = mm1c_pair()
     for seed in range(20):
@@ -692,50 +710,6 @@ def test_pathwise_population_order_flags_hand_built_violation():
     )
     assert log.events == events
     assert pathwise_population_order_check(log) == [(0.7, 2)]
-
-
-# ------------------------------------------------------------ tail order
-
-
-def test_tail_order_identical_samples():
-    sample = [0, 1, 1, 2, 3, 3, 3]
-    report = empirical_tail_order(sample, sample)
-    assert report.max_violation == 0.0
-    assert report.consistent
-
-
-def test_tail_order_deterministic_shift():
-    report = empirical_tail_order([0] * 50, [1] * 50)
-    assert report.consistent
-    assert report.max_violation == 0.0
-    assert all(v <= 0 for v in report.violations)
-
-
-def test_tail_order_detects_reversed_order():
-    report = empirical_tail_order([1] * 200, [0] * 200)
-    assert not report.consistent
-    assert report.max_violation == pytest.approx(1.0)
-
-
-def test_tail_order_empty_rejected():
-    with pytest.raises(ValueError, match="nonempty"):
-        empirical_tail_order([], [1.0])
-
-
-def test_tail_order_tandem_arrival_counts():
-    spec_a, spec_b = tandem_pair(2, 2, 1.0)
-    runs = 10_000
-    horizon = 10.0
-
-    def arrival_counts(spec, base):
-        out = []
-        for rep in range(runs):
-            log = simulate_path(spec, (0, 0), horizon, seed=base + rep)
-            out.append(sum(1 for ev in log.events if ev.link == (0, 1)))
-        return out
-
-    report = empirical_tail_order(arrival_counts(spec_a, 1), arrival_counts(spec_b, 100_001))
-    assert report.consistent
 
 
 # ------------------------------------------------------------ mean order
@@ -862,7 +836,6 @@ def test_report_dictionaries_have_stable_shape():
     assert pop["verdict"] == "fail"
     assert pop["witnesses"]
     mean = mean_order_check(spec_a, spec_b, (0, 1), (0.0, 1.0), (0, 0)).to_dict()
-    tail = empirical_tail_order([1.0, 2.0], [2.0, 3.0]).to_dict()
     # timings belong in a trace, never in a report
-    for report in (flow, closure, pop, mean, tail):
+    for report in (flow, closure, pop, mean):
         assert "runtime" not in report

@@ -76,3 +76,33 @@ def test_traced_run_records_one_span_per_generator_and_solve(tracing, argv, call
     assert names.count("ctmc.stationary") == calls
     if nnz is not None:
         assert counts["ctmc.generator_nnz"] == nnz
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["couple", "--family", "tandem-pair", "--reps", "2", "--horizon", "20", "--seed", "3"],
+         "coupling.paired_csv"),
+        (["simulate", "--family", "tandem-original", "--reps", "2", "--horizon", "20", "--seed", "3"],
+         "ctmc.event_csv"),
+    ],
+    ids=["couple", "simulate"],
+)
+def test_traced_run_records_each_replication_and_file(tracing, argv, span, tmp_path, capsys):
+    """One writer span per replication, one write span per file, and the
+    written bytes counted once each."""
+    from floworder.cli import main
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        main(argv + ["--out", str(tmp_path)])
+    finally:
+        tracer.restore()
+    _, counts = tracer.take()
+    names = [s[0] for s in tracer.spans]
+    files = sorted(os.listdir(tmp_path))
+    assert len(files) == 3  # two replications and the summary
+    assert names.count(span) == 2
+    assert names.count("cli.write") == len(files)
+    assert counts["cli.report_bytes"] == sum(os.path.getsize(tmp_path / f) for f in files)
