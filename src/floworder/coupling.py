@@ -8,11 +8,13 @@ whenever one rate dominates the other, only the dominant side can step
 ahead. There is one form, the state-flow coupling: the pair (x, x') with
 per-link flow counters for both sides, simulated by
 simulate_coupled(spec_a, spec_b, ...) straight from the two specs. It
-runs on ctmc.gillespie over
-index pairs (i, i'), with the bins (joint, B-only, A-only) of each link
-in declared link order. A pair's row of running bin sums is built on its
-first visit and kept, so only the pairs a path reaches are ever
-evaluated.
+runs on ctmc.gillespie over index pairs (i, i'), each coded as the int
+i * len(B's states) + i', with the bins (joint, B-only, A-only) of each
+link in declared link order. A pair's kernel row is built on its first
+visit and kept (a ctmc._Rows), so only the pairs a path reaches are ever
+evaluated: its running bin sums from the two sides' rates, and its
+targets, the pair code after a move in each bin, from the two sides'
+next_index arrays. A side that does not move in a bin keeps its index.
 
 A coupled path is a PairedEventLog of three columns: event times, bins
 and state-index pairs. The bin code 3 * k + kind and the pair code
@@ -33,12 +35,20 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .ctmc import _CSV_ROWS, EventLog, EventView, _flow_counts, _state_labels, gillespie
+from .ctmc import (
+    _CSV_ROWS,
+    EventLog,
+    EventView,
+    _flow_counts,
+    _label_visits,
+    _Rows,
+    gillespie,
+)
 from .model import Link, ModelError, NetworkSpec, State
 
 __all__ = [
@@ -117,7 +127,11 @@ class PairedEventLog:
     events: EventView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.events = EventView(len(self.times), self._events)
+        # The view holds the columns, not the log, so a log is no reference
+        # cycle and is freed as soon as it is dropped.
+        columns = (self.times, self.bins, self.pairs)
+        make = partial(_coupled_events, *columns, self.links, self.states_a, self.states_b)
+        self.events = EventView(len(self.times), make)
 
     @cached_property
     def _bin_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,18 +160,6 @@ class PairedEventLog:
         column, _ = _side(side)
         return self._pair_codes[column]
 
-    def _events(self):
-        links, states_a, states_b = self.links, self.states_a, self.states_b
-        positions, kinds = (codes.tolist() for codes in self._bin_codes)
-        visits_a, visits_b = (codes.tolist() for codes in self._pair_codes)
-        # zip over the columns yields each row as a tuple
-        flows_a = zip(*self.flows("a")[1:].T.tolist())
-        flows_b = zip(*self.flows("b")[1:].T.tolist())
-        for t, k, kind, ia, ib, fa, fb in zip(
-            self.times, positions, kinds, visits_a, visits_b, flows_a, flows_b
-        ):
-            yield CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
-
     def project(self, side: str) -> EventLog:
         """Component event log of side 'a' or 'b' (joint plus one-sided moves).
 
@@ -180,6 +182,17 @@ class PairedEventLog:
         )
 
 
+def _coupled_events(times, bins, pairs, links, states_a, states_b):
+    positions, kinds = np.divmod(np.asarray(bins, dtype=np.int64), 3)
+    visits_a, visits_b = np.divmod(np.asarray(pairs, dtype=np.int64), len(states_b))
+    # zip over the columns yields each row as a tuple
+    flows_a = zip(*_flow_counts(positions, kinds != _SIDES["a"][1], len(links))[1:].T.tolist())
+    flows_b = zip(*_flow_counts(positions, kinds != _SIDES["b"][1], len(links))[1:].T.tolist())
+    columns = (positions.tolist(), kinds.tolist(), visits_a.tolist(), visits_b.tolist())
+    for t, k, kind, ia, ib, fa, fb in zip(times, *columns, flows_a, flows_b):
+        yield CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
+
+
 def _read_only(arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -187,7 +200,7 @@ def _read_only(arrays):
 
 
 def _pair_row(component_rates):
-    """Kernel row (total, cumulative, last) of a pair, from each link's rates (a, b).
+    """(total, cumulative, last) of a pair's kernel row, from each link's rates (a, b).
 
     The bins are (joint, B-only, A-only) per link, the total is summed
     link by link, and `last` is the last bin with a positive rate, read
@@ -206,21 +219,6 @@ def _pair_row(component_rates):
                 last = len(cumulative)
             cumulative.append(acc)
     return total, cumulative, last
-
-
-class _Rows(dict):
-    """Kernel rows by state, each built by `build` on its first visit and kept.
-
-    A dict, so that the kernel's lookup of a visited state runs no Python code.
-    """
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, state):
-        row = self[state] = self._build(state)
-        return row
 
 
 def _start_pair(spec_a: NetworkSpec, spec_b: NetworkSpec, xa: State, xb: State):
@@ -253,7 +251,8 @@ def simulate_coupled(
     from the component rate arrays when a path first reaches it, so the
     reachable pair space stays implicit.
 
-    The kernel's state is the pair code ia * len(B's states) + ib.
+    The kernel's state is the pair code ia * len(B's states) + ib, and a
+    pair's row, with its bins' target codes, is built on its first visit.
     Candidate events are ordered (joint, B-only, A-only) within each link
     and links keep their declared order, so a seed fixes the path exactly.
     A pair's total rate is summed link by link, each link's three rates
@@ -263,33 +262,31 @@ def simulate_coupled(
     xb = tuple(int(v) for v in init_b)
     start_a, start_b = _start_pair(spec_a, spec_b, xa, xb)
     links = spec_a.links
-    rates = [
-        (spec_a.rate_vector(link).tolist(), spec_b.rate_vector(link).tolist())
-        for link in links
-    ]
     width = len(spec_b.states)
+
+    def side(spec, scale):
+        """A side's per-state (link rates, link targets times `scale`) lists,
+        each read off the link arrays on the side's first visit there."""
+        rates = [spec.rate_vector(link) for link in links]
+        targets = [spec.next_index(link) for link in links]
+        return _Rows(lambda i: ([r.item(i) for r in rates], [n.item(i) * scale for n in targets]))
+
+    side_a, side_b = side(spec_a, width), side(spec_b, 1)
 
     def row(pair):
         ia, ib = divmod(pair, width)
-        return _pair_row([(rates_a[ia], rates_b[ib]) for rates_a, rates_b in rates])
-
-    # Per bin, where each side goes: a side that does not move keeps its index.
-    stay_a = list(range(len(spec_a.states)))
-    stay_b = list(range(width))
-    targets = []
-    for link in links:
-        next_a, next_b = spec_a.next_index(link).tolist(), spec_b.next_index(link).tolist()
-        targets += [(next_a, next_b), (stay_a, next_b), (next_a, stay_b)]
-
-    def advance(pair, b):
-        ia, ib = divmod(pair, width)
-        next_a, next_b = targets[b]
-        return next_a[ia] * width + next_b[ib]
+        (rates_a, moved_a), (rates_b, moved_b) = side_a[ia], side_b[ib]
+        total, cumulative, last = _pair_row(zip(rates_a, rates_b))
+        # Per link, the pair codes after a joint, a B-only and an A-only
+        # move: a side that does not move keeps its index.
+        stay_a = ia * width
+        targets = []
+        for a, b in zip(moved_a, moved_b):
+            targets += (a + b, stay_a + b, a + ib)
+        return total, cumulative, last, targets
 
     start = start_a * width + start_b
-    times, bins, pairs, absorbed = gillespie(
-        _Rows(row).__getitem__, advance, start, horizon, seed
-    )
+    times, bins, pairs, absorbed = gillespie(_Rows(row), start, horizon, seed)
     return PairedEventLog(
         initial_a=xa,
         initial_b=xb,
@@ -331,14 +328,15 @@ def paired_log_csv(log: PairedEventLog):
     A generator of text chunks: the header line, then the rows at most
     _CSV_ROWS to a chunk, so a long log is never held as one string;
     "".join of the chunks is the whole CSV text. Each chunk decodes its
-    own slice of the bin and pair codes with numpy. Each state's label
-    and each bin's `i,j,kind,` prefix are formatted once; the counters
-    are counted as the rows are written, carried from chunk to chunk, and
-    a cell is re-joined only when its side moved.
+    own slice of the bin and pair codes with numpy. Each bin's `i,j,kind,`
+    prefix is formatted once, and so is each visited state's label (no
+    other state is labelled); the counters are counted as the rows are
+    written, carried from chunk to chunk, and a cell is re-joined only
+    when its side moved.
     """
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
-    labels_a, labels_b = _state_labels(log.states_a), _state_labels(log.states_b)
     width = len(log.states_b)
+    labels_a, labels_b = [None] * len(log.states_a), [None] * width
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
     fa = fb = ";".join(cells_a)
@@ -349,6 +347,8 @@ def paired_log_csv(log: PairedEventLog):
         positions, kinds = (c.tolist() for c in np.divmod(np.asarray(bins, dtype=np.int64), 3))
         pairs = np.asarray(log.pairs[start:stop], dtype=np.int64)
         visits_a, visits_b = (c.tolist() for c in np.divmod(pairs, width))
+        _label_visits(labels_a, log.states_a, visits_a)
+        _label_visits(labels_b, log.states_b, visits_b)
         lines = []
         for t, b, k, kind, ia, ib in zip(
             log.times[start:stop], bins, positions, kinds, visits_a, visits_b

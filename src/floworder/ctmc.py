@@ -15,23 +15,29 @@ generator and the simulators read those arrays as they are.
 Simulation: gillespie is the one Gillespie (1977) kernel, over integer
 states and numbered bins: one exponential draw for the holding time, then
 one uniform draw for the bin. It reads its uniforms from the seeded PCG64
-stream in blocks of _BLOCK; rng.random(n) yields exactly the doubles of n
-scalar calls, so a seed fixes the same path as drawing one at a time.
-Each state's bins come as one row of running sums, so the bin is a
-bisection; when rounding carries a draw past the last running sum, the
-move is the last bin with a positive rate, read from the rates when the
-row is built (a positive rate can vanish in a running sum). The path is
-returned as columns (times, bins, states), not as one object per event.
-simulate_path runs the kernel with one bin per link, all rows from one
-cumulative sum over the state index; coupling's simulate_coupled runs it
-on index pairs with three bins per link. EventLog keeps the columns and
-builds its Event tuples only when they are read; its flow counters, one
-per link, are one int64 array counted from the moves column (flows()).
+stream in blocks of _BLOCK, chained at C level; rng.random(n) yields
+exactly the doubles of n scalar calls, so a seed fixes the same path as
+drawing one at a time. The kernel calls no Python code per event: it
+looks each state's row (total, cumulative, last, targets) up in a
+mapping. The running sums make the bin a bisection, and targets[b] is
+the state after a move in bin b. When rounding carries a draw past the
+last running sum, the move is the last bin with a positive rate, read
+from the rates when the row is built (a positive rate can vanish in a
+running sum). The mapping is a _Rows dict, which builds a row on the
+path's first visit to its state, so a path costs the states it visits.
+simulate_path runs the kernel with one bin per link, gathering each row
+from running sums, last bins and next_index arrays made once over the
+states; coupling's simulate_coupled runs it on index pairs with three
+bins per link. The path is returned as columns (times, bins, states),
+not as one object per event. EventLog keeps the columns and builds its Event tuples
+only when they are read; its flow counters, one per link, are one int64
+array counted from the moves column (flows()).
 
 Reports: the CSV writers event_log_csv and distribution_csv (and
 coupling's paired_log_csv) are generators of text chunks of at most
 _CSV_ROWS rows each, so a caller writes a long report as it is made and
-never holds its whole text.
+never holds its whole text. The event writers label only the states a
+path visits.
 
 Solvers:
 
@@ -73,8 +79,9 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import methodcaller
 from typing import NamedTuple
 
 import numpy as np
@@ -197,15 +204,11 @@ class EventLog:
     events: EventView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.events = EventView(len(self.times), self._events)
-
-    def _events(self):
-        links, states = self.links, self.states
-        pre = self.initial
-        for t, k, i in zip(self.times, self.moves, self.visits):
-            post = states[i]
-            yield Event(t, links[k], pre, post)
-            pre = post
+        # The view holds the columns, not the log, so a log is no reference
+        # cycle and is freed as soon as it is dropped.
+        columns = (self.times, self.moves, self.visits)
+        make = partial(_events, self.initial, *columns, self.states, self.links)
+        self.events = EventView(len(self.times), make)
 
     def flows(self) -> np.ndarray:
         """The flow counters as an (events + 1, links) int64 array.
@@ -219,6 +222,14 @@ class EventLog:
     def state_at(self, t: float) -> State:
         e = bisect_right(self.times, t)
         return self.states[self.visits[e - 1]] if e else self.initial
+
+
+def _events(initial, times, moves, visits, states, links):
+    pre = initial
+    for t, k, i in zip(times, moves, visits):
+        post = states[i]
+        yield Event(t, links[k], pre, post)
+        pre = post
 
 
 def _flow_counts(positions: np.ndarray, moved, links: int, start=0) -> np.ndarray:
@@ -300,18 +311,23 @@ _BLOCK = 512
 
 
 def _uniforms(rng):
-    """The stream's uniforms one at a time, drawn _BLOCK at a time."""
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    """The stream's uniforms one at a time, drawn _BLOCK at a time.
+
+    A C-level iterator: each block is one rng.random(_BLOCK).tolist(), and
+    the blocks are chained, so a draw resumes no Python frame.
+    """
+    blocks = map(methodcaller("tolist"), map(rng.random, repeat(_BLOCK)))
+    return chain.from_iterable(blocks)
 
 
-def gillespie(rates_at, advance, state: int, horizon: float, seed: int):
+def gillespie(rows, state: int, horizon: float, seed: int):
     """Gillespie (1977) path from `state` up to `horizon`, over numbered bins.
 
-    rates_at(state) returns the row (total, cumulative, last): the total
-    rate as the caller sums it, the running sums of the bin rates in bin
-    order (formed as acc += r), and the last bin with a positive rate.
-    advance(state, b) is the state after a move in bin b; states are ints.
+    rows[state] is the row (total, cumulative, last, targets) of a state:
+    the total rate as the caller sums it, the running sums of the bin
+    rates in bin order (formed as acc += r), the last bin with a positive
+    rate, and targets[b], the state after a move in bin b. States are ints,
+    and `rows` is any mapping; a _Rows builds each row on first visit.
 
     Each step draws the holding time -log1p(-U) / total from a uniform
     U > 0 (a draw of exactly 0 is rejected and redrawn), then one uniform
@@ -330,10 +346,11 @@ def gillespie(rates_at, advance, state: int, horizon: float, seed: int):
         raise ValueError("horizon must be finite and nonnegative")
     draw = _uniforms(make_stream(seed)).__next__
     times, bins, states = array("d"), array("q"), array("q")
+    add_time, add_bin, add_state = times.append, bins.append, states.append
     log1p = math.log1p
     t = 0.0
     while True:
-        total, cumulative, last = rates_at(state)
+        total, cumulative, last, targets = rows[state]
         if total <= 0.0:
             return times, bins, states, True
         u = draw()
@@ -345,21 +362,48 @@ def gillespie(rates_at, advance, state: int, horizon: float, seed: int):
         b = bisect_right(cumulative, draw() * total)
         if b == len(cumulative):  # rounding pushed the draw past the last bin
             b = last
-        state = advance(state, b)
-        times.append(t)
-        bins.append(b)
-        states.append(state)
+        state = targets[b]
+        add_time(t)
+        add_bin(b)
+        add_state(state)
 
 
-def _cumulative_rows(rates: np.ndarray) -> list:
-    """Kernel rows (total, cumulative, last) of an (m, bins) rate array.
+class _Rows(dict):
+    """Kernel rows by state, each built by `build` on its first visit and kept.
 
-    np.cumsum adds along each row in sequence, so every running sum is
-    bit-equal to the loop acc += r; the total is the last running sum.
+    A dict, so that the kernel's lookup of a visited state runs no Python code.
     """
-    cumulative = np.cumsum(rates, axis=1)
-    last = rates.shape[1] - 1 - np.argmax(rates[:, ::-1] > 0.0, axis=1)
-    return list(zip(cumulative[:, -1].tolist(), cumulative.tolist(), last.tolist()))
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, state):
+        row = self[state] = self._build(state)
+        return row
+
+
+def _link_rows(rates: list, targets: list) -> _Rows:
+    """Kernel rows from one rate array and one target array per bin, over
+    the states, each row built on its state's first visit.
+
+    The running sums and the last positive bins are made here once, as
+    arrays over the states, and a row gathers its state's entries from
+    them. The running sums are added bin by bin, so each is bit-equal to
+    the loop acc += r; the total is the last running sum.
+    """
+    running = [rates[0]]
+    for r in rates[1:]:
+        running.append(running[-1] + r)
+    last = np.zeros(rates[0].size, dtype=np.int64)
+    for b, r in enumerate(rates):
+        last[r > 0.0] = b
+
+    def row(i):
+        cumulative = [c.item(i) for c in running]
+        return cumulative[-1], cumulative, last.item(i), [n.item(i) for n in targets]
+
+    return _Rows(row)
 
 
 def _start_index(spec: NetworkSpec, init: State) -> int:
@@ -377,14 +421,16 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     not recorded) or when the total exit rate hits zero, which sets the
     absorbed flag. Ties in link selection resolve in declared link order.
     A state's total exit rate is summed link by link in declared order.
+    A state's row is built when the path first reaches it, so the cost
+    beyond a few array passes grows with the states the path visits.
     """
     init = tuple(int(v) for v in init)
     start = _start_index(spec, init)
-    rows = _cumulative_rows(np.column_stack([spec.rate_vector(link) for link in spec.links]))
-    next_index = [spec.next_index(link).tolist() for link in spec.links]
-    times, moves, visits, absorbed = gillespie(
-        rows.__getitem__, lambda i, b: next_index[b][i], start, horizon, seed
+    rows = _link_rows(
+        [spec.rate_vector(link) for link in spec.links],
+        [spec.next_index(link) for link in spec.links],
     )
+    times, moves, visits, absorbed = gillespie(rows, start, horizon, seed)
     return EventLog(
         initial=init,
         times=times,
@@ -662,10 +708,13 @@ def _state_labels(states) -> list[str]:
     return list(map(";".join(["{}"] * len(states[0])).format, *zip(*states)))
 
 
-def _chunks(lines):
-    """Lines (each ending in a newline) joined _CSV_ROWS at a time."""
-    while chunk := "".join(islice(lines, _CSV_ROWS)):
-        yield chunk
+def _label_visits(labels: list, states, visits) -> None:
+    """Label each state of `visits` (state indices) that `labels`, a list
+    over `states`, holds no label for yet; a writer fills it block by block,
+    so a log labels only the states it visited."""
+    fresh = [i for i in set(visits) if labels[i] is None]
+    for i, label in zip(fresh, _state_labels([states[i] for i in fresh])):
+        labels[i] = label
 
 
 def event_log_csv(log: EventLog):
@@ -673,13 +722,18 @@ def event_log_csv(log: EventLog):
 
     A generator of text chunks: the header line, then the rows at most
     _CSV_ROWS to a chunk, so a long log is never held as one string.
-    "".join of the chunks is the whole CSV text.
+    "".join of the chunks is the whole CSV text. Only the states the log
+    visits are labelled, each before the first chunk that names it.
     """
     prefixes = [f"{i},{j}," for i, j in log.links]
-    labels = _state_labels(log.states)
+    labels = [None] * len(log.states)
     yield "time,link_from,link_to,state_after\n"
-    rows = zip(log.times, log.moves, log.visits)
-    yield from _chunks(f"{t!r},{prefixes[k]}{labels[i]}\n" for t, k, i in rows)
+    for start in range(0, len(log.times), _CSV_ROWS):
+        stop = start + _CSV_ROWS
+        visits = log.visits[start:stop]
+        _label_visits(labels, log.states, visits)
+        rows = zip(log.times[start:stop], log.moves[start:stop], visits)
+        yield "".join([f"{t!r},{prefixes[k]}{labels[i]}\n" for t, k, i in rows])
 
 
 def distribution_csv(states, probs):
@@ -689,5 +743,8 @@ def distribution_csv(states, probs):
     the rows at most _CSV_ROWS to a chunk.
     """
     yield "state,probability\n"
+    labels = _state_labels(states)
     probs = np.asarray(probs, dtype=float).tolist()
-    yield from _chunks(map("{},{!r}\n".format, _state_labels(states), probs))
+    for start in range(0, len(probs), _CSV_ROWS):
+        stop = start + _CSV_ROWS
+        yield "".join(map("{},{!r}\n".format, labels[start:stop], probs[start:stop]))

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,10 +13,8 @@ from scipy.sparse import find
 from scipy.sparse._base import _spbase
 
 import helpers
-from floworder import ctmc
-from floworder.coupling import (
-    simulate_coupled,
-)
+from floworder import coupling, ctmc
+from floworder.coupling import paired_log_csv, simulate_coupled
 from floworder.ctmc import (
     ConvergenceError,
     EventLog,
@@ -220,17 +220,19 @@ def test_moves_leaving_the_space_rejected():
     )
 
 
-def kernel_row(rates):
-    """(cumulative, last) of one state's bin rates, as simulate_path builds them."""
-    _, cumulative, last = ctmc._cumulative_rows(np.array([rates], dtype=float))[0]
-    return cumulative, last
+def kernel_row(rates, total):
+    """Rows of one state 0, with its bin rates as simulate_path builds them and
+    `total` in place of their sum; every bin moves back to state 0."""
+    _, cumulative, last, targets = ctmc._link_rows(
+        [np.array([r]) for r in rates], [np.zeros(1, dtype=np.int64)] * len(rates)
+    )[0]
+    return {0: (total, cumulative, last, targets)}
 
 
 def test_kernel_rounding_fallback_picks_last_positive_bin():
     # A total above the sum of the bins sends most draws past the last
     # running sum, which is where rounding would otherwise send them.
-    cumulative, last = kernel_row([0.5, 0.5, 0.0])
-    _, bins, _, _ = gillespie(lambda s: (4.0, cumulative, last), lambda s, b: s + 1, 0, 50.0, seed=3)
+    _, bins, _, _ = gillespie(kernel_row([0.5, 0.5, 0.0], 4.0), 0, 50.0, seed=3)
     rng = make_stream(3)
     expected = []
     for _ in bins:
@@ -243,9 +245,10 @@ def test_kernel_rounding_fallback_picks_last_positive_bin():
 def test_kernel_fallback_reads_a_rate_that_vanishes_in_the_running_sum():
     # 1e17 + 1.0 == 1e17, so the running sums cannot show that bin 1 is
     # positive; the fallback must still pick it, never bin 0 or bin 2.
-    cumulative, last = kernel_row([1e17, 1.0, 0.0])
+    rows = kernel_row([1e17, 1.0, 0.0], 2e17)
+    _, cumulative, last, _ = rows[0]
     assert cumulative[0] == cumulative[1] == cumulative[2] and last == 1
-    _, bins, _, _ = gillespie(lambda s: (2e17, cumulative, last), lambda s, b: s + 1, 0, 1e-15, seed=5)
+    _, bins, _, _ = gillespie(rows, 0, 1e-15, seed=5)
     rng = make_stream(5)
     expected = []
     for _ in bins:
@@ -275,14 +278,59 @@ def test_kernel_rejects_a_zero_uniform_at_a_block_edge(monkeypatch):
     monkeypatch.setattr(ctmc, "make_stream", lambda seed: stub)
     t1 = -math.log1p(-0.5) / 2.0
     t2 = t1 + -math.log1p(-0.75) / 2.0
-    times, bins, states, absorbed = gillespie(
-        lambda s: (2.0, [1.0, 2.0], 1), lambda s, b: s + 1, 0, t2 + 0.1, seed=0
-    )
+    rows = ctmc._Rows(lambda s: (2.0, [1.0, 2.0], 1, [s + 1, s + 1]))
+    times, bins, states, absorbed = gillespie(rows, 0, t2 + 0.1, seed=0)
     assert list(times) == [t1, t2]
     assert list(bins) == [0, 1]  # 0.25 * 2 < 1.0; 0.5 * 2 is not
     assert list(states) == [1, 2]
     assert not absorbed
     assert stub.blocks == []
+
+
+def test_simulators_build_rows_only_for_the_states_they_visit(monkeypatch):
+    """A path builds a kernel row on each first visit and none before, and
+    its writer labels only what it visited: on the 90,601-state tandem a
+    short path costs its events, not the state space."""
+    built = []
+
+    def counting(rows, state, horizon, seed):
+        path = gillespie(rows, state, horizon, seed)
+        built.append(set(rows))  # a _Rows keeps every row it built
+        return path
+
+    monkeypatch.setattr(ctmc, "gillespie", counting)
+    monkeypatch.setattr(coupling, "gillespie", counting)
+    params = TandemParams.linear(300, 300, 300.0)
+    spec_a, spec_b = build_balanced_tandem(params), build_original_tandem(params)
+    log = simulate_path(spec_b, (0, 0), 1.0, seed=7)
+    rows = built.pop()
+    assert rows == {spec_b.find((0, 0)), *log.visits} and len(rows) <= len(log.events) + 1
+    assert "".join(event_log_csv(log)) == helpers.whole_event_log_csv(log)
+    log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 1.0, seed=7)
+    rows = built.pop()
+    assert rows == {0, *log.pairs} and len(rows) <= len(log.events) + 1
+    assert "".join(paired_log_csv(log)) == helpers.whole_paired_log_csv(log)
+
+
+def test_logs_are_freed_without_the_cyclic_collector():
+    """A log holds no reference to itself (its event view holds the columns),
+    so a finished replication is freed when it is dropped."""
+    params = TandemParams.linear(3, 3, 2.0)
+    spec_a, spec_b = build_balanced_tandem(params), build_original_tandem(params)
+    gc.disable()
+    try:
+        log = simulate_path(spec_b, (0, 0), 10.0, seed=1)
+        assert len(log.events) > 0 and log.events[0] == list(log.events)[0]
+        path = weakref.ref(log)
+        del log
+        assert path() is None
+        log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 10.0, seed=1)
+        assert len(log.events) > 0 and log.events[0] == list(log.events)[0]
+        coupled = weakref.ref(log)
+        del log
+        assert coupled() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
