@@ -59,14 +59,24 @@ Solvers:
 Both take their Poisson weights from _poisson_weights, the one place the
 truncation policy lives; a mean Lambda t that overflows to infinity, or
 whose truncation depth passes _MAX_POISSON_DEPTH, raises SolverError
-there. Both read the transposed kernel P^T, built once
-per generator as a CSC matrix and cached, so each power is one column
-product vec = P^T vec; no sparse matrix is made per step. The stationary
-residual max|pi Q| is the column product Q^T pi in the same way.
+there. transient_mean_flow sets its depth from the largest time's tail
+and reuses that tail for the largest time's mean. Both read the
+transposed kernel P^T, built once per generator as a CSC matrix and
+cached: P's CSR arrays are P^T's CSC arrays, and they are laid down from
+Q's CSR arrays with numpy, equal byte for byte to those of scipy's
+I + Q / Lambda (Generator.transposed_kernel). Each power is one column
+product vec = P^T vec, made by _column_product as one call of scipy's C
+routine csc_matvec, the one P^T @ vec ends in, on the same arrays, so
+bit-equal to it without a sparse matrix's __matmul__ dispatch; no sparse
+matrix is made per step. csc_matvec lives in a private scipy module
+(scipy.sparse._sparsetools), and a test pins it against P^T @ vec. The
+stationary residual max|pi Q| is the column product Q^T pi in the same
+way, on Q's CSR arrays.
 
-scipy is imported inside the four functions that build or factor sparse
-matrices (build_generator, Generator.transposed_kernel, _recurrent_class
-and stationary_distribution), not at module level. Importing scipy.sparse
+scipy is imported inside the five functions that build, factor or
+multiply sparse matrices (build_generator, Generator.transposed_kernel,
+_column_product, _recurrent_class and stationary_distribution), not at
+module level. Importing scipy.sparse
 and its csgraph and linalg parts takes longer than importing numpy and
 the rest of floworder together, and at module level every process that
 imports floworder would pay it, including the check, verify, couple and
@@ -86,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Link, ModelError, NetworkSpec, State
+from .model import Link, ModelError, NetworkSpec, State, find_row
 from .rng import make_stream
 
 __all__ = [
@@ -247,6 +257,8 @@ class Generator:
     states: tuple[State, ...]
     matrix: sp.csr_matrix  # includes the diagonal
     unif_rate: float
+    # The states as the spec's read-only (m, n) int64 array, for find_row.
+    coords: np.ndarray = field(repr=False, compare=False)
     _kernel_t: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -257,16 +269,63 @@ class Generator:
     def transposed_kernel(self) -> sp.csc_matrix:
         """P^T as a CSC matrix, P = I + Q / unif_rate; requires unif_rate > 0.
 
-        Built on first use and cached, P itself is not kept. A power step
-        p P is then one column product P^T p, the csc_matvec that p @ P
-        runs after transposing P, on the same arrays, so bit-equal to it.
+        Built on first use and cached, P itself is not kept. P's CSR arrays
+        are P^T's CSC arrays, and they are laid down from Q's CSR arrays
+        with numpy, as scipy's sum I + Q / unif_rate makes them: Q's
+        entries times 1 / unif_rate (the reciprocal scipy's Q / unif_rate
+        multiplies by), 1.0 added to each diagonal entry, a 1.0 as the one
+        entry of each row that stores none (an absorbing state's), and
+        exact zeros dropped (a state whose exit rate is unif_rate has
+        1 - 1 = 0.0 on the diagonal). That is scipy's sum when Q's rows
+        are sorted and each row stores its diagonal entry unless it stores
+        nothing, as build_generator leaves them: a positive rate makes a
+        positive exit rate. A power step p P is then one column product
+        P^T p (_column_product), on the arrays p @ P would use, so
+        bit-equal to it.
         """
         if self._kernel_t is None:
             import scipy.sparse as sp
 
+            q = self.matrix
             m = len(self.states)
-            self._kernel_t = (sp.identity(m, format="csr") + self.matrix / self.unif_rate).T
+            stored = np.diff(q.indptr)
+            rows = np.repeat(np.arange(m, dtype=q.indices.dtype), stored)
+            indices = q.indices
+            data = q.data * (1 / self.unif_rate)
+            data[np.flatnonzero(indices == rows)] += 1.0
+            absorbing = np.flatnonzero(stored == 0)
+            if absorbing.size:
+                at = q.indptr[absorbing]
+                rows = np.insert(rows, at, absorbing)
+                indices = np.insert(indices, at, absorbing)
+                data = np.insert(data, at, 1.0)
+            kept = data != 0.0
+            indptr = np.zeros(m + 1, dtype=q.indptr.dtype)
+            np.cumsum(np.bincount(rows[kept], minlength=m), out=indptr[1:])
+            arrays = (data[kept], indices[kept], indptr)
+            self._kernel_t = sp.csc_matrix(arrays, shape=(m, m))
         return self._kernel_t
+
+
+def _column_product(indptr, indices, data):
+    """vec -> A vec for the square matrix A whose CSC arrays these are.
+
+    Each product is one call of csc_matvec into a fresh zero vector, the
+    routine and arguments scipy's A @ vec ends in, so the result is
+    bit-equal to it without the dispatch of a sparse matrix's __matmul__.
+    The arrays may also be the CSR arrays of A^T. csc_matvec lives in a
+    private scipy module; a test pins it against A @ vec.
+    """
+    from scipy.sparse._sparsetools import csc_matvec
+
+    m = indptr.size - 1
+
+    def product(vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(m)
+        csc_matvec(m, m, indptr, indices, data, vec, out)
+        return out
+
+    return product
 
 
 def build_generator(spec: NetworkSpec) -> Generator:
@@ -303,7 +362,9 @@ def build_generator(spec: NetworkSpec) -> Generator:
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
     matrix = sp.csr_matrix((data, indices, indptr), shape=(m, m))
     matrix.sort_indices()
-    return Generator(states=spec.states, matrix=matrix, unif_rate=float(exit_rates.max()))
+    return Generator(
+        states=spec.states, matrix=matrix, unif_rate=float(exit_rates.max()), coords=spec.coords
+    )
 
 
 # Uniforms drawn from the stream per call of rng.random.
@@ -517,7 +578,9 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
         pi /= pi.sum()
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    residual = float(np.abs(sub.T @ pi).max()) / rate
+    # pi Q as sub.T @ pi: sub's CSR arrays are the CSC arrays of sub.T.
+    balance = _column_product(sub.indptr, sub.indices, sub.data)(pi)
+    residual = float(np.abs(balance).max()) / rate
     if not residual < tol:  # a NaN residual fails too
         raise ConvergenceError(residual, tol)
     if k == m:
@@ -532,14 +595,18 @@ def distribution_vector(gen: Generator, p0) -> np.ndarray:
 
     A tuple is a state (point mass), a mapping is a sparse distribution
     keyed by state, anything else is a dense vector over the enumeration.
+    A tuple is looked up by comparing the columns of gen.coords
+    (find_row), so no dict over the states is built; a mapping uses
+    gen.index.
     """
     m = len(gen.states)
     if isinstance(p0, tuple):
         x = tuple(int(v) for v in p0)
-        if x not in gen.index:
+        k = find_row(gen.coords, x)
+        if k < 0:
             raise ModelError(f"state {x} not in the state space")
         vec = np.zeros(m)
-        vec[gen.index[x]] = 1.0
+        vec[k] = 1.0
         return vec
     if isinstance(p0, dict):
         vec = np.zeros(m)
@@ -627,9 +694,10 @@ def transient_distribution(gen: Generator, p0, t: float, tol: float = 1e-12) -> 
     w, tail = _poisson_weights(gen.unif_rate * t)
     depth = _truncation_depth(tail, tol)
     kernel_t = gen.transposed_kernel()
+    step = _column_product(kernel_t.indptr, kernel_t.indices, kernel_t.data)
     acc = w[0] * vec
     for k in range(1, depth + 1):
-        vec = kernel_t @ vec
+        vec = step(vec)
         acc += w[k] * vec
     np.clip(acc, 0.0, None, out=acc)
     return acc / acc.sum()
@@ -665,19 +733,22 @@ def transient_mean_flow(
     lam = gen.unif_rate
     if lam == 0.0:  # no link ever fires
         return (0.0,) * len(times)
-    _, tail = _poisson_weights(lam * max(times, default=0.0))
-    dropped = np.zeros(tail.size)
-    dropped[:-1] = np.cumsum(tail[:0:-1])[::-1]  # sum_{j>k} P(N > j)
+    top = max(times, default=0.0)
+    _, top_tail = _poisson_weights(lam * top)
+    dropped = np.zeros(top_tail.size)
+    dropped[:-1] = np.cumsum(top_tail[:0:-1])[::-1]  # sum_{j>k} P(N > j)
     depth = _truncation_depth(rate_vec.max() / lam * dropped, tol)
     kernel_t = gen.transposed_kernel()
+    step = _column_product(kernel_t.indptr, kernel_t.indices, kernel_t.data)
     rewards = np.empty(depth + 1)
     rewards[0] = vec @ rate_vec
     for k in range(1, depth + 1):
-        vec = kernel_t @ vec
+        vec = step(vec)
         rewards[k] = vec @ rate_vec
     means = []
     for t in times:
-        tail = _poisson_weights(lam * t)[1][: depth + 1]
+        tail = top_tail if t == top else _poisson_weights(lam * t)[1]
+        tail = tail[: depth + 1]
         means.append(float(tail @ rewards[: tail.size]) / lam)
     return tuple(means)
 

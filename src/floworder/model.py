@@ -43,7 +43,7 @@ A spec built directly is held to the same rules as a parsed document,
 its space included, but may list its states in any order; keys out of
 order are argsorted before the search. No dict from state to index is
 built unless a caller asks for NetworkSpec.state_index; index lookups go
-through NetworkSpec.find, which compares columns.
+through NetworkSpec.find (find_row), which compares columns.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "State",
     "ModelError",
     "NetworkSpec",
+    "find_row",
     "linear_links",
     "is_linear_family",
     "balance_signature",
@@ -158,20 +159,8 @@ class NetworkSpec:
         return {x: k for k, x in enumerate(self.states)}
 
     def find(self, x: State) -> int:
-        """Index of state x, or -1 if it is not in the space.
-
-        Each column of `coords` is compared with its coordinate, so no dict
-        is built. A coordinate outside [0, 2**63) is no state's; it is
-        turned away first, since numpy 1 compares an int64 column with a
-        Python int in [2**63, 2**64) in float64, where 2**63 - 1 equals
-        2**63."""
-        if len(x) != self.n or not all(0 <= v < 2**63 for v in x):
-            return -1
-        hits = self.coords[:, 0] == x[0]
-        for d in range(1, self.n):
-            hits &= self.coords[:, d] == x[d]
-        hits = np.flatnonzero(hits)
-        return int(hits[0]) if hits.size else -1
+        """Index of state x, or -1 if it is not in the space (find_row)."""
+        return find_row(self.coords, x)
 
     def index_of(self, x: State) -> int:
         k = self.find(x)
@@ -226,6 +215,24 @@ def _first_bad_state(states, n: int):
     """_check_space where a vectorised check has flagged some state."""
     _check_space(states, n)
     raise AssertionError("no state breaks a space rule")
+
+
+def find_row(coords: np.ndarray, x: State) -> int:
+    """Index of the first row of `coords` (an (m, n) int64 array) equal to
+    state x, or -1 if there is none.
+
+    Each column is compared with its coordinate, so no dict is built. A
+    coordinate outside [0, 2**63) is no state's; it is turned away first,
+    since numpy 1 compares an int64 column with a Python int in
+    [2**63, 2**64) in float64, where 2**63 - 1 equals 2**63."""
+    n = coords.shape[1]
+    if len(x) != n or not all(0 <= v < 2**63 for v in x):
+        return -1
+    hits = coords[:, 0] == x[0]
+    for d in range(1, n):
+        hits &= coords[:, d] == x[d]
+    hits = np.flatnonzero(hits)
+    return int(hits[0]) if hits.size else -1
 
 
 def _state_array(states, n: int) -> np.ndarray:

@@ -185,6 +185,28 @@ def test_transient_swapped_pair_rejects_tolerances_that_decide_nothing(tol, tmp_
     assert not out.exists()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="transient passes a margin above -tol even when it is below the means' error "
+    "bounds (ROADMAP item 3)",
+)
+def test_transient_fails_a_pair_in_which_a_out_serves_b(tmp_path, capsys):
+    """A's arrival rate exceeds B's by eps = 1e-10 wherever it is positive, so A
+    out-serves B: `check` fails the pair, and every positive-time margin, near
+    -1e-9 at t = 10, lies beyond the means' truncation bounds of 1e-10 each."""
+
+    def doc(arrival, params):
+        rates = {"0->1": f"{arrival} * ind(x1 < 3)", "1->0": "x1"}
+        return {"n": 1, "space": {"box": [3]}, "params": params, "rates": rates}
+
+    path_a = write_doc(tmp_path, "a.json", doc("(lam + eps)", {"lam": 0.3, "eps": 1e-10}))
+    path_b = write_doc(tmp_path, "b.json", doc("lam", {"lam": 0.3}))
+    pair = ["--model-a", path_a, "--model-b", path_b]
+    assert main(["check"] + pair + ["--out", str(tmp_path / "check")]) == 1
+    argv = ["transient"] + pair + ["--grid", "0:10:10", "--out", str(tmp_path / "transient")]
+    assert main(argv) == 1
+
+
 def test_transient_overflowing_poisson_mean_is_one_error_line(tmp_path, capsys):
     """beta = 1e308 makes Lambda * t overflow to infinity: exit 2, no traceback."""
     out = tmp_path / "out"
@@ -787,8 +809,9 @@ def test_help_text_pinned(command):
         ["verify", "--family", "tandem-pair", "--s1", "3", "--s2", "2"],
         ["solve", "--family", "tandem-original", "--s1", "3", "--s2", "2"],
         ["sweep", "--betas", "1", "--sizes", "1,2"],
+        ["transient", "--family", "tandem-pair", "--s1", "3", "--s2", "2", "--grid", "0:4:2"],
     ],
-    ids=["check", "verify", "solve", "sweep"],
+    ids=["check", "verify", "solve", "sweep", "transient"],
 )
 def test_commands_build_no_state_dict(argv, tmp_path, monkeypatch, capsys):
     """The state-to-index dicts are built on first use, and these commands

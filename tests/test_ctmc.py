@@ -863,8 +863,10 @@ def test_transient_solvers_match_reference_loops_with_a_dropped_diagonal():
 
 def test_power_steps_build_no_sparse_matrices(monkeypatch):
     """Every power is a product with the one cached P^T, so the sparse matrices
-    a mean-flow call builds do not grow in number with the truncation depth."""
-    made, depths = [], []
+    a mean-flow call builds do not grow in number with the truncation depth;
+    and each product is a direct call of the C routine, never a sparse
+    matrix's __matmul__, in either solver or the stationary residual."""
+    made, depths, products = [], [], []
     init = _spbase.__init__
     depth = ctmc._truncation_depth
 
@@ -876,7 +878,12 @@ def test_power_steps_build_no_sparse_matrices(monkeypatch):
         depths.append(depth(*args))
         return depths[-1]
 
+    def refused_matmul(self, other):
+        products.append(type(self).__name__)
+        raise AssertionError("a power step went through a sparse matrix's __matmul__")
+
     monkeypatch.setattr(_spbase, "__init__", counting_init)
+    monkeypatch.setattr(_spbase, "__matmul__", refused_matmul)
     monkeypatch.setattr(ctmc, "_truncation_depth", recording_depth)
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
     counts = []
@@ -886,6 +893,39 @@ def test_power_steps_build_no_sparse_matrices(monkeypatch):
         counts.append(len(made))
     assert depths[1] > 8 * depths[0]
     assert counts[0] == counts[1] > 0
+    gen = build_generator(spec)
+    transient_distribution(gen, (0, 0), 50.0)
+    stationary_distribution(gen)
+    assert products == []
+
+
+def absorbing_chain():
+    """Arrivals up to x1 = 2 and no service: state (2,) is absorbing."""
+    return parse_model(helpers.single_node_doc("ind(x1 < 2)", "0", 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        absorbing_chain,
+        lambda: helpers.mm1c_chain(2.0, 2.0, 2),
+        lambda: build_original_tandem(TandemParams.linear(3, 2, 1.5)),
+    ],
+    ids=["absorbing", "dropped-diagonal", "tandem"],
+)
+def test_column_product_is_bit_equal_to_sparse_matmul(make):
+    """_column_product calls scipy's private csc_matvec as A @ vec does; on
+    the kernel P^T and on Q's CSR arrays read as Q^T's CSC arrays (the
+    stationary residual), every product equals scipy's bit for bit."""
+    gen = build_generator(make())
+    kernel_t, q = gen.transposed_kernel(), gen.matrix
+    step = ctmc._column_product(kernel_t.indptr, kernel_t.indices, kernel_t.data)
+    residual = ctmc._column_product(q.indptr, q.indices, q.data)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vec = rng.dirichlet(np.ones(len(gen.states))) * rng.choice([1e-300, 1.0, 1e300])
+        for got, want in ((step(vec), kernel_t @ vec), (residual(vec), q.T @ vec)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- distribution arguments
