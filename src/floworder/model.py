@@ -525,9 +525,12 @@ def load_model(path) -> NetworkSpec:
 
 def serialize_model(spec: NetworkSpec) -> dict:
     """Canonical document form; parsing it back yields an equal NetworkSpec."""
+    return {"n": spec.n, "space": {"list": spec.coords.tolist()}, **_spaceless_document(spec)}
+
+
+def _spaceless_document(spec: NetworkSpec) -> dict:
+    """serialize_model's document after its "n" and "space" keys."""
     return {
-        "n": spec.n,
-        "space": {"list": spec.coords.tolist()},
         "links": [list(link) for link in spec.links],
         "params": {k: spec.params[k] for k in sorted(spec.params)},
         "rates": {f"{i}->{j}": spec.rates[(i, j)].source for (i, j) in spec.links},
@@ -536,6 +539,24 @@ def serialize_model(spec: NetworkSpec) -> dict:
 
 
 def model_digest(spec: NetworkSpec) -> str:
-    """Stable content hash used in report headers."""
-    text = json.dumps(serialize_model(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Stable content hash used in report headers.
+
+    The SHA-256 of the UTF-8 bytes of
+    json.dumps(serialize_model(spec), sort_keys=True, separators=(",", ":")).
+    "space" sorts after every other key, so those bytes are hashed in
+    three pieces: the compact JSON of the other keys without its closing
+    brace, then ',"space":{"list":' and the state list, then '}}'. The
+    state list's text is joined from one str per distinct coordinate
+    value, so no state is JSON-encoded.
+    """
+    head = json.dumps(
+        {"n": spec.n, **_spaceless_document(spec)}, sort_keys=True, separators=(",", ":")
+    )
+    columns = spec.coords.T.tolist()
+    labels = {v: str(v) for v in set().union(*columns)}
+    rows = zip(*(map(labels.__getitem__, column) for column in columns))
+    digest = hashlib.sha256(head[:-1].encode("utf-8"))
+    digest.update(b',"space":{"list":[[')
+    digest.update("],[".join(map(",".join, rows)).encode("ascii"))
+    digest.update(b"]]}}")
+    return digest.hexdigest()

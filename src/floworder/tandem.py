@@ -11,9 +11,13 @@ with delta(0) = 0).
     full and blocks departures when queue 1 is full. The doubly full
     corner (s1, s2) becomes unreachable and is removed from its space.
 
-Service tables are compiled into indicator-sum rate expressions, so both
-builders return ordinary NetworkSpec models that serialize like any
-other.
+Each service table becomes an indicator-sum rate expression, one term
+per nonzero occupancy level. The builders make each expression's tree
+in the same loop that writes its text, so no text is parsed: the tree is
+the one parse_expression would build from that text, and the text is
+kept as the rate's source for serialization and model digests. Both
+builders return ordinary NetworkSpec models, checked by the
+constructor like any other, that serialize like any other.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import throughput
-from .model import ModelError, NetworkSpec, parse_model
+from .expr import BinOp, Comparison, Coord, Indicator, Num, Param, RateExpr
+from .model import ModelError, NetworkSpec, _parse_space
+from .model import parse_model  # unused; bench/tracing.py patches tandem.parse_model
 
 __all__ = [
     "TandemParams",
@@ -73,42 +79,70 @@ class TandemParams:
         return all(a <= b for t in (self.delta1, self.delta2) for a, b in zip(t, t[1:]))
 
 
-def _table_expression(coord: int, prefix: str, table) -> tuple[str, dict]:
-    """Indicator-sum expression for a per-occupancy rate table."""
-    params = {f"{prefix}_{k}": float(table[k]) for k in range(1, len(table))}
-    terms = [
-        f"{prefix}_{k} * ind(x{coord} = {k})"
-        for k in range(1, len(table))
-        if table[k] != 0.0
-    ]
-    return (" + ".join(terms) if terms else "0"), params
+def _table_expression(coord: int, prefix: str, table) -> tuple[tuple[str, object], dict]:
+    """Indicator-sum expression for a per-occupancy rate table of the
+    1-based coordinate `coord`, as (text, tree), and its parameters.
+
+    The tree is the left-deep sum parse_expression builds from the text,
+    or Num(0.0) for the text "0" when every entry is zero.
+    """
+    params = {}
+    terms = []
+    root = None
+    for k in range(1, len(table)):
+        name = f"{prefix}_{k}"
+        params[name] = float(table[k])
+        if table[k] != 0.0:
+            terms.append(f"{name} * ind(x{coord} = {k})")
+            term = BinOp(
+                "*",
+                Param(name),
+                Indicator((Comparison("=", Coord(coord - 1), Num(float(k))),)),
+            )
+            root = term if root is None else BinOp("+", root, term)
+    if root is None:
+        return ("0", Num(0.0)), params
+    return (" + ".join(terms), root), params
+
+
+def _below_capacity(*coords: int) -> tuple[str, Indicator]:
+    """ind(x_c < s_c, ...) over the 1-based coordinates, as (text, tree)."""
+    text = ", ".join(f"x{c} < s{c}" for c in coords)
+    tests = tuple(Comparison("<", Coord(c - 1), Param(f"s{c}")) for c in coords)
+    return f"ind({text})", Indicator(tests)
+
+
+def _product(left: tuple[str, object], right: tuple[str, object]) -> tuple[str, BinOp]:
+    """left * right, as (text, tree); the caller puts a sum on the left in parentheses."""
+    return f"{left[0]} * {right[0]}", BinOp("*", left[1], right[1])
 
 
 def _tandem(params: TandemParams, balanced: bool) -> NetworkSpec:
-    """The tandem model document of either variant, parsed."""
-    d1, p1 = _table_expression(1, "delta1", params.delta1)
-    d2, p2 = _table_expression(2, "delta2", params.delta2)
+    """The tandem model of either variant, built from its rate trees."""
+    (d1, t1), p1 = _table_expression(1, "delta1", params.delta1)
+    (d2, t2), p2 = _table_expression(2, "delta2", params.delta2)
     space = {"box": [params.s1, params.s2]}
     if balanced:
         space["exclude"] = [[params.s1, params.s2]]
-    doc = {
-        "n": 2,
-        "space": space,
-        "links": [[0, 1], [1, 2], [2, 0]],
-        "params": {
-            "beta": params.beta,
-            "s1": params.s1,
-            "s2": params.s2,
+    beta = ("beta", Param("beta"))
+    rates = {
+        (0, 1): _product(beta, _below_capacity(1, 2) if balanced else _below_capacity(1)),
+        (1, 2): _product((f"({d1})", t1), _below_capacity(2)),
+        (2, 0): _product((f"({d2})", t2), _below_capacity(1)) if balanced else (d2, t2),
+    }
+    return NetworkSpec(
+        n=2,
+        links=tuple(rates),
+        states=_parse_space(space, 2),
+        rates={link: RateExpr(text, tree, 2) for link, (text, tree) in rates.items()},
+        params={
+            "beta": float(params.beta),
+            "s1": float(params.s1),
+            "s2": float(params.s2),
             **p1,
             **p2,
         },
-        "rates": {
-            "0->1": "beta * ind(x1 < s1, x2 < s2)" if balanced else "beta * ind(x1 < s1)",
-            "1->2": f"({d1}) * ind(x2 < s2)",
-            "2->0": f"({d2}) * ind(x1 < s1)" if balanced else d2,
-        },
-    }
-    return parse_model(doc)
+    )
 
 
 def build_original_tandem(params: TandemParams) -> NetworkSpec:
@@ -170,23 +204,28 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
             "product-form residual needs strictly positive stationary mass "
             "on every state (is the chain irreducible?)"
         )
-    index = spec.state_index
+    coords = spec.coords
     n = spec.n
     profiles = []
     for axis in range(n):
-        cap = max(x[axis] for x in spec.states)
+        column = coords[:, axis]
+        cap = int(column.max())
+        on_axis = np.flatnonzero(~np.delete(coords, axis, axis=1).any(axis=1))
+        on_axis = on_axis[np.argsort(column[on_axis])]
+        # distinct sorted values: they run 0, 1, ... up to the smallest one missing
+        missing = int(np.count_nonzero(column[on_axis] == np.arange(on_axis.size)))
+        if missing <= cap:
+            # the first k in 1..cap where state k - 1 or state k is missing
+            hi = tuple(max(missing, 1) if c == axis else 0 for c in range(n))
+            raise ModelError(f"state space must contain the coordinate axis through {hi}")
+        mass = vec[on_axis[: cap + 1]].tolist()
         g = [1.0]
         for k in range(1, cap + 1):
-            lo = tuple(k - 1 if c == axis else 0 for c in range(n))
-            hi = tuple(k if c == axis else 0 for c in range(n))
-            if lo not in index or hi not in index:
-                raise ModelError(
-                    f"state space must contain the coordinate axis through {hi}"
-                )
-            g.append(g[-1] * vec[index[hi]] / vec[index[lo]])
-        profiles.append(g)
-    product = np.array(
-        [np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in spec.states]
-    )
+            g.append(g[-1] * mass[k] / mass[k - 1])
+        profiles.append(np.array(g))
+    # a left fold over the axes, as np.prod of each state's n factors
+    product = profiles[0][coords[:, 0]]
+    for axis in range(1, n):
+        product = product * profiles[axis][coords[:, axis]]
     product /= product.sum()
     return float(np.abs(vec - product).max())

@@ -826,3 +826,30 @@ def test_commands_build_no_state_dict(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Generator, "index", property(refuse))
     assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--family", "tandem-pair", "--s1", "3", "--s2", "2"],
+        ["verify", "--family", "tandem-pair", "--s1", "3", "--s2", "2"],
+        ["couple", "--family", "tandem-pair", "--horizon", "5"],
+        ["simulate", "--family", "tandem-balanced", "--horizon", "5"],
+        ["solve", "--family", "tandem-original", "--s1", "3", "--s2", "2"],
+        ["transient", "--family", "tandem-pair", "--grid", "0:4:2"],
+        ["sweep", "--betas", "1", "--sizes", "1,2"],
+    ],
+    ids=["check", "verify", "couple", "simulate", "solve", "transient", "sweep"],
+)
+def test_family_commands_parse_no_expression(argv, tmp_path, monkeypatch, capsys):
+    """The tandem builders make their rate trees directly, so a --family
+    command never parses a rate text."""
+    from floworder import expr, model
+
+    def refuse(*args):
+        raise AssertionError("a rate text was parsed")
+
+    monkeypatch.setattr(expr, "parse_expression", refuse)
+    monkeypatch.setattr(model, "parse_expression", refuse)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()

@@ -189,6 +189,39 @@ def test_digest_sensitive_to_params():
     assert model_digest(a) != model_digest(b)
 
 
+def _digest_cases():
+    """Specs whose digests are pinned to the whole-document hash."""
+    from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
+
+    for s in (1, 2, 20):
+        params = TandemParams.linear(s, s, 1.0)
+        yield f"original-{s}", build_original_tandem(params)
+        yield f"balanced-{s}", build_balanced_tandem(params)
+    zero = {"0->1": "0", "1->2": "0", "2->0": "0"}
+    yield "gaps", parse_model(
+        {"n": 2, "space": {"list": [[0, 0], [7, 0], [0, 2**62], [2**62, 3], [12, 345]]},
+         "rates": zero}
+    )
+    yield "one-node", parse_model(helpers.single_node_doc("ind(x1 < 3)", "x1", 3))
+    yield "three-node", parse_model(
+        {"n": 3, "space": {"box": [2, 1, 3], "exclude": [[1, 1, 1]]},
+         "rates": {"0->1": "0", "1->2": "0", "2->3": "0", "3->0": "0"}}
+    )
+    yield "clamp", parse_model(
+        {"n": 1, "space": {"box": [2]}, "rates": {"0->1": "1", "1->0": "x1"}, "clamp": True}
+    )
+    yield "params", parse_model(
+        {"n": 1, "space": {"box": [1]},
+         "params": {"tiny": 1e-300, "huge": 1e300, "nz": -0.0, "b\u03b2": 2.5},
+         "rates": {"0->1": "tiny * ind(x1 < 1)", "1->0": "(huge * nz + b\u03b2) * x1"}}
+    )
+
+
+def test_digest_matches_whole_document_hash():
+    for name, spec in _digest_cases():
+        assert model_digest(spec) == helpers.reference_model_digest(spec), name
+
+
 def test_load_model_from_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(helpers.tandem_doc_text(1, 1, 2.0))

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import helpers
 from floworder.ctmc import build_generator, stationary_distribution, throughput
-from floworder.model import ModelError, parse_model
+from floworder.expr import parse_expression
+from floworder.model import ModelError, NetworkSpec, parse_model, serialize_model
 from floworder.ordering import check_flow_conditions
 from floworder.tandem import (
     TandemParams,
@@ -143,6 +145,39 @@ def test_variants_differ_only_on_two_indicator_sets():
             assert dep_b == dep_o
 
 
+@st.composite
+def tandem_params(draw):
+    """Tandem parameters whose tables often hold zeros, and are sometimes all zero."""
+    s1, s2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    level = st.sampled_from((0.0, 0.0, 0.5, 1.0, 3.25))
+    d1 = draw(st.lists(level, min_size=s1, max_size=s1))
+    d2 = draw(st.lists(level, min_size=s2, max_size=s2))
+    beta = draw(st.sampled_from((0.0, 0.7, 2.0)))
+    return TandemParams(s1, s2, beta, [0.0, *d1], [0.0, *d2])
+
+
+@given(tandem_params())
+@example(TandemParams(1, 3, 0.0, (0, 0), (0, 0, 0, 0)))
+@example(TandemParams(3, 1, 1.0, (0, 0, 2, 0), (0, 0)))
+@example(TandemParams(2, 2, 1.0, (0, 0, 0), (0, 1, 0)))
+def test_builder_trees_are_the_parsed_trees(params):
+    # the builders make each rate's tree without parsing its text; the
+    # parser must make the same tree from that text, and the document
+    # must parse back to the same model
+    for build in (build_original_tandem, build_balanced_tandem):
+        spec = build(params)
+        parsed = parse_model(serialize_model(spec))
+        assert parsed == spec
+        for link in spec.links:
+            rate = spec.rates[link]
+            assert helpers.same_tree(rate.root, parse_expression(rate.source, 2, spec.params).root)
+            for got, want in (
+                (spec.rate_vector(link), parsed.rate_vector(link)),
+                (spec.next_index(link), parsed.next_index(link)),
+            ):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_flow_conditions_iff_increasing_tables():
     values = (0.0, 1.0, 2.0)
     for d1 in itertools.product(values, repeat=2):
@@ -269,6 +304,56 @@ def test_balanced_product_form_across_parameters():
     ):
         spec = build_balanced_tandem(params)
         assert product_form_residual(spec, stationary(spec)) < 1e-9
+
+
+def _product_form_outcome(residual, spec, pi):
+    try:
+        return residual(spec, pi)
+    except ModelError as e:
+        return str(e)
+
+
+def test_product_form_residual_matches_state_loop():
+    # complete and broken axes, n = 1, 2 and 3, and states built out of order
+    spaces = (
+        (1, {"box": [4]}),
+        (3, {"box": [3, 2, 4]}),
+        (2, {"list": [[0, 0], [1, 0], [1, 1]]}),
+        (2, {"list": [[0, 0], [0, 1], [2, 0], [1, 1]]}),
+        (2, {"list": [[1, 0], [0, 1], [0, 0], [2, 0], [0, 3]]}),
+        (2, {"list": [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2], [5, 5]]}),
+        (2, {"list": [[1, 0], [0, 1], [3, 3]]}),
+        (2, {"list": [[0, 0], [0, 1], [2**62, 0]]}),
+        (3, {"list": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 2], [2, 0, 0]]}),
+        (3, {"list": [[0, 0, 0], [0, 0, 1], [1, 1, 1]]}),
+    )
+    specs = [
+        parse_model(
+            {"n": n, "space": space, "links": [[0, 1], [1, 0]],
+             "rates": {"0->1": "0", "1->0": "0"}}
+        )
+        for n, space in spaces
+    ]
+    for s1, s2 in ((1, 1), (4, 2)):
+        params = TandemParams(s1, s2, 1.3, range(s1 + 1), [0, *[2.5] * s2])
+        specs += [build_original_tandem(params), build_balanced_tandem(params)]
+    rng = np.random.default_rng(5)
+    specs += [helpers.permuted_spec(spec, rng.permutation(len(spec.states))) for spec in specs]
+    for spec in specs:
+        pi = rng.random(len(spec.states)) + 1e-3
+        want = _product_form_outcome(helpers.reference_product_form_residual, spec, pi)
+        assert _product_form_outcome(product_form_residual, spec, pi) == want
+
+
+def test_product_form_residual_builds_no_state_index(monkeypatch):
+    spec = build_balanced_tandem(TandemParams.linear(3, 2, 1.0))
+    pi = stationary(spec)
+
+    def refuse(self):
+        raise AssertionError("product_form_residual built the state index")
+
+    monkeypatch.setattr(NetworkSpec, "state_index", property(refuse))
+    assert product_form_residual(spec, pi) < 1e-10
 
 
 def test_accepted_throughput_ordering():
