@@ -204,28 +204,23 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
             "product-form residual needs strictly positive stationary mass "
             "on every state (is the chain irreducible?)"
         )
-    coords = spec.coords
     n = spec.n
     profiles = []
     for axis in range(n):
-        column = coords[:, axis]
-        cap = int(column.max())
-        on_axis = np.flatnonzero(~np.delete(coords, axis, axis=1).any(axis=1))
-        on_axis = on_axis[np.argsort(column[on_axis])]
-        # distinct sorted values: they run 0, 1, ... up to the smallest one missing
-        missing = int(np.count_nonzero(column[on_axis] == np.arange(on_axis.size)))
-        if missing <= cap:
-            # the first k in 1..cap where state k - 1 or state k is missing
-            hi = tuple(max(missing, 1) if c == axis else 0 for c in range(n))
-            raise ModelError(f"state space must contain the coordinate axis through {hi}")
-        mass = vec[on_axis[: cap + 1]].tolist()
+        cap = max(x[axis] for x in spec.states)
         g = [1.0]
         for k in range(1, cap + 1):
-            g.append(g[-1] * mass[k] / mass[k - 1])
-        profiles.append(np.array(g))
-    # a left fold over the axes, as np.prod of each state's n factors
-    product = profiles[0][coords[:, 0]]
-    for axis in range(1, n):
-        product = product * profiles[axis][coords[:, axis]]
+            lo = spec.find(tuple(k - 1 if c == axis else 0 for c in range(n)))
+            hi = tuple(k if c == axis else 0 for c in range(n))
+            i = spec.find(hi)
+            if lo < 0 or i < 0:
+                raise ModelError(
+                    f"state space must contain the coordinate axis through {hi}"
+                )
+            g.append(g[-1] * vec[i] / vec[lo])
+        profiles.append(g)
+    product = np.array(
+        [np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in spec.states]
+    )
     product /= product.sum()
     return float(np.abs(vec - product).max())

@@ -20,9 +20,7 @@ writers have the whole-text versions that returned one string before
 they yielded chunks, and the pathwise flow-order scan has the one scan
 of a log's whole flows arrays that came before its blocks. Model digests
 have the hash of the whole JSON-encoded document that came before the
-digest hashed its state list as joined labels, and the product-form
-residual has the state-by-state loop over a state index that came before
-its axis masks. Tests freeze or recompute these values and compare the
+digest hashed its state list as joined labels. Tests freeze or recompute these values and compare the
 implementation against them.
 """
 
@@ -120,32 +118,6 @@ def reference_model_digest(spec: NetworkSpec) -> str:
     serialize_model's document."""
     text = json.dumps(serialize_model(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def reference_product_form_residual(spec: NetworkSpec, pi) -> float:
-    """product_form_residual as a loop over the axis states through
-    state_index, and one np.prod per state."""
-    vec = np.asarray(pi, dtype=float)
-    index = spec.state_index
-    n = spec.n
-    profiles = []
-    for axis in range(n):
-        cap = max(x[axis] for x in spec.states)
-        g = [1.0]
-        for k in range(1, cap + 1):
-            lo = tuple(k - 1 if c == axis else 0 for c in range(n))
-            hi = tuple(k if c == axis else 0 for c in range(n))
-            if lo not in index or hi not in index:
-                raise ModelError(
-                    f"state space must contain the coordinate axis through {hi}"
-                )
-            g.append(g[-1] * vec[index[hi]] / vec[index[lo]])
-        profiles.append(g)
-    product = np.array(
-        [np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in spec.states]
-    )
-    product /= product.sum()
-    return float(np.abs(vec - product).max())
 
 
 def dense_q(spec: NetworkSpec) -> np.ndarray:

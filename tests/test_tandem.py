@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,43 +307,24 @@ def test_balanced_product_form_across_parameters():
         assert product_form_residual(spec, stationary(spec)) < 1e-9
 
 
-def _product_form_outcome(residual, spec, pi):
-    try:
-        return residual(spec, pi)
-    except ModelError as e:
-        return str(e)
-
-
-def test_product_form_residual_matches_state_loop():
-    # complete and broken axes, n = 1, 2 and 3, and states built out of order
-    spaces = (
-        (1, {"box": [4]}),
-        (3, {"box": [3, 2, 4]}),
-        (2, {"list": [[0, 0], [1, 0], [1, 1]]}),
-        (2, {"list": [[0, 0], [0, 1], [2, 0], [1, 1]]}),
-        (2, {"list": [[1, 0], [0, 1], [0, 0], [2, 0], [0, 3]]}),
-        (2, {"list": [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2], [5, 5]]}),
-        (2, {"list": [[1, 0], [0, 1], [3, 3]]}),
-        (2, {"list": [[0, 0], [0, 1], [2**62, 0]]}),
-        (3, {"list": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 2], [2, 0, 0]]}),
-        (3, {"list": [[0, 0, 0], [0, 0, 1], [1, 1, 1]]}),
-    )
-    specs = [
-        parse_model(
-            {"n": n, "space": space, "links": [[0, 1], [1, 0]],
+def test_product_form_names_the_first_missing_axis_state():
+    # axes are walked in order and k upwards; an axis whose largest value is
+    # 0 has no ratio to take, so the error names the next axis's first gap
+    for states, hi in (
+        ([[0, 1], [0, 2]], (0, 1)),
+        ([[0, 0], [0, 1], [2, 0], [1, 1]], (1, 0)),
+        ([[0, 0], [1, 0], [0, 2], [1, 1]], (0, 1)),
+        ([[0, 0, 0], [0, 0, 1], [1, 1, 1]], (1, 0, 0)),
+    ):
+        spec = parse_model(
+            {"n": len(hi), "space": {"list": states}, "links": [[0, 1], [1, 0]],
              "rates": {"0->1": "0", "1->0": "0"}}
         )
-        for n, space in spaces
-    ]
-    for s1, s2 in ((1, 1), (4, 2)):
-        params = TandemParams(s1, s2, 1.3, range(s1 + 1), [0, *[2.5] * s2])
-        specs += [build_original_tandem(params), build_balanced_tandem(params)]
-    rng = np.random.default_rng(5)
-    specs += [helpers.permuted_spec(spec, rng.permutation(len(spec.states))) for spec in specs]
-    for spec in specs:
-        pi = rng.random(len(spec.states)) + 1e-3
-        want = _product_form_outcome(helpers.reference_product_form_residual, spec, pi)
-        assert _product_form_outcome(product_form_residual, spec, pi) == want
+        rng = np.random.default_rng(5)
+        for order in (range(len(states)), rng.permutation(len(states))):
+            permuted = helpers.permuted_spec(spec, order)
+            with pytest.raises(ModelError, match=re.escape(f"axis through {hi}")):
+                product_form_residual(permuted, np.full(len(states), 1 / len(states)))
 
 
 def test_product_form_residual_builds_no_state_index(monkeypatch):
