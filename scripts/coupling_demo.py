@@ -45,7 +45,7 @@ def main() -> None:
         total_violations += len(violations)
         fa, fb = log.flows("a")[-1].tolist(), log.flows("b")[-1].tolist()
         cells = [f"{a}/{b}" for a, b in zip(fa, fb)]
-        print(f"{k:>4} {len(log.events):>7} {cells[0]:>12} {cells[1]:>12} "
+        print(f"{k:>4} {len(log.times):>7} {cells[0]:>12} {cells[1]:>12} "
               f"{cells[2]:>12} {len(violations):>11}")
     print(f"counters shown as balanced/original; "
           f"total ordering violations: {total_violations}")

@@ -287,7 +287,7 @@ def _couple_worker(args):
     log = simulate_coupled(spec_a, spec_b, init, init, horizon, seed)
     violations = len(pathwise_flow_order_check(log))
     _write_csv(path, header, paired_log_csv(log))
-    return len(log.events), violations
+    return len(log.times), violations
 
 
 def _cmd_couple(config: argparse.Namespace) -> int:
@@ -327,7 +327,7 @@ def _sim_worker(args):
     path, header, spec, init, horizon, seed = args
     log = simulate_path(spec, init, horizon, seed)
     _write_csv(path, header, event_log_csv(log))
-    return len(log.events), log.absorbed
+    return len(log.times), log.absorbed
 
 
 def _cmd_simulate(config: argparse.Namespace) -> int:

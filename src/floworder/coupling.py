@@ -42,14 +42,13 @@ import numpy as np
 
 from .ctmc import (
     _CSV_ROWS,
-    EventLog,
     EventView,
     _flow_counts,
     _label_visits,
     _Rows,
     gillespie,
 )
-from .model import Link, ModelError, NetworkSpec, State
+from .model import Link, ModelError, NetworkSpec, State, _as_state
 
 __all__ = [
     "marching_rates",
@@ -160,27 +159,6 @@ class PairedEventLog:
         column, _ = _side(side)
         return self._pair_codes[column]
 
-    def project(self, side: str) -> EventLog:
-        """Component event log of side 'a' or 'b' (joint plus one-sided moves).
-
-        The projection is absorbed when the coupled path is, since then
-        neither side can move. A side that absorbs while the other still
-        moves is not flagged, because the log holds no rates to tell.
-        """
-        column, still = _side(side)
-        positions, kinds = self._bin_codes
-        moved = kinds != still
-        return EventLog(
-            initial=self.initial_a if side == "a" else self.initial_b,
-            times=array("d", np.asarray(self.times)[moved].tobytes()),
-            moves=array("q", positions[moved].tobytes()),
-            visits=array("q", self._pair_codes[column][moved].tobytes()),
-            states=self.states_a if side == "a" else self.states_b,
-            horizon=self.horizon,
-            absorbed=self.absorbed,
-            links=self.links,
-        )
-
 
 def _coupled_events(times, bins, pairs, links, states_a, states_b):
     positions, kinds = np.divmod(np.asarray(bins, dtype=np.int64), 3)
@@ -258,8 +236,8 @@ def simulate_coupled(
     A pair's total rate is summed link by link, each link's three rates
     first.
     """
-    xa = tuple(int(v) for v in init_a)
-    xb = tuple(int(v) for v in init_b)
+    xa = _as_state(init_a, "initial state")
+    xb = _as_state(init_b, "initial state")
     start_a, start_b = _start_pair(spec_a, spec_b, xa, xb)
     links = spec_a.links
     width = len(spec_b.states)

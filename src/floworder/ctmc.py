@@ -89,14 +89,14 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, repeat
 from operator import methodcaller
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Link, ModelError, NetworkSpec, State, find_row
+from .model import Link, ModelError, NetworkSpec, State, _as_state, find_row
 from .rng import make_stream
 
 __all__ = [
@@ -229,10 +229,6 @@ class EventLog:
         moves = np.asarray(self.moves, dtype=np.int64)
         return _flow_counts(moves, 1, len(self.links))
 
-    def state_at(self, t: float) -> State:
-        e = bisect_right(self.times, t)
-        return self.states[self.visits[e - 1]] if e else self.initial
-
 
 def _events(initial, times, moves, visits, states, links):
     pre = initial
@@ -260,11 +256,6 @@ class Generator:
     # The states as the spec's read-only (m, n) int64 array, for find_row.
     coords: np.ndarray = field(repr=False, compare=False)
     _kernel_t: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def index(self) -> dict:
-        """Index of every state, as a dict built on first use."""
-        return {x: k for k, x in enumerate(self.states)}
 
     def transposed_kernel(self) -> sp.csc_matrix:
         """P^T as a CSC matrix, P = I + Q / unif_rate; requires unif_rate > 0.
@@ -353,7 +344,9 @@ def build_generator(spec: NetworkSpec) -> Generator:
         exit_rates += rates  # link by link in declared order, which fixes the rounding
         slots.append((rates > 0.0, spec.next_index(link), rates))
     slots.append((exit_rates > 0.0, np.arange(m), -exit_rates))
-    moves = [spec.target((0,) * spec.n, link) for link in spec.links] + [(0,) * spec.n]
+    # The vector a move along (i, j) adds, -e_i + e_j; node 0 has no coordinate.
+    moves = [tuple((d == j) - (d == i) for d in range(1, spec.n + 1)) for i, j in spec.links]
+    moves.append((0,) * spec.n)
     slots = [slots[k] for k in sorted(range(len(slots)), key=moves.__getitem__)]
     stored = np.column_stack([s for s, _, _ in slots])
     indices = np.column_stack([c for _, c, _ in slots])[stored]
@@ -485,7 +478,7 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     A state's row is built when the path first reaches it, so the cost
     beyond a few array passes grows with the states the path visits.
     """
-    init = tuple(int(v) for v in init)
+    init = _as_state(init, "initial state")
     start = _start_index(spec, init)
     rows = _link_rows(
         [spec.rate_vector(link) for link in spec.links],
@@ -593,32 +586,22 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
 def distribution_vector(gen: Generator, p0) -> np.ndarray:
     """Normalize a distribution argument.
 
-    A tuple is a state (point mass), a mapping is a sparse distribution
-    keyed by state, anything else is a dense vector over the enumeration.
-    A tuple is looked up by comparing the columns of gen.coords
-    (find_row), so no dict over the states is built; a mapping uses
-    gen.index.
+    A tuple is a state (point mass), looked up by comparing the columns of
+    gen.coords (find_row); anything else is a dense vector over the
+    enumeration.
     """
     m = len(gen.states)
     if isinstance(p0, tuple):
-        x = tuple(int(v) for v in p0)
+        x = _as_state(p0, "state")
         k = find_row(gen.coords, x)
         if k < 0:
             raise ModelError(f"state {x} not in the state space")
         vec = np.zeros(m)
         vec[k] = 1.0
         return vec
-    if isinstance(p0, dict):
-        vec = np.zeros(m)
-        for state, mass in p0.items():
-            x = tuple(int(v) for v in state)
-            if x not in gen.index:
-                raise ModelError(f"state {x} not in the state space")
-            vec[gen.index[x]] = float(mass)
-    else:
-        vec = np.asarray(p0, dtype=float).copy()
-        if vec.shape != (m,):
-            raise ValueError(f"distribution must have length {m}")
+    vec = np.asarray(p0, dtype=float).copy()
+    if vec.shape != (m,):
+        raise ValueError(f"distribution must have length {m}")
     if not np.isfinite(vec).all():
         raise ValueError("distribution has non-finite mass")
     if vec.min() < -1e-12:

@@ -42,8 +42,9 @@ rate rules above are checked on them there:
 A spec built directly is held to the same rules as a parsed document,
 its space included, but may list its states in any order; keys out of
 order are argsorted before the search. No dict from state to index is
-built unless a caller asks for NetworkSpec.state_index; index lookups go
-through NetworkSpec.find (find_row), which compares columns.
+built: a state is looked up by NetworkSpec.find (find_row), which
+compares columns. Library entry points take a starting state as any
+sequence of numbers, and _as_state holds it to the coordinate rule above.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -111,8 +111,7 @@ class NetworkSpec:
     Parsed documents list their states in lexicographic order, so
     build_generator lays each row's columns down sorted. A spec built
     directly may list them in any order; its generator's rows are then
-    sorted afterwards. `state_index`, the dict from state tuple to index,
-    is built on first use; no command needs it.
+    sorted afterwards. A state is looked up by `find`.
     """
 
     n: int
@@ -153,29 +152,9 @@ class NetworkSpec:
             rates = np.where(next_index >= 0, unclamped, 0.0) if self.clamp else unclamped
             self._arrays[(i, j)] = (rates, next_index)
 
-    @cached_property
-    def state_index(self) -> dict[State, int]:
-        """Index of every state, as a dict built on first use."""
-        return {x: k for k, x in enumerate(self.states)}
-
     def find(self, x: State) -> int:
         """Index of state x, or -1 if it is not in the space (find_row)."""
         return find_row(self.coords, x)
-
-    def index_of(self, x: State) -> int:
-        k = self.find(x)
-        if k < 0:
-            raise ModelError(f"state {tuple(x)} not in the state space")
-        return k
-
-    def target(self, x: State, link: Link) -> State:
-        i, j = link
-        y = list(x)
-        if i > 0:
-            y[i - 1] -= 1
-        if j > 0:
-            y[j - 1] += 1
-        return tuple(y)
 
     def rate_vector(self, link: Link) -> np.ndarray:
         """Effective rates of `link` aligned with the state enumeration, clamp applied."""
@@ -361,6 +340,14 @@ def _integers(raw, message: str) -> tuple[int, ...]:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ModelError(message)
+
+
+def _as_state(raw, what: str) -> State:
+    """A state given to a library entry point, as a tuple of ints by
+    _integers' rule: a coordinate that is not equal to its int, or is a
+    boolean, raises ModelError, never rounds. `what` names the state in
+    the message ("initial state", "state")."""
+    return _integers(raw, f"{what} {raw} must have integer coordinates")
 
 
 def _array(value, what: str):

@@ -56,7 +56,7 @@ import numpy as np
 
 from .coupling import PairedEventLog, _flow_blocks
 from .ctmc import ToleranceError, transient_mean_flow
-from .model import Link, ModelError, NetworkSpec, State, is_linear_family
+from .model import Link, ModelError, NetworkSpec, State, _as_state, is_linear_family
 
 __all__ = [
     "Witness",
@@ -594,7 +594,7 @@ def mean_order_check(
     """
     if not 0.0 <= tol < math.inf:
         raise ToleranceError(f"margin tolerance must be finite and nonnegative, not {tol:g}")
-    init = tuple(int(v) for v in init)
+    init = _as_state(init, "initial state")
     if spec_a.find(init) < 0 or spec_b.find(init) < 0:
         raise ModelError(f"initial state {init} must lie in both state spaces")
     times = tuple(float(t) for t in times)

@@ -92,6 +92,23 @@ def mm1c_chain(lam: float, mu: float, cap: int) -> NetworkSpec:
     )
 
 
+def target(x, link):
+    """The state a move along link (i, j) leads to from x, x - e_i + e_j;
+    node 0, the outside, has no coordinate."""
+    i, j = link
+    y = list(x)
+    if i > 0:
+        y[i - 1] -= 1
+    if j > 0:
+        y[j - 1] += 1
+    return tuple(y)
+
+
+def state_index(spec: NetworkSpec) -> dict:
+    """Index of every state of spec, as a dict over its state tuples."""
+    return {x: k for k, x in enumerate(spec.states)}
+
+
 def tandem_doc_text(s1=2, s2=2, beta=1.0) -> str:
     """A plain JSON document for the unmodified tandem with unit-linear service."""
     d1 = " + ".join(f"{k} * ind(x1 = {k})" for k in range(1, s1 + 1))
@@ -123,7 +140,7 @@ def reference_model_digest(spec: NetworkSpec) -> str:
 def dense_q(spec: NetworkSpec) -> np.ndarray:
     """Dense generator assembled from scalar rate tables, no ctmc module."""
     states = spec.states
-    index = {x: i for i, x in enumerate(states)}
+    index = state_index(spec)
     m = len(states)
     q = np.zeros((m, m))
     for link in spec.links:
@@ -131,7 +148,7 @@ def dense_q(spec: NetworkSpec) -> np.ndarray:
         for x in states:
             r = table[x]
             if r > 0.0:
-                q[index[x], index[spec.target(x, link)]] += r
+                q[index[x], index[target(x, link)]] += r
                 q[index[x], index[x]] -= r
     return q
 
@@ -461,9 +478,10 @@ def pair_rates(spec_a: NetworkSpec, spec_b: NetworkSpec, xa, xb):
     """(link, joint, b_only, a_only) per link at the state pair (xa, xb).
 
     Each triple is marching_rates(spec_a.rate_vector(link)[ia],
-    spec_b.rate_vector(link)[ib]) with ia and ib the states' indices.
+    spec_b.rate_vector(link)[ib]) with ia and ib the states' indices,
+    found by scanning the state tuples.
     """
-    ia, ib = spec_a.index_of(xa), spec_b.index_of(xb)
+    ia, ib = spec_a.states.index(tuple(xa)), spec_b.states.index(tuple(xb))
     return [
         (link, *marching_rates(float(spec_a.rate_vector(link)[ia]), float(spec_b.rate_vector(link)[ib])))
         for link in spec_a.links
@@ -731,8 +749,8 @@ def scalar_model_error(n, links, states, rates, params, clamp=False):
 def reference_next_index(spec: NetworkSpec, link) -> np.ndarray:
     """next_index of `link` by one dict lookup per state, the route
     NetworkSpec took before its key search."""
-    index = {x: k for k, x in enumerate(spec.states)}
-    return np.array([index.get(spec.target(x, link), -1) for x in spec.states], dtype=np.int64)
+    index = state_index(spec)
+    return np.array([index.get(target(x, link), -1) for x in spec.states], dtype=np.int64)
 
 
 def permuted_spec(spec: NetworkSpec, order) -> NetworkSpec:
@@ -760,7 +778,7 @@ def scalar_rate_table(spec: NetworkSpec, link) -> dict:
     space = set(spec.states)
     for x in spec.states:
         r = scalar_evaluate(spec.rates[link].root, x, spec.params)
-        if spec.clamp and spec.target(x, link) not in space:
+        if spec.clamp and target(x, link) not in space:
             r = 0.0
         table[x] = r
     return table
@@ -806,7 +824,7 @@ def reference_simulate_path(spec: NetworkSpec, init, horizon: float, seed: int):
         if chosen < 0:
             chosen = max(i for i, r in enumerate(rates) if r > 0.0)
         link = links[chosen]
-        post = spec.target(x, link)
+        post = target(x, link)
         events.append(Event(t_next, link, x, post))
         x = post
         t = t_next
@@ -870,10 +888,10 @@ def reference_simulate_coupled(
                     break
         link = links[chosen_link]
         if chosen_kind != B_ONLY:
-            xa = spec_a.target(xa, link)
+            xa = target(xa, link)
             fa = fa[:chosen_link] + (fa[chosen_link] + 1,) + fa[chosen_link + 1 :]
         if chosen_kind != A_ONLY:
-            xb = spec_b.target(xb, link)
+            xb = target(xb, link)
             fb = fb[:chosen_link] + (fb[chosen_link] + 1,) + fb[chosen_link + 1 :]
         events.append(CoupledEvent(t_next, link, chosen_kind, xa, xb, fa, fb))
         t = t_next

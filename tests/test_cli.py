@@ -814,16 +814,14 @@ def test_help_text_pinned(command):
     ids=["check", "verify", "solve", "sweep", "transient"],
 )
 def test_commands_build_no_state_dict(argv, tmp_path, monkeypatch, capsys):
-    """The state-to-index dicts are built on first use, and these commands
-    never use them: every lookup they make is a key search or a scan."""
-    from floworder.ctmc import Generator
+    """These commands read the rate arrays and never build a dict over the
+    states; rate_table, the one such dict a spec still offers, is refused."""
     from floworder.model import NetworkSpec
 
-    def refuse(self):
+    def refuse(self, link):
         raise AssertionError("a per-state dict was built")
 
-    monkeypatch.setattr(NetworkSpec, "state_index", property(refuse))
-    monkeypatch.setattr(Generator, "index", property(refuse))
+    monkeypatch.setattr(NetworkSpec, "rate_table", refuse)
     assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
     capsys.readouterr()
 
@@ -853,3 +851,24 @@ def test_family_commands_parse_no_expression(argv, tmp_path, monkeypatch, capsys
     monkeypatch.setattr(model, "parse_expression", refuse)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["couple", "--family", "tandem-pair", "--horizon", "5", "--reps", "2"],
+        ["simulate", "--family", "tandem-balanced", "--horizon", "5", "--reps", "2"],
+    ],
+    ids=["couple", "simulate"],
+)
+def test_replication_commands_read_no_events_view(argv, tmp_path, monkeypatch, capsys):
+    """couple and simulate count a log's events from its times column, so
+    they never read the log's events view."""
+    from floworder import ctmc
+
+    def refuse(self):
+        raise AssertionError("an events view was read")
+
+    monkeypatch.setattr(ctmc.EventView, "__len__", refuse)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert " events" in capsys.readouterr().out

@@ -177,28 +177,38 @@ def test_projection_matches_identical_direct_path():
     log = simulate_coupled(spec, spec, (0, 0), (0, 0), 30.0, seed=6)
     # on the diagonal the coupled chain draws exactly like the single chain
     direct = simulate_path(spec, (0, 0), 30.0, seed=6)
-    proj = log.project("a")
-    assert [(e.time, e.link, e.post) for e in proj.events] == [
-        (e.time, e.link, e.post) for e in direct.events
-    ]
+    assert len(log.times) > 10
+    assert list(log.times) == list(direct.times)
+    assert log.visits("a").tolist() == list(direct.visits)
+    assert np.array_equal(log.flows("a"), direct.flows())
 
 
 def test_projections_are_valid_component_paths():
+    """Each side's columns form a path of its own chain: at every coupled
+    event the side either moves along one link with a positive rate, its
+    counter on that link up by one and its state moved by the link, or
+    keeps both its counters and its state."""
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 40.0, seed=77)
-    assert len(log.events) > 20
-    for side, spec in (("a", spec_a), ("b", spec_b)):
-        proj = log.project(side)
-        x = proj.initial
-        t = 0.0
-        for ev in proj.events:
-            assert ev.time > t
-            assert ev.pre == x
-            assert ev.post == spec.target(x, ev.link)
-            assert ev.post in spec.state_index
-            assert spec.rate_table(ev.link)[ev.pre] > 0.0
-            x = ev.post
-            t = ev.time
+    assert len(log.times) > 20
+    assert (np.diff(np.asarray(log.times)) > 0).all()
+    for side, spec, x in (("a", spec_a, log.initial_a), ("b", spec_b, log.initial_b)):
+        flows = log.flows(side)
+        moved = 0
+        for e, i in enumerate(log.visits(side).tolist()):
+            step = (flows[e + 1] - flows[e]).tolist()
+            post = spec.states[i]
+            if any(step):
+                k = step.index(1)
+                assert sum(step) == 1
+                link = spec.links[k]
+                assert spec.rate_vector(link)[spec.find(x)] > 0.0
+                assert post == helpers.target(x, link)
+                moved += 1
+            else:
+                assert post == x
+            x = post
+        assert 0 < moved <= len(log.times)
 
 
 def test_projections_of_an_absorbed_path_are_absorbed():
@@ -206,15 +216,21 @@ def test_projections_of_an_absorbed_path_are_absorbed():
     log = simulate_coupled(drain, drain, (3,), (3,), 1e9, seed=4)
     direct = simulate_path(drain, (3,), 1e9, seed=4)
     assert log.absorbed and direct.absorbed
-    assert log.project("a").absorbed
-    assert log.project("b").absorbed
+    for side in ("a", "b"):
+        last = int(log.visits(side)[-1])
+        assert drain.states[last] == (0,)
+        assert all(drain.rate_vector(link)[last] == 0.0 for link in drain.links)
 
 
 def test_project_rejects_unknown_side():
+    """A coupled log's side views, flows(side) and visits(side), take
+    only 'a' and 'b'."""
     spec_a, spec_b = tandem_pair()
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 1.0, seed=0)
-    with pytest.raises(ValueError):
-        log.project("c")
+    with pytest.raises(ValueError, match="side must be"):
+        log.flows("c")
+    with pytest.raises(ValueError, match="side must be"):
+        log.visits("c")
 
 
 def test_balance_pair_conserved_along_coupled_paths():

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from floworder.ctmc import (
 )
 from floworder.expr import parse_expression
 from floworder.model import ModelError, NetworkSpec, linear_links, parse_model
+from floworder.ordering import mean_order_check
 from floworder.rng import make_stream
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
@@ -70,7 +72,7 @@ def test_generator_two_state_entries():
 def test_generator_blocked_transfer_at_full_downstream():
     spec = build_original_tandem(TandemParams.linear(1, 1, 1.0))
     gen = build_generator(spec)
-    src = spec.index_of((1, 1))
+    src = spec.find((1, 1))
     out = [(move_link(spec, i, j), r) for i, j, r in off_diagonal(gen) if i == src]
     # transfer 1->2 is shut off when the second buffer is full
     assert out == [((2, 0), 1.0)]
@@ -168,7 +170,7 @@ def test_event_chain_and_flow_conservation():
     for ev in log.events:
         assert ev.time > prev_t
         assert ev.pre == x
-        assert ev.post == spec.target(ev.pre, ev.link)
+        assert ev.post == helpers.target(ev.pre, ev.link)
         counts[ev.link] += 1
         x = ev.post
         prev_t = ev.time
@@ -178,14 +180,23 @@ def test_event_chain_and_flow_conservation():
             assert x[node - 1] - log.initial[node - 1] == inflow - outflow
 
 
+def state_at(log, t):
+    """The state at time t, right-continuous: the state after the last
+    event at or before t, read off the visits column."""
+    e = bisect_right(log.times, t)
+    return log.states[log.visits[e - 1]] if e else log.initial
+
+
 def test_state_at_steps_through_log():
     spec = helpers.two_state_chain()
     log = simulate_path(spec, (0,), 10.0, seed=3)
-    assert log.state_at(0.0) == (0,)
+    assert state_at(log, 0.0) == (0,)
     first = log.events[0]
-    assert log.state_at(first.time / 2) == (0,)
-    assert log.state_at(first.time) == first.post
-    assert log.state_at(10.0) == log.events[-1].post
+    assert state_at(log, first.time / 2) == (0,)
+    assert state_at(log, first.time) == first.post
+    assert state_at(log, 10.0) == log.events[-1].post
+    for e, (t, i) in enumerate(zip(log.times, log.visits)):
+        assert state_at(log, t) == log.states[i] == log.events[e].post
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
@@ -395,8 +406,8 @@ def test_path_validity_random_seeds(seed):
         assert ev.time > t
         assert ev.time <= 5.0
         assert ev.pre == x
-        assert ev.post == spec.target(x, ev.link)
-        assert ev.post in spec.state_index
+        assert ev.post == helpers.target(x, ev.link)
+        assert spec.find(ev.post) >= 0
         x = ev.post
         t = ev.time
 
@@ -608,7 +619,7 @@ def assert_recurrent_class_matches_reference(spec):
         return
     with pytest.raises(ReducibleChainError) as exc:
         ctmc._recurrent_class(gen)
-    assert sorted(sorted(spec.index_of(x) for x in c) for c in exc.value.classes) == expected
+    assert sorted(sorted(spec.find(x) for x in c) for c in exc.value.classes) == expected
 
 
 @given(
@@ -934,10 +945,10 @@ def test_column_product_is_bit_equal_to_sparse_matmul(make):
 def test_distribution_vector_forms_agree():
     gen = build_generator(helpers.mm1c_chain(1.0, 2.0, 2))
     dense = distribution_vector(gen, [0.25, 0.5, 0.25])
-    sparse = distribution_vector(gen, {(0,): 0.25, (1,): 0.5, (2,): 0.25})
+    array = distribution_vector(gen, np.array([0.25, 0.5, 0.25]))
     point = distribution_vector(gen, (1,))
-    assert dense.tolist() == sparse.tolist() == [0.25, 0.5, 0.25]
-    assert point.tolist() == [0.0, 1.0, 0.0]
+    assert dense.tolist() == array.tolist() == [0.25, 0.5, 0.25]
+    assert point.tolist() == distribution_vector(gen, (1.0,)).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_distribution_vector_errors():
@@ -952,11 +963,50 @@ def test_distribution_vector_errors():
         distribution_vector(gen, [1.5, -0.5, 0.0])
 
 
+# Each library entry point that takes a starting state, run from x on a
+# tandem, reduced to values that compare with ==.
+START_ENTRY_POINTS = {
+    "simulate_path": lambda spec, x: (
+        (log := simulate_path(spec, x, 5.0, 1)).initial, list(log.times), list(log.visits)
+    ),
+    "simulate_coupled": lambda spec, x: (
+        (log := simulate_coupled(spec, spec, x, x, 5.0, 1)).initial_a,
+        log.initial_b,
+        list(log.times),
+        list(log.pairs),
+    ),
+    "distribution_vector": lambda spec, x: distribution_vector(build_generator(spec), x).tolist(),
+    "mean_order_check": lambda spec, x: mean_order_check(spec, spec, (0, 1), (1.0, 2.0), x),
+    "transient_mean_flow": lambda spec, x: transient_mean_flow(spec, x, (0, 1), (1.0, 2.0)),
+}
+
+
 @pytest.mark.parametrize(
-    "p0",
-    [[math.nan, 0.5, 0.5], {(0,): math.nan, (1,): 0.5, (2,): 0.5}],
-    ids=["dense", "mapping"],
+    "state",
+    [(1.7, 0.2), (1.5, 0), (0.5, 0), (0.9, 0), (True, 0), (1, math.nan), (1, math.inf)],
+    ids=["1.7,0.2", "1.5,0", "0.5,0", "0.9,0", "True,0", "1,nan", "1,inf"],
 )
+@pytest.mark.parametrize("entry", list(START_ENTRY_POINTS))
+def test_non_integral_start_state_refused(entry, state):
+    """A starting state's coordinates follow the model rule: one not equal
+    to its int, or a boolean, is a ModelError, never rounded to a state."""
+    spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
+    with pytest.raises(ModelError, match="must have integer coordinates"):
+        START_ENTRY_POINTS[entry](spec, state)
+
+
+@pytest.mark.parametrize("entry", list(START_ENTRY_POINTS))
+def test_integral_start_state_accepted_in_any_number_type(entry):
+    spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
+    run = START_ENTRY_POINTS[entry]
+    expected = run(spec, (1, 0))
+    assert run(spec, (1.0, 0.0)) == expected
+    assert run(spec, (np.int64(1), np.float64(0.0))) == expected
+    with pytest.raises(ModelError, match="state space"):
+        run(spec, (3.0, 0))
+
+
+@pytest.mark.parametrize("p0", [[math.nan, 0.5, 0.5]], ids=["dense"])
 def test_non_finite_mass_rejected(p0):
     spec = helpers.mm1c_chain(1.0, 2.0, 2)
     with pytest.raises(ValueError, match="non-finite"):
@@ -1018,7 +1068,7 @@ def test_mean_flow_random_tables_match_van_loan(seed, c1, c2, dense):
         start = p0
     else:
         p0 = spec.states[rng.integers(m)]
-        start = np.eye(m)[spec.state_index[p0]]
+        start = np.eye(m)[spec.find(p0)]
     link = spec.links[rng.integers(len(spec.links))]
     times = (0.0,) + tuple(sorted(rng.uniform(0.0, 20.0, 3)))
     means = transient_mean_flow(spec, p0, link, times)
@@ -1041,7 +1091,7 @@ def test_mean_flow_random_tables_match_van_loan(seed, c1, c2, dense):
 def test_mean_flow_long_horizon_matches_van_loan(spec, start, t):
     (mean,) = transient_mean_flow(spec, start, (0, 1), (t,))
     (oracle,) = helpers.van_loan_mean_flow(
-        spec, np.eye(len(spec.states))[spec.state_index[start]], (0, 1), (t,)
+        spec, np.eye(len(spec.states))[spec.find(start)], (0, 1), (t,)
     )
     assert abs(mean - oracle) <= 1e-9 * max(1.0, abs(oracle))
 

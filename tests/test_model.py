@@ -169,11 +169,10 @@ def test_exit_link_never_leaves():
 
 def test_positive_rates_have_in_space_targets():
     spec = parse_model(helpers.tandem_doc_text(2, 2, 1.0))
-    index = spec.state_index
     for link in spec.links:
         for x, r in spec.rate_table(link).items():
             if r > 0:
-                assert spec.target(x, link) in index
+                assert spec.find(helpers.target(x, link)) >= 0
 
 
 def test_round_trip_identity():
@@ -461,7 +460,7 @@ def test_non_linear_links_accepted_for_simulation():
     }
     spec = parse_model(doc)
     assert len(spec.links) == 4
-    assert spec.target((0, 1), (2, 0)) == (0, 0)
+    assert spec.states[spec.next_index((2, 0))[spec.find((0, 1))]] == (0, 0)
 
 
 # ------------------------------------------- rate arrays vs scalar oracle
@@ -734,7 +733,7 @@ def test_next_index_matches_dict_route_past_int64_keys(n, values, data):
     spec = NetworkSpec(**unit_rate_parts(n, tuple(states[k] for k in order)))
     assert_arrays_match_oracle(spec)
     for x in states:
-        assert spec.states[spec.index_of(x)] == x
+        assert spec.states[spec.find(x)] == x
 
 
 def test_three_node_parse_at_c60_within_budget():
@@ -763,16 +762,15 @@ def test_three_node_parse_at_c60_within_budget():
     assert len(spec.states) == 226_920
     assert elapsed < 3.0
     assert peak < 64 * 2**20
-    k = spec.index_of((60, 1, 0))
+    k = spec.find((60, 1, 0))
     assert spec.rate_vector((0, 1))[k] == 0.0 and spec.next_index((0, 1))[k] == -1
     assert spec.states[spec.next_index((1, 2))[k]] == (59, 2, 0)
 
 
-def test_state_index_is_built_on_first_use():
+def test_find_gives_the_index_or_minus_one():
     spec = parse_model(helpers.tandem_doc_text(2, 2, 1.0))
-    assert "state_index" not in vars(spec)
-    assert spec.state_index == {x: k for k, x in enumerate(spec.states)}
-    assert spec.index_of((1, 2)) == spec.state_index[(1, 2)]
+    assert [spec.find(x) for x in spec.states] == list(range(len(spec.states)))
+    assert spec.find((1, 2)) == helpers.state_index(spec)[(1, 2)]
     for outside in ((3, 0), (1,), (-1, 0), (2**63, 0), (2**64 - 1, 0), (2**70, 0)):
         assert spec.find(outside) == -1
 

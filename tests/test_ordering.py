@@ -360,19 +360,6 @@ def test_next_index_and_rates_match_the_dict_route(pair):
             ).tobytes()
 
 
-def test_checks_and_solves_leave_the_state_index_unbuilt():
-    spec_a, spec_b = tandem_pair(3, 2, 1.5)
-    check_flow_conditions(spec_a, spec_b)
-    check_population_conditions(spec_a, spec_b)
-    verify_tight_configurations(spec_a, spec_b)
-    gen = ctmc.build_generator(spec_b)
-    pi = ctmc.stationary_distribution(gen)
-    ctmc.throughput(spec_b, pi, (0, 1))
-    assert "state_index" not in vars(spec_a)
-    assert "state_index" not in vars(spec_b)
-    assert "index" not in vars(gen)
-
-
 def assert_same_report(report, oracle):
     # repr also tells Python floats and ints from numpy scalars, and the
     # dataclasses compare the state and gap tuples themselves

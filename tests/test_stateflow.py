@@ -19,7 +19,8 @@ def augmented_moves(spec, x, flows):
     """Enabled moves of the state-flow chain at (x, flows), read off the
     per-link arrays: (link, rate, (x2, flows2)) for every positive rate,
     counters aligned with spec.links."""
-    i = spec.index_of(x)
+    i = spec.find(x)
+    assert i >= 0
     out = []
     for k, link in enumerate(spec.links):
         rate = float(spec.rate_vector(link)[i])
@@ -70,7 +71,7 @@ def test_augment_projection_matches_population_rule():
     for x in spec.states:
         moves = augmented_moves(spec, x, (0, 0, 0))
         expected = [
-            (link, spec.rate_table(link)[x], spec.target(x, link))
+            (link, spec.rate_table(link)[x], helpers.target(x, link))
             for link in spec.links
             if spec.rate_table(link)[x] > 0.0
         ]
