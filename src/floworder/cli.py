@@ -374,12 +374,12 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     # error leaves no partial report set behind
     out = _out_dir(config)
     _write_csv(
-        os.path.join(out, "stationary.csv"), header, distribution_csv(spec.states, pi)
+        os.path.join(out, "stationary.csv"), header, distribution_csv(spec.coords, pi)
     )
     _write_json(os.path.join(out, "solve.json"), header, payload)
     arrival = throughputs.get("0->1")
     note = f", accepted throughput {arrival:.6g}" if arrival is not None else ""
-    print(f"solved {len(spec.states)} states{note}")
+    print(f"solved {len(spec.coords)} states{note}")
     return 0
 
 
@@ -408,6 +408,7 @@ def _cmd_transient(config: argparse.Namespace) -> int:
 
 def _cmd_sweep(config: argparse.Namespace) -> int:
     header = _header(config, {})
+    tol = min(config.tol, 1e-12)  # as solve's
     rows = [
         "beta,s1,s2,throughput_balanced,throughput_original,"
         "loss_balanced,loss_original,margin\n"
@@ -417,8 +418,8 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
             params = TandemParams.linear(s, s, beta)
             balanced = build_balanced_tandem(params)
             original = build_original_tandem(params)
-            pi_bal = stationary_distribution(build_generator(balanced))
-            pi_orig = stationary_distribution(build_generator(original))
+            pi_bal = stationary_distribution(build_generator(balanced), tol=tol)
+            pi_orig = stationary_distribution(build_generator(original), tol=tol)
             thr_bal = throughput(balanced, pi_bal, (0, 1))
             thr_orig = throughput(original, pi_orig, (0, 1))
             rows.append(

@@ -240,7 +240,7 @@ def simulate_coupled(
     xb = _as_state(init_b, "initial state")
     start_a, start_b = _start_pair(spec_a, spec_b, xa, xb)
     links = spec_a.links
-    width = len(spec_b.states)
+    width = len(spec_b.coords)
 
     def side(spec, scale):
         """A side's per-state (link rates, link targets times `scale`) lists,

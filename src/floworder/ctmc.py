@@ -33,11 +33,18 @@ not as one object per event. EventLog keeps the columns and builds its Event tup
 only when they are read; its flow counters, one per link, are one int64
 array counted from the moves column (flows()).
 
+The generator holds the states as the spec's coords array, and nothing
+here makes a tuple per state: a state is looked up by comparing columns
+(find_row), and ReducibleChainError names its classes' states from
+their rows. Only simulate_path hands the spec's state tuples to its log.
+
 Reports: the CSV writers event_log_csv and distribution_csv (and
 coupling's paired_log_csv) are generators of text chunks of at most
 _CSV_ROWS rows each, so a caller writes a long report as it is made and
-never holds its whole text. The event writers label only the states a
-path visits.
+never holds its whole text. Every state label is joined from the
+columns by model._row_labels, one str per distinct coordinate value:
+distribution_csv labels every row of the coords it is given, and the
+event writers label only the states a path visits.
 
 Solvers:
 
@@ -96,7 +103,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Link, ModelError, NetworkSpec, State, _as_state, find_row
+from .model import Link, ModelError, NetworkSpec, State, _as_state, _row_labels, find_row
 from .rng import make_stream
 
 __all__ = [
@@ -250,10 +257,11 @@ def _flow_counts(positions: np.ndarray, moved, links: int, start=0) -> np.ndarra
 
 @dataclass
 class Generator:
-    states: tuple[State, ...]
     matrix: sp.csr_matrix  # includes the diagonal
     unif_rate: float
-    # The states as the spec's read-only (m, n) int64 array, for find_row.
+    # The states as the spec's read-only (m, n) int64 array, rows in the
+    # matrix's order: find_row looks a state up in it, and errors name
+    # states from it.
     coords: np.ndarray = field(repr=False, compare=False)
     _kernel_t: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
 
@@ -278,7 +286,7 @@ class Generator:
             import scipy.sparse as sp
 
             q = self.matrix
-            m = len(self.states)
+            m = len(self.coords)
             stored = np.diff(q.indptr)
             rows = np.repeat(np.arange(m, dtype=q.indices.dtype), stored)
             indices = q.indices
@@ -336,7 +344,7 @@ def build_generator(spec: NetworkSpec) -> Generator:
     """
     import scipy.sparse as sp
 
-    m = len(spec.states)
+    m = len(spec.coords)
     exit_rates = np.zeros(m)
     slots = []
     for link in spec.links:
@@ -355,9 +363,7 @@ def build_generator(spec: NetworkSpec) -> Generator:
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
     matrix = sp.csr_matrix((data, indices, indptr), shape=(m, m))
     matrix.sort_indices()
-    return Generator(
-        states=spec.states, matrix=matrix, unif_rate=float(exit_rates.max()), coords=spec.coords
-    )
+    return Generator(matrix=matrix, unif_rate=float(exit_rates.max()), coords=spec.coords)
 
 
 # Uniforms drawn from the stream per call of rng.random.
@@ -508,16 +514,14 @@ def _recurrent_class(gen: Generator):
 
     n_comp, labels = connected_components(gen.matrix, directed=True, connection="strong")
     if n_comp == 1:
-        return np.arange(len(gen.states))
+        return np.arange(len(gen.coords))
     moves = gen.matrix.tocoo()
     src, dst = labels[moves.row], labels[moves.col]
     has_exit = np.zeros(n_comp, dtype=bool)
     has_exit[src[src != dst]] = True
     recurrent = np.flatnonzero(~has_exit)
     if recurrent.size > 1:
-        classes = [
-            [gen.states[i] for i in np.flatnonzero(labels == c).tolist()] for c in recurrent
-        ]
+        classes = [list(map(tuple, gen.coords[labels == c].tolist())) for c in recurrent]
         raise ReducibleChainError(classes)
     return np.flatnonzero(labels == recurrent[0])
 
@@ -544,7 +548,7 @@ def stationary_distribution(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    m = len(gen.states)
+    m = len(gen.coords)
     members = _recurrent_class(gen)
     k = len(members)
     if k == 1:
@@ -590,7 +594,7 @@ def distribution_vector(gen: Generator, p0) -> np.ndarray:
     gen.coords (find_row); anything else is a dense vector over the
     enumeration.
     """
-    m = len(gen.states)
+    m = len(gen.coords)
     if isinstance(p0, tuple):
         x = _as_state(p0, "state")
         k = find_row(gen.coords, x)
@@ -741,9 +745,9 @@ def throughput(spec: NetworkSpec, pi, link: Link) -> float:
     if link not in spec.rates:
         raise ModelError(f"unknown link {link}")
     vec = np.asarray(pi, dtype=float)
-    if vec.shape != (len(spec.states),):
+    if vec.shape != (len(spec.coords),):
         raise ValueError(
-            f"distribution has length {vec.shape}, expected {len(spec.states)}"
+            f"distribution has length {vec.shape}, expected {len(spec.coords)}"
         )
     return float(vec @ spec.rate_vector(link))
 
@@ -752,22 +756,14 @@ def throughput(spec: NetworkSpec, pi, link: Link) -> float:
 _CSV_ROWS = 4096
 
 
-def _state_labels(states) -> list[str]:
-    """Each state's coordinates joined by ';', as report cells spell it.
-
-    One str.format call per state, over the transposed coordinates.
-    """
-    if len(states) == 0:
-        return []
-    return list(map(";".join(["{}"] * len(states[0])).format, *zip(*states)))
-
-
 def _label_visits(labels: list, states, visits) -> None:
     """Label each state of `visits` (state indices) that `labels`, a list
-    over `states`, holds no label for yet; a writer fills it block by block,
-    so a log labels only the states it visited."""
+    over `states`, holds no label for yet, its coordinates joined by ';'
+    (_row_labels over the fresh states' columns); a writer fills it block
+    by block, so a log labels only the states it visited."""
     fresh = [i for i in set(visits) if labels[i] is None]
-    for i, label in zip(fresh, _state_labels([states[i] for i in fresh])):
+    columns = list(zip(*(states[i] for i in fresh)))
+    for i, label in zip(fresh, _row_labels(columns, ";")):
         labels[i] = label
 
 
@@ -790,14 +786,15 @@ def event_log_csv(log: EventLog):
         yield "".join([f"{t!r},{prefixes[k]}{labels[i]}\n" for t, k, i in rows])
 
 
-def distribution_csv(states, probs):
-    """CSV rows state,probability; states joined by ';'.
+def distribution_csv(coords: np.ndarray, probs):
+    """CSV rows state,probability, for the states of an (m, n) coords array;
+    states joined by ';' (_row_labels over its columns).
 
     A generator of text chunks, as event_log_csv: the header line, then
     the rows at most _CSV_ROWS to a chunk.
     """
     yield "state,probability\n"
-    labels = _state_labels(states)
+    labels = _row_labels(coords.T.tolist(), ";")
     probs = np.asarray(probs, dtype=float).tolist()
     for start in range(0, len(probs), _CSV_ROWS):
         stop = start + _CSV_ROWS

@@ -25,26 +25,32 @@ Documents are JSON objects:
 
 A parsed document's states are enumerated in lexicographic order, which
 fixes the index map used by every solver and report in the package. The
-space is held as `coords`, one (m, n) int64 array, and each link as two
-arrays over its rows: the effective rate at every state, and the index
-of the state each move leads to (-1 where the move leaves the space).
-All are built when a NetworkSpec is constructed, at array speed, and the
-rate rules above are checked on them there:
+space is held as `coords`, one (m, n) int64 array, and only as that; each
+link is held as two arrays over its rows: the effective rate at every
+state, and the index of the state each move leads to (-1 where the move
+leaves the space). All are built at array speed, and the rate rules
+above are checked on them when a NetworkSpec is constructed:
 
-  * coords comes from one np.fromiter over the state tuples;
+  * _parse_space gives coords directly: a box is the rows of np.indices
+    less its excluded rows, and a list is checked entry by entry, then
+    sorted;
   * every state gets a mixed-radix int64 key whose order is the
     lexicographic one, so a move along link (i, j) changes a key by a
     constant, and one np.searchsorted of every link's moved keys finds
     all the next_index arrays (whole rows, as records, replace the key
     where it would overflow int64);
-  * each expression is evaluated once over the whole state array.
+  * every expression is evaluated over one float copy of the columns,
+    and all links are checked in one stacked pass.
 
 A spec built directly is held to the same rules as a parsed document,
-its space included, but may list its states in any order; keys out of
-order are argsorted before the search. No dict from state to index is
-built: a state is looked up by NetworkSpec.find (find_row), which
-compares columns. Library entry points take a starting state as any
-sequence of numbers, and _as_state holds it to the coordinate rule above.
+its space included, but may list its states in any order, as a sequence
+of states or as an array; keys out of order are argsorted before the
+search. No tuple per state is made unless a caller reads
+NetworkSpec.states, and no dict from state to index is built: a state is
+looked up by NetworkSpec.find (find_row), which compares columns, and a
+report or message names a state from its row. Library entry points take
+a starting state as any sequence of numbers, and _as_state holds it to
+the coordinate rule above.
 """
 
 from __future__ import annotations
@@ -54,11 +60,10 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExpressionError, RateExpr, evaluate, parse_expression
+from .expr import ExpressionError, RateExpr, _evaluate, parse_expression
 
 __all__ = [
     "Link",
@@ -90,67 +95,87 @@ def linear_links(n: int) -> tuple[Link, ...]:
     return tuple((i, i + 1) for i in range(n)) + ((n, 0),)
 
 
-@dataclass(eq=True)
 class NetworkSpec:
     """Immutable description of one population process, validated when built.
 
-    Construction checks the state space as a parsed document's is
-    checked (every state has n integer coordinates, none negative, none
-    listed twice, at least one state), with _parse_space's messages. It builds
-    `coords`, the states as a read-only (m, n) int64 array, and finds
-    every link's next_index by one key search (_move_targets). It then
-    evaluates each link's expression once over `coords` and keeps the
-    link's two arrays: its effective rate at every state (clamp applied)
-    and the index of the state each move leads to (-1 where the move
-    leaves the space). It raises ModelError at the first bad state, links
-    in declared order and states in the given order: a rate that is not
-    finite, then a negative one, then (unless clamp is set) a positive
-    rate whose move leaves the space. So every spec, parsed or built
-    directly, is a valid model. Treat instances as frozen.
+    `states` is the (m, n) int64 array _parse_space returns, or a sequence
+    of states in any order. Construction checks the space as a parsed
+    document's is checked (every state has n integer coordinates, none
+    negative, none listed twice, at least one state), with _parse_space's
+    messages, state by state in the given order, and keeps it as `coords`,
+    a read-only (m, n) int64 array. It finds every link's next_index by
+    one key search (_move_targets), evaluates every link's expression over
+    one float copy of the columns, and checks all links in one stacked
+    pass. Each link keeps two arrays: its effective rate at every state
+    (clamp applied) and the index of the state each move leads to (-1
+    where the move leaves the space). ModelError is raised at the first
+    bad state, links in declared order and states in the given order: a
+    rate that is not finite, then a negative one, then (unless clamp is
+    set) a positive rate whose move leaves the space; an expression too
+    deep to evaluate only after the links before it. So every spec, parsed
+    or built directly, is a valid model. Treat instances as frozen.
 
-    Parsed documents list their states in lexicographic order, so
-    build_generator lays each row's columns down sorted. A spec built
-    directly may list them in any order; its generator's rows are then
-    sorted afterwards. A state is looked up by `find`.
+    A spec built directly may list its states in any order; its
+    generator's rows are then sorted afterwards. A state is looked up by
+    `find`. `states` is the states as tuples, made from `coords` when first
+    read. Two specs are equal when their n, links, states in order, rates,
+    params and clamp are.
     """
 
-    n: int
-    links: tuple[Link, ...]
-    states: tuple[State, ...]
-    rates: dict[Link, RateExpr]
-    params: dict[str, float]
-    clamp: bool = False
-    coords: np.ndarray = field(init=False, repr=False, compare=False)
-    _arrays: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, n: int, links, states, rates, params, clamp: bool = False):
+        self.n = n
+        self.links = links
+        self.rates = rates
+        self.params = params
+        self.clamp = clamp
+        self.coords = coords = _space_array(states, n)
+        targets, self._order = _move_targets(coords, links)
+        m = len(coords)
+        columns = np.ascontiguousarray(coords.T, dtype=np.float64)
+        unclamped = np.empty((len(links), m))
+        too_deep = None
+        with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
+            for k, link in enumerate(links):
+                try:
+                    unclamped[k] = _evaluate(rates[link].root, columns, params)
+                except RecursionError:
+                    too_deep, unclamped, targets = link, unclamped[:k], targets[:k]
+                    break
+        bad = ~np.isfinite(unclamped) | (unclamped < 0)
+        if not clamp:
+            bad |= (unclamped > 0) & (targets < 0)
+        hits = np.flatnonzero(bad)  # row by row: links in declared order, then states
+        if hits.size:
+            k, i = divmod(int(hits[0]), m)
+            raise ModelError(_rate_error(links[k], _row_state(coords, i), float(unclamped[k, i])))
+        if too_deep is not None:
+            i, j = too_deep
+            raise ModelError(f"rate for link {i}->{j} is nested too deeply to evaluate")
+        effective = np.where(targets >= 0, unclamped, 0.0) if clamp else unclamped
+        self._arrays = dict(zip(links, zip(effective, targets)))
+        self._states = None
 
-    def __post_init__(self):
-        self.coords = coords = _state_array(self.states, self.n)
-        targets = _move_targets(coords, self.links, self.states)
-        self._arrays = {}
-        for (i, j), next_index in zip(self.links, targets):
-            name = f"{i}->{j}"
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
-                    unclamped = evaluate(self.rates[(i, j)].root, coords, self.params)
-            except RecursionError:
-                raise ModelError(f"rate for link {name} is nested too deeply to evaluate") from None
-            bad = ~np.isfinite(unclamped) | (unclamped < 0)
-            if not self.clamp:
-                bad |= (unclamped > 0) & (next_index < 0)
-            hits = np.flatnonzero(bad)
-            if hits.size:
-                k = int(hits[0])
-                x, r = self.states[k], float(unclamped[k])
-                if not math.isfinite(r):
-                    raise ModelError(f"rate for link {name} is not finite at state {x}")
-                if r < 0:
-                    raise ModelError(f"rate for link {name} is negative at state {x}: {r}")
-                raise ModelError(
-                    f"rate for link {name} is positive at state {x} "
-                    f"but the move leaves the state space; set clamp to allow this"
-                )
-            rates = np.where(next_index >= 0, unclamped, 0.0) if self.clamp else unclamped
-            self._arrays[(i, j)] = (rates, next_index)
+    @property
+    def states(self) -> tuple[State, ...]:
+        """The states as tuples, in the order of `coords`; made on first read."""
+        if self._states is None:
+            self._states = tuple(map(tuple, self.coords.tolist()))
+        return self._states
+
+    def __eq__(self, other):
+        if not isinstance(other, NetworkSpec):
+            return NotImplemented
+        return (
+            (self.n, self.links) == (other.n, other.links)
+            and np.array_equal(self.coords, other.coords)
+            and (self.rates, self.params, self.clamp) == (other.rates, other.params, other.clamp)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"NetworkSpec(n={self.n!r}, links={self.links!r}, {len(self.coords)} states, "
+            f"rates={self.rates!r}, params={self.params!r}, clamp={self.clamp!r})"
+        )
 
     def find(self, x: State) -> int:
         """Index of state x, or -1 if it is not in the space (find_row)."""
@@ -167,6 +192,24 @@ class NetworkSpec:
     def rate_table(self, link: Link) -> dict[State, float]:
         """Effective rate of `link` at every state, as a new dict read off rate_vector."""
         return dict(zip(self.states, self.rate_vector(link).tolist()))
+
+
+def _rate_error(link: Link, x: State, r: float) -> str:
+    """The message of a bad rate r of `link` at state x."""
+    name = f"{link[0]}->{link[1]}"
+    if not math.isfinite(r):
+        return f"rate for link {name} is not finite at state {x}"
+    if r < 0:
+        return f"rate for link {name} is negative at state {x}: {r}"
+    return (
+        f"rate for link {name} is positive at state {x} "
+        f"but the move leaves the state space; set clamp to allow this"
+    )
+
+
+def _row_state(coords: np.ndarray, k: int) -> State:
+    """Row k of a coords array as a state tuple, to name it in a report or message."""
+    return tuple(coords[k].tolist())
 
 
 def _check_state(x: State, n: int, seen: set) -> None:
@@ -214,9 +257,10 @@ def find_row(coords: np.ndarray, x: State) -> int:
     return int(hits[0]) if hits.size else -1
 
 
-def _state_array(states, n: int) -> np.ndarray:
-    """The states as a read-only (m, n) int64 array, from one np.fromiter
-    over their coordinates.
+def _space_array(states, n: int) -> np.ndarray:
+    """The space as a read-only (m, n) int64 array: `states` itself when it
+    is one (a writable one is copied), else one np.fromiter over the
+    coordinates of a sequence of states.
 
     A state with other than n coordinates would shift every row after it,
     and np.fromiter truncates a float, so lengths and coordinate types are
@@ -226,22 +270,26 @@ def _state_array(states, n: int) -> np.ndarray:
     m = len(states)
     if m == 0:
         raise ModelError("empty state space")
-    if set(map(len, states)) != {n}:
-        _first_bad_state(states, n)
-    if set(map(type, itertools.chain.from_iterable(states))) != {int}:
-        _check_space(states, n)
-    try:
-        coords = np.fromiter(itertools.chain.from_iterable(states), np.int64, m * n)
-    except OverflowError:
-        raise ModelError("state coordinates must be below 2**63") from None
-    coords = coords.reshape(m, n)
+    if isinstance(states, np.ndarray) and states.dtype == np.int64 and states.shape[1:] == (n,):
+        coords = states.copy() if states.flags.writeable else states
+    else:
+        if set(map(len, states)) != {n}:
+            _first_bad_state(states, n)
+        if set(map(type, itertools.chain.from_iterable(states))) != {int}:
+            _check_space(states, n)
+        try:
+            coords = np.fromiter(itertools.chain.from_iterable(states), np.int64, m * n)
+        except OverflowError:
+            raise ModelError("state coordinates must be below 2**63") from None
+        coords = coords.reshape(m, n)
     coords.setflags(write=False)
     return coords
 
 
-def _move_targets(coords: np.ndarray, links, states) -> np.ndarray:
+def _move_targets(coords: np.ndarray, links) -> tuple[np.ndarray, np.ndarray | None]:
     """The (len(links), m) array of next_index rows, a move's target index
-    or -1.
+    or -1, and the permutation that puts the rows in lexicographic order
+    (None when they already are).
 
     Every row gets a key whose order is the rows' lexicographic order
     (_row_keys), and one np.searchsorted finds every link's moved keys
@@ -250,7 +298,7 @@ def _move_targets(coords: np.ndarray, links, states) -> np.ndarray:
     equal keys are a duplicate state. A negative coordinate, or a
     duplicate, raises the first bad state's ModelError."""
     if coords.min() < 0:
-        _first_bad_state(states, coords.shape[1])
+        _first_bad_state(coords.tolist(), coords.shape[1])
     keys, moved = _row_keys(coords, links)
     if keys.dtype.names is None and bool((keys[1:] > keys[:-1]).all()):
         order, sorted_keys = None, keys
@@ -258,12 +306,12 @@ def _move_targets(coords: np.ndarray, links, states) -> np.ndarray:
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         if (sorted_keys[1:] == sorted_keys[:-1]).any():
-            _first_bad_state(states, coords.shape[1])
+            _first_bad_state(coords.tolist(), coords.shape[1])
     pos = np.searchsorted(sorted_keys, moved)
     found = sorted_keys.take(pos, mode="clip") == moved  # pos = m is never a hit
     if order is not None:
         pos = order.take(pos, mode="clip")
-    return np.where(found, pos, -1)
+    return np.where(found, pos, -1), order
 
 
 def _row_keys(coords: np.ndarray, links) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +410,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _parse_space(space, n: int) -> tuple[State, ...]:
+def _parse_space(space, n: int) -> np.ndarray:
+    """A document's space as a read-only (m, n) int64 array in
+    lexicographic order.
+
+    A box is the rows of np.indices over its capacities, which come in
+    lexicographic order, less its excluded rows. A list is checked entry
+    by entry, in the order given, then its rows are sorted."""
     if not isinstance(space, dict):
         raise ModelError("space must be an object with 'box' or 'list'")
     keys = set(space)
@@ -373,17 +427,21 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
         caps = _integers(space["box"], message)
         if len(caps) != n or any(c < 0 for c in caps):
             raise ModelError(message)
-        excluded = set()
+        excluded = []
         for raw in _array(space.get("exclude", []), "exclude"):
             x = _integers(raw, f"excluded state {raw} must have integer coordinates")
             if len(x) != n:
                 raise ModelError(f"excluded state {x} has wrong dimension")
             if any(v < 0 or v > c for v, c in zip(x, caps)):
                 raise ModelError(f"excluded state {x} lies outside the box")
-            excluded.add(x)
-        # product lists the box in lexicographic order, so no sort is needed
-        box = itertools.product(*(range(c + 1) for c in caps))
-        states = tuple(itertools.filterfalse(excluded.__contains__, box))
+            excluded.append(x)
+        shape = tuple(c + 1 for c in caps)
+        kept = np.ones(math.prod(shape), dtype=bool)
+        if excluded:
+            kept[np.ravel_multi_index(tuple(zip(*excluded)), shape)] = False
+        coords = np.indices(shape, dtype=np.int64).reshape(n, -1).T[kept]
+        if not len(coords):
+            raise ModelError("empty state space")
     elif "list" in keys:
         if keys != {"list"}:
             raise ModelError(f"unknown space keys {sorted(keys - {'list'})}")
@@ -393,12 +451,12 @@ def _parse_space(space, n: int) -> tuple[State, ...]:
             x = _integers(raw, f"state {raw} must have integer coordinates")
             _check_state(x, n, seen)
             states.append(x)
-        states = tuple(sorted(states))
+        coords = _space_array(states, n)
+        coords = coords[np.lexsort(coords.T[::-1])]
     else:
         raise ModelError("space must contain 'box' or 'list'")
-    if not states:
-        raise ModelError("empty state space")
-    return states
+    coords.setflags(write=False)
+    return coords
 
 
 def _parse_link_key(key: str) -> Link:
@@ -439,7 +497,7 @@ def parse_model(document) -> NetworkSpec:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ModelError("n must be a positive integer")
 
-    states = _parse_space(document["space"], n)
+    coords = _parse_space(document["space"], n)
 
     if "links" in document:
         links = []
@@ -497,7 +555,7 @@ def parse_model(document) -> NetworkSpec:
     rates = {link: rates[link] for link in links}
 
     return NetworkSpec(
-        n=n, links=links, states=states, rates=rates, params=params, clamp=clamp
+        n=n, links=links, states=coords, rates=rates, params=params, clamp=clamp
     )
 
 
@@ -511,8 +569,16 @@ def load_model(path) -> NetworkSpec:
 
 
 def serialize_model(spec: NetworkSpec) -> dict:
-    """Canonical document form; parsing it back yields an equal NetworkSpec."""
-    return {"n": spec.n, "space": {"list": spec.coords.tolist()}, **_spaceless_document(spec)}
+    """Canonical document form, its states in lexicographic order; parsing
+    it back yields a spec equal to one that lists the states in that order,
+    which is `spec` itself for a parsed one."""
+    space = {"list": _lexicographic(spec).tolist()}
+    return {"n": spec.n, "space": space, **_spaceless_document(spec)}
+
+
+def _lexicographic(spec: NetworkSpec) -> np.ndarray:
+    """spec.coords with its rows in lexicographic order."""
+    return spec.coords if spec._order is None else spec.coords[spec._order]
 
 
 def _spaceless_document(spec: NetworkSpec) -> dict:
@@ -525,6 +591,13 @@ def _spaceless_document(spec: NetworkSpec) -> dict:
     }
 
 
+def _row_labels(columns, sep: str) -> list[str]:
+    """Each row's values joined by `sep`, given the rows' columns as lists
+    of ints: one str per distinct value, then one join per row."""
+    labels = {v: str(v) for v in set().union(*columns)}
+    return list(map(sep.join, zip(*(map(labels.__getitem__, column) for column in columns))))
+
+
 def model_digest(spec: NetworkSpec) -> str:
     """Stable content hash used in report headers.
 
@@ -533,17 +606,14 @@ def model_digest(spec: NetworkSpec) -> str:
     "space" sorts after every other key, so those bytes are hashed in
     three pieces: the compact JSON of the other keys without its closing
     brace, then ',"space":{"list":' and the state list, then '}}'. The
-    state list's text is joined from one str per distinct coordinate
-    value, so no state is JSON-encoded.
+    state list's text is joined by _row_labels, so no state is
+    JSON-encoded.
     """
     head = json.dumps(
         {"n": spec.n, **_spaceless_document(spec)}, sort_keys=True, separators=(",", ":")
     )
-    columns = spec.coords.T.tolist()
-    labels = {v: str(v) for v in set().union(*columns)}
-    rows = zip(*(map(labels.__getitem__, column) for column in columns))
     digest = hashlib.sha256(head[:-1].encode("utf-8"))
     digest.update(b',"space":{"list":[[')
-    digest.update("],[".join(map(",".join, rows)).encode("ascii"))
+    digest.update("],[".join(_row_labels(_lexicographic(spec).T.tolist(), ",")).encode("ascii"))
     digest.update(b"]]}}")
     return digest.hexdigest()

@@ -56,7 +56,7 @@ import numpy as np
 
 from .coupling import PairedEventLog, _flow_blocks
 from .ctmc import ToleranceError, transient_mean_flow
-from .model import Link, ModelError, NetworkSpec, State, _as_state, is_linear_family
+from .model import Link, ModelError, NetworkSpec, State, _as_state, _row_state, is_linear_family
 
 __all__ = [
     "Witness",
@@ -277,7 +277,7 @@ def check_flow_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.states)
+    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.coords)
     axis = _axes(np.concatenate([xa, xb]), m_a)  # of x_1, ..., x_n
     conditions = []
     for k, link in enumerate(spec_a.links):
@@ -296,11 +296,8 @@ def check_flow_conditions(
                 hit &= xb[:, k] <= xa[i, k]
             hits = np.nonzero(hit)[0]
             for j in (hits if all_witnesses else hits[:1]).tolist():
-                witnesses.append(
-                    Witness(
-                        name, "rate", spec_a.states[i], spec_b.states[j], float(ra[i]), float(rb[j])
-                    )
-                )
+                xa_i, xb_j = _row_state(xa, i), _row_state(xb, j)
+                witnesses.append(Witness(name, "rate", xa_i, xb_j, float(ra[i]), float(rb[j])))
         conditions.append(
             ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
         )
@@ -340,7 +337,7 @@ def check_population_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.states)
+    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.coords)
     axis = _axes(np.concatenate([xa, xb]), m_a)  # of x_1, ..., x_n
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
     conditions = []
@@ -362,7 +359,7 @@ def check_population_conditions(
             outflow = premise & (rb_out > ra_out[i])
             hits = np.nonzero(inflow | outflow)[0]
             for j in (hits if all_witnesses else hits[:1]).tolist():
-                xa_i, xb_j = spec_a.states[i], spec_b.states[j]
+                xa_i, xb_j = _row_state(xa, i), _row_state(xb, j)
                 if inflow[j]:
                     witnesses.append(
                         Witness(name, "inflow", xa_i, xb_j, float(ra_in[i]), float(rb_in[j]))
@@ -479,7 +476,7 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    x, m_a = np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.states)
+    x, m_a = np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.coords)
     # P_0 = 0, P_1, ..., P_n per state, one row per state
     prefix = np.zeros((len(x), n + 1), dtype=np.int64)
     np.cumsum(x, axis=1, out=prefix[:, 1:])
@@ -503,7 +500,9 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
             tight = s[:, k] == s.max(axis=1)  # realizable with d_k = 0
             for j in np.nonzero(tight & (rb < ra[i]))[0].tolist():
                 gaps = tuple((s[j, k] - s[j]).tolist())
-                config = TightConfiguration(k, spec_a.states[i], spec_b.states[j], gaps)
+                config = TightConfiguration(
+                    k, _row_state(spec_a.coords, i), _row_state(spec_b.coords, j), gaps
+                )
                 witnesses.append(ClosureWitness(config, float(ra[i]), float(rb[j])))
     return ClosureReport(
         closed=not witnesses,

@@ -197,7 +197,7 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
     deviation from pi. A residual at rounding level means pi factorizes.
     """
     vec = np.asarray(pi, dtype=float)
-    if vec.shape != (len(spec.states),):
+    if vec.shape != (len(spec.coords),):
         raise ValueError("distribution length does not match the state space")
     if (vec <= 0.0).any():
         raise ModelError(
@@ -205,9 +205,10 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
             "on every state (is the chain irreducible?)"
         )
     n = spec.n
+    rows = spec.coords.tolist()
     profiles = []
     for axis in range(n):
-        cap = max(x[axis] for x in spec.states)
+        cap = max(x[axis] for x in rows)
         g = [1.0]
         for k in range(1, cap + 1):
             lo = spec.find(tuple(k - 1 if c == axis else 0 for c in range(n)))
@@ -220,7 +221,7 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
             g.append(g[-1] * vec[i] / vec[lo])
         profiles.append(g)
     product = np.array(
-        [np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in spec.states]
+        [np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in rows]
     )
     product /= product.sum()
     return float(np.abs(vec - product).max())

@@ -20,7 +20,8 @@ writers have the whole-text versions that returned one string before
 they yielded chunks, and the pathwise flow-order scan has the one scan
 of a log's whole flows arrays that came before its blocks. Model digests
 have the hash of the whole JSON-encoded document that came before the
-digest hashed its state list as joined labels. Tests freeze or recompute these values and compare the
+digest hashed its state list as joined labels. Model spaces have the
+tuple enumeration _parse_space ran before it returned an array. Tests freeze or recompute these values and compare the
 implementation against them.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 from scipy.stats import chi2
 
-from floworder import expr, ordering
+from floworder import expr, model, ordering
 from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
 from floworder.ctmc import (
     _CSV_ROWS,
@@ -203,7 +205,7 @@ def reference_stationary(gen: Generator, tol: float = 1e-12) -> np.ndarray:
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    m = len(gen.states)
+    m = len(gen.coords)
     members = _recurrent_class(gen)
     k = len(members)
     pi_full = np.zeros(m)
@@ -418,7 +420,7 @@ def reference_kernel(gen: Generator):
     """P = I + Q / unif_rate as the CSR matrix scipy's sum makes."""
     import scipy.sparse as sp
 
-    m = len(gen.states)
+    m = len(gen.coords)
     return (sp.identity(m, format="csr") + gen.matrix / gen.unif_rate).tocsr()
 
 
@@ -744,6 +746,47 @@ def scalar_model_error(n, links, states, rates, params, clamp=False):
                     f"but the move leaves the state space; set clamp to allow this"
                 )
     return None
+
+
+def reference_parse_space(space, n: int) -> tuple:
+    """_parse_space as the tuple enumeration it was before it returned an
+    array: a box by itertools.product less its excluded states, a list
+    checked entry by entry and then sorted."""
+    if not isinstance(space, dict):
+        raise ModelError("space must be an object with 'box' or 'list'")
+    keys = set(space)
+    if "box" in keys:
+        if not keys <= {"box", "exclude"}:
+            raise ModelError(f"unknown space keys {sorted(keys - {'box', 'exclude'})}")
+        message = "box needs one nonnegative capacity per node"
+        caps = model._integers(space["box"], message)
+        if len(caps) != n or any(c < 0 for c in caps):
+            raise ModelError(message)
+        excluded = set()
+        for raw in model._array(space.get("exclude", []), "exclude"):
+            x = model._integers(raw, f"excluded state {raw} must have integer coordinates")
+            if len(x) != n:
+                raise ModelError(f"excluded state {x} has wrong dimension")
+            if any(v < 0 or v > c for v, c in zip(x, caps)):
+                raise ModelError(f"excluded state {x} lies outside the box")
+            excluded.add(x)
+        box = itertools.product(*(range(c + 1) for c in caps))
+        states = tuple(itertools.filterfalse(excluded.__contains__, box))
+    elif "list" in keys:
+        if keys != {"list"}:
+            raise ModelError(f"unknown space keys {sorted(keys - {'list'})}")
+        states = []
+        seen = set()
+        for raw in model._array(space["list"], "list"):
+            x = model._integers(raw, f"state {raw} must have integer coordinates")
+            model._check_state(x, n, seen)
+            states.append(x)
+        states = tuple(sorted(states))
+    else:
+        raise ModelError("space must contain 'box' or 'list'")
+    if not states:
+        raise ModelError("empty state space")
+    return states
 
 
 def reference_next_index(spec: NetworkSpec, link) -> np.ndarray:

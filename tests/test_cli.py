@@ -872,3 +872,63 @@ def test_replication_commands_read_no_events_view(argv, tmp_path, monkeypatch, c
     monkeypatch.setattr(ctmc.EventView, "__len__", refuse)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert " events" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["check", "--family", "tandem-pair", "--s1", "3", "--s2", "2"], 0),
+        (
+            ["check", "--family", "tandem-pair", "--s1", "4", "--s2", "4", "--beta", "2.0",
+             "--delta1", "0,2,1,3,1", "--delta2", "0,1,3,1,2", "--all-witnesses"],
+            1,
+        ),
+        (["check", "--model-a", "{original}", "--model-b", "{balanced}", "--format", "csv"], 1),
+        (["verify", "--family", "tandem-pair", "--s1", "3", "--s2", "2"], 0),
+        (
+            ["verify", "--family", "tandem-pair", "--s1", "3", "--s2", "3", "--beta", "2.0",
+             "--delta1", "0,2,1,3", "--delta2", "0,1,3,1"],
+            1,
+        ),
+        (["verify", "--model-a", "{original}", "--model-b", "{balanced}"], 1),
+        (["solve", "--family", "tandem-original", "--s1", "3", "--s2", "2"], 0),
+        (["solve", "--model-a", "{balanced}"], 0),
+        (["transient", "--family", "tandem-pair", "--s1", "3", "--s2", "2", "--grid", "0:4:2"], 0),
+        (["sweep", "--betas", "1", "--sizes", "1,2"], 0),
+    ],
+    ids=[
+        "check", "check-witnesses", "check-files", "verify", "verify-witnesses",
+        "verify-files", "solve", "solve-file", "transient", "sweep",
+    ],
+)
+def test_commands_make_no_state_tuples(argv, rc, tmp_path, monkeypatch, capsys):
+    """These commands read a space as its coords array, witnesses and
+    labels included, so the tuple view NetworkSpec.states is never read."""
+    from floworder.model import NetworkSpec
+
+    params = TandemParams.linear(3, 2, 1.5)
+    files = {
+        name: write_doc(tmp_path, f"{name}.json", serialize_model(build(params)))
+        for name, build in (("original", build_original_tandem), ("balanced", build_balanced_tandem))
+    }
+
+    def refuse(self):
+        raise AssertionError("a state tuple was made")
+
+    monkeypatch.setattr(NetworkSpec, "states", property(refuse))
+    argv = [arg.format(**files) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == rc
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_solves_at_the_tolerance_it_reports(tmp_path, capsys):
+    """sweep solves at min(tol, 1e-12), as solve does: a tolerance below
+    what the solver reaches exits 2 and writes no report."""
+    argv = ["--tol", "1e-300", "--out", str(tmp_path)]
+    assert main(["solve", "--family", "tandem-original"] + argv) == 2
+    solve_err = capsys.readouterr().err
+    assert main(["sweep", "--sizes", "2", "--betas", "1"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floworder: stationary residual ") and err.count("\n") == 1
+    assert err.endswith(" above tolerance 1e-300\n") and solve_err.endswith(" above tolerance 1e-300\n")
+    assert not os.listdir(tmp_path)

@@ -63,7 +63,8 @@ def move_link(spec, src, dst):
 def test_generator_two_state_entries():
     gen = build_generator(helpers.two_state_chain())
     assert len(off_diagonal(gen)) == 2
-    moves = {(gen.states[i], gen.states[j]): r for i, j, r in off_diagonal(gen)}
+    states = list(map(tuple, gen.coords.tolist()))
+    moves = {(states[i], states[j]): r for i, j, r in off_diagonal(gen)}
     assert moves[((0,), (1,))] == 1.0
     assert moves[((1,), (0,))] == 1.0
     assert gen.unif_rate == 1.0
@@ -934,7 +935,7 @@ def test_column_product_is_bit_equal_to_sparse_matmul(make):
     residual = ctmc._column_product(q.indptr, q.indices, q.data)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        vec = rng.dirichlet(np.ones(len(gen.states))) * rng.choice([1e-300, 1.0, 1e300])
+        vec = rng.dirichlet(np.ones(len(gen.coords))) * rng.choice([1e-300, 1.0, 1e300])
         for got, want in ((step(vec), kernel_t @ vec), (residual(vec), q.T @ vec)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -1174,7 +1175,7 @@ def test_event_log_csv_round_trips_floats():
 def test_distribution_csv_shape():
     spec = helpers.mm1c_chain(1.0, 2.0, 2)
     pi = stationary_distribution(build_generator(spec))
-    lines = "".join(distribution_csv(spec.states, pi)).strip().split("\n")
+    lines = "".join(distribution_csv(spec.coords, pi)).strip().split("\n")
     assert lines[0] == "state,probability"
     assert lines[1].split(",")[0] == "0"
     assert float(lines[1].split(",")[1]) == pi[0]
@@ -1207,7 +1208,7 @@ def test_event_log_csv_chunks_join_to_the_whole_text(long_path, rows):
 def test_distribution_csv_chunks_join_to_the_whole_text(rows, n):
     states = tuple((k // 97, k % 97, 3)[:n] for k in range(rows))
     probs = np.random.default_rng(rows).random(rows)
-    chunks = list(distribution_csv(states, probs))
+    chunks = list(distribution_csv(np.array(states, dtype=np.int64).reshape(rows, n), probs))
     whole = helpers.whole_distribution_csv(states, probs)
     assert helpers.text_lines(chunks) == helpers.text_lines([whole])
     assert [chunk.count("\n") for chunk in chunks] == helpers.chunk_row_counts(rows)

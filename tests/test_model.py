@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from floworder import expr
 from floworder.cli import main
 from floworder.ctmc import build_generator
 from floworder.expr import ExpressionError, evaluate, parse_expression
 from floworder.model import (
     ModelError,
     NetworkSpec,
+    _parse_space,
     linear_links,
     load_model,
     model_digest,
@@ -738,8 +740,8 @@ def test_next_index_matches_dict_route_past_int64_keys(n, values, data):
 
 def test_three_node_parse_at_c60_within_budget():
     """The three-node original at capacities (60, 61, 59), lambda = 1.3 and
-    service min(x_i, 2): 226,920 states, built without per-state Python
-    beyond the state tuples themselves."""
+    service min(x_i, 2): 226,920 states, built without per-state Python;
+    no state tuple is made until `states` is read."""
     doc = {
         "n": 3,
         "space": {"box": [60, 61, 59]},
@@ -775,6 +777,119 @@ def test_find_gives_the_index_or_minus_one():
         assert spec.find(outside) == -1
 
 
+@st.composite
+def space_documents(draw):
+    """(space, n) with n from 1 to 4: a box with capacities 0..5 and random
+    excludes, or a permuted list. In a flawed document, now and then an
+    entry is negative, out of the box, of the wrong dimension or not an
+    integer (2.0 is one), a list repeats entries and a box has the wrong
+    number of capacities."""
+    n = draw(st.integers(1, 4))
+    flawed = draw(st.booleans())
+
+    def entry(hi):
+        size = draw(st.sampled_from([n] * 8 + [n - 1, n + 1])) if flawed else n
+        if flawed and not draw(st.integers(0, 9)):
+            value = st.integers(-1, hi + 1) | st.sampled_from([0.5, 2.0, True])
+        else:
+            value = st.integers(0, hi)
+        return draw(st.lists(value, min_size=size, max_size=size))
+
+    if draw(st.booleans()):
+        caps = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        if flawed and not draw(st.integers(0, 9)):
+            caps = caps[1:] if draw(st.booleans()) else caps + [1]
+        excludes = [entry(max(caps, default=0)) for _ in range(draw(st.integers(0, 4)))]
+        return {"box": caps, "exclude": excludes}, n
+    entries = [entry(3) for _ in range(draw(st.integers(0, 12)))]
+    if entries and flawed:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=3))
+    else:  # distinct entries: repeats are a flaw
+        entries = list({tuple(x): x for x in entries}.values())
+    return {"list": draw(st.permutations(entries))}, n
+
+
+@given(space_documents())
+def test_array_spaces_match_the_tuple_enumeration(case):
+    """_parse_space gives the reference enumeration's states as a read-only
+    int64 array, or its exact message; a spec built from that array equals
+    one built from the same tuples, with byte-equal link arrays."""
+    space, n = case
+    expected = space_outcome(lambda: helpers.reference_parse_space(space, n))
+    coords = space_outcome(lambda: _parse_space(space, n))
+    if isinstance(expected, str):
+        assert isinstance(coords, str) and coords == expected
+        return
+    assert coords.dtype == np.int64 and not coords.flags.writeable
+    assert coords.tolist() == [list(x) for x in expected]
+    links = linear_links(n)
+    parts = dict(
+        n=n,
+        links=links,
+        rates={
+            link: parse_expression(f"{k + 1} * x{k % n + 1} + 0.5", n, {})
+            for k, link in enumerate(links)
+        },
+        params={},
+        clamp=True,
+    )
+    from_array, from_tuples = NetworkSpec(states=coords, **parts), NetworkSpec(states=expected, **parts)
+    assert from_array == from_tuples and from_array.states == expected
+    for link in links:
+        assert from_array.rate_vector(link).tobytes() == from_tuples.rate_vector(link).tobytes()
+        assert from_array.next_index(link).tobytes() == from_tuples.next_index(link).tobytes()
+    assert_arrays_match_oracle(from_array)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 0], [0, 1], [0, 0]], "duplicate state (0, 0)"),
+        ([[0, 1], [-1, 0], [0, 0]], "state (-1, 0) has a negative coordinate"),
+        ([[1, 0], [0, 1], [0, 0]], None),
+    ],
+    ids=["duplicate", "negative", "unsorted"],
+)
+def test_array_states_follow_the_tuple_rules(rows, message):
+    """States given as an int64 array meet the rules and messages of the
+    same states given as tuples; a writable array is copied, so changing
+    it later leaves the spec as it was built."""
+    array = np.array(rows, dtype=np.int64)
+    built = space_outcome(lambda: NetworkSpec(**unit_rate_parts(2, array)))
+    assert built == space_outcome(lambda: NetworkSpec(**unit_rate_parts(2, tuple(map(tuple, rows)))))
+    if message is not None:
+        assert built == message
+        return
+    array[0, 0] = 5
+    assert built.states == ((1, 0), (0, 1), (0, 0)) and not built.coords.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "states",
+    [((2,), (0,), (1,)), ((0, 2), (1, 0), (0, 0), (0, 1)), ((2**62, 0), (0, 1), (0, 0))],
+    ids=["one-node", "two-node", "record-keys"],
+)
+def test_serialized_states_come_in_lexicographic_order(states):
+    """A spec built directly with its states out of order serializes and
+    digests as its twin listed in lexicographic order, and its document
+    parses back equal to that twin."""
+    n = len(states[0])
+    permuted = NetworkSpec(**unit_rate_parts(n, states))
+    twin = NetworkSpec(**unit_rate_parts(n, tuple(sorted(states))))
+    assert permuted != twin
+    assert serialize_model(permuted) == serialize_model(twin)
+    assert model_digest(permuted) == model_digest(twin) == helpers.reference_model_digest(twin)
+    assert parse_model(serialize_model(permuted)) == twin
+
+
+def test_permuted_tandem_digests_as_the_parsed_one():
+    spec = parse_model(helpers.tandem_doc_text(3, 2, 1.5))
+    order = np.random.default_rng(5).permutation(len(spec.coords)).tolist()
+    permuted = helpers.permuted_spec(spec, order)
+    assert permuted != spec and model_digest(permuted) == model_digest(spec)
+    assert parse_model(serialize_model(permuted)) == spec
+
+
 # ------------------------------------------- malformed and deep expressions
 
 
@@ -804,6 +919,25 @@ def test_deep_or_long_expressions_are_model_errors(rate):
     with pytest.raises(ModelError, match="nested too deeply"):
         parse_model(one_node_doc(rate))
     assert_cli_exits_two(one_node_doc(rate))
+
+
+@pytest.mark.parametrize("deep_first", [False, True], ids=["bad-rate-first", "deep-first"])
+def test_too_deep_rate_keeps_the_link_order(deep_first):
+    """A tree too deep to evaluate is reported at its link, after the links
+    before it are checked: an earlier link's bad rate is reported first."""
+    root = expr.Coord(0)
+    for _ in range(5000):
+        root = expr.Neg(root)
+    deep = expr.RateExpr("x1", root, 1)  # the source is not read here
+    bad = parse_expression("0 - 1", 1, {})
+    first, second = (deep, bad) if deep_first else (bad, deep)
+    parts = dict(unit_rate_parts(1, ((0,), (1,))), rates={(0, 1): first, (1, 0): second})
+    expected = (
+        "rate for link 0->1 is nested too deeply to evaluate"
+        if deep_first
+        else "rate for link 0->1 is negative at state (0,): -1.0"
+    )
+    assert space_outcome(lambda: NetworkSpec(**parts)) == expected
 
 
 def test_long_flat_sums_and_products_evaluate():
