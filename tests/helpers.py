@@ -21,8 +21,9 @@ they yielded chunks, and the pathwise flow-order scan has the one scan
 of a log's whole flows arrays that came before its blocks. Model digests
 have the hash of the whole JSON-encoded document that came before the
 digest hashed its state list as joined labels. Model spaces have the
-tuple enumeration _parse_space ran before it returned an array. Tests freeze or recompute these values and compare the
-implementation against them.
+tuple enumeration _parse_space ran before it returned an array. Tests
+freeze or recompute these values and compare the implementation against
+them.
 """
 
 from __future__ import annotations

@@ -907,9 +907,10 @@ def test_commands_make_no_state_tuples(argv, rc, tmp_path, monkeypatch, capsys):
     from floworder.model import NetworkSpec
 
     params = TandemParams.linear(3, 2, 1.5)
+    builders = {"original": build_original_tandem, "balanced": build_balanced_tandem}
     files = {
         name: write_doc(tmp_path, f"{name}.json", serialize_model(build(params)))
-        for name, build in (("original", build_original_tandem), ("balanced", build_balanced_tandem))
+        for name, build in builders.items()
     }
 
     def refuse(self):
@@ -930,5 +931,6 @@ def test_sweep_solves_at_the_tolerance_it_reports(tmp_path, capsys):
     assert main(["sweep", "--sizes", "2", "--betas", "1"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("floworder: stationary residual ") and err.count("\n") == 1
-    assert err.endswith(" above tolerance 1e-300\n") and solve_err.endswith(" above tolerance 1e-300\n")
+    assert err.endswith(" above tolerance 1e-300\n")
+    assert solve_err.endswith(" above tolerance 1e-300\n")
     assert not os.listdir(tmp_path)

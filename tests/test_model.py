@@ -833,7 +833,8 @@ def test_array_spaces_match_the_tuple_enumeration(case):
         params={},
         clamp=True,
     )
-    from_array, from_tuples = NetworkSpec(states=coords, **parts), NetworkSpec(states=expected, **parts)
+    from_array = NetworkSpec(states=coords, **parts)
+    from_tuples = NetworkSpec(states=expected, **parts)
     assert from_array == from_tuples and from_array.states == expected
     for link in links:
         assert from_array.rate_vector(link).tobytes() == from_tuples.rate_vector(link).tobytes()
@@ -856,7 +857,8 @@ def test_array_states_follow_the_tuple_rules(rows, message):
     it later leaves the spec as it was built."""
     array = np.array(rows, dtype=np.int64)
     built = space_outcome(lambda: NetworkSpec(**unit_rate_parts(2, array)))
-    assert built == space_outcome(lambda: NetworkSpec(**unit_rate_parts(2, tuple(map(tuple, rows)))))
+    as_tuples = tuple(map(tuple, rows))
+    assert built == space_outcome(lambda: NetworkSpec(**unit_rate_parts(2, as_tuples)))
     if message is not None:
         assert built == message
         return
