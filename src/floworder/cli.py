@@ -163,19 +163,32 @@ def _check_replications(config: argparse.Namespace):
         raise UsageError("--jobs must be at least 1")
 
 
-def _map_replications(worker, tasks: list, jobs: int) -> list:
-    """worker over tasks, results in task order, on min(jobs, len(tasks)) processes.
+def _replicate(config: argparse.Namespace, stem: str, worker, header: dict, *args):
+    """Make the output directory and map worker over the replications on
+    min(jobs, reps) processes, replication k's task being its CSV path
+    <stem>_rep<k:04d>.csv, header, *args, the horizon and its seed.
+    Returns the directory and the sums of the workers' (events, count)
+    results.
 
     A process pool starts all of its workers up front, so it is never
     larger than the number of tasks; with one worker the map runs here.
     """
-    workers = min(jobs, len(tasks))
+    out = _out_dir(config)
+    prefix = os.path.join(out, f"{stem}_rep")
+    tasks = [
+        (f"{prefix}{k:04d}.csv", header, *args, config.horizon, replication_seed(config.seed, k))
+        for k in range(config.reps)
+    ]
+    workers = min(config.jobs, config.reps)
     if workers <= 1:
-        return [worker(task) for task in tasks]
-    import concurrent.futures
+        results = map(worker, tasks)
+    else:
+        import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, tasks))
+    events, count = map(sum, zip(*results))
+    return out, events, count
 
 
 def _out_dir(config: argparse.Namespace) -> str:
@@ -196,11 +209,8 @@ def _header(config: argparse.Namespace, models: dict[str, NetworkSpec]) -> dict:
 
 
 def _write_json(path: str, header: dict, payload: dict):
-    body = {"header": header}
-    body.update(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(body, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(json.dumps({"header": header, **payload}, sort_keys=True, indent=2) + "\n")
 
 
 def _header_lines(header: dict) -> list[str]:
@@ -218,8 +228,7 @@ def _header_lines(header: dict) -> list[str]:
 def _write_csv(path: str, header: dict, chunks):
     """The header's comment lines, then the body's text chunks as they come."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _header_lines(header):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in _header_lines(header))
         fh.writelines(chunks)
 
 
@@ -296,17 +305,9 @@ def _cmd_couple(config: argparse.Namespace) -> int:
     header = _header(config, {"a": spec_a, "b": spec_b})
     init = _initial_state(config, spec_a)
     _start_pair(spec_a, spec_b, init, init)  # before the output directory is made
-    out = _out_dir(config)
-    tasks = [
-        (
-            os.path.join(out, f"couple_rep{k:04d}.csv"), header,
-            spec_a, spec_b, init, config.horizon, replication_seed(config.seed, k),
-        )
-        for k in range(config.reps)
-    ]
-    results = _map_replications(_couple_worker, tasks, config.jobs)
-    total_events = sum(n_events for n_events, _ in results)
-    total_violations = sum(n_violations for _, n_violations in results)
+    out, total_events, total_violations = _replicate(
+        config, "couple", _couple_worker, header, spec_a, spec_b, init
+    )
     summary = {
         "replications": config.reps,
         "horizon": config.horizon,
@@ -336,17 +337,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     header = _header(config, {"a": spec})
     init = _initial_state(config, spec)
     _start_index(spec, init)  # before the output directory is made
-    out = _out_dir(config)
-    tasks = [
-        (
-            os.path.join(out, f"sim_rep{k:04d}.csv"), header,
-            spec, init, config.horizon, replication_seed(config.seed, k),
-        )
-        for k in range(config.reps)
-    ]
-    results = _map_replications(_sim_worker, tasks, config.jobs)
-    total_events = sum(n_events for n_events, _ in results)
-    absorbed = sum(int(was_absorbed) for _, was_absorbed in results)
+    out, total_events, absorbed = _replicate(config, "sim", _sim_worker, header, spec, init)
     summary = {
         "replications": config.reps,
         "horizon": config.horizon,

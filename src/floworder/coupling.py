@@ -9,7 +9,7 @@ ahead. There is one form, the state-flow coupling: the pair (x, x') with
 per-link flow counters for both sides, simulated by
 simulate_coupled(spec_a, spec_b, ...) straight from the two specs. It
 runs on ctmc.gillespie over index pairs (i, i'), each coded as the int
-i * len(B's states) + i', with the bins (joint, B-only, A-only) of each
+i * len(B's coords) + i', with the bins (joint, B-only, A-only) of each
 link in declared link order. A pair's kernel row is built on its first
 visit and kept (a ctmc._Rows), so only the pairs a path reaches are ever
 evaluated: its running bin sums from the two sides' rates, and its
@@ -18,7 +18,7 @@ next_index arrays. A side that does not move in a bin keeps its index.
 
 A coupled path is a PairedEventLog of three columns: event times, bins
 and state-index pairs. The bin code 3 * k + kind and the pair code
-ia * len(states_b) + ib are decoded here, as arrays. The log's views
+ia * len(coords_b) + ib are decoded here, as arrays. The log's views
 decode them once per log: flows(side), each side's counters as one
 (events + 1, links) int64 array, and visits(side), each side's state
 index after every event. The population coupling is the same path read
@@ -45,6 +45,7 @@ from .ctmc import (
     EventView,
     _flow_counts,
     _label_visits,
+    _log_eq,
     _Rows,
     gillespie,
 )
@@ -106,17 +107,17 @@ class PairedEventLog:
 
     times[e] is the time of event e; bins[e] is 3 * k + kind, with k the
     position of its link in `links` and kind 0, 1, 2 for joint, B-only
-    and A-only; pairs[e] is ia * len(states_b) + ib, the indices in
-    states_a and states_b of the two states after it. Both codes are
-    decoded once, on first read; flows(side) and visits(side) are the
-    decoded views.
+    and A-only; pairs[e] is ia * len(coords_b) + ib, the rows of the
+    specs' arrays coords_a and coords_b holding the two states after it.
+    Both codes are decoded once, on first read; flows(side) and
+    visits(side) are the decoded views.
     """
 
     initial_a: State
     initial_b: State
     links: tuple[Link, ...]
-    states_a: tuple[State, ...] = field(repr=False)
-    states_b: tuple[State, ...] = field(repr=False)
+    coords_a: np.ndarray = field(repr=False)
+    coords_b: np.ndarray = field(repr=False)
     times: array
     bins: array
     pairs: array
@@ -129,8 +130,10 @@ class PairedEventLog:
         # The view holds the columns, not the log, so a log is no reference
         # cycle and is freed as soon as it is dropped.
         columns = (self.times, self.bins, self.pairs)
-        make = partial(_coupled_events, *columns, self.links, self.states_a, self.states_b)
+        make = partial(_coupled_events, *columns, self.links, self.coords_a, self.coords_b)
         self.events = EventView(len(self.times), make)
+
+    __eq__ = _log_eq
 
     @cached_property
     def _bin_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +144,7 @@ class PairedEventLog:
     def _pair_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """(A's state index, B's state index) after every event, read-only."""
         pairs = np.asarray(self.pairs, dtype=np.int64)
-        return _read_only(np.divmod(pairs, len(self.states_b)))
+        return _read_only(np.divmod(pairs, len(self.coords_b)))
 
     def flows(self, side: str) -> np.ndarray:
         """Flow counters of side 'a' or 'b', as an (events + 1, links) int64 array.
@@ -160,15 +163,16 @@ class PairedEventLog:
         return self._pair_codes[column]
 
 
-def _coupled_events(times, bins, pairs, links, states_a, states_b):
+def _coupled_events(times, bins, pairs, links, coords_a, coords_b):
     positions, kinds = np.divmod(np.asarray(bins, dtype=np.int64), 3)
-    visits_a, visits_b = np.divmod(np.asarray(pairs, dtype=np.int64), len(states_b))
+    visits_a, visits_b = np.divmod(np.asarray(pairs, dtype=np.int64), len(coords_b))
     # zip over the columns yields each row as a tuple
     flows_a = zip(*_flow_counts(positions, kinds != _SIDES["a"][1], len(links))[1:].T.tolist())
     flows_b = zip(*_flow_counts(positions, kinds != _SIDES["b"][1], len(links))[1:].T.tolist())
-    columns = (positions.tolist(), kinds.tolist(), visits_a.tolist(), visits_b.tolist())
-    for t, k, kind, ia, ib, fa, fb in zip(times, *columns, flows_a, flows_b):
-        yield CoupledEvent(t, links[k], _KINDS[kind], states_a[ia], states_b[ib], fa, fb)
+    states_a, states_b = coords_a[visits_a].tolist(), coords_b[visits_b].tolist()
+    columns = (positions.tolist(), kinds.tolist(), states_a, states_b)
+    for t, k, kind, xa, xb, fa, fb in zip(times, *columns, flows_a, flows_b):
+        yield CoupledEvent(t, links[k], _KINDS[kind], tuple(xa), tuple(xb), fa, fb)
 
 
 def _read_only(arrays):
@@ -229,7 +233,7 @@ def simulate_coupled(
     from the component rate arrays when a path first reaches it, so the
     reachable pair space stays implicit.
 
-    The kernel's state is the pair code ia * len(B's states) + ib, and a
+    The kernel's state is the pair code ia * len(B's coords) + ib, and a
     pair's row, with its bins' target codes, is built on its first visit.
     Candidate events are ordered (joint, B-only, A-only) within each link
     and links keep their declared order, so a seed fixes the path exactly.
@@ -269,8 +273,8 @@ def simulate_coupled(
         initial_a=xa,
         initial_b=xb,
         links=links,
-        states_a=spec_a.states,
-        states_b=spec_b.states,
+        coords_a=spec_a.coords,
+        coords_b=spec_b.coords,
         times=times,
         bins=bins,
         pairs=pairs,
@@ -313,8 +317,8 @@ def paired_log_csv(log: PairedEventLog):
     when its side moved.
     """
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
-    width = len(log.states_b)
-    labels_a, labels_b = [None] * len(log.states_a), [None] * width
+    width = len(log.coords_b)
+    labels_a, labels_b = [None] * len(log.coords_a), [None] * width
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
     fa = fb = ";".join(cells_a)
@@ -325,8 +329,8 @@ def paired_log_csv(log: PairedEventLog):
         positions, kinds = (c.tolist() for c in np.divmod(np.asarray(bins, dtype=np.int64), 3))
         pairs = np.asarray(log.pairs[start:stop], dtype=np.int64)
         visits_a, visits_b = (c.tolist() for c in np.divmod(pairs, width))
-        _label_visits(labels_a, log.states_a, visits_a)
-        _label_visits(labels_b, log.states_b, visits_b)
+        _label_visits(labels_a, log.coords_a, visits_a)
+        _label_visits(labels_b, log.coords_b, visits_b)
         lines = []
         for t, b, k, kind, ia, ib in zip(
             log.times[start:stop], bins, positions, kinds, visits_a, visits_b

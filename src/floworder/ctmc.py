@@ -36,7 +36,7 @@ array counted from the moves column (flows()).
 The generator holds the states as the spec's coords array, and nothing
 here makes a tuple per state: a state is looked up by comparing columns
 (find_row), and ReducibleChainError names its classes' states from
-their rows. Only simulate_path hands the spec's state tuples to its log.
+their rows, and a log's event views and CSV writers read coords rows too.
 
 Reports: the CSV writers event_log_csv and distribution_csv (and
 coupling's paired_log_csv) are generators of text chunks of at most
@@ -95,7 +95,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, repeat
 from operator import methodcaller
@@ -200,20 +200,28 @@ class EventView:
         return f"EventView({list(self)!r})"
 
 
+def _log_eq(a, b):
+    """A dataclass's ==, with ndarray fields compared by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
 @dataclass
 class EventLog:
     """One simulated path, as columns over its events.
 
     times[e] is the time of event e, moves[e] the position in `links` of
-    the link it moved along and visits[e] the index in `states` of the
-    state after it.
+    the link it moved along and visits[e] the row of `coords`, the spec's
+    read-only (m, n) int64 array, holding the state after it.
     """
 
     initial: State
     times: array
     moves: array
     visits: array
-    states: tuple[State, ...] = field(repr=False)
+    coords: np.ndarray = field(repr=False)
     horizon: float
     absorbed: bool
     links: tuple[Link, ...]
@@ -224,8 +232,10 @@ class EventLog:
         # The view holds the columns, not the log, so a log is no reference
         # cycle and is freed as soon as it is dropped.
         columns = (self.times, self.moves, self.visits)
-        make = partial(_events, self.initial, *columns, self.states, self.links)
+        make = partial(_events, self.initial, *columns, self.coords, self.links)
         self.events = EventView(len(self.times), make)
+
+    __eq__ = _log_eq
 
     def flows(self) -> np.ndarray:
         """The flow counters as an (events + 1, links) int64 array.
@@ -237,10 +247,9 @@ class EventLog:
         return _flow_counts(moves, 1, len(self.links))
 
 
-def _events(initial, times, moves, visits, states, links):
+def _events(initial, times, moves, visits, coords, links):
     pre = initial
-    for t, k, i in zip(times, moves, visits):
-        post = states[i]
+    for t, k, post in zip(times, moves, map(tuple, coords[visits].tolist())):
         yield Event(t, links[k], pre, post)
         pre = post
 
@@ -496,7 +505,7 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
         times=times,
         moves=moves,
         visits=visits,
-        states=spec.states,
+        coords=spec.coords,
         horizon=float(horizon),
         absorbed=absorbed,
         links=spec.links,
@@ -613,7 +622,8 @@ def distribution_vector(gen: Generator, p0) -> np.ndarray:
     s = vec.sum()
     if abs(s - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {s}, not 1")
-    return np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum()
+    np.clip(vec, 0.0, None, out=vec)
+    return vec / vec.sum()
 
 
 # Largest Poisson truncation depth _poisson_weights lays out: each of its
@@ -756,14 +766,12 @@ def throughput(spec: NetworkSpec, pi, link: Link) -> float:
 _CSV_ROWS = 4096
 
 
-def _label_visits(labels: list, states, visits) -> None:
-    """Label each state of `visits` (state indices) that `labels`, a list
-    over `states`, holds no label for yet, its coordinates joined by ';'
-    (_row_labels over the fresh states' columns); a writer fills it block
-    by block, so a log labels only the states it visited."""
+def _label_visits(labels: list, coords: np.ndarray, visits) -> None:
+    """Label each row of coords in `visits` that `labels`, a list over
+    its rows, holds no label for yet (_row_labels, joined by ';'); a
+    writer fills it block by block, labelling only the visited states."""
     fresh = [i for i in set(visits) if labels[i] is None]
-    columns = list(zip(*(states[i] for i in fresh)))
-    for i, label in zip(fresh, _row_labels(columns, ";")):
+    for i, label in zip(fresh, _row_labels(coords[fresh].T.tolist(), ";")):
         labels[i] = label
 
 
@@ -776,12 +784,12 @@ def event_log_csv(log: EventLog):
     visits are labelled, each before the first chunk that names it.
     """
     prefixes = [f"{i},{j}," for i, j in log.links]
-    labels = [None] * len(log.states)
+    labels = [None] * len(log.coords)
     yield "time,link_from,link_to,state_after\n"
     for start in range(0, len(log.times), _CSV_ROWS):
         stop = start + _CSV_ROWS
         visits = log.visits[start:stop]
-        _label_visits(labels, log.states, visits)
+        _label_visits(labels, log.coords, visits)
         rows = zip(log.times[start:stop], log.moves[start:stop], visits)
         yield "".join([f"{t!r},{prefixes[k]}{labels[i]}\n" for t, k, i in rows])
 

@@ -45,10 +45,10 @@ above are checked on them when a NetworkSpec is constructed:
 A spec built directly is held to the same rules as a parsed document,
 its space included, but may list its states in any order, as a sequence
 of states or as an array; keys out of order are argsorted before the
-search. No tuple per state is made unless a caller reads
-NetworkSpec.states, and no dict from state to index is built: a state is
-looked up by NetworkSpec.find (find_row), which compares columns, and a
-report or message names a state from its row. Library entry points take
+search. Only rate_table reads the tuple view NetworkSpec.states, and no
+dict from state to index is built: a state is looked up by
+NetworkSpec.find (find_row), which compares columns, and a report, a
+message or a path names a state from its row. Library entry points take
 a starting state as any sequence of numbers, and _as_state holds it to
 the coordinate rule above.
 """

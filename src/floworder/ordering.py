@@ -535,15 +535,11 @@ def pathwise_population_order_check(log: PairedEventLog):
     """Scan a coupled log for coordinatewise population-order violations.
 
     Returns (time, node) pairs (nodes 1-based), in (event, node) order,
-    where A's count exceeds B's. The states after each event are read
-    through the log's visits arrays; the counters are not needed.
+    where A's count exceeds B's. The states after each event are the
+    coords rows at the log's visits arrays; the counters are not needed.
     """
-    n = len(log.initial_a)
-    states_a = np.asarray(log.states_a, dtype=np.int64).reshape(-1, n)
-    states_b = np.asarray(log.states_b, dtype=np.int64).reshape(-1, n)
-    events, nodes = np.nonzero(states_a[log.visits("a")] > states_b[log.visits("b")])
-    times = log.times
-    return [(times[e], i + 1) for e, i in zip(events.tolist(), nodes.tolist())]
+    events, nodes = np.nonzero(log.coords_a[log.visits("a")] > log.coords_b[log.visits("b")])
+    return [(log.times[e], i + 1) for e, i in zip(events.tolist(), nodes.tolist())]
 
 
 @dataclass

@@ -1292,14 +1292,14 @@ def text_lines(chunks) -> list[str]:
     return "".join(chunks).splitlines(keepends=True)
 
 
-def _whole_text_labels(states) -> list[str]:
-    return [";".join(map(str, x)) for x in states]
+def _whole_text_labels(rows) -> list[str]:
+    return [";".join(map(str, row)) for row in rows]
 
 
 def whole_event_log_csv(log) -> str:
     """event_log_csv as the one string it returned before it yielded chunks."""
     prefixes = [f"{i},{j}," for i, j in log.links]
-    labels = _whole_text_labels(log.states)
+    labels = _whole_text_labels(log.coords.tolist())
     lines = ["time,link_from,link_to,state_after"]
     lines += [
         f"{t!r},{prefixes[k]}{labels[i]}" for t, k, i in zip(log.times, log.moves, log.visits)
@@ -1320,10 +1320,11 @@ def whole_paired_log_csv(log) -> str:
     decoding the log's codes whole."""
     kinds_text = (JOINT, B_ONLY, A_ONLY)
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in kinds_text]
-    labels_a, labels_b = _whole_text_labels(log.states_a), _whole_text_labels(log.states_b)
+    labels_a = _whole_text_labels(log.coords_a.tolist())
+    labels_b = _whole_text_labels(log.coords_b.tolist())
     positions, kinds = (c.tolist() for c in np.divmod(np.asarray(log.bins, dtype=np.int64), 3))
     pairs = np.asarray(log.pairs, dtype=np.int64)
-    visits_a, visits_b = (c.tolist() for c in np.divmod(pairs, len(log.states_b)))
+    visits_a, visits_b = (c.tolist() for c in np.divmod(pairs, len(log.coords_b)))
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
     fa = fb = ";".join(cells_a)

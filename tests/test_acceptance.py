@@ -61,14 +61,14 @@ def audit_coupled_log(log):
     counters. Returns events audited."""
     links = log.links
     positions, kinds = np.divmod(np.asarray(log.bins, dtype=np.int64), 3)
-    for side, initial, states, still in (
-        ("a", log.initial_a, log.states_a, 1),  # A stays put in B-only events
-        ("b", log.initial_b, log.states_b, 2),
+    for side, initial, coords, still in (
+        ("a", log.initial_a, log.coords_a, 1),  # A stays put in B-only events
+        ("b", log.initial_b, log.coords_b, 2),
     ):
         flows = log.flows(side)
         sig = balance_signature(initial, flows[0], links)
-        for i, row in zip(log.visits(side).tolist(), flows[1:].tolist()):
-            assert balance_signature(states[i], row, links) == sig
+        for x, row in zip(coords[log.visits(side)].tolist(), flows[1:].tolist()):
+            assert balance_signature(x, row, links) == sig
         own = np.flatnonzero(kinds != still)
         recount = np.zeros_like(flows)
         recount[own + 1, positions[own]] = 1

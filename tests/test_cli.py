@@ -891,6 +891,10 @@ def test_replication_commands_read_no_events_view(argv, tmp_path, monkeypatch, c
             1,
         ),
         (["verify", "--model-a", "{original}", "--model-b", "{balanced}"], 1),
+        (["couple", "--family", "tandem-pair", "--s1", "3", "--s2", "2", "--reps", "2"], 0),
+        (["couple", "--model-a", "{balanced}", "--model-b", "{original}", "--init", "1;1"], 0),
+        (["simulate", "--family", "tandem-original", "--s1", "3", "--s2", "2", "--reps", "2"], 0),
+        (["simulate", "--model-a", "{balanced}", "--init", "2;1"], 0),
         (["solve", "--family", "tandem-original", "--s1", "3", "--s2", "2"], 0),
         (["solve", "--model-a", "{balanced}"], 0),
         (["transient", "--family", "tandem-pair", "--s1", "3", "--s2", "2", "--grid", "0:4:2"], 0),
@@ -898,12 +902,14 @@ def test_replication_commands_read_no_events_view(argv, tmp_path, monkeypatch, c
     ],
     ids=[
         "check", "check-witnesses", "check-files", "verify", "verify-witnesses",
-        "verify-files", "solve", "solve-file", "transient", "sweep",
+        "verify-files", "couple", "couple-files", "simulate", "simulate-file", "solve",
+        "solve-file", "transient", "sweep",
     ],
 )
 def test_commands_make_no_state_tuples(argv, rc, tmp_path, monkeypatch, capsys):
-    """These commands read a space as its coords array, witnesses and
-    labels included, so the tuple view NetworkSpec.states is never read."""
+    """These commands read a space as its coords array, witnesses, labels
+    and simulated paths included, so the tuple view NetworkSpec.states is
+    never read."""
     from floworder.model import NetworkSpec
 
     params = TandemParams.linear(3, 2, 1.5)

@@ -13,9 +13,9 @@ from floworder.coupling import (
     paired_log_csv,
     simulate_coupled,
 )
-from floworder.ctmc import simulate_path
+from floworder.ctmc import event_log_csv, simulate_path
 from floworder.model import ModelError, balance_signature, parse_model
-from floworder.ordering import pathwise_flow_order_check
+from floworder.ordering import pathwise_flow_order_check, pathwise_population_order_check
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
 
@@ -192,12 +192,15 @@ def test_projections_are_valid_component_paths():
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 40.0, seed=77)
     assert len(log.times) > 20
     assert (np.diff(np.asarray(log.times)) > 0).all()
-    for side, spec, x in (("a", spec_a, log.initial_a), ("b", spec_b, log.initial_b)):
+    for side, spec, coords, x in (
+        ("a", spec_a, log.coords_a, log.initial_a),
+        ("b", spec_b, log.coords_b, log.initial_b),
+    ):
         flows = log.flows(side)
         moved = 0
-        for e, i in enumerate(log.visits(side).tolist()):
+        for e, row in enumerate(coords[log.visits(side)].tolist()):
             step = (flows[e + 1] - flows[e]).tolist()
-            post = spec.states[i]
+            post = tuple(row)
             if any(step):
                 k = step.index(1)
                 assert sum(step) == 1
@@ -216,9 +219,9 @@ def test_projections_of_an_absorbed_path_are_absorbed():
     log = simulate_coupled(drain, drain, (3,), (3,), 1e9, seed=4)
     direct = simulate_path(drain, (3,), 1e9, seed=4)
     assert log.absorbed and direct.absorbed
-    for side in ("a", "b"):
+    for side, coords in (("a", log.coords_a), ("b", log.coords_b)):
         last = int(log.visits(side)[-1])
-        assert drain.states[last] == (0,)
+        assert coords[last].tolist() == [0]
         assert all(drain.rate_vector(link)[last] == 0.0 for link in drain.links)
 
 
@@ -242,8 +245,8 @@ def test_balance_pair_conserved_along_coupled_paths():
     sig_b = balance_signature(log.initial_b, flows_b[0], links)
     assert (sig_a, sig_b) == ((0, 0), (0, 0))
     for ia, ib, row_a, row_b in zip(log.visits("a"), log.visits("b"), flows_a[1:], flows_b[1:]):
-        assert balance_signature(log.states_a[ia], row_a, links) == sig_a
-        assert balance_signature(log.states_b[ib], row_b, links) == sig_b
+        assert balance_signature(log.coords_a[ia], row_a, links) == sig_a
+        assert balance_signature(log.coords_b[ib], row_b, links) == sig_b
 
 
 def test_tandem_pair_counters_stay_ordered():
@@ -267,6 +270,44 @@ def test_same_seed_reproducible():
     a = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 25.0, seed=4)
     b = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 25.0, seed=4)
     assert a == b
+
+
+def test_logs_compare_their_spaces_by_value():
+    """A log holds its spec's coords array. Same-seed logs of two equal
+    specs built apart are equal (their arrays are equal, not the same
+    object), and equal columns over different spaces are not."""
+    (spec_a, spec_b), (twin_a, twin_b) = tandem_pair(2, 2, 1.0), tandem_pair(2, 2, 1.0)
+    assert twin_a.coords is not spec_a.coords
+    path, twin_path = (simulate_path(s, (0, 0), 25.0, seed=4) for s in (spec_b, twin_b))
+    coupled = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 25.0, seed=4)
+    twin_coupled = simulate_coupled(twin_a, twin_b, (0, 0), (0, 0), 25.0, seed=4)
+    assert path == twin_path and coupled == twin_coupled
+    shifted = spec_b.coords + 1
+    assert path != dataclasses.replace(path, coords=shifted)
+    assert coupled != dataclasses.replace(coupled, coords_a=shifted)
+    assert coupled != dataclasses.replace(coupled, coords_b=shifted[:-1])
+
+
+@pytest.mark.parametrize("permutation", ["reversed", "shuffled"])
+def test_paths_follow_the_states_not_their_indices(permutation):
+    """Specs listing their states in another order give the same seeded
+    paths: the same CSV bytes, from labels read off each spec's own
+    coords rows, and the same population-order violations."""
+    pair = tandem_pair(2, 3, 1.5)  # 11 and 12 states
+    rng = np.random.default_rng(5)
+    orders = [np.arange(len(spec.coords)) for spec in pair]
+    orders = [o[::-1] if permutation == "reversed" else rng.permutation(o) for o in orders]
+    permuted = [helpers.permuted_spec(spec, o.tolist()) for spec, o in zip(pair, orders)]
+    for spec, twin in zip(pair, permuted):
+        log, twin_log = (simulate_path(s, (1, 2), 30.0, seed=8) for s in (spec, twin))
+        assert not np.array_equal(log.visits, twin_log.visits)
+        assert "".join(event_log_csv(log)) == "".join(event_log_csv(twin_log))
+    # From unequal starts, so that A's counts exceed B's on some events.
+    log, twin_log = (simulate_coupled(*p, (2, 1), (0, 0), 30.0, seed=8) for p in (pair, permuted))
+    assert not np.array_equal(log.pairs, twin_log.pairs)
+    assert "".join(paired_log_csv(log)) == "".join(paired_log_csv(twin_log))
+    violations = pathwise_population_order_check(log)
+    assert violations and pathwise_population_order_check(twin_log) == violations
 
 
 def test_projected_event_counts_match_direct_distribution():
@@ -357,15 +398,16 @@ def test_writer_and_flow_scan_leave_the_cached_codes_unbuilt(long_coupled_path):
 
 def assert_arrays_match_reference(log, events):
     """Each side's flows and visits arrays against the reference loop's events."""
-    for side, states, flows_of, state_of in (
-        ("a", log.states_a, lambda ev: ev.flows_a, lambda ev: ev.state_a),
-        ("b", log.states_b, lambda ev: ev.flows_b, lambda ev: ev.state_b),
+    for side, coords, flows_of, state_of in (
+        ("a", log.coords_a, lambda ev: ev.flows_a, lambda ev: ev.state_a),
+        ("b", log.coords_b, lambda ev: ev.flows_b, lambda ev: ev.state_b),
     ):
         flows = log.flows(side)
         assert flows.shape == (len(events) + 1, len(log.links))
         assert not flows[0].any()
         assert [tuple(row) for row in flows[1:].tolist()] == [flows_of(ev) for ev in events]
-        assert [states[i] for i in log.visits(side).tolist()] == [state_of(ev) for ev in events]
+        visited = coords[log.visits(side)].tolist()
+        assert list(map(tuple, visited)) == [state_of(ev) for ev in events]
         assert not log.visits(side).flags.writeable  # the log's own decoded column
 
 

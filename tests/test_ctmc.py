@@ -185,7 +185,7 @@ def state_at(log, t):
     """The state at time t, right-continuous: the state after the last
     event at or before t, read off the visits column."""
     e = bisect_right(log.times, t)
-    return log.states[log.visits[e - 1]] if e else log.initial
+    return tuple(log.coords[log.visits[e - 1]].tolist()) if e else log.initial
 
 
 def test_state_at_steps_through_log():
@@ -197,7 +197,7 @@ def test_state_at_steps_through_log():
     assert state_at(log, first.time) == first.post
     assert state_at(log, 10.0) == log.events[-1].post
     for e, (t, i) in enumerate(zip(log.times, log.visits)):
-        assert state_at(log, t) == log.states[i] == log.events[e].post
+        assert state_at(log, t) == tuple(log.coords[i].tolist()) == log.events[e].post
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])

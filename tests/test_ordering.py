@@ -608,13 +608,13 @@ def test_pathwise_flow_order_flags_hand_built_violation():
         CoupledEvent(0.2, (0, 1), "joint", (1, 0), (1, 0), (1, 0, 0), (1, 0, 0)),
         CoupledEvent(0.5, (0, 1), "a_only", (2, 0), (1, 0), (2, 0, 0), (1, 0, 0)),
     ]
-    states = ((0, 0), (1, 0), (2, 0))
+    coords = np.array([(0, 0), (1, 0), (2, 0)])
     log = PairedEventLog(
         initial_a=(0, 0),
         initial_b=(0, 0),
         links=links,
-        states_a=states,
-        states_b=states,
+        coords_a=coords,
+        coords_b=coords,
         times=array("d", [0.2, 0.5]),
         bins=array("q", [0, 2]),  # joint, then A alone, on link 0
         pairs=array("q", [1 * 3 + 1, 2 * 3 + 1]),
@@ -687,8 +687,8 @@ def test_pathwise_population_order_flags_hand_built_violation():
         initial_a=(0, 1),
         initial_b=(0, 0),
         links=links,
-        states_a=((0, 1), (1, 1)),
-        states_b=((0, 0), (1, 0)),
+        coords_a=np.array([(0, 1), (1, 1)]),
+        coords_b=np.array([(0, 0), (1, 0)]),
         times=array("d", [0.7]),
         bins=array("q", [2]),  # A alone on link 0
         pairs=array("q", [1 * 2 + 1]),

@@ -198,7 +198,7 @@ def test_recover_counting_definition():
         times=array("d", [0.5, 1.2]),
         moves=array("q", [0, 1]),
         visits=array("q", [1, 2]),
-        states=((0, 0), (1, 0), (0, 1)),
+        coords=np.array([(0, 0), (1, 0), (0, 1)]),
         horizon=2.0,
         absorbed=False,
         links=links,
@@ -226,7 +226,7 @@ def test_trajectory_queries_between_jumps():
         times=array("d", [1.0, 2.0, 3.0]),
         moves=array("q", [0, 1, 0]),
         visits=array("q", [1, 0, 1]),
-        states=((0,), (1,)),
+        coords=np.array([(0,), (1,)]),
         horizon=4.0,
         absorbed=False,
         links=((0, 1), (1, 0)),
