@@ -22,11 +22,16 @@ model errors.
 
 The argument parser is built once, when this module is imported, with
 the options every subcommand shares on one parent parser; main() only
-calls parse_args, which leaves the parser as it was. A process that
-calls main() many times pays for the parser once. The parser is also
-the only place that names an option and its default: each command's
-handler reads the parsed namespace as it is, and main() checks --tol
-and dispatches on the command.
+parses, which leaves the parsers as they were. A process that calls
+main() many times pays for the parser once. When the first argument
+names a command, that command's subparser reads the rest directly, so
+argparse scans the arguments once, not twice; the top-level parser reads
+any other argument list (--help, --version, none, an unknown command or
+an option first) and reports arguments the subparser does not know, so
+both routes print and exit alike. The parser is also the only place that
+names an option and its default: each command's handler reads the parsed
+namespace as it is, and main() checks --tol and dispatches on the
+command.
 
 CSV bodies are written as their writers yield them, in chunks. couple
 and simulate check --init before they make the output directory; each
@@ -46,6 +51,7 @@ import sys
 from . import __version__
 from .coupling import _start_pair, paired_log_csv, simulate_coupled
 from .ctmc import (
+    _MAX_POISSON_DEPTH,
     SolverError,
     _start_index,
     build_generator,
@@ -66,6 +72,7 @@ from .ordering import (
 from .rng import replication_seed
 from .tandem import (
     TandemParams,
+    _tandem_pair,
     build_balanced_tandem,
     build_original_tandem,
     loss_rate,
@@ -115,8 +122,7 @@ def _model_pair(config: argparse.Namespace) -> tuple[NetworkSpec, NetworkSpec]:
             raise UsageError(
                 f"{config.command} compares two models; use --family tandem-pair"
             )
-        params = _tandem_params(config)
-        return build_balanced_tandem(params), build_original_tandem(params)
+        return _tandem_pair(_tandem_params(config))
     if config.model_a is None or config.model_b is None:
         raise UsageError(f"{config.command} needs --model-a and --model-b")
     return load_model(config.model_a), load_model(config.model_b)
@@ -132,6 +138,8 @@ def _parse_grid(grid: str) -> tuple[float, ...]:
         raise UsageError("--grid must look like t0:t1:steps") from None
     if not 0.0 <= t0 <= t1 < math.inf or steps < 1:
         raise UsageError("--grid needs finite 0 <= t0 <= t1 and steps >= 1")
+    if steps > _MAX_POISSON_DEPTH:
+        raise UsageError(f"--grid allows at most {_MAX_POISSON_DEPTH} steps")
     return tuple(t0 + k * (t1 - t0) / steps for k in range(steps + 1))
 
 
@@ -406,9 +414,7 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
     ]
     for beta in config.betas:
         for s in config.sizes:
-            params = TandemParams.linear(s, s, beta)
-            balanced = build_balanced_tandem(params)
-            original = build_original_tandem(params)
+            balanced, original = _tandem_pair(TandemParams.linear(s, s, beta))
             pi_bal = stationary_distribution(build_generator(balanced), tol=tol)
             pi_orig = stationary_distribution(build_generator(original), tol=tol)
             thr_bal = throughput(balanced, pi_bal, (0, 1))
@@ -484,6 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"floworder {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, help_text in (
         ("check", "pointwise flow and population condition reports"),
         ("verify", "exhaustive closure check of the flow-order relation"),
@@ -493,15 +500,31 @@ def _build_parser() -> argparse.ArgumentParser:
         ("transient", "expected-flow margins on a time grid"),
         ("sweep", "stationary throughput grid over tandem parameters"),
     ):
-        sub.add_parser(name, help=help_text, parents=[common])
-    return parser
+        subparsers[name] = sub.add_parser(name, help=help_text, parents=[common])
+    return parser, subparsers
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), with one argparse pass where argv[0] is a command.
+
+    That command's subparser reads the rest of argv, as the top-level
+    parser would hand it over, and arguments it does not know are reported
+    by the top-level parser, as parse_args reports them.
+    """
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    config, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return config
 
 
 def main(argv=None) -> int:
-    config = _PARSER.parse_args(argv)
+    config = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if not 0.0 <= config.tol < math.inf:
             raise UsageError("--tol must be finite and nonnegative")

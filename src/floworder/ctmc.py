@@ -806,4 +806,4 @@ def distribution_csv(coords: np.ndarray, probs):
     probs = np.asarray(probs, dtype=float).tolist()
     for start in range(0, len(probs), _CSV_ROWS):
         stop = start + _CSV_ROWS
-        yield "".join(map("{},{!r}\n".format, labels[start:stop], probs[start:stop]))
+        yield "".join([f"{x},{p!r}\n" for x, p in zip(labels[start:stop], probs[start:stop])])

@@ -15,13 +15,30 @@ Evaluation is total: there is no division and no partial function, so a
 compiled expression cannot fail at runtime. Comparisons are only legal
 inside ind(...).
 
+The tree's nodes are Num, Coord, Param, BinOp ('+', '-' or '*'), Neg,
+Extremum (min or max), Indicator with its Comparison tests, and Table, a
+per-level rate table. A run of two or more terms `scale * ind(x_c =
+level)` joined by '+' at the start of a sum, on one coordinate, each
+scale a parameter or a number and each level a number, is one
+Table(index, scales, levels). A '-', another coordinate, another test,
+an indicator on the left of its product or a scale that is not a leaf
+ends the run, and a lone term stays a BinOp. The parser folds the run as
+it reads the sum, on the tree the plain left-deep chain would be, so
+"(a + b) + c" folds as "a + b + c" does. The source text is kept as
+written.
+
 A text is tokenized in one findall pass, which skips what no token
 matches; a pass whose tokens miss a character that is not white space is
 a tokenize error. The recursive-descent parser reads the token list by
 index. An expression is evaluated once over the whole state array, giving
 one rate per state: numbers and parameters stay Python floats, as does
 any subtree that reads no coordinate, and coordinates come from one float
-copy of the state columns per call.
+copy of the state columns per call. A Table costs a fixed handful of
+numpy calls, however many terms it has: its scales times the one-hot of
+the column's values against its levels, np.cumsum down the terms (the
+chain's left to right sum, so each rate is bit for bit the chain's), and
+one gather per state. The values are 0..max of the column when that
+range is no longer than the column, else its distinct values.
 """
 
 from __future__ import annotations
@@ -92,6 +109,30 @@ class Comparison:
 @dataclass(slots=True)
 class Indicator:
     tests: tuple  # of Comparison, conjoined
+
+
+@dataclass(slots=True)
+class Table:
+    """scales[0] * ind(x = levels[0]) + scales[1] * ind(x = levels[1]) + ...,
+    summed left to right, where x is the coordinate `index`."""
+
+    index: int  # 0-based position in the state vector
+    scales: tuple  # of Param or Num, two or more
+    levels: tuple  # of float, one per scale
+
+
+def _table_entry(node):
+    """(index, scale, level) of a term scale * ind(x_c = level), scale a
+    Param or a Num and level a Num, else None."""
+    if type(node) is not BinOp or node.op != "*" or type(node.left) not in (Param, Num):
+        return None
+    ind = node.right
+    if type(ind) is not Indicator or len(ind.tests) != 1:
+        return None
+    test = ind.tests[0]
+    if test.op != "=" or type(test.left) is not Coord or type(test.right) is not Num:
+        return None
+    return test.left.index, node.left, test.right.value
 
 
 @dataclass(frozen=True)
@@ -166,13 +207,32 @@ class _Parser:
         return node
 
     def expr(self):
+        """A sum, whose leading run of table terms is one Table.
+
+        While the run lasts, `node` is its first term (or a Table read in
+        parentheses) and `run` holds its coordinate, scales and levels;
+        the first '-' or other term ends it.
+        """
         node = self.term()
         tokens = self.tokens
+        if type(node) is Table:
+            run = node.index, list(node.scales), list(node.levels)
+        else:
+            entry = _table_entry(node)
+            run = None if entry is None else (entry[0], [entry[1]], [entry[2]])
         while tokens[self.pos] in ("+", "-"):
             op = tokens[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
+            right = self.term()
+            if run is not None:
+                entry = _table_entry(right) if op == "+" else None
+                if entry is not None and entry[0] == run[0]:
+                    run[1].append(entry[1])
+                    run[2].append(entry[2])
+                    continue
+                node, run = _close_run(node, run), None
+            node = BinOp(op, node, right)
+        return node if run is None else _close_run(node, run)
 
     def term(self):
         node = self.unary()
@@ -244,6 +304,12 @@ class _Parser:
         raise ExpressionError(f"unknown identifier {text!r} in {self.source!r}")
 
 
+def _close_run(first, run):
+    """The Table of a run of table terms, or its first term if it has no other."""
+    index, scales, levels = run
+    return Table(index, tuple(scales), tuple(levels)) if len(scales) > 1 else first
+
+
 def parse_expression(source: str, n: int, param_names) -> RateExpr:
     """Compile `source` against an n-node network and a set of parameter names."""
     tokens = _tokenize(source)
@@ -257,7 +323,8 @@ def parse_expression(source: str, n: int, param_names) -> RateExpr:
 
 
 def evaluate(node, states, params) -> np.ndarray:
-    """Evaluate an expression node at every row of an (m, n) state array.
+    """Evaluate an expression node at every row of an (m, n) state array,
+    whose coordinates are integers >= 0, as every state space's are.
 
     Returns a new (m,) float array. Numbers and parameters are Python
     floats, and a subtree without a coordinate stays one, so it costs no
@@ -306,6 +373,16 @@ def _evaluate(node, columns, params):
         return columns[node.index]
     if kind is Param:
         return float(params[node.name])
+    if kind is Table:
+        column = columns[node.index]
+        top = column.max(initial=-1.0)
+        if top < len(column):  # the column holds integers >= 0
+            values, cells = np.arange(top + 1.0), column.astype(np.intp)
+        else:
+            values, cells = np.unique(column, return_inverse=True)
+        scales = [float(params[s.name]) if type(s) is Param else s.value for s in node.scales]
+        terms = np.multiply(np.array(scales)[:, None], values == np.array(node.levels)[:, None])
+        return np.cumsum(terms, axis=0)[-1][cells]
     if kind is Neg:
         return -_evaluate(node.operand, columns, params)
     if kind is Extremum:

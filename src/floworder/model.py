@@ -415,8 +415,10 @@ def _parse_space(space, n: int) -> np.ndarray:
     lexicographic order.
 
     A box is the rows of np.indices over its capacities, which come in
-    lexicographic order, less its excluded rows. A list is checked entry
-    by entry, in the order given, then its rows are sorted."""
+    lexicographic order, less its excluded rows; one whose state count
+    passes the largest np.intp, or whose arrays cannot be allocated, is a
+    ModelError. A list is checked entry by entry, in the order given, then
+    its rows are sorted."""
     if not isinstance(space, dict):
         raise ModelError("space must be an object with 'box' or 'list'")
     keys = set(space)
@@ -436,10 +438,16 @@ def _parse_space(space, n: int) -> np.ndarray:
                 raise ModelError(f"excluded state {x} lies outside the box")
             excluded.append(x)
         shape = tuple(c + 1 for c in caps)
-        kept = np.ones(math.prod(shape), dtype=bool)
-        if excluded:
-            kept[np.ravel_multi_index(tuple(zip(*excluded)), shape)] = False
-        coords = np.indices(shape, dtype=np.int64).reshape(n, -1).T[kept]
+        count = math.prod(shape)
+        try:
+            if count > np.iinfo(np.intp).max:  # numpy would raise a ValueError
+                raise MemoryError
+            kept = np.ones(count, dtype=bool)
+            if excluded:
+                kept[np.ravel_multi_index(tuple(zip(*excluded)), shape)] = False
+            coords = np.indices(shape, dtype=np.int64).reshape(n, -1).T[kept]
+        except MemoryError:
+            raise ModelError(f"box of {count} states is too large to allocate") from None
         if not len(coords):
             raise ModelError("empty state space")
     elif "list" in keys:

@@ -12,12 +12,15 @@ with delta(0) = 0).
     corner (s1, s2) becomes unreachable and is removed from its space.
 
 Each service table becomes an indicator-sum rate expression, one term
-per nonzero occupancy level. The builders make each expression's tree
-in the same loop that writes its text, so no text is parsed: the tree is
-the one parse_expression would build from that text, and the text is
-kept as the rate's source for serialization and model digests. Both
-builders return ordinary NetworkSpec models, checked by the
-constructor like any other, that serialize like any other.
+per nonzero occupancy level, whose text is one join of its terms. The
+builders make each expression's tree directly, so no text is parsed: the
+tree is the one parse_expression would build from that text (one Table
+node for two terms or more), and the text is kept as the rate's source
+for serialization and model digests. Both builders return ordinary
+NetworkSpec models, checked by the constructor like any other, that
+serialize like any other. A command that needs both variants builds them
+with _tandem_pair, from one box array (the balanced space is the box less
+its last row, the corner (s1, s2)) and one pair of table expressions.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import throughput
-from .expr import BinOp, Comparison, Coord, Indicator, Num, Param, RateExpr
+from .expr import BinOp, Comparison, Coord, Indicator, Num, Param, RateExpr, Table
 from .model import ModelError, NetworkSpec, _parse_space
 from .model import parse_model  # unused; bench/tracing.py patches tandem.parse_model
 
@@ -83,26 +86,22 @@ def _table_expression(coord: int, prefix: str, table) -> tuple[tuple[str, object
     """Indicator-sum expression for a per-occupancy rate table of the
     1-based coordinate `coord`, as (text, tree), and its parameters.
 
-    The tree is the left-deep sum parse_expression builds from the text,
-    or Num(0.0) for the text "0" when every entry is zero.
+    The text has one term per nonzero level, joined by " + ", and the tree
+    is the one parse_expression builds from it: a Table for two terms or
+    more, the lone term's product for one, and Num(0.0) for the text "0"
+    when every entry is zero.
     """
-    params = {}
-    terms = []
-    root = None
-    for k in range(1, len(table)):
-        name = f"{prefix}_{k}"
-        params[name] = float(table[k])
-        if table[k] != 0.0:
-            terms.append(f"{name} * ind(x{coord} = {k})")
-            term = BinOp(
-                "*",
-                Param(name),
-                Indicator((Comparison("=", Coord(coord - 1), Num(float(k))),)),
-            )
-            root = term if root is None else BinOp("+", root, term)
-    if root is None:
+    names = [f"{prefix}_{k}" for k in range(1, len(table))]
+    params = {name: float(v) for name, v in zip(names, table[1:])}
+    levels = [k for k in range(1, len(table)) if table[k] != 0.0]
+    if not levels:
         return ("0", Num(0.0)), params
-    return (" + ".join(terms), root), params
+    text = " + ".join(f"{names[k - 1]} * ind(x{coord} = {k})" for k in levels)
+    scales = tuple(Param(names[k - 1]) for k in levels)
+    if len(levels) > 1:
+        return (text, Table(coord - 1, scales, tuple(map(float, levels)))), params
+    test = Comparison("=", Coord(coord - 1), Num(float(levels[0])))
+    return (text, BinOp("*", scales[0], Indicator((test,)))), params
 
 
 def _below_capacity(*coords: int) -> tuple[str, Indicator]:
@@ -117,13 +116,23 @@ def _product(left: tuple[str, object], right: tuple[str, object]) -> tuple[str, 
     return f"{left[0]} * {right[0]}", BinOp("*", left[1], right[1])
 
 
-def _tandem(params: TandemParams, balanced: bool) -> NetworkSpec:
-    """The tandem model of either variant, built from its rate trees."""
-    (d1, t1), p1 = _table_expression(1, "delta1", params.delta1)
-    (d2, t2), p2 = _table_expression(2, "delta2", params.delta2)
-    space = {"box": [params.s1, params.s2]}
-    if balanced:
-        space["exclude"] = [[params.s1, params.s2]]
+def _service_tables(params: TandemParams):
+    """Both service tables' _table_expression results."""
+    return (
+        _table_expression(1, "delta1", params.delta1),
+        _table_expression(2, "delta2", params.delta2),
+    )
+
+
+def _box(params: TandemParams) -> np.ndarray:
+    return _parse_space({"box": [params.s1, params.s2]}, 2)
+
+
+def _tandem(params: TandemParams, tables, box, balanced: bool) -> NetworkSpec:
+    """The tandem model of either variant, built from its rate trees: on
+    the box, or for the balanced variant on the box less its last row,
+    the corner (s1, s2)."""
+    ((d1, t1), p1), ((d2, t2), p2) = tables
     beta = ("beta", Param("beta"))
     rates = {
         (0, 1): _product(beta, _below_capacity(1, 2) if balanced else _below_capacity(1)),
@@ -133,7 +142,7 @@ def _tandem(params: TandemParams, balanced: bool) -> NetworkSpec:
     return NetworkSpec(
         n=2,
         links=tuple(rates),
-        states=_parse_space(space, 2),
+        states=box[:-1] if balanced else box,
         rates={link: RateExpr(text, tree, 2) for link, (text, tree) in rates.items()},
         params={
             "beta": float(params.beta),
@@ -145,12 +154,22 @@ def _tandem(params: TandemParams, balanced: bool) -> NetworkSpec:
     )
 
 
+def _tandem_pair(params: TandemParams) -> tuple[NetworkSpec, NetworkSpec]:
+    """(balanced, original), equal to the two builders' models, from one
+    box array and one pair of service-table expressions."""
+    tables, box = _service_tables(params), _box(params)
+    return (
+        _tandem(params, tables, box, balanced=True),
+        _tandem(params, tables, box, balanced=False),
+    )
+
+
 def build_original_tandem(params: TandemParams) -> NetworkSpec:
-    return _tandem(params, balanced=False)
+    return _tandem(params, _service_tables(params), _box(params), balanced=False)
 
 
 def build_balanced_tandem(params: TandemParams) -> NetworkSpec:
-    return _tandem(params, balanced=True)
+    return _tandem(params, _service_tables(params), _box(params), balanced=True)
 
 
 def loss_rate_applies(spec: NetworkSpec) -> bool:

@@ -545,6 +545,14 @@ def scalar_evaluate(node, x, params) -> float:
             if not ok:
                 return 0.0
         return 1.0
+    if isinstance(node, expr.Table):
+        # the chain scale * ind(x = level) + ..., one term at a time
+        total = None
+        for scale, level in zip(node.scales, node.levels):
+            hit = 1.0 if float(x[node.index]) == level else 0.0
+            term = scalar_evaluate(scale, x, params) * hit
+            total = term if total is None else total + term
+        return total
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -704,6 +712,58 @@ def same_tree(a, b) -> bool:
         elif a != b:
             return False
     return True
+
+
+def _table_entry(node):
+    """(coordinate, scale, level) of a chain term scale * ind(x_c = level)
+    whose scale is a Param or a Num and whose level is a Num, else None."""
+    if not (isinstance(node, expr.BinOp) and node.op == "*"):
+        return None
+    scale, ind = node.left, node.right
+    if not isinstance(scale, (expr.Param, expr.Num)) or not isinstance(ind, expr.Indicator):
+        return None
+    if len(ind.tests) != 1:
+        return None
+    (test,) = ind.tests
+    if test.op == "=" and isinstance(test.left, expr.Coord) and isinstance(test.right, expr.Num):
+        return test.left.index, scale, test.right.value
+    return None
+
+
+def fold_tables(root):
+    """The tree parse_expression makes, given the reference parser's plain
+    chain tree `root`: every a + b whose a is a table term or a Table and
+    whose b is a table term on the same coordinate becomes one Table,
+    innermost first. Rewrites the fresh nodes of `root` in place, children
+    before parents, with no recursion."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            children = value if isinstance(value, tuple) else (value,)
+            stack.extend(c for c in children if dataclasses.is_dataclass(c))
+    folded = {}
+    for node in reversed(order):  # a node after all of its children
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            if isinstance(value, tuple):
+                setattr(node, f.name, tuple(folded.get(id(c), c) for c in value))
+            elif id(value) in folded:
+                setattr(node, f.name, folded[id(value)])
+        if not (isinstance(node, expr.BinOp) and node.op == "+"):
+            continue
+        right = _table_entry(node.right)
+        left = node.left
+        if isinstance(left, expr.Table):
+            left = (left.index, left.scales, left.levels)
+        else:
+            left = _table_entry(left)
+            left = None if left is None else (left[0], (left[1],), (left[2],))
+        if left is not None and right is not None and left[0] == right[0]:
+            folded[id(node)] = expr.Table(left[0], left[1] + (right[1],), left[2] + (right[2],))
+    return folded.get(id(root), root)
 
 
 def reference_parse_expression(source: str, n: int, param_names) -> expr.RateExpr:

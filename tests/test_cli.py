@@ -21,6 +21,7 @@ from floworder import (
     model_digest,
     serialize_model,
 )
+from floworder import cli
 from floworder.cli import main
 from floworder.model import ModelError
 
@@ -651,6 +652,14 @@ def test_malformed_flag_values_exit_two(tmp_path, capsys):
     assert all(e.startswith("floworder: ") for e in errs if e)
 
 
+def test_grid_steps_stop_at_the_poisson_depth_limit():
+    """A grid may have as many steps as the Poisson depth limit, and one
+    more is refused before its times are made."""
+    assert len(cli._parse_grid("0:1:1000000")) == 1_000_001
+    with pytest.raises(cli.UsageError, match="^--grid allows at most 1000000 steps$"):
+        cli._parse_grid("0:1:1000001")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -661,6 +670,7 @@ def test_malformed_flag_values_exit_two(tmp_path, capsys):
         ["transient", "--family", "tandem-pair", "--grid", "nan:1:1"],
         ["transient", "--family", "tandem-pair", "--grid", "0:inf:1"],
         ["transient", "--family", "tandem-pair", "--grid=-1:1:2"],
+        ["transient", "--family", "tandem-pair", "--grid", "0:1:100000000000"],
         ["simulate", "--family", "tandem-original", "--reps", "-3"],
         ["couple", "--family", "tandem-pair", "--jobs", "0"],
         ["couple", "--family", "tandem-pair", "--jobs", "-1"],
@@ -791,6 +801,33 @@ HELP_DIGESTS = {
     "transient": "d33c3d5c3a91be02726521b84daf96061d9b36e5a36716126ec134a6633ce879",
     "sweep": "c245719ee532c347bb4770071b1ee56c5c0164689cd99e561fc4cb67cfe0ffa0",
 }
+
+
+PARSE_ROUTES = [
+    [], ["--help"], ["-h"], ["--version"], ["chek"], ["--s1", "3", "check"], ["check"],
+    ["check", "--help"], ["sweep", "-h", "--bogus"], ["check", "--version"],
+    ["check", "--bogus"], ["check", "extra", "--more"], ["check", "--", "--s1", "3"],
+    ["solve", "--s1", "x"], ["verify", "--model-a"], ["check", "--family", "nope"],
+    ["check", "--mod", "a.json", "--s1=4", "--s1", "5"], ["couple", "--tol", "-1e-3"],
+    ["sweep", "--sizes", "1,2", "--betas", "0.5"], ["simulate", "-"],
+    ["transient", "--family", "tandem-pair", "--grid", "0:1:2", "--link", "1->2"],
+    ["check", "check"], ["--version", "check"],
+] + [[name] for name in cli._SUBPARSERS]
+
+
+@pytest.mark.parametrize("argv", PARSE_ROUTES, ids=" ".join)
+def test_one_pass_parse_matches_the_top_level_parser(argv, capsys):
+    """Handing a command's arguments to its subparser gives the namespace,
+    exit status, standard output and standard error of the top-level parser."""
+
+    def outcome(parse):
+        try:
+            result = "namespace", vars(parse(list(argv)))
+        except SystemExit as e:
+            result = "exit", e.code
+        return result, capsys.readouterr()
+
+    assert outcome(cli._parse_args) == outcome(cli._PARSER.parse_args)
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout pinned under Python 3.11")

@@ -2,11 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
-from floworder.expr import ExpressionError, evaluate, parse_expression
+from floworder.expr import (
+    BinOp,
+    Comparison,
+    Coord,
+    ExpressionError,
+    Indicator,
+    Num,
+    Param,
+    Table,
+    evaluate,
+    parse_expression,
+)
 
 
 def ev(source, x, params=None, n=None):
@@ -155,3 +166,121 @@ def test_evaluate_returns_a_fresh_writable_array(source, expected):
     again = evaluate(root, states, {})
     assert not np.shares_memory(out, again)
     assert bits(again) == bits(expected)
+
+
+# ------------------------------------------------------------ table runs
+
+
+_TABLE_SCALES = ["a", "b", "c", "0", "1", "2.5", "1e308"]
+_TABLE_LEVELS = ["1", "1", "2", "1.5", "1e9", "1e9", "1000000001"]
+_TABLE_TAILS = ["", " + x1", " + c", " - b * ind(x1 = 1)", " + a * ind(x2 = 2)", " + 2 * x2"]
+_NEAR_1E9 = [0, 1, 2, 999_999_999, 1_000_000_000, 1_000_000_001]
+
+
+@st.composite
+def table_sums(draw):
+    """(text, params, states): a sum of 2 to 8 table terms on one coordinate,
+    maybe followed by other terms, with parameter scales that may be
+    negative, -0.0, 0, 2**53 or +-1e308, on a box or on a listed space with
+    coordinates near 10**9 (so both of the evaluator's value branches run).
+    Few levels, so that several terms often share one and their order of
+    addition shows in rounding, overflow and signed zeros."""
+    coord = draw(st.sampled_from([1, 2]))
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from(_TABLE_SCALES), st.sampled_from(_TABLE_LEVELS)),
+                 min_size=2, max_size=8)
+    )
+    text = " + ".join(f"{scale} * ind(x{coord} = {level})" for scale, level in terms)
+    text += draw(st.sampled_from(_TABLE_TAILS))
+    value = st.sampled_from([-3.5, -0.0, 0.0, 1.0, 2.0**53, 1e308, -1e308])
+    params = {name: draw(value) for name in "abc"}
+    if draw(st.booleans()):
+        caps = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+        states = np.indices((caps[0] + 1, caps[1] + 1)).reshape(2, -1).T
+    else:
+        pairs = st.tuples(st.sampled_from(_NEAR_1E9), st.sampled_from(_NEAR_1E9))
+        rows = draw(st.lists(pairs, min_size=1, max_size=8, unique=True))
+        states = np.array(rows + [(1_000_000_000, 1_000_000_000)], dtype=np.int64)
+    return text, params, states
+
+
+@given(table_sums())
+@example(("a * ind(x1 = 1) + 1 * ind(x1 = 1) + 1 * ind(x1 = 1)",
+          {"a": 2.0**53, "b": 0.0, "c": 0.0}, np.indices((3, 2)).reshape(2, -1).T))
+@example(("a * ind(x2 = 1e9) + b * ind(x2 = 1e9) + c * ind(x2 = 1e9)",
+          {"a": 1e308, "b": 1e308, "c": -1e308}, np.array([[0, 10**9], [1, 0]])))
+def test_table_runs_evaluate_as_the_chain(case):
+    text, params, states = case
+    root = parse_expression(text, 2, params).root
+    spine = root
+    while type(spine) is BinOp:
+        spine = spine.left
+    assert type(spine) is Table
+    chain = helpers.reference_parse_expression(text, 2, params).root
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = evaluate(root, states.astype(np.int64), params)
+    want = [helpers.scalar_evaluate(chain, tuple(x), params) for x in states.tolist()]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def term(scale, coord, level):
+    """scale * ind(x_{coord+1} = level), as the plain chain has it."""
+    return BinOp("*", scale, Indicator((Comparison("=", Coord(coord), Num(level)),)))
+
+
+A, B = Param("a"), Param("b")
+_RUN = Table(0, (A, B), (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "source, tree",
+    [
+        ("a * ind(x1 = 1) + b * ind(x1 = 2)", _RUN),
+        ("a * ind(x1 = 1) + 2 * ind(x1 = 1.5) + b * ind(x1 = 1)",
+         Table(0, (A, Num(2.0), B), (1.0, 1.5, 1.0))),
+        ("(a * ind(x1 = 1) + b * ind(x1 = 2)) + a * ind(x1 = 3)",
+         Table(0, (A, B, A), (1.0, 2.0, 3.0))),
+        ("a * ind(x1 = 1) + b * ind(x1 = 2) + a * ind(x2 = 1) + 1",
+         BinOp("+", BinOp("+", _RUN, term(A, 1, 1.0)), Num(1.0))),
+        ("a * ind(x1 = 1) + b * ind(x1 = 2) - a * ind(x1 = 3)",
+         BinOp("-", _RUN, term(A, 0, 3.0))),
+        ("a * ind(x1 = 1) + (a * ind(x1 = 1) + b * ind(x1 = 2))",
+         BinOp("+", term(A, 0, 1.0), _RUN)),
+        ("(a * ind(x1 = 1) + b * ind(x1 = 2)) * ind(x2 < b)",
+         BinOp("*", _RUN, Indicator((Comparison("<", Coord(1), B),)))),
+        ("min(a * ind(x2 = 1) + b * ind(x2 = 2), 1)",
+         Table(1, (A, B), (1.0, 2.0))),
+    ],
+)
+def test_parser_folds_table_runs(source, tree):
+    root = parse_expression(source, 2, {"a", "b"}).root
+    if source.startswith("min"):
+        root = root.args[0]
+    assert helpers.same_tree(root, tree)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "a * ind(x1 = 1)",  # a lone term
+        "a * ind(x1 = 1) - b * ind(x1 = 2)",
+        "a * ind(x1 = 1) + b * ind(x2 = 2)",
+        "a * ind(x1 < 1) + b * ind(x1 = 2)",
+        "a * ind(x1 = 1) + b * ind(x1 <= 2)",
+        "ind(x1 = 1) * a + b * ind(x1 = 2)",
+        "a * ind(x1 = 1) + ind(x1 = 2) * b",
+        "-a * ind(x1 = 1) + b * ind(x1 = 2)",
+        "(a + b) * ind(x1 = 1) + b * ind(x1 = 2)",
+        "a * b * ind(x1 = 1) + b * ind(x1 = 2)",
+        "a * ind(x1 = 1) * b + b * ind(x1 = 2)",
+        "1 + a * ind(x1 = 1) + b * ind(x1 = 2)",
+        "a * ind(x1 = 1, x2 = 1) + b * ind(x1 = 2)",
+        "a * ind(x1 = b) + b * ind(x1 = 2)",
+        "a * ind(1 = x1) + b * ind(x1 = 2)",
+    ],
+)
+def test_parser_leaves_other_sums_as_chains(source):
+    """A '-', another coordinate, another test, an indicator on the left, a
+    scale that is not a leaf or a run not at the start makes no Table."""
+    root = parse_expression(source, 2, {"a", "b"}).root
+    assert helpers.same_tree(root, helpers.reference_parse_expression(source, 2, {"a", "b"}).root)

@@ -912,6 +912,17 @@ def assert_cli_exits_two(doc):
     assert err.getvalue().startswith("floworder: ") and err.getvalue().count("\n") == 1
 
 
+def test_box_too_large_to_allocate_is_a_model_error():
+    """A box whose state count passes the largest np.intp is refused before
+    anything is allocated (numpy would raise a ValueError)."""
+    doc = json.loads(helpers.tandem_doc_text())
+    doc["space"] = {"box": [10**10, 10**10]}
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert str(err.value) == "box of 100000000020000000001 states is too large to allocate"
+    assert_cli_exits_two(doc)
+
+
 @pytest.mark.parametrize(
     "rate",
     ["(" * 400 + "x1" + ")" * 400, "-" * 5000 + "x1"],
@@ -1034,7 +1045,8 @@ def parse_outcome(parse, source):
 
 
 def assert_parser_matches_reference(source):
-    """The index parser gives the reference parser's tree or error message.
+    """The index parser gives the reference parser's tree, with its table
+    runs folded (helpers.fold_tables), or its error message.
 
     Running out of stack is the one allowed difference. The reference
     calls peek() and advance() where the index parser reads the list, so
@@ -1055,7 +1067,7 @@ def assert_parser_matches_reference(source):
             sys.setrecursionlimit(limit)
     assert got[0] == expected[0], (got, expected)
     if got[0] == "tree":
-        assert helpers.same_tree(got[1], expected[1])
+        assert helpers.same_tree(got[1], helpers.fold_tables(expected[1]))
     else:
         assert got[1] == expected[1]
 

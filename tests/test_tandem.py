@@ -9,10 +9,11 @@ from hypothesis import example, given, strategies as st
 import helpers
 from floworder.ctmc import build_generator, stationary_distribution, throughput
 from floworder.expr import parse_expression
-from floworder.model import ModelError, parse_model, serialize_model
+from floworder.model import ModelError, _parse_space, model_digest, parse_model, serialize_model
 from floworder.ordering import check_flow_conditions
 from floworder.tandem import (
     TandemParams,
+    _tandem_pair,
     build_balanced_tandem,
     build_original_tandem,
     loss_rate,
@@ -177,6 +178,25 @@ def test_builder_trees_are_the_parsed_trees(params):
                 (spec.next_index(link), parsed.next_index(link)),
             ):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(tandem_params())
+@example(TandemParams(1, 1, 0.0, (0, 0), (0, 0)))
+def test_tandem_pair_is_the_two_builders(params):
+    # one box and one pair of table expressions give both variants; the
+    # balanced space, the box less its last row, is the box less (s1, s2)
+    pair = _tandem_pair(params)
+    built = build_balanced_tandem(params), build_original_tandem(params)
+    space = {"box": [params.s1, params.s2], "exclude": [[params.s1, params.s2]]}
+    assert pair[0].coords.tobytes() == _parse_space(space, 2).tobytes()
+    for got, want in zip(pair, built):
+        assert got == want
+        assert got.coords.tobytes() == want.coords.tobytes()
+        for link in want.links:
+            assert helpers.same_tree(got.rates[link].root, want.rates[link].root)
+            assert got.rate_vector(link).tobytes() == want.rate_vector(link).tobytes()
+            assert got.next_index(link).tobytes() == want.next_index(link).tobytes()
+        assert model_digest(got) == model_digest(want)
 
 
 def test_flow_conditions_iff_increasing_tables():
