@@ -20,18 +20,18 @@ seed, tolerances, model digests) and a fixed invocation produces byte
 identical files. Exit status: 0 pass, 1 verdict failure, 2 usage or
 model errors.
 
-The argument parser is built once, when this module is imported, with
-the options every subcommand shares on one parent parser; main() only
-parses, which leaves the parsers as they were. A process that calls
-main() many times pays for the parser once. When the first argument
-names a command, that command's subparser reads the rest directly, so
-argparse scans the arguments once, not twice; the top-level parser reads
-any other argument list (--help, --version, none, an unknown command or
-an option first) and reports arguments the subparser does not know, so
-both routes print and exit alike. The parser is also the only place that
-names an option and its default: each command's handler reads the parsed
-namespace as it is, and main() checks --tol and dispatches on the
-command.
+Each command takes only the options its handler reads, and an option it
+would ignore exits 2 as an unrecognized argument. The argument parser is
+built once, when this module is imported; main() only parses, which
+leaves the parsers as they were. A process that calls main() many times
+pays for the parser once. When the first argument names a command, that
+command's subparser reads the rest directly, so argparse scans the
+arguments once, not twice; the top-level parser reads any other argument
+list (--help, --version, none, an unknown command or an option first)
+and reports arguments the subparser does not know, so both routes print
+and exit alike. The parser is also the only place that names an option
+and its default: each command's handler reads the parsed namespace as it
+is, and main() checks --tol and dispatches on the command.
 
 CSV bodies are written as their writers yield them, in chunks. couple
 and simulate check --init before they make the output directory; each
@@ -457,33 +457,37 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # Every subcommand takes the same options, so they live on one parent
-    # parser that each subparser copies: argparse then checks and formats
-    # each option once, not once per subcommand.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model-a", dest="model_a")
-    common.add_argument("--model-b", dest="model_b")
-    common.add_argument(
+    # Options that the same commands read share a parent parser, and each
+    # subparser copies the parents its handler reads: argparse checks and
+    # formats each option once, and a command refuses an option it would
+    # ignore. Every report header records the seed and the tolerance, so
+    # every command takes the header options.
+    header, model_a, model_b, tandem, runs, init, grid, fmt, witnesses, sweep = (
+        argparse.ArgumentParser(add_help=False) for _ in range(10)
+    )
+    header.add_argument("--seed", type=int, default=0)
+    header.add_argument("--tol", type=float, default=1e-8)
+    header.add_argument("--out")
+    model_a.add_argument("--model-a", dest="model_a")
+    model_b.add_argument("--model-b", dest="model_b")
+    tandem.add_argument(
         "--family", choices=["tandem-original", "tandem-balanced", "tandem-pair"]
     )
-    common.add_argument("--s1", type=int, default=2)
-    common.add_argument("--s2", type=int, default=2)
-    common.add_argument("--beta", type=float, default=1.0)
-    common.add_argument("--delta1", type=_float_list)
-    common.add_argument("--delta2", type=_float_list)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--horizon", type=float, default=10.0)
-    common.add_argument("--reps", type=int, default=1)
-    common.add_argument("--grid", default="0:10:10")
-    common.add_argument("--link", default="0->1")
-    common.add_argument("--init")
-    common.add_argument("--tol", type=float, default=1e-8)
-    common.add_argument("--out")
-    common.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--all-witnesses", dest="all_witnesses", action="store_true")
-    common.add_argument("--betas", type=_float_list, default=(0.5, 1.0, 2.0))
-    common.add_argument("--sizes", type=_int_list, default=(1, 2, 3))
+    tandem.add_argument("--s1", type=int, default=2)
+    tandem.add_argument("--s2", type=int, default=2)
+    tandem.add_argument("--beta", type=float, default=1.0)
+    tandem.add_argument("--delta1", type=_float_list)
+    tandem.add_argument("--delta2", type=_float_list)
+    runs.add_argument("--horizon", type=float, default=10.0)
+    runs.add_argument("--reps", type=int, default=1)
+    runs.add_argument("--jobs", type=int, default=1)
+    init.add_argument("--init")
+    grid.add_argument("--grid", default="0:10:10")
+    grid.add_argument("--link", default="0->1")
+    fmt.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    witnesses.add_argument("--all-witnesses", dest="all_witnesses", action="store_true")
+    sweep.add_argument("--betas", type=_float_list, default=(0.5, 1.0, 2.0))
+    sweep.add_argument("--sizes", type=_int_list, default=(1, 2, 3))
     parser = argparse.ArgumentParser(
         prog="floworder",
         description="Simulate and order-certify population processes on linear networks.",
@@ -491,16 +495,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"floworder {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
-    for name, help_text in (
-        ("check", "pointwise flow and population condition reports"),
-        ("verify", "exhaustive closure check of the flow-order relation"),
-        ("couple", "coupled state-flow replications"),
-        ("simulate", "independent replications of one model"),
-        ("solve", "stationary distribution and throughputs"),
-        ("transient", "expected-flow margins on a time grid"),
-        ("sweep", "stationary throughput grid over tandem parameters"),
+    pair = [model_a, model_b, tandem]
+    for name, parents, help_text in (
+        ("check", pair + [fmt, witnesses], "pointwise flow and population condition reports"),
+        ("verify", pair + [fmt], "exhaustive closure check of the flow-order relation"),
+        ("couple", pair + [runs, init], "coupled state-flow replications"),
+        ("simulate", [model_a, tandem, runs, init], "independent replications of one model"),
+        ("solve", [model_a, tandem], "stationary distribution and throughputs"),
+        ("transient", pair + [grid, init], "expected-flow margins on a time grid"),
+        ("sweep", [sweep], "stationary throughput grid over tandem parameters"),
     ):
-        subparsers[name] = sub.add_parser(name, help=help_text, parents=[common])
+        subparsers[name] = sub.add_parser(name, help=help_text, parents=parents + [header])
     return parser, subparsers
 
 

@@ -599,6 +599,10 @@ def _spaceless_document(spec: NetworkSpec) -> dict:
     }
 
 
+# model_digest labels and hashes a space's rows in blocks of this many
+_DIGEST_ROWS = 1 << 14
+
+
 def _row_labels(columns, sep: str) -> list[str]:
     """Each row's values joined by `sep`, given the rows' columns as lists
     of ints: one str per distinct value, then one join per row."""
@@ -614,14 +618,21 @@ def model_digest(spec: NetworkSpec) -> str:
     "space" sorts after every other key, so those bytes are hashed in
     three pieces: the compact JSON of the other keys without its closing
     brace, then ',"space":{"list":' and the state list, then '}}'. The
-    state list's text is joined by _row_labels, so no state is
-    JSON-encoded.
+    state list's text is joined by _row_labels a block of _DIGEST_ROWS
+    rows at a time, with the same "],[" between blocks as between rows,
+    so no state is JSON-encoded and the text is never held whole.
     """
     head = json.dumps(
         {"n": spec.n, **_spaceless_document(spec)}, sort_keys=True, separators=(",", ":")
     )
     digest = hashlib.sha256(head[:-1].encode("utf-8"))
     digest.update(b',"space":{"list":[[')
-    digest.update("],[".join(_row_labels(_lexicographic(spec).T.tolist(), ",")).encode("ascii"))
+    coords, order = spec.coords, spec._order
+    for lo in range(0, len(coords), _DIGEST_ROWS):
+        rows = slice(lo, lo + _DIGEST_ROWS)
+        block = coords[rows] if order is None else coords[order[rows]]
+        if lo:
+            digest.update(b"],[")
+        digest.update("],[".join(_row_labels(block.T.tolist(), ",")).encode("ascii"))
     digest.update(b"]]}}")
     return digest.hexdigest()

@@ -207,7 +207,7 @@ def _dominance(axes, queries, exact: bool = False):
     cells_a, cells_b, shape = zip(*axes)
     pairs, slice_cells = len(cells_a[0]) * len(cells_b[0]), math.prod(shape[1:])
     if pairs <= _BLOCK_PAIRS or slice_cells * shape[0] > pairs or slice_cells > _BLOCK_PAIRS:
-        return _scan_rows(cells_a, cells_b, queries, exact)
+        return _scan_rows(axes, queries, exact)
     step = _BLOCK_PAIRS // slice_cells
     order_a, order_b = np.argsort(cells_a[0]), np.argsort(cells_b[0])
     ends = list(range(0, shape[0], step)) + [shape[0]]
@@ -233,17 +233,27 @@ def _dominance(axes, queries, exact: bool = False):
     return outs
 
 
-def _scan_rows(cells_a, cells_b, queries, exact: bool):
+def _admitted(axes, rows, exact: bool):
+    """Which of B's states the premise of _dominance admits for A's states
+    at `rows`: cell at most theirs on every axis, and equal on the first
+    if `exact`. One row of the mask per state for a slice, and a 1-D mask
+    for a single index."""
+    (first_a, first_b, _), *rest = axes
+    admitted = (np.equal if exact else np.less_equal)(first_b, first_a[rows, None])
+    for a, b, _ in rest:
+        admitted &= b <= a[rows, None]
+    return admitted
+
+
+def _scan_rows(axes, queries, exact: bool):
     """_dominance by scanning the pairs, in blocks of A's states against
     all of B's of about _BLOCK_PAIRS pairs (one row when B alone has more)."""
-    outs = [np.empty(len(cells_a[0]), dtype=values_b.dtype) for _, _, values_b in queries]
-    step = max(1, _BLOCK_PAIRS // len(cells_b[0]))
-    first = np.equal if exact else np.less_equal
-    for lo in range(0, len(cells_a[0]), step):
+    m_a, m_b = len(axes[0][0]), len(axes[0][1])
+    outs = [np.empty(m_a, dtype=values_b.dtype) for _, _, values_b in queries]
+    step = max(1, _BLOCK_PAIRS // m_b)
+    for lo in range(0, m_a, step):
         rows = slice(lo, lo + step)
-        admitted = first(cells_b[0], cells_a[0][rows, None])
-        for a, b in zip(cells_a[1:], cells_b[1:]):
-            admitted &= b <= a[rows, None]
+        admitted = _admitted(axes, rows, exact)
         for out, (op, identity, values_b) in zip(outs, queries):
             out[rows] = op.reduce(np.where(admitted, values_b, identity), axis=1)
     return outs
@@ -289,12 +299,7 @@ def check_flow_conditions(
         failing = np.nonzero(ra > least)[0]
         witnesses = []
         for i in (failing if all_witnesses else failing[:1]).tolist():
-            hit = rb < ra[i]
-            if k > 0:
-                hit &= xb[:, k - 1] >= xa[i, k - 1]
-            if k < n:
-                hit &= xb[:, k] <= xa[i, k]
-            hits = np.nonzero(hit)[0]
+            hits = np.nonzero(_admitted(axes, i, exact=False) & (rb < ra[i]))[0]
             for j in (hits if all_witnesses else hits[:1]).tolist():
                 xa_i, xb_j = _row_state(xa, i), _row_state(xb, j)
                 witnesses.append(Witness(name, "rate", xa_i, xb_j, float(ra[i]), float(rb[j])))
@@ -354,7 +359,7 @@ def check_population_conditions(
         failing = np.nonzero((ra_in > least_in) | (ra_out < most_out))[0]
         witnesses = []
         for i in (failing if all_witnesses else failing[:1]).tolist():
-            premise = (xb[:, c] == xa[i, c]) & (xb >= xa[i]).all(axis=1)
+            premise = _admitted(axes, i, exact=True)
             inflow = premise & (rb_in < ra_in[i])
             outflow = premise & (rb_out > ra_out[i])
             hits = np.nonzero(inflow | outflow)[0]
@@ -496,10 +501,9 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
         checked += int(admitted.sum())
         failing = np.nonzero(ra > least)[0]
         for i in failing.tolist():
-            s = prefix_b - prefix_a[i]
-            tight = s[:, k] == s.max(axis=1)  # realizable with d_k = 0
-            for j in np.nonzero(tight & (rb < ra[i]))[0].tolist():
-                gaps = tuple((s[j, k] - s[j]).tolist())
+            for j in np.nonzero(_admitted(axes, i, exact=False) & (rb < ra[i]))[0].tolist():
+                s = prefix_b[j] - prefix_a[i]
+                gaps = tuple((s[k] - s).tolist())
                 config = TightConfiguration(
                     k, _row_state(spec_a.coords, i), _row_state(spec_b.coords, j), gaps
                 )

@@ -18,15 +18,18 @@ tree is the one parse_expression would build from that text (one Table
 node for two terms or more), and the text is kept as the rate's source
 for serialization and model digests. Both builders return ordinary
 NetworkSpec models, checked by the constructor like any other, that
-serialize like any other. A command that needs both variants builds them
-with _tandem_pair, from one box array (the balanced space is the box less
-its last row, the corner (s1, s2)) and one pair of table expressions.
+serialize like any other. TandemParams makes the box array before it
+reads the tables, so a box too large to allocate is refused before a
+default table of s + 1 entries is made. Both variants' spaces are views
+of that box (the balanced one less its last row, the corner (s1, s2)),
+and a command that needs both builds them with _tandem_pair, from one
+pair of table expressions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,12 +55,16 @@ class TandemParams:
     beta: float
     delta1: tuple[float, ...]
     delta2: tuple[float, ...]
+    # the states (x1, x2) with x1 <= s1 and x2 <= s2, in lexicographic order
+    box: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s1 < 1 or self.s2 < 1:
             raise ModelError("buffer sizes must be at least 1")
         if not 0 <= self.beta < math.inf:
             raise ModelError(f"beta must be nonnegative and finite, not {self.beta!r}")
+        # before the tables: a box _parse_space refuses is refused first
+        object.__setattr__(self, "box", _parse_space({"box": [self.s1, self.s2]}, 2))
         object.__setattr__(self, "delta1", tuple(float(v) for v in self.delta1))
         object.__setattr__(self, "delta2", tuple(float(v) for v in self.delta2))
         for name, table, size in (
@@ -124,14 +131,10 @@ def _service_tables(params: TandemParams):
     )
 
 
-def _box(params: TandemParams) -> np.ndarray:
-    return _parse_space({"box": [params.s1, params.s2]}, 2)
-
-
-def _tandem(params: TandemParams, tables, box, balanced: bool) -> NetworkSpec:
+def _tandem(params: TandemParams, tables, balanced: bool) -> NetworkSpec:
     """The tandem model of either variant, built from its rate trees: on
-    the box, or for the balanced variant on the box less its last row,
-    the corner (s1, s2)."""
+    the params' box, or for the balanced variant on the box less its last
+    row, the corner (s1, s2)."""
     ((d1, t1), p1), ((d2, t2), p2) = tables
     beta = ("beta", Param("beta"))
     rates = {
@@ -142,7 +145,7 @@ def _tandem(params: TandemParams, tables, box, balanced: bool) -> NetworkSpec:
     return NetworkSpec(
         n=2,
         links=tuple(rates),
-        states=box[:-1] if balanced else box,
+        states=params.box[:-1] if balanced else params.box,
         rates={link: RateExpr(text, tree, 2) for link, (text, tree) in rates.items()},
         params={
             "beta": float(params.beta),
@@ -156,20 +159,17 @@ def _tandem(params: TandemParams, tables, box, balanced: bool) -> NetworkSpec:
 
 def _tandem_pair(params: TandemParams) -> tuple[NetworkSpec, NetworkSpec]:
     """(balanced, original), equal to the two builders' models, from one
-    box array and one pair of service-table expressions."""
-    tables, box = _service_tables(params), _box(params)
-    return (
-        _tandem(params, tables, box, balanced=True),
-        _tandem(params, tables, box, balanced=False),
-    )
+    pair of service-table expressions."""
+    tables = _service_tables(params)
+    return _tandem(params, tables, balanced=True), _tandem(params, tables, balanced=False)
 
 
 def build_original_tandem(params: TandemParams) -> NetworkSpec:
-    return _tandem(params, _service_tables(params), _box(params), balanced=False)
+    return _tandem(params, _service_tables(params), balanced=False)
 
 
 def build_balanced_tandem(params: TandemParams) -> NetworkSpec:
-    return _tandem(params, _service_tables(params), _box(params), balanced=True)
+    return _tandem(params, _service_tables(params), balanced=True)
 
 
 def loss_rate_applies(spec: NetworkSpec) -> bool:

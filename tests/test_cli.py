@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,8 @@ from floworder import (
 from floworder import cli
 from floworder.cli import main
 from floworder.model import ModelError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -793,13 +796,13 @@ def test_only_the_sparse_solvers_load_scipy():
 # differs between Python minor versions; these are taken under 3.11.
 HELP_DIGESTS = {
     None: "1819541697b08133fc831f7065022201509604c1c2d01ec35ed96ee77e61e0e5",
-    "check": "0beae465c0e5c066686dcc50dfb658704b7a728368d8d2aa8cd5171956a9f8c8",
-    "verify": "afc00f12128090ef66224c0466ca019d1097b58572a3d920953ab7afe70b7c49",
-    "couple": "27b9c2c32b279f79d16e7e0cbd25617802eba3868251ed661fb191a48acb4a40",
-    "simulate": "d2ef3924742fae86c69fccb2107b563e66e9634d52b9188ed0444965f377b96d",
-    "solve": "f7a4a9c32ce2c2a05f60db4969cd1dec40c202ce2ac32fee778639ef3734e157",
-    "transient": "d33c3d5c3a91be02726521b84daf96061d9b36e5a36716126ec134a6633ce879",
-    "sweep": "c245719ee532c347bb4770071b1ee56c5c0164689cd99e561fc4cb67cfe0ffa0",
+    "check": "c3269fd3eb5d9653b9f705a2c083dd6bdd32b5a93943211721c31acf5ad27fb9",
+    "verify": "1e3b1f1b3fc57dc58fa0076034714c1f0ac390d3ad17510766e280159f634889",
+    "couple": "584c07a4de59abc33be23edae329265b52e7c2cbbee25a8d1a41259a18167bb7",
+    "simulate": "25c2ed47f98283459a288476c84d2e3b818eef278932a887566c2f2d0b6fb245",
+    "solve": "13f8002e90feb911cffefbda7d09c381d7e5291b013dec55e349b00c0c98b9ca",
+    "transient": "dae1a8ec2d29600973f08d397ececb5317b5db1709f73b24e25673a477f24cdd",
+    "sweep": "6c4a715451dee2e6221d4d167b6ac8bff24878d8e7e9c71f63de54a15b30609b",
 }
 
 
@@ -811,7 +814,8 @@ PARSE_ROUTES = [
     ["check", "--mod", "a.json", "--s1=4", "--s1", "5"], ["couple", "--tol", "-1e-3"],
     ["sweep", "--sizes", "1,2", "--betas", "0.5"], ["simulate", "-"],
     ["transient", "--family", "tandem-pair", "--grid", "0:1:2", "--link", "1->2"],
-    ["check", "check"], ["--version", "check"],
+    ["check", "check"], ["--version", "check"], ["solve", "--grid", "0:1:1"],
+    ["sweep", "--beta", "3"],  # a unique prefix of --betas
 ] + [[name] for name in cli._SUBPARSERS]
 
 
@@ -977,3 +981,120 @@ def test_sweep_solves_at_the_tolerance_it_reports(tmp_path, capsys):
     assert err.endswith(" above tolerance 1e-300\n")
     assert solve_err.endswith(" above tolerance 1e-300\n")
     assert not os.listdir(tmp_path)
+
+
+# The options each command takes, in help order: the ones its handler reads.
+HEADER = ["--seed", "--tol", "--out"]  # every report header records seed and tol
+TANDEM = ["--family", "--s1", "--s2", "--beta", "--delta1", "--delta2"]
+REPLICATIONS = ["--horizon", "--reps", "--jobs", "--init"]
+COMMAND_OPTIONS = {
+    "check": ["--model-a", "--model-b", *TANDEM, "--format", "--all-witnesses", *HEADER],
+    "verify": ["--model-a", "--model-b", *TANDEM, "--format", *HEADER],
+    "couple": ["--model-a", "--model-b", *TANDEM, *REPLICATIONS, *HEADER],
+    "simulate": ["--model-a", *TANDEM, *REPLICATIONS, *HEADER],
+    "solve": ["--model-a", *TANDEM, *HEADER],
+    "transient": ["--model-a", "--model-b", *TANDEM, "--grid", "--link", "--init", *HEADER],
+    "sweep": ["--betas", "--sizes", *HEADER],
+}
+# a well-formed value for each option
+OPTION_VALUES = {
+    "--model-a": ["a.json"], "--model-b": ["b.json"], "--family": ["tandem-pair"],
+    "--s1": ["3"], "--s2": ["3"], "--beta": ["2"], "--delta1": ["0,1,1,1"],
+    "--delta2": ["0,1,1,1"], "--seed": ["1"], "--tol": ["1e-9"], "--out": ["out"],
+    "--horizon": ["5"], "--reps": ["2"], "--jobs": ["2"], "--init": ["0;0"],
+    "--grid": ["0:1:1"], "--link": ["1->2"], "--format": ["csv"], "--all-witnesses": [],
+    "--betas": ["1"], "--sizes": ["1"],
+}
+# An option that abbreviates one the command takes is read as that one
+# (see PARSE_ROUTES), so it is left out of UNREAD_OPTIONS.
+ABBREVIATIONS = {
+    (command, option)
+    for command, options in COMMAND_OPTIONS.items()
+    for option in OPTION_VALUES
+    if option not in options and any(o.startswith(option) for o in options)
+}
+UNREAD_OPTIONS = [
+    (command, option)
+    for command, options in COMMAND_OPTIONS.items()
+    for option in OPTION_VALUES
+    if option not in options and (command, option) not in ABBREVIATIONS
+]
+
+
+def test_each_command_takes_only_the_options_its_handler_reads():
+    taken = {
+        name: [s for action in sub._actions for s in action.option_strings if s != "-h"]
+        for name, sub in cli._SUBPARSERS.items()
+    }
+    assert {name: options[1:] for name, options in taken.items()} == COMMAND_OPTIONS
+    assert all(options[0] == "--help" for options in taken.values())
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 83
+    assert set(OPTION_VALUES) == {o for options in COMMAND_OPTIONS.values() for o in options}
+    assert ABBREVIATIONS == {("sweep", "--beta")}
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=" ".join)
+def test_an_option_the_command_does_not_read_exits_two(command, option, tmp_path, capsys):
+    """An option the command would ignore is refused before anything runs."""
+    base = {"simulate": ["--family", "tandem-original"], "solve": ["--family", "tandem-original"],
+            "sweep": ["--betas", "1", "--sizes", "1"]}.get(command, ["--family", "tandem-pair"])
+    out = tmp_path / "out"
+    extra = [option, *OPTION_VALUES[option]]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base, *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"floworder: error: unrecognized arguments: {' '.join(extra)}\n")
+    assert not out.exists()
+
+
+def test_benchmark_and_readme_invocations_parse(monkeypatch):
+    """Every invocation the benchmark workloads make, and every example in
+    README.md, names only options its command takes."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import workloads
+
+    invocations = [
+        op.argv
+        for name in workloads.WORKLOADS
+        for seed in range(3)
+        for tiny in (False, True)
+        for op in workloads.build(name, seed, tiny)
+    ]
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = [line for line in fh if line.startswith("floworder ")]
+    examples = [shlex.split(line, comments=True)[1:] for line in lines]
+    assert {argv[0] for argv in examples} == set(cli._COMMANDS)
+    for argv in invocations + examples:
+        assert vars(cli._parse_args(argv + ["--out", "out"]))["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--family", "tandem-pair", "--s1", "10000000000"],
+        ["solve", "--family", "tandem-original", "--s1", "10000000000", "--s2", "10000000000"],
+    ],
+    ids=["check", "solve"],
+)
+def test_huge_buffer_size_exits_two_under_an_address_space_limit(argv, tmp_path):
+    """A box too large to allocate is refused before a default service table
+    of s + 1 entries is made, so a 2 GiB address space ends in one error line
+    rather than a MemoryError traceback."""
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "floworder", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("floworder: box of ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(" states is too large to allocate\n")
+    assert not out.exists()

@@ -272,6 +272,40 @@ def test_closure_implied_by_conditions_on_random_pairs(seed, c1, c2):
 # ------------------------------------------ grid queries against the scans
 
 
+@pytest.mark.parametrize("block, path", [(None, "scan"), (64, "grid")])
+@pytest.mark.parametrize("seed", range(4))
+def test_dominance_is_blind_to_the_order_of_the_inexact_axes(seed, block, path, monkeypatch):
+    """Permuting the axes after an exact first axis, or every axis of a
+    query with none exact, gives bit-equal outputs, whether the pairs are
+    scanned or, with a small _BLOCK_PAIRS, the grid is swept in slabs."""
+    rng = np.random.default_rng(seed)
+    (spec_a, _), (spec_b, _) = (helpers.random_table_instance(rng, 3, 3) for _ in range(2))
+    x = np.concatenate([spec_a.coords, spec_b.coords])
+    # four axes of four cells each: 256 cells against 256 pairs
+    columns = np.stack([x[:, 0], x[:, 1], x.sum(axis=1) // 2, x.max(axis=1)], axis=1)
+    axes = ordering._axes(columns, len(spec_a.coords))
+    rb = spec_b.rate_vector((1, 2))
+    ones = np.ones(len(rb), dtype=np.int64)
+    queries = [(np.minimum, np.inf, rb), (np.maximum, -np.inf, rb), (np.add, 0, ones)]
+    scans = []
+    scan_rows = ordering._scan_rows
+
+    def recording_scan(*args):
+        scans.append(args)
+        return scan_rows(*args)
+
+    monkeypatch.setattr(ordering, "_scan_rows", recording_scan)
+    if block is not None:
+        monkeypatch.setattr(ordering, "_BLOCK_PAIRS", block)
+    for exact in (True, False):
+        fixed = int(exact)
+        want = [out.tobytes() for out in ordering._dominance(axes, queries, exact)]
+        for rest in itertools.permutations(axes[fixed:]):
+            got = ordering._dominance(axes[:fixed] + list(rest), queries, exact)
+            assert [out.tobytes() for out in got] == want, (exact, rest)
+    assert bool(scans) == (path == "scan")
+
+
 def random_box_spec(rng, caps, p_zero):
     """Dyadic rate tables on a box with any number of nodes, clamped at its edges."""
     states = list(itertools.product(*(range(c + 1) for c in caps)))

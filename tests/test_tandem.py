@@ -50,6 +50,10 @@ def test_params_validation():
         TandemParams(1, 1, -1.0, (0, 1), (0, 1))
     with pytest.raises(ModelError, match="one value per occupancy"):
         TandemParams(2, 2, 1.0, (0, 1), (0, 1, 2))
+    # the box is made before the tables, so the default tables of 10**10 + 1
+    # entries are never made
+    with pytest.raises(ModelError, match="^box of 100000000020000000001 states is too large"):
+        TandemParams.linear(10**10, 10**10, 1.0)
     with pytest.raises(ModelError, match="must be zero"):
         TandemParams(1, 1, 1.0, (1, 1), (0, 1))
     with pytest.raises(ModelError, match="delta2 must be nonnegative"):
