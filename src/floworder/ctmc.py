@@ -43,8 +43,8 @@ coupling's paired_log_csv) are generators of text chunks of at most
 _CSV_ROWS rows each, so a caller writes a long report as it is made and
 never holds its whole text. Every state label is joined from the
 columns by model._row_labels, one str per distinct coordinate value:
-distribution_csv labels every row of the coords it is given, and the
-event writers label only the states a path visits.
+distribution_csv labels every row of the coords it is given, a chunk
+at a time, and the event writers label only the states a path visits.
 
 Solvers:
 
@@ -799,11 +799,13 @@ def distribution_csv(coords: np.ndarray, probs):
     states joined by ';' (_row_labels over its columns).
 
     A generator of text chunks, as event_log_csv: the header line, then
-    the rows at most _CSV_ROWS to a chunk.
+    the rows at most _CSV_ROWS to a chunk. Each chunk's states are
+    labelled and its probabilities listed as it is made, so neither is
+    held for the whole space.
     """
     yield "state,probability\n"
-    labels = _row_labels(coords.T.tolist(), ";")
-    probs = np.asarray(probs, dtype=float).tolist()
+    probs = np.asarray(probs, dtype=float)
     for start in range(0, len(probs), _CSV_ROWS):
-        stop = start + _CSV_ROWS
-        yield "".join([f"{x},{p!r}\n" for x, p in zip(labels[start:stop], probs[start:stop])])
+        rows = slice(start, start + _CSV_ROWS)
+        labels = _row_labels(coords[rows].T.tolist(), ";")
+        yield "".join([f"{x},{p!r}\n" for x, p in zip(labels, probs[rows].tolist())])

@@ -37,10 +37,16 @@ listed diagonal), or where one slice of it alone would exceed a block,
 the query scans the pairs instead, a block at a time. So no query costs
 much more than a scan of the pairs, and the working memory is a few
 arrays of O(n**2) integers per state plus a few blocks: a few MiB at
-the default block. Pairs are listed only to write witnesses, one row of
-A's state against all of B's for each state of A that has a violating
-partner, so reports list witnesses in the order a scan by A's state,
-then B's, meets them.
+the default block.
+
+One routine, _breaches, decides every condition of the three checks.
+The verdict comes from the query alone: a condition fails exactly at
+the states of A where some part's bound breaches A's rate, and passes
+(or closes) when there are none. Witnesses are then listed from the
+same premise, each failing state against all of B's, in the order a
+scan by A's state, then B's, then part meets them. Query
+and listing must agree: a failing state with no listed partner raises
+RuntimeError, so a fault in the listing cannot turn a fail into a pass.
 
 Pathwise and expected-flow diagnostics complement the exact routes:
 violation scans over a coupled log's flows and visits arrays, and a
@@ -49,6 +55,7 @@ mean-flow margin check on a time grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +90,10 @@ _DOMAINS = {"state_a": "model A state space", "state_b": "model B state space"}
 # of about this many cells (one slice of the grid at least), so that no
 # grid is held whole, however large the two state spaces are.
 _BLOCK_PAIRS = 1 << 16
+
+# Per op of a condition's part (see _breaches): its identity, and the
+# comparison by which a rate of B breaches A's rate.
+_PARTS = {np.minimum: (np.inf, np.less), np.maximum: (-np.inf, np.greater)}
 
 
 @dataclass(frozen=True)
@@ -259,6 +270,59 @@ def _scan_rows(axes, queries, exact: bool):
     return outs
 
 
+def _breaches(axes, parts, first: bool, exact: bool = False, extra=()):
+    """Where one condition fails: its verdict, and the pairs that show it.
+
+    Each part (ra, rb, op) asks that A's rate ra be at most B's rate rb
+    (op np.minimum) or at least it (np.maximum) at every pair the premise
+    of axes admits (see _dominance). One _dominance call answers the
+    queries in `extra` and, per part, the least or largest rb over the
+    premise at each of A's states; A's state fails where some part's
+    answer breaches its ra.
+
+    Returns (failing, pairs, answers to extra): the failing states of A,
+    and the breaching (i, j, part) triples that _admitted lists from the
+    same premise, one failing state against all of B's at a time, in
+    order of A's state i, then B's j, then part; only the first, at the
+    first failing state, when `first` is set. A listed failing state with
+    no breaching partner means the query and the listing disagree, and
+    raises RuntimeError rather than pass.
+    """
+    queries = [(op, _PARTS[op][0], rb) for _, rb, op in parts]
+    answers = _dominance(axes, [*extra, *queries], exact)
+    bounds = zip(parts, answers[len(extra) :])
+    breached = [_PARTS[op][1](bound, ra) for (ra, _, op), bound in bounds]
+    (failing,) = np.nonzero(functools.reduce(np.logical_or, breached))
+    stop = 1 if first else None
+    pairs = []
+    for i in failing[:stop].tolist():
+        premise = _admitted(axes, i, exact)
+        hits = [premise & _PARTS[op][1](rb, ra[i]) for ra, rb, op in parts]
+        js = np.nonzero(functools.reduce(np.logical_or, hits))[0][:stop].tolist()
+        if not js:
+            raise RuntimeError(f"state {i} of model A fails its query but has no listed partner")
+        pairs += [(i, j, p) for j in js for p, hit in enumerate(hits) if hit[j]][:stop]
+    return failing, pairs, answers[: len(extra)]
+
+
+def _condition_report(kind: str, spec_a, spec_b, conditions, all_witnesses: bool):
+    """The ConditionReport of conditions given as (name, axes, exact,
+    parts), parts a dict of named (ra, rb, op) parts (see _breaches):
+    each passes exactly when no state of A fails its query."""
+    xa, xb = spec_a.coords, spec_b.coords
+    results = []
+    for name, axes, exact, parts in conditions:
+        named = list(parts.items())
+        failing, pairs, _ = _breaches(axes, list(parts.values()), not all_witnesses, exact)
+        witnesses = []
+        for i, j, p in pairs:
+            part, (ra, rb, _) = named[p]
+            state_a, state_b = _row_state(xa, i), _row_state(xb, j)
+            witnesses.append(Witness(name, part, state_a, state_b, float(ra[i]), float(rb[j])))
+        results.append(ConditionResult(name, passed=not len(failing), witnesses=tuple(witnesses)))
+    return ConditionReport(kind, dict(_DOMAINS), tuple(results), all_witnesses)
+
+
 def check_flow_conditions(
     spec_a: NetworkSpec, spec_b: NetworkSpec, all_witnesses: bool = False
 ) -> ConditionReport:
@@ -276,10 +340,10 @@ def check_flow_conditions(
     link k fails at x exactly when rate_A(x) exceeds the least rate_B over
     the x' it admits: one prefix or suffix minimum on a grid of those
     coordinates' values over both spaces, read at every x, or a scan of
-    the pairs where that costs less (see _dominance). Pairs are listed
-    only for the states x where that happens, one vectorised row against
-    all of B's states each, and only for the first such x unless
-    all_witnesses is set.
+    the pairs where that costs less (see _dominance). That query alone
+    gives the verdict; pairs are listed from the same premise (see
+    _breaches), and only for the first failing x unless all_witnesses is
+    set.
 
     Verdicts are exact rate comparisons with no tolerance. Witnesses come
     in order of A's state, then B's. With all_witnesses=False only the
@@ -287,31 +351,18 @@ def check_flow_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.coords)
-    axis = _axes(np.concatenate([xa, xb]), m_a)  # of x_1, ..., x_n
-    conditions = []
-    for k, link in enumerate(spec_a.links):
-        name = f"flow-link-{k}"
-        ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
-        # x admits the x' with x'_k >= x_k and x'_{k+1} <= x_{k+1}
-        axes = ([_reversed(axis[k - 1])] if k > 0 else []) + ([axis[k]] if k < n else [])
-        (least,) = _dominance(axes, [(np.minimum, np.inf, rb)])
-        failing = np.nonzero(ra > least)[0]
-        witnesses = []
-        for i in (failing if all_witnesses else failing[:1]).tolist():
-            hits = np.nonzero(_admitted(axes, i, exact=False) & (rb < ra[i]))[0]
-            for j in (hits if all_witnesses else hits[:1]).tolist():
-                xa_i, xb_j = _row_state(xa, i), _row_state(xb, j)
-                witnesses.append(Witness(name, "rate", xa_i, xb_j, float(ra[i]), float(rb[j])))
-        conditions.append(
-            ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
+    axis = _axes(np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.coords))
+    # link k: x admits the x' with x'_k >= x_k and x'_{k+1} <= x_{k+1}
+    conditions = (
+        (
+            f"flow-link-{k}",
+            ([_reversed(axis[k - 1])] if k > 0 else []) + ([axis[k]] if k < n else []),
+            False,
+            {"rate": (spec_a.rate_vector(link), spec_b.rate_vector(link), np.minimum)},
         )
-    return ConditionReport(
-        kind="flow",
-        domains=dict(_DOMAINS),
-        conditions=tuple(conditions),
-        all_witnesses=all_witnesses,
+        for k, link in enumerate(spec_a.links)
     )
+    return _condition_report("flow", spec_a, spec_b, conditions, all_witnesses)
 
 
 def check_population_conditions(
@@ -331,10 +382,10 @@ def check_population_conditions(
     the least inflow of B over the premise, or A's outflow falls short of
     the largest outflow: an (n-1)-D suffix minimum and maximum on a grid
     of coordinate values over both spaces, read at every x, or a scan of
-    the pairs where that costs less (see _dominance). Pairs are listed
-    only for the states x where that happens, one vectorised row against
-    all of B's states each, and only for the first such x unless
-    all_witnesses is set.
+    the pairs where that costs less (see _dominance). That query alone
+    gives the verdict; pairs are listed from the same premise (see
+    _breaches), and only for the first failing x unless all_witnesses is
+    set.
 
     Witnesses come in order of A's state, then B's, with the inflow part
     first at a pair that fails both; with all_witnesses=False only the
@@ -342,46 +393,20 @@ def check_population_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    xa, xb, m_a = spec_a.coords, spec_b.coords, len(spec_a.coords)
-    axis = _axes(np.concatenate([xa, xb]), m_a)  # of x_1, ..., x_n
+    axis = _axes(np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.coords))
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
-    conditions = []
-    for node in range(1, n + 1):
-        name = f"population-node-{node}"
-        c = node - 1
-        # arrival link for node 1, else link (node-1, node); out via link node
-        (ra_in, rb_in), (ra_out, rb_out) = rates[c], rates[node]
-        # x admits the x' with x'_i = x_i and x'_j >= x_j for every other j
-        axes = [axis[c]] + [_reversed(axis[j]) for j in range(n) if j != c]
-        least_in, most_out = _dominance(
-            axes, [(np.minimum, np.inf, rb_in), (np.maximum, -np.inf, rb_out)], exact=True
+    # node c + 1, in by link c and out by link c + 1: x admits the x' with
+    # x'_{c+1} = x_{c+1} and x'_j >= x_j for every other j
+    conditions = (
+        (
+            f"population-node-{c + 1}",
+            [axis[c]] + [_reversed(axis[j]) for j in range(n) if j != c],
+            True,
+            {"inflow": (*rates[c], np.minimum), "outflow": (*rates[c + 1], np.maximum)},
         )
-        failing = np.nonzero((ra_in > least_in) | (ra_out < most_out))[0]
-        witnesses = []
-        for i in (failing if all_witnesses else failing[:1]).tolist():
-            premise = _admitted(axes, i, exact=True)
-            inflow = premise & (rb_in < ra_in[i])
-            outflow = premise & (rb_out > ra_out[i])
-            hits = np.nonzero(inflow | outflow)[0]
-            for j in (hits if all_witnesses else hits[:1]).tolist():
-                xa_i, xb_j = _row_state(xa, i), _row_state(xb, j)
-                if inflow[j]:
-                    witnesses.append(
-                        Witness(name, "inflow", xa_i, xb_j, float(ra_in[i]), float(rb_in[j]))
-                    )
-                if outflow[j] and (all_witnesses or not witnesses):
-                    witnesses.append(
-                        Witness(name, "outflow", xa_i, xb_j, float(ra_out[i]), float(rb_out[j]))
-                    )
-        conditions.append(
-            ConditionResult(condition=name, passed=not witnesses, witnesses=tuple(witnesses))
-        )
-    return ConditionReport(
-        kind="population",
-        domains=dict(_DOMAINS),
-        conditions=tuple(conditions),
-        all_witnesses=all_witnesses,
+        for c in range(n)
     )
+    return _condition_report("population", spec_a, spec_b, conditions, all_witnesses)
 
 
 @dataclass(frozen=True)
@@ -491,25 +516,25 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     ks, js = (list(c) for c in zip(*above))
     axis = dict(zip(above, _axes(prefix[:, js] - prefix[:, ks], m_a)))
     ones = np.ones(len(prefix_b), dtype=np.int64)
-    witnesses = []
-    checked = 0
+    closed, checked, witnesses = True, 0, []
     for k, link in enumerate(spec_a.links):
         ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
         # realizable at k: P'_j - P'_k <= P_j - P_k for every j != k
         axes = [_reversed(axis[j, k]) if j < k else axis[k, j] for j in range(n + 1) if j != k]
-        admitted, least = _dominance(axes, [(np.add, 0, ones), (np.minimum, np.inf, rb)])
+        failing, pairs, (admitted,) = _breaches(
+            axes, [(ra, rb, np.minimum)], first=False, extra=[(np.add, 0, ones)]
+        )
+        closed = closed and not len(failing)
         checked += int(admitted.sum())
-        failing = np.nonzero(ra > least)[0]
-        for i in failing.tolist():
-            for j in np.nonzero(_admitted(axes, i, exact=False) & (rb < ra[i]))[0].tolist():
-                s = prefix_b[j] - prefix_a[i]
-                gaps = tuple((s[k] - s).tolist())
-                config = TightConfiguration(
-                    k, _row_state(spec_a.coords, i), _row_state(spec_b.coords, j), gaps
-                )
-                witnesses.append(ClosureWitness(config, float(ra[i]), float(rb[j])))
+        for i, j, _ in pairs:
+            s = prefix_b[j] - prefix_a[i]
+            gaps = tuple((s[k] - s).tolist())
+            config = TightConfiguration(
+                k, _row_state(spec_a.coords, i), _row_state(spec_b.coords, j), gaps
+            )
+            witnesses.append(ClosureWitness(config, float(ra[i]), float(rb[j])))
     return ClosureReport(
-        closed=not witnesses,
+        closed=closed,
         witnesses=tuple(witnesses),
         checked=checked,
         gap_bound=n * int(x.max(initial=0)),

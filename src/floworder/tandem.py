@@ -214,6 +214,8 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
     coordinate axes (all other coordinates at zero), normalizes their
     product over the state space, and reports the largest absolute
     deviation from pi. A residual at rounding level means pi factorizes.
+    The product is formed over every state at once, one factor per axis
+    multiplied in axis order.
     """
     vec = np.asarray(pi, dtype=float)
     if vec.shape != (len(spec.coords),):
@@ -224,10 +226,9 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
             "on every state (is the chain irreducible?)"
         )
     n = spec.n
-    rows = spec.coords.tolist()
-    profiles = []
-    for axis in range(n):
-        cap = max(x[axis] for x in rows)
+    coords = spec.coords
+    product = np.ones(len(vec))
+    for axis, cap in enumerate(coords.max(axis=0).tolist()):
         g = [1.0]
         for k in range(1, cap + 1):
             lo = spec.find(tuple(k - 1 if c == axis else 0 for c in range(n)))
@@ -238,9 +239,6 @@ def product_form_residual(spec: NetworkSpec, pi) -> float:
                     f"state space must contain the coordinate axis through {hi}"
                 )
             g.append(g[-1] * vec[i] / vec[lo])
-        profiles.append(g)
-    product = np.array(
-        [np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in rows]
-    )
+        product *= np.array(g)[coords[:, axis]]
     product /= product.sum()
     return float(np.abs(vec - product).max())

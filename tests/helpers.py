@@ -21,9 +21,10 @@ they yielded chunks, and the pathwise flow-order scan has the one scan
 of a log's whole flows arrays that came before its blocks. Model digests
 have the hash of the whole JSON-encoded document that came before the
 digest hashed its state list as joined labels. Model spaces have the
-tuple enumeration _parse_space ran before it returned an array. Tests
-freeze or recompute these values and compare the implementation against
-them.
+tuple enumeration _parse_space ran before it returned an array, and the
+product-form residual has the per-state product it took before its
+product was vectorised. Tests freeze or recompute these values and
+compare the implementation against them.
 """
 
 from __future__ import annotations
@@ -240,6 +241,30 @@ def nullspace_stationary(q: np.ndarray) -> np.ndarray:
         v = -v
     assert (v > -1e-12).all()
     return np.clip(v, 0.0, None) / np.clip(v, 0.0, None).sum()
+
+
+def reference_product_form_residual(spec: NetworkSpec, pi) -> float:
+    """tandem.product_form_residual as it ran before its product was
+    vectorised: each axis's profile first, then one np.prod per state
+    over a list of its axes' profile entries."""
+    vec = np.asarray(pi, dtype=float)
+    n = spec.n
+    rows = spec.coords.tolist()
+    profiles = []
+    for axis in range(n):
+        cap = max(x[axis] for x in rows)
+        g = [1.0]
+        for k in range(1, cap + 1):
+            lo = spec.find(tuple(k - 1 if c == axis else 0 for c in range(n)))
+            hi = tuple(k if c == axis else 0 for c in range(n))
+            i = spec.find(hi)
+            if lo < 0 or i < 0:
+                raise ModelError(f"state space must contain the coordinate axis through {hi}")
+            g.append(g[-1] * vec[i] / vec[lo])
+        profiles.append(g)
+    product = np.array([np.prod([profiles[axis][x[axis]] for axis in range(n)]) for x in rows])
+    product /= product.sum()
+    return float(np.abs(vec - product).max())
 
 
 def rk4_transient(q: np.ndarray, p0: np.ndarray, t: float, h: float = 1e-4):

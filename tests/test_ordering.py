@@ -494,6 +494,31 @@ def test_population_first_witness_is_inflow_when_both_parts_fail():
     assert first.witnesses == full.witnesses[:1]
 
 
+@pytest.mark.parametrize("all_witnesses", [False, True])
+def test_a_listing_that_finds_no_partner_raises_instead_of_passing(all_witnesses, monkeypatch):
+    """The verdict comes from the query, not from the witness list. The
+    queries call _admitted with slices of A's states (a scan of the
+    pairs) and the witness listing with the index of one failing state;
+    a listing fault that finds no partner must raise, not pass or close."""
+    spec_b, spec_a = tandem_pair(3, 3, 1.0)  # A original, B balanced
+    assert not check_flow_conditions(spec_a, spec_b).passed
+    assert not check_population_conditions(spec_a, spec_b).passed
+    assert not verify_tight_configurations(spec_a, spec_b).closed
+    admitted = ordering._admitted
+
+    def blind_listing(axes, rows, exact):
+        mask = admitted(axes, rows, exact)
+        return np.zeros_like(mask) if isinstance(rows, int) else mask
+
+    monkeypatch.setattr(ordering, "_admitted", blind_listing)
+    with pytest.raises(RuntimeError, match="no listed partner"):
+        check_flow_conditions(spec_a, spec_b, all_witnesses=all_witnesses)
+    with pytest.raises(RuntimeError, match="no listed partner"):
+        check_population_conditions(spec_a, spec_b, all_witnesses=all_witnesses)
+    with pytest.raises(RuntimeError, match="no listed partner"):
+        verify_tight_configurations(spec_a, spec_b)
+
+
 def test_exact_checks_at_thirty_by_thirty():
     spec_a, spec_b = tandem_pair(30, 30, 30.0)
     tracemalloc.start()

@@ -352,6 +352,23 @@ def test_product_form_names_the_first_missing_axis_state():
                 product_form_residual(permuted, np.full(len(states), 1 / len(states)))
 
 
+@pytest.mark.parametrize("s", [3, 30, 150])
+def test_product_form_residual_equals_the_per_state_product(s):
+    params = TandemParams.linear(s, s, 1.3)
+    specs = [build_balanced_tandem(params)]
+    if s == 3:
+        order = np.random.default_rng(2).permutation(len(specs[0].coords))
+        specs += [build_original_tandem(params), helpers.permuted_spec(specs[0], order)]
+        # box [2, 0]: the second axis's largest value is 0, so its profile is [1.0]
+        specs.append(parse_model(
+            {"n": 2, "space": {"box": [2, 0]}, "links": [[0, 1], [1, 0]],
+             "rates": {"0->1": "1", "1->0": "x1"}, "clamp": True}
+        ))
+    for spec in specs:
+        pi = stationary(spec)
+        assert product_form_residual(spec, pi) == helpers.reference_product_form_residual(spec, pi)
+
+
 def test_accepted_throughput_ordering():
     params = TandemParams.linear(2, 2, 1.0)
     balanced = build_balanced_tandem(params)
