@@ -12,9 +12,11 @@ runs on ctmc.gillespie over index pairs (i, i'), each coded as the int
 i * len(B's coords) + i', with the bins (joint, B-only, A-only) of each
 link in declared link order. A pair's kernel row is built on its first
 visit and kept (a ctmc._Rows), so only the pairs a path reaches are ever
-evaluated: its running bin sums from the two sides' rates, and its
-targets, the pair code after a move in each bin, from the two sides'
-next_index arrays. A side that does not move in a bin keeps its index.
+evaluated. Each side reads a state on its own first visit
+(ctmc._state_reader: its per-link rates and move targets), and
+_pair_row makes a pair's row from the two in one pass over the links:
+per link the three bins' rates, running sums and pair codes after a
+move. A side that does not move in a bin keeps its index.
 
 A coupled path is a PairedEventLog of three columns: event times, bins
 and state-index pairs. The bin code 3 * k + kind and the pair code
@@ -47,6 +49,7 @@ from .ctmc import (
     _label_visits,
     _log_eq,
     _Rows,
+    _state_reader,
     gillespie,
 )
 from .model import Link, ModelError, NetworkSpec, State, _as_state
@@ -181,17 +184,22 @@ def _read_only(arrays):
     return arrays
 
 
-def _pair_row(component_rates):
-    """(total, cumulative, last) of a pair's kernel row, from each link's rates (a, b).
+def _pair_row(side_a, side_b, stay_a: int, ib: int):
+    """A pair's kernel row (total, cumulative, last, targets) from its sides.
 
-    The bins are (joint, B-only, A-only) per link, the total is summed
-    link by link, and `last` is the last bin with a positive rate, read
+    side_a and side_b are (rates, targets) as ctmc._state_reader reads
+    them, A's targets times len(B's coords); stay_a is A's index times
+    that width and ib is B's index, the parts of the pair code that stay
+    put when that side does not move. The bins are (joint, B-only,
+    A-only) per link, the total is summed link by link, each link's three
+    rates first, and `last` is the last bin with a positive rate, read
     from the rates since one can vanish in the running sum.
     """
+    (rates_a, moved_a), (rates_b, moved_b) = side_a, side_b
     total = acc = 0.0
-    cumulative = []
+    cumulative, targets = [], []
     last = 0
-    for a, b in component_rates:
+    for a, b, ta, tb in zip(rates_a, rates_b, moved_a, moved_b):
         # marching_rates(a, b), up to the sign of a zero rate
         triple = (a if a <= b else b, b - a if b > a else 0.0, a - b if a > b else 0.0)
         total += triple[0] + triple[1] + triple[2]
@@ -200,7 +208,8 @@ def _pair_row(component_rates):
             if r > 0.0:
                 last = len(cumulative)
             cumulative.append(acc)
-    return total, cumulative, last
+        targets += (ta + tb, stay_a + tb, ta + ib)
+    return total, cumulative, last, targets
 
 
 def _start_pair(spec_a: NetworkSpec, spec_b: NetworkSpec, xa: State, xb: State):
@@ -245,27 +254,11 @@ def simulate_coupled(
     start_a, start_b = _start_pair(spec_a, spec_b, xa, xb)
     links = spec_a.links
     width = len(spec_b.coords)
-
-    def side(spec, scale):
-        """A side's per-state (link rates, link targets times `scale`) lists,
-        each read off the link arrays on the side's first visit there."""
-        rates = [spec.rate_vector(link) for link in links]
-        targets = [spec.next_index(link) for link in links]
-        return _Rows(lambda i: ([r.item(i) for r in rates], [n.item(i) * scale for n in targets]))
-
-    side_a, side_b = side(spec_a, width), side(spec_b, 1)
+    side_a, side_b = _Rows(_state_reader(spec_a, width)), _Rows(_state_reader(spec_b))
 
     def row(pair):
         ia, ib = divmod(pair, width)
-        (rates_a, moved_a), (rates_b, moved_b) = side_a[ia], side_b[ib]
-        total, cumulative, last = _pair_row(zip(rates_a, rates_b))
-        # Per link, the pair codes after a joint, a B-only and an A-only
-        # move: a side that does not move keeps its index.
-        stay_a = ia * width
-        targets = []
-        for a, b in zip(moved_a, moved_b):
-            targets += (a + b, stay_a + b, a + ib)
-        return total, cumulative, last, targets
+        return _pair_row(side_a[ia], side_b[ib], ia * width, ib)
 
     start = start_a * width + start_b
     times, bins, pairs, absorbed = gillespie(_Rows(row), start, horizon, seed)
@@ -318,7 +311,7 @@ def paired_log_csv(log: PairedEventLog):
     """
     prefixes = [f"{i},{j},{kind}," for i, j in log.links for kind in _KINDS]
     width = len(log.coords_b)
-    labels_a, labels_b = [None] * len(log.coords_a), [None] * width
+    labels_a, labels_b = {}, {}
     counts_a, counts_b = [0] * len(log.links), [0] * len(log.links)
     cells_a, cells_b = ["0"] * len(log.links), ["0"] * len(log.links)
     fa = fb = ";".join(cells_a)

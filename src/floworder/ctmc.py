@@ -25,13 +25,16 @@ last running sum, the move is the last bin with a positive rate, read
 from the rates when the row is built (a positive rate can vanish in a
 running sum). The mapping is a _Rows dict, which builds a row on the
 path's first visit to its state, so a path costs the states it visits.
-simulate_path runs the kernel with one bin per link, gathering each row
-from running sums, last bins and next_index arrays made once over the
-states; coupling's simulate_coupled runs it on index pairs with three
-bins per link. The path is returned as columns (times, bins, states),
-not as one object per event. EventLog keeps the columns and builds its Event tuples
-only when they are read; its flow counters, one per link, are one int64
-array counted from the moves column (flows()).
+Both simulators read a visited state with _state_reader, its per-link
+rates and move targets taken from the spec's rate_vector and next_index
+arrays, and build its row in one loop over the links: simulate_path
+with one bin per link (_link_row), coupling's simulate_coupled on index
+pairs with three bins per link. Apart from finding the start
+(NetworkSpec.find), a path makes nothing over the whole state space.
+The path is returned as columns (times, bins, states), not as one
+object per event. EventLog keeps the columns and builds its Event
+tuples only when they are read; its flow counters, one per link, are
+one int64 array counted from the moves column (flows()).
 
 The generator holds the states as the spec's coords array, and nothing
 here makes a tuple per state: a state is looked up by comparing columns
@@ -44,7 +47,8 @@ _CSV_ROWS rows each, so a caller writes a long report as it is made and
 never holds its whole text. Every state label is joined from the
 columns by model._row_labels, one str per distinct coordinate value:
 distribution_csv labels every row of the coords it is given, a chunk
-at a time, and the event writers label only the states a path visits.
+at a time, and the event writers label only the states a path visits,
+kept in a dict by row.
 
 Solvers:
 
@@ -452,27 +456,31 @@ class _Rows(dict):
         return row
 
 
-def _link_rows(rates: list, targets: list) -> _Rows:
-    """Kernel rows from one rate array and one target array per bin, over
-    the states, each row built on its state's first visit.
+def _state_reader(spec: NetworkSpec, scale: int = 1):
+    """i -> (rates, targets): state i's rate on each link, in declared
+    order, and the index each move leads to times `scale`, read off the
+    spec's rate_vector and next_index arrays one entry at a time."""
+    rates = [spec.rate_vector(link) for link in spec.links]
+    targets = [spec.next_index(link) for link in spec.links]
+    return lambda i: ([r.item(i) for r in rates], [n.item(i) * scale for n in targets])
 
-    The running sums and the last positive bins are made here once, as
-    arrays over the states, and a row gathers its state's entries from
-    them. The running sums are added bin by bin, so each is bit-equal to
-    the loop acc += r; the total is the last running sum.
+
+def _link_row(rates: list, targets: list):
+    """Kernel row (total, cumulative, last, targets) with one bin per rate.
+
+    The running sums are formed as acc += r from 0.0, the total is the
+    last of them, and `last` is the last bin with a positive rate, read
+    from the rates since one can vanish in the running sum.
     """
-    running = [rates[0]]
-    for r in rates[1:]:
-        running.append(running[-1] + r)
-    last = np.zeros(rates[0].size, dtype=np.int64)
+    acc = 0.0
+    cumulative = []
+    last = 0
     for b, r in enumerate(rates):
-        last[r > 0.0] = b
-
-    def row(i):
-        cumulative = [c.item(i) for c in running]
-        return cumulative[-1], cumulative, last.item(i), [n.item(i) for n in targets]
-
-    return _Rows(row)
+        acc += r
+        if r > 0.0:
+            last = b
+        cumulative.append(acc)
+    return acc, cumulative, last, targets
 
 
 def _start_index(spec: NetworkSpec, init: State) -> int:
@@ -490,15 +498,14 @@ def simulate_path(spec: NetworkSpec, init, horizon: float, seed: int) -> EventLo
     not recorded) or when the total exit rate hits zero, which sets the
     absorbed flag. Ties in link selection resolve in declared link order.
     A state's total exit rate is summed link by link in declared order.
-    A state's row is built when the path first reaches it, so the cost
-    beyond a few array passes grows with the states the path visits.
+    A state's row is read off the link arrays when the path first reaches
+    it, so beyond the lookup of the start the cost grows with the states
+    the path visits.
     """
     init = _as_state(init, "initial state")
     start = _start_index(spec, init)
-    rows = _link_rows(
-        [spec.rate_vector(link) for link in spec.links],
-        [spec.next_index(link) for link in spec.links],
-    )
+    read = _state_reader(spec)
+    rows = _Rows(lambda i: _link_row(*read(i)))
     times, moves, visits, absorbed = gillespie(rows, start, horizon, seed)
     return EventLog(
         initial=init,
@@ -766,13 +773,12 @@ def throughput(spec: NetworkSpec, pi, link: Link) -> float:
 _CSV_ROWS = 4096
 
 
-def _label_visits(labels: list, coords: np.ndarray, visits) -> None:
-    """Label each row of coords in `visits` that `labels`, a list over
-    its rows, holds no label for yet (_row_labels, joined by ';'); a
-    writer fills it block by block, labelling only the visited states."""
-    fresh = [i for i in set(visits) if labels[i] is None]
-    for i, label in zip(fresh, _row_labels(coords[fresh].T.tolist(), ";")):
-        labels[i] = label
+def _label_visits(labels: dict, coords: np.ndarray, visits) -> None:
+    """Label each row of coords in `visits` that `labels`, a dict by row,
+    holds no label for yet (_row_labels, joined by ';'); a writer fills
+    it block by block, so it holds the visited states only."""
+    fresh = list(set(visits).difference(labels))
+    labels.update(zip(fresh, _row_labels(coords[fresh].T.tolist(), ";")))
 
 
 def event_log_csv(log: EventLog):
@@ -784,7 +790,7 @@ def event_log_csv(log: EventLog):
     visits are labelled, each before the first chunk that names it.
     """
     prefixes = [f"{i},{j}," for i, j in log.links]
-    labels = [None] * len(log.coords)
+    labels = {}
     yield "time,link_from,link_to,state_after\n"
     for start in range(0, len(log.times), _CSV_ROWS):
         stop = start + _CSV_ROWS

@@ -144,12 +144,33 @@ def test_balanced_never_outserves_original_at_equal_states():
 
 def test_pair_row_fallback_reads_a_rate_that_vanishes_in_the_running_sum():
     # Link 1's A-only rate 1.0 disappears in 1e17 + 1.0; it is still the last positive bin.
-    total, cumulative, last = coupling._pair_row([(1e17, 1e17), (1.0, 0.0)])
+    total, cumulative, last, _ = coupling._pair_row(
+        ([1e17, 1.0], [0, 0]), ([1e17, 0.0], [0, 0]), 0, 0
+    )
     assert cumulative == [1e17] * 6
     assert last == 5
     assert total == 1e17 + 1.0
-    # every bin positive but the final one: the last positive bin is 4 (B-only of link 1)
-    assert coupling._pair_row([(1.0, 2.0), (1.0, 3.0)]) == (5.0, [1.0, 2.0, 2.0, 3.0, 5.0, 5.0], 4)
+    # every bin positive but the final one: the last positive bin is 4 (B-only of link 1).
+    # A is at index 4 and B at 7 of a width-10 pair code: A's targets come
+    # times 10, and per link the codes are (joint, B-only, A-only) moves.
+    row = coupling._pair_row(([1.0, 1.0], [50, 30]), ([2.0, 3.0], [8, 6]), 40, 7)
+    assert row == (5.0, [1.0, 2.0, 2.0, 3.0, 5.0, 5.0], 4, [58, 48, 57, 36, 46, 37])
+    # the bins are marching_rates link by link, running-summed in bin order
+    rates_a, rates_b = [0.5, 3.0, 2.0, 0.0], [1.5, 1.0, 2.0, 0.0]
+    total, cumulative, last, targets = coupling._pair_row(
+        (rates_a, [10, 20, 30, 40]), (rates_b, [1, 2, 3, 4]), 50, 5
+    )
+    acc = expected_total = 0.0
+    for k, (a, b) in enumerate(zip(rates_a, rates_b)):
+        triple = marching_rates(a, b)
+        expected_total += sum(triple)
+        for kind, r in enumerate(triple):
+            acc += r
+            assert cumulative[3 * k + kind] == acc
+    assert len(cumulative) == 12
+    assert total == expected_total
+    assert last == 6  # link 2's joint bin: link 2 has no one-sided rate, link 3 no rate
+    assert targets == [11, 51, 15, 22, 52, 25, 33, 53, 35, 44, 54, 45]
 
 
 # ------------------------------------------------------------- simulation
