@@ -18,7 +18,7 @@ the balanced variant as model A and the original as model B.
 Every output file starts with a reproducibility header (tool version,
 seed, tolerances, model digests) and a fixed invocation produces byte
 identical files. Exit status: 0 pass, 1 verdict failure, 2 usage or
-model errors.
+model errors, or a run out of memory.
 
 Each command takes only the options its handler reads, and an option it
 would ignore exits 2 as an unrecognized argument. The argument parser is
@@ -536,6 +536,9 @@ def main(argv=None) -> int:
         return _COMMANDS[config.command](config)
     except (UsageError, ModelError, SolverError, OSError) as e:
         print(f"floworder: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy's names the allocation; a bare one says nothing
+        print(f"floworder: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -35,9 +35,11 @@ fit in one block of _BLOCK_PAIRS, where the grid would have more cells
 than there are pairs (a few states spread over many values, as on a
 listed diagonal), or where one slice of it alone would exceed a block,
 the query scans the pairs instead, a block at a time. So no query costs
-much more than a scan of the pairs, and the working memory is a few
-arrays of O(n**2) integers per state plus a few blocks: a few MiB at
-the default block.
+much more than a scan of the pairs. Each axis is the signed sum of a
+run of coordinates, one int64 column over both spaces (see _axis), and
+a condition builds its axes only when it is reached, so the working
+memory is a few blocks plus one such column per axis of the condition
+at hand, besides the query's own arrays over the states.
 
 One routine, _breaches, decides every condition of the three checks.
 The verdict comes from the query alone: a condition fails exactly at
@@ -56,6 +58,7 @@ mean-flow margin check on a time grid.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,31 +167,29 @@ def _require_linear_pair(spec_a: NetworkSpec, spec_b: NetworkSpec):
         raise ModelError("order checks need the same number of nodes on both models")
 
 
-def _axes(cells, m_a: int):
-    """Grid axes for the columns of cells, whose first m_a rows belong to
-    A's states and the rest to B's: an (A's cells, B's cells, size) triple
-    per column. The array holds the columns' values and is overwritten
-    with their cells.
+def _axis(spec_a: NetworkSpec, spec_b: NetworkSpec, lo: int, hi: int, sign: int = 1):
+    """The grid axis of sign·(x_{lo+1} + ... + x_hi) over both spaces: an
+    (A's cells, B's cells, size) triple, each cells a contiguous column.
 
-    Cells are ordered as the values are. A column whose values span no
-    more integers than the two spaces have states indexes the grid by its
-    value less the least value; any other column, such as coordinates near
-    10**9 on a few listed states, by its rank among the distinct values of
-    both spaces. So no axis is longer than |A| + |B|.
+    Cells are ordered as the values are. A run whose values span no more
+    integers than the two spaces have states indexes the grid by its value
+    less the least value; any other run, such as coordinates near 10**9 on
+    a few listed states, by its rank among the distinct values of both
+    spaces. So no axis is longer than |A| + |B|.
     """
-    cells -= cells.min(axis=0)
-    sizes = (cells.max(axis=0) + 1).tolist()
-    for c, size in enumerate(sizes):
-        if size > len(cells):
-            distinct, cells[:, c] = np.unique(cells[:, c], return_inverse=True)
-            sizes[c] = len(distinct)
-    return [(cells[:m_a, c], cells[m_a:, c], size) for c, size in enumerate(sizes)]
-
-
-def _reversed(axis):
-    """The axis of a column's negation: its cells in reverse order."""
-    cells_a, cells_b, size = axis
-    return size - 1 - cells_a, size - 1 - cells_b, size
+    xa, xb = spec_a.coords, spec_b.coords
+    values = np.concatenate((xa[:, lo], xb[:, lo]))
+    for c in range(lo + 1, hi):
+        values += np.concatenate((xa[:, c], xb[:, c]))
+    least, most = values.min(), values.max()
+    if most - least >= len(values):
+        distinct, values = np.unique(values, return_inverse=True)
+        least, most = 0, len(distinct) - 1
+    if sign > 0:
+        values -= least
+    else:  # the negated run's cells: the run's in reverse order
+        np.subtract(most, values, out=values)
+    return values[: len(xa)], values[len(xa) :], int(most - least) + 1
 
 
 def _dominance(axes, queries, exact: bool = False):
@@ -199,7 +200,7 @@ def _dominance(axes, queries, exact: bool = False):
     states.
 
     op is np.minimum, np.maximum or np.add, with identity inf, -inf or 0;
-    axes come from _axes. Each query puts B's values on the grid of cells,
+    axes come from _axis. Each query puts B's values on the grid of cells,
     accumulates it by op along every axis but an exact one and reads it at
     A's cells: O(|A| + |B| + cells) work, and no pair of states is formed.
     The grid is swept in slabs of about _BLOCK_PAIRS cells, one slice at
@@ -351,12 +352,12 @@ def check_flow_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    axis = _axes(np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.coords))
+    axis = functools.partial(_axis, spec_a, spec_b)
     # link k: x admits the x' with x'_k >= x_k and x'_{k+1} <= x_{k+1}
     conditions = (
         (
             f"flow-link-{k}",
-            ([_reversed(axis[k - 1])] if k > 0 else []) + ([axis[k]] if k < n else []),
+            ([axis(k - 1, k, -1)] if k > 0 else []) + ([axis(k, k + 1)] if k < n else []),
             False,
             {"rate": (spec_a.rate_vector(link), spec_b.rate_vector(link), np.minimum)},
         )
@@ -393,14 +394,14 @@ def check_population_conditions(
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    axis = _axes(np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.coords))
+    axis = functools.partial(_axis, spec_a, spec_b)
     rates = [(spec_a.rate_vector(link), spec_b.rate_vector(link)) for link in spec_a.links]
     # node c + 1, in by link c and out by link c + 1: x admits the x' with
     # x'_{c+1} = x_{c+1} and x'_j >= x_j for every other j
     conditions = (
         (
             f"population-node-{c + 1}",
-            [axis[c]] + [_reversed(axis[j]) for j in range(n) if j != c],
+            [axis(c, c + 1)] + [axis(j, j + 1, -1) for j in range(n) if j != c],
             True,
             {"inflow": (*rates[c], np.minimum), "outflow": (*rates[c + 1], np.maximum)},
         )
@@ -489,15 +490,16 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     and S = P' - P, a vector of length n+1, the gap vector tight at k is
     d = S_k - S. The pair is realizable at k exactly when S_k = max S,
     that is when u(x) <= u(x') componentwise for u(x)_j = P_k - P_j,
-    j != k; and then max d = max S - min S for every such k. So for each
+    j != k, the sum of x over a run between j and k, negated for j > k;
+    and then max d = max S - min S for every such k. So for each
     tight link the verdict is an n-D suffix minimum of rate_B on the grid
     of u's ranks over both spaces, read at each of A's states, and
     `checked` is the int64 suffix count of B's states on the same grid,
     summed over A's states: O(|A| + |B| + cells) work per link, with no
     pair listed, or a scan of the pairs where that costs less (see
     _dominance). Pairs are listed only on A's states with a violating
-    partner, each such row against all of B's states, and the gap
-    vectors of the witnesses are read off S.
+    partner, each such row against all of B's states, and a witness's gap
+    vector is read off the S of its two states.
 
     The report's gap_bound is n times the largest coordinate c in either
     space, and no gap can exceed it: S_j - S_i is the sum of x'_l - x_l
@@ -506,38 +508,29 @@ def verify_tight_configurations(spec_a: NetworkSpec, spec_b: NetworkSpec) -> Clo
     """
     _require_linear_pair(spec_a, spec_b)
     n = spec_a.n
-    x, m_a = np.concatenate([spec_a.coords, spec_b.coords]), len(spec_a.coords)
-    # P_0 = 0, P_1, ..., P_n per state, one row per state
-    prefix = np.zeros((len(x), n + 1), dtype=np.int64)
-    np.cumsum(x, axis=1, out=prefix[:, 1:])
-    prefix_a, prefix_b = prefix[:m_a], prefix[m_a:]
-    # the axes of P_j - P_k for k < j; that of P_k - P_j is one reversed
-    above = [(k, j) for k in range(n + 1) for j in range(k + 1, n + 1)]
-    ks, js = (list(c) for c in zip(*above))
-    axis = dict(zip(above, _axes(prefix[:, js] - prefix[:, ks], m_a)))
-    ones = np.ones(len(prefix_b), dtype=np.int64)
+    axis = functools.partial(_axis, spec_a, spec_b)
+    ones = np.ones(len(spec_b.coords), dtype=np.int64)
     closed, checked, witnesses = True, 0, []
     for k, link in enumerate(spec_a.links):
         ra, rb = spec_a.rate_vector(link), spec_b.rate_vector(link)
-        # realizable at k: P'_j - P'_k <= P_j - P_k for every j != k
-        axes = [_reversed(axis[j, k]) if j < k else axis[k, j] for j in range(n + 1) if j != k]
+        # realizable at k: P'_j - P'_k <= P_j - P_k for every j != k, where
+        # P_j - P_k is minus the run of coordinates j + 1..k for j < k
+        axes = [axis(j, k, -1) if j < k else axis(k, j) for j in range(n + 1) if j != k]
         failing, pairs, (admitted,) = _breaches(
             axes, [(ra, rb, np.minimum)], first=False, extra=[(np.add, 0, ones)]
         )
         closed = closed and not len(failing)
         checked += int(admitted.sum())
         for i, j, _ in pairs:
-            s = prefix_b[j] - prefix_a[i]
-            gaps = tuple((s[k] - s).tolist())
-            config = TightConfiguration(
-                k, _row_state(spec_a.coords, i), _row_state(spec_b.coords, j), gaps
-            )
+            state_a, state_b = _row_state(spec_a.coords, i), _row_state(spec_b.coords, j)
+            s = [0, *itertools.accumulate(b - a for a, b in zip(state_a, state_b))]
+            config = TightConfiguration(k, state_a, state_b, tuple(s[k] - v for v in s))
             witnesses.append(ClosureWitness(config, float(ra[i]), float(rb[j])))
     return ClosureReport(
         closed=closed,
         witnesses=tuple(witnesses),
         checked=checked,
-        gap_bound=n * int(x.max(initial=0)),
+        gap_bound=n * max(int(spec.coords.max()) for spec in (spec_a, spec_b)),
         domains=dict(_DOMAINS),
     )
 

@@ -710,6 +710,28 @@ def test_solve_failure_leaves_no_partial_report_set(tmp_path, capsys, monkeypatc
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(), "floworder: out of memory\n"),
+        (MemoryError("Unable to allocate 412. MiB"), "floworder: Unable to allocate 412. MiB\n"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_out_of_memory_exits_two_with_one_line(error, line, tmp_path, capsys, monkeypatch):
+    """Running out of memory is an error of the run, not a failed verdict:
+    one line and exit 2, with no report written."""
+
+    def exhaust(spec_a, spec_b):
+        raise error
+
+    monkeypatch.setattr(cli, "verify_tight_configurations", exhaust)
+    rc = main(["verify", "--family", "tandem-pair", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == line
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_model_file_exits_two(tmp_path, capsys):
     rc = main(["solve", "--model-a", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2

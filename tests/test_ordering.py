@@ -281,9 +281,11 @@ def test_dominance_is_blind_to_the_order_of_the_inexact_axes(seed, block, path, 
     rng = np.random.default_rng(seed)
     (spec_a, _), (spec_b, _) = (helpers.random_table_instance(rng, 3, 3) for _ in range(2))
     x = np.concatenate([spec_a.coords, spec_b.coords])
-    # four axes of four cells each: 256 cells against 256 pairs
-    columns = np.stack([x[:, 0], x[:, 1], x.sum(axis=1) // 2, x.max(axis=1)], axis=1)
-    axes = ordering._axes(columns, len(spec_a.coords))
+    # four axes of four cells each, every one spanning 0..3 on the 3x3 box:
+    # 256 cells against 256 pairs
+    m_a = len(spec_a.coords)
+    columns = [x[:, 0], x[:, 1], x.sum(axis=1) // 2, x.max(axis=1)]
+    axes = [(col[:m_a], col[m_a:], 4) for col in columns]
     rb = spec_b.rate_vector((1, 2))
     ones = np.ones(len(rb), dtype=np.int64)
     queries = [(np.minimum, np.inf, rb), (np.maximum, -np.inf, rb), (np.add, 0, ones)]
@@ -576,6 +578,29 @@ def test_exact_checks_at_two_hundred_by_two_hundred():
     ]
     assert closure.closed
     assert closure.checked == 1_643_047_900
+
+
+@pytest.mark.parametrize(
+    "check, bound_mib",
+    [(verify_tight_configurations, 16), (check_flow_conditions, 8.5)],
+    ids=["closure", "flow"],
+)
+def test_exact_checks_hold_a_few_columns_over_the_states(check, bound_mib):
+    """On the s1 = s2 = 300 tandem pair (181,201 states, 1.45 MB an int64
+    column over both) each condition builds its axes, one run of
+    coordinates each, when it is reached, and the closure holds no matrix
+    of prefix sums or of their differences: the traced peak stays within a
+    few such columns plus a few blocks."""
+    spec_a, spec_b = tandem_pair(300, 300, 300.0)
+    assert len(spec_a.coords) + len(spec_b.coords) == 181_201
+    tracemalloc.start()
+    try:
+        report = check(spec_a, spec_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.to_dict()["verdict"] == "pass"
+    assert peak < bound_mib * 2**20, f"{check.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 def thin_pair(states):
