@@ -65,8 +65,9 @@ from .model import ModelError, NetworkSpec, load_model, model_digest
 from .ordering import (
     check_flow_conditions,
     check_population_conditions,
+    flow_order_violations,
     mean_order_check,
-    pathwise_flow_order_check,
+    pathwise_flow_order_check,  # unused; bench/tracing.py patches cli.pathwise_flow_order_check
     verify_tight_configurations,
 )
 from .rng import replication_seed
@@ -302,7 +303,7 @@ def _initial_state(config: argparse.Namespace, spec: NetworkSpec) -> tuple[int, 
 def _couple_worker(args):
     path, header, spec_a, spec_b, init, horizon, seed = args
     log = simulate_coupled(spec_a, spec_b, init, init, horizon, seed)
-    violations = len(pathwise_flow_order_check(log))
+    violations = flow_order_violations(log)
     _write_csv(path, header, paired_log_csv(log))
     return len(log.times), violations
 

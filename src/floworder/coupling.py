@@ -18,33 +18,32 @@ _pair_row makes a pair's row from the two in one pass over the links:
 per link the three bins' rates, running sums and pair codes after a
 move. A side that does not move in a bin keeps its index.
 
-A coupled path is a PairedEventLog of three columns: event times, bins
-and state-index pairs. The bin code 3 * k + kind and the pair code
-ia * len(coords_b) + ib are decoded here, as arrays. The log's views
-decode them once per log: flows(side), each side's counters as one
-(events + 1, links) int64 array, and visits(side), each side's state
-index after every event. The population coupling is the same path read
-without its counters, from the visits arrays alone
+A coupled path is a PairedEventLog of three columns, with no object per
+event: event times, bins and state-index pairs. The bin code 3 * k + kind
+and the pair code ia * len(coords_b) + ib are decoded here, as arrays.
+The log's views decode them once per log: flows(side), each side's
+counters as one (events + 1, links) int64 array, and visits(side), each
+side's state index after every event. The population coupling is the
+same path read without its counters, from the visits arrays alone
 (ordering.pathwise_population_order_check). The CSV writer
-paired_log_csv and the flow-order scan (ordering.pathwise_flow_order_check,
-through _flow_blocks) decode the codes a block of ctmc._CSV_ROWS events
-at a time instead, carrying the counters from block to block, so
-neither holds more than a block beside the log's own columns; the
-writer yields its text as chunks, one per block.
+paired_log_csv and ordering's flow-order scans (through _flow_blocks)
+decode the codes a block of ctmc._CSV_ROWS events at a time instead,
+carrying the counters from block to block, so none holds more than a
+block beside the log's own columns; the writer yields its text as
+chunks, one per block.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from .ctmc import (
     _CSV_ROWS,
-    EventView,
+    _event_indices,
     _flow_counts,
     _label_visits,
     _log_eq,
@@ -56,7 +55,6 @@ from .model import Link, ModelError, NetworkSpec, State, _as_state
 
 __all__ = [
     "marching_rates",
-    "CoupledEvent",
     "PairedEventLog",
     "simulate_coupled",
     "paired_log_csv",
@@ -88,22 +86,6 @@ def marching_rates(a: float, a_prime: float) -> tuple[float, float, float]:
     return (joint, max(a_prime - a, 0.0), max(a - a_prime, 0.0))
 
 
-class CoupledEvent(NamedTuple):
-    """One coupled event: both states and both sides' counters after it.
-
-    flows_a[k] and flows_b[k] count the events so far on links[k] in
-    which that side moved; both start at zero.
-    """
-
-    time: float
-    link: Link
-    kind: str  # "joint", "b_only" or "a_only"
-    state_a: State
-    state_b: State
-    flows_a: tuple[int, ...]
-    flows_b: tuple[int, ...]
-
-
 @dataclass
 class PairedEventLog:
     """One coupled path, as columns over its events.
@@ -126,17 +108,9 @@ class PairedEventLog:
     pairs: array
     horizon: float
     absorbed: bool
-    # The path as CoupledEvent tuples, counters included.
-    events: EventView = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The view holds the columns, not the log, so a log is no reference
-        # cycle and is freed as soon as it is dropped.
-        columns = (self.times, self.bins, self.pairs)
-        make = partial(_coupled_events, *columns, self.links, self.coords_a, self.coords_b)
-        self.events = EventView(len(self.times), make)
 
     __eq__ = _log_eq
+    events = property(_event_indices)
 
     @cached_property
     def _bin_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -164,18 +138,6 @@ class PairedEventLog:
         """State index of side 'a' or 'b' after every event, read-only."""
         column, _ = _side(side)
         return self._pair_codes[column]
-
-
-def _coupled_events(times, bins, pairs, links, coords_a, coords_b):
-    positions, kinds = np.divmod(np.asarray(bins, dtype=np.int64), 3)
-    visits_a, visits_b = np.divmod(np.asarray(pairs, dtype=np.int64), len(coords_b))
-    # zip over the columns yields each row as a tuple
-    flows_a = zip(*_flow_counts(positions, kinds != _SIDES["a"][1], len(links))[1:].T.tolist())
-    flows_b = zip(*_flow_counts(positions, kinds != _SIDES["b"][1], len(links))[1:].T.tolist())
-    states_a, states_b = coords_a[visits_a].tolist(), coords_b[visits_b].tolist()
-    columns = (positions.tolist(), kinds.tolist(), states_a, states_b)
-    for t, k, kind, xa, xb, fa, fb in zip(times, *columns, flows_a, flows_b):
-        yield CoupledEvent(t, links[k], _KINDS[kind], tuple(xa), tuple(xb), fa, fb)
 
 
 def _read_only(arrays):

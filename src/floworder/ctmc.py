@@ -32,14 +32,13 @@ with one bin per link (_link_row), coupling's simulate_coupled on index
 pairs with three bins per link. Apart from finding the start
 (NetworkSpec.find), a path makes nothing over the whole state space.
 The path is returned as columns (times, bins, states), not as one
-object per event. EventLog keeps the columns and builds its Event
-tuples only when they are read; its flow counters, one per link, are
-one int64 array counted from the moves column (flows()).
+object per event, and EventLog is those columns: its flow counters, one
+per link, are one int64 array counted from the moves column (flows()).
 
 The generator holds the states as the spec's coords array, and nothing
 here makes a tuple per state: a state is looked up by comparing columns
-(find_row), and ReducibleChainError names its classes' states from
-their rows, and a log's event views and CSV writers read coords rows too.
+(find_row), ReducibleChainError names its classes' states from their
+rows, and the CSV writers read coords rows too.
 
 Reports: the CSV writers event_log_csv and distribution_csv (and
 coupling's paired_log_csv) are generators of text chunks of at most
@@ -100,10 +99,8 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import chain, repeat
 from operator import methodcaller
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,9 +112,7 @@ __all__ = [
     "ReducibleChainError",
     "ConvergenceError",
     "ToleranceError",
-    "Event",
     "EventLog",
-    "EventView",
     "Generator",
     "build_generator",
     "simulate_path",
@@ -164,46 +159,6 @@ class ToleranceError(SolverError):
     """
 
 
-class Event(NamedTuple):
-    time: float
-    link: Link
-    pre: State
-    post: State
-
-
-class EventView:
-    """Read-only events of a columnar log, built when read; len() builds nothing.
-
-    Equal to a list, tuple or view holding equal events in the same order.
-    """
-
-    def __init__(self, size: int, make):
-        self._size = size
-        self._make = make  # returns a fresh iterator over the events
-        self._built = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return iter(self._built) if self._built is not None else self._make()
-
-    def __getitem__(self, i):
-        if self._built is None:
-            self._built = tuple(self._make())
-        return self._built[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, tuple, EventView)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EventView({list(self)!r})"
-
-
 def _log_eq(a, b):
     """A dataclass's ==, with ndarray fields compared by value."""
     if type(a) is not type(b):
@@ -212,13 +167,20 @@ def _log_eq(a, b):
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
 
+def _event_indices(log) -> range:
+    """A log's `events`: its event indices. Kept only for bench/tracing.py,
+    which counts len(result.events), until it counts len(result.times)."""
+    return range(len(log.times))
+
+
 @dataclass
 class EventLog:
     """One simulated path, as columns over its events.
 
     times[e] is the time of event e, moves[e] the position in `links` of
     the link it moved along and visits[e] the row of `coords`, the spec's
-    read-only (m, n) int64 array, holding the state after it.
+    read-only (m, n) int64 array, holding the state after it. No object
+    is made per event.
     """
 
     initial: State
@@ -229,17 +191,9 @@ class EventLog:
     horizon: float
     absorbed: bool
     links: tuple[Link, ...]
-    # The path as Event(time, link, pre, post) tuples.
-    events: EventView = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The view holds the columns, not the log, so a log is no reference
-        # cycle and is freed as soon as it is dropped.
-        columns = (self.times, self.moves, self.visits)
-        make = partial(_events, self.initial, *columns, self.coords, self.links)
-        self.events = EventView(len(self.times), make)
 
     __eq__ = _log_eq
+    events = property(_event_indices)
 
     def flows(self) -> np.ndarray:
         """The flow counters as an (events + 1, links) int64 array.
@@ -249,13 +203,6 @@ class EventLog:
         """
         moves = np.asarray(self.moves, dtype=np.int64)
         return _flow_counts(moves, 1, len(self.links))
-
-
-def _events(initial, times, moves, visits, coords, links):
-    pre = initial
-    for t, k, post in zip(times, moves, map(tuple, coords[visits].tolist())):
-        yield Event(t, links[k], pre, post)
-        pre = post
 
 
 def _flow_counts(positions: np.ndarray, moved, links: int, start=0) -> np.ndarray:

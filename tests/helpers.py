@@ -12,7 +12,9 @@ factorisation that came before the direct CSR assembly; the transient
 solvers have the row-vector loops vec = vec @ P that came before the
 cached transposed kernel; and simulated
 paths have the dict-based Gillespie loops the
-package used before its rates became arrays over the state index. The
+package used before its rates became arrays over the state index; they
+return event tuples of their own, which assert_path and
+assert_coupled_path compare with a log's columns. The
 order checks have the triple loops over links and state pairs that they
 ran before they became block masks, and the block masks over A's states
 times all of B's that they ran before they became grid queries. The CSV
@@ -35,17 +37,17 @@ import itertools
 import json
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, null_space
 from scipy.stats import chi2
 
 from floworder import expr, model, ordering
-from floworder.coupling import A_ONLY, B_ONLY, JOINT, CoupledEvent, marching_rates
+from floworder.coupling import A_ONLY, B_ONLY, JOINT, marching_rates
 from floworder.ctmc import (
     _CSV_ROWS,
     ConvergenceError,
-    Event,
     Generator,
     _poisson_weights,
     _recurrent_class,
@@ -520,17 +522,26 @@ def stateflow_events(log):
     """The state-flow path along a population event log.
 
     One (time, link, state, flows) tuple per event, state and counters
-    after the move; counters are aligned with log.links and counted move
-    by move from zero, as the augmented chain does.
+    after the move, read off the log's columns; counters are aligned with
+    log.links and counted move by move from zero, as the augmented chain
+    does.
     """
     flows = (0,) * len(log.links)
-    position = {link: k for k, link in enumerate(log.links)}
     out = []
-    for ev in log.events:
-        k = position[ev.link]
+    for t, k, post in zip(log.times, log.moves, states_after(log)):
         flows = flows[:k] + (flows[k] + 1,) + flows[k + 1 :]
-        out.append((ev.time, ev.link, ev.post, flows))
+        out.append((t, log.links[k], post, flows))
     return out
+
+
+def states_after(log, side=None):
+    """The state after each event, as tuples: the coords rows at the visits
+    column of a population log, or at visits(side) of a coupled one."""
+    if side is None:
+        rows = log.coords[np.asarray(log.visits, dtype=np.int64)]
+    else:
+        rows = getattr(log, f"coords_{side}")[log.visits(side)]
+    return [tuple(row) for row in rows.tolist()]
 
 
 # ------------------------------------------------------ scalar rate oracle
@@ -916,6 +927,52 @@ def scalar_rate_table(spec: NetworkSpec, link) -> dict:
 # ------------------------------------------------- reference simulators
 
 
+class Event(NamedTuple):
+    """One event of reference_simulate_path: its link and the states
+    before and after it."""
+
+    time: float
+    link: tuple
+    pre: tuple
+    post: tuple
+
+
+class CoupledEvent(NamedTuple):
+    """One event of reference_simulate_coupled: both states and both
+    sides' counters after it, counted from zero on log.links."""
+
+    time: float
+    link: tuple
+    kind: str  # JOINT, B_ONLY or A_ONLY
+    state_a: tuple
+    state_b: tuple
+    flows_a: tuple
+    flows_b: tuple
+
+
+def assert_path(log, events):
+    """The columns of a population log hold exactly the reference path
+    `events`: times, links, and the states before and after each event."""
+    assert list(log.times) == [ev.time for ev in events]
+    assert [log.links[k] for k in log.moves] == [ev.link for ev in events]
+    posts = states_after(log)
+    assert posts == [ev.post for ev in events]
+    assert [log.initial, *posts][:-1] == [ev.pre for ev in events]
+
+
+def assert_coupled_path(log, events):
+    """The columns of a coupled log hold exactly the reference path
+    `events`: times, links, kinds, both states and both counters."""
+    positions, kinds = np.divmod(np.asarray(log.bins, dtype=np.int64), 3)
+    assert list(log.times) == [ev.time for ev in events]
+    assert [log.links[k] for k in positions.tolist()] == [ev.link for ev in events]
+    assert [(JOINT, B_ONLY, A_ONLY)[k] for k in kinds.tolist()] == [ev.kind for ev in events]
+    assert states_after(log, "a") == [ev.state_a for ev in events]
+    assert states_after(log, "b") == [ev.state_b for ev in events]
+    assert log.flows("a")[1:].tolist() == [list(ev.flows_a) for ev in events]
+    assert log.flows("b")[1:].tolist() == [list(ev.flows_b) for ev in events]
+
+
 def exponential(rng: np.random.Generator, rate: float) -> float:
     """Exp(rate) by the inverse CDF from one-at-a-time uniforms, zeros redrawn."""
     u = rng.random()
@@ -1033,10 +1090,10 @@ def reference_population_order(log):
     """pathwise_population_order_check as a loop over the log's events."""
     violations = []
     n = len(log.initial_a)
-    for ev in log.events:
+    for t, xa, xb in zip(log.times, states_after(log, "a"), states_after(log, "b")):
         for i in range(n):
-            if ev.state_a[i] > ev.state_b[i]:
-                violations.append((ev.time, i + 1))
+            if xa[i] > xb[i]:
+                violations.append((t, i + 1))
     return violations
 
 

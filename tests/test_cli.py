@@ -211,6 +211,27 @@ def test_transient_fails_a_pair_in_which_a_out_serves_b(tmp_path, capsys):
     assert main(argv) == 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="rates are compared as evaluated doubles, and 0.3 + 1e-17 rounds to 0.3 "
+    "(ROADMAP item 2)",
+)
+def test_check_and_verify_fail_a_pair_whose_exact_rates_break_the_order(tmp_path, capsys):
+    """A's arrival rate exceeds B's by eps = 1e-17 wherever it is positive, so in
+    exact arithmetic over the document's doubles the arrival condition fails and
+    the relation is not closed; as evaluated doubles the two rates are equal."""
+
+    def doc(arrival, params):
+        rates = {"0->1": f"{arrival} * ind(x1 < 3)", "1->0": "x1"}
+        return {"n": 1, "space": {"box": [3]}, "params": params, "rates": rates}
+
+    path_a = write_doc(tmp_path, "a.json", doc("(lam + eps)", {"lam": 0.3, "eps": 1e-17}))
+    path_b = write_doc(tmp_path, "b.json", doc("lam", {"lam": 0.3}))
+    pair = ["--model-a", path_a, "--model-b", path_b]
+    assert main(["check"] + pair + ["--out", str(tmp_path / "check")]) == 1
+    assert main(["verify"] + pair + ["--out", str(tmp_path / "verify")]) == 1
+
+
 def test_transient_overflowing_poisson_mean_is_one_error_line(tmp_path, capsys):
     """beta = 1e308 makes Lambda * t overflow to infinity: exit 2, no traceback."""
     out = tmp_path / "out"
@@ -447,6 +468,32 @@ def test_event_command_memory_grows_by_the_live_columns_only(command, family, tm
     peak_long, events_long = traced_peak(8000)
     assert events_long - events_short > 250_000
     assert (peak_long - peak_short) / (events_long - events_short) <= 40
+
+
+def test_couple_worker_counts_violations_without_listing_them(tmp_path):
+    """A reversed pair (A original, B balanced) breaks the flow order on
+    about three links an event. The worker counts those violations without a
+    (time, link) pair each, so its peak stays near the ordered pair's; listing
+    them (275,459 pairs here) made it 5.5 times the ordered pair's."""
+    params = TandemParams.linear(10, 10, 10.0)
+    balanced, original = build_balanced_tandem(params), build_original_tandem(params)
+
+    def traced_worker(spec_a, spec_b, name):
+        task = (str(tmp_path / name), {}, spec_a, spec_b, (0, 0), 4000.0, 1)
+        tracemalloc.start()
+        try:
+            events, violations = cli._couple_worker(task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, violations
+
+    ordered_peak, ordered_violations = traced_worker(balanced, original, "ordered.csv")
+    reversed_peak, reversed_violations = traced_worker(original, balanced, "reversed.csv")
+    assert ordered_violations == 0 and reversed_violations > 200_000
+    assert reversed_peak <= 1.5 * ordered_peak
+    log = cli.simulate_coupled(original, balanced, (0, 0), (0, 0), 4000.0, 1)
+    assert reversed_violations == len(cli.pathwise_flow_order_check(log))
 
 
 class RecordingPool:
@@ -926,14 +973,26 @@ def test_family_commands_parse_no_expression(argv, tmp_path, monkeypatch, capsys
 )
 def test_replication_commands_read_no_events_view(argv, tmp_path, monkeypatch, capsys):
     """couple and simulate count a log's events from its times column, so
-    they never read the log's events view."""
-    from floworder import ctmc
+    they never read a log's `events`, in this process or in a pool's
+    workers, and write the same bytes as a run that may read it."""
+    from floworder.coupling import PairedEventLog
+    from floworder.ctmc import EventLog
+
+    plain = tmp_path / "plain"
+    assert main(argv + ["--out", str(plain)]) == 0
 
     def refuse(self):
-        raise AssertionError("an events view was read")
+        raise AssertionError("a log's events were read")
 
-    monkeypatch.setattr(ctmc.EventView, "__len__", refuse)
-    assert main(argv + ["--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(EventLog, "events", property(refuse))
+    monkeypatch.setattr(PairedEventLog, "events", property(refuse))
+    names = sorted(os.listdir(plain))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert filecmp.cmp(plain / name, out / name, shallow=False), name
     assert " events" in capsys.readouterr().out
 
 

@@ -15,7 +15,11 @@ from floworder.coupling import (
 )
 from floworder.ctmc import event_log_csv, simulate_path
 from floworder.model import ModelError, balance_signature, parse_model
-from floworder.ordering import pathwise_flow_order_check, pathwise_population_order_check
+from floworder.ordering import (
+    flow_order_violations,
+    pathwise_flow_order_check,
+    pathwise_population_order_check,
+)
 from floworder.tandem import TandemParams, build_balanced_tandem, build_original_tandem
 
 
@@ -179,18 +183,17 @@ def test_pair_row_fallback_reads_a_rate_that_vanishes_in_the_running_sum():
 def test_zero_horizon_empty():
     spec_a, spec_b = tandem_pair()
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 0.0, seed=1)
-    assert log.events == []
+    assert len(log.times) == len(log.bins) == len(log.pairs) == 0
     assert not log.absorbed
 
 
 def test_identical_specs_all_joint_and_diagonal():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
     log = simulate_coupled(spec, spec, (0, 0), (0, 0), 30.0, seed=6)
-    assert len(log.events) > 10
-    for ev in log.events:
-        assert ev.kind == "joint"
-        assert ev.state_a == ev.state_b
-        assert ev.flows_a == ev.flows_b
+    assert len(log.times) > 10
+    assert all(b % 3 == 0 for b in log.bins)  # every bin a joint one
+    assert np.array_equal(log.visits("a"), log.visits("b"))
+    assert np.array_equal(log.flows("a"), log.flows("b"))
 
 
 def test_projection_matches_identical_direct_path():
@@ -274,8 +277,7 @@ def test_tandem_pair_counters_stay_ordered():
     spec_a, spec_b = tandem_pair(2, 2, 1.0)
     for rep in range(50):
         log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 20.0, seed=9000 + rep)
-        for ev in log.events:
-            assert all(fa <= fb for fa, fb in zip(ev.flows_a, ev.flows_b))
+        assert (log.flows("a") <= log.flows("b")).all()
 
 
 def test_bad_initial_states_rejected():
@@ -340,12 +342,12 @@ def test_projected_event_counts_match_direct_distribution():
     proj_counts: dict[int, int] = {}
     for rep in range(reps):
         log = simulate_coupled(spec_a, spec_b, (0,), (0,), horizon, seed=rep)
-        k = sum(1 for ev in log.events if ev.kind in ("joint", "a_only"))
+        k = int(log.flows("a")[-1].sum())  # A's joint and A-only events
         proj_counts[k] = proj_counts.get(k, 0) + 1
     direct_counts: dict[int, int] = {}
     for rep in range(reps):
         log = simulate_path(spec_a, (0,), horizon, seed=2_000_000 + rep)
-        k = len(log.events)
+        k = len(log.times)
         direct_counts[k] = direct_counts.get(k, 0) + 1
     assert helpers.chi_square_pvalue(proj_counts, direct_counts) >= 1e-3
 
@@ -359,8 +361,8 @@ def test_coupled_path_memory_per_event_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(log.events) > 40_000
-    assert peak / len(log.events) <= 120
+    assert len(log.times) > 40_000
+    assert peak / len(log.times) <= 120
 
 
 # -------------------------------------------------------------------- csv
@@ -371,16 +373,16 @@ def test_paired_log_csv_stateflow():
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 10.0, seed=2)
     lines = "".join(paired_log_csv(log)).strip().split("\n")
     assert lines[0] == "time,link_from,link_to,which,stateA,stateB,flowA,flowB"
-    assert len(lines) == len(log.events) + 1
-    ev = log.events[0]
+    assert len(lines) == len(log.times) + 1
+    k, kind = divmod(log.bins[0], 3)
     cells = lines[1].split(",")
-    assert float(cells[0]) == ev.time
-    assert (int(cells[1]), int(cells[2])) == ev.link
-    assert cells[3] == ev.kind
-    assert cells[4] == ";".join(str(v) for v in ev.state_a)
-    assert cells[5] == ";".join(str(v) for v in ev.state_b)
-    assert cells[6] == ";".join(str(v) for v in ev.flows_a)
-    assert cells[7] == ";".join(str(v) for v in ev.flows_b)
+    assert float(cells[0]) == log.times[0]
+    assert (int(cells[1]), int(cells[2])) == log.links[k]
+    assert cells[3] == ("joint", "b_only", "a_only")[kind]
+    assert cells[4] == ";".join(str(v) for v in helpers.states_after(log, "a")[0])
+    assert cells[5] == ";".join(str(v) for v in helpers.states_after(log, "b")[0])
+    assert cells[6] == ";".join(str(v) for v in log.flows("a")[1].tolist())
+    assert cells[7] == ";".join(str(v) for v in log.flows("b")[1].tolist())
 
 
 @pytest.fixture(scope="module", params=["closed", "not closed"])
@@ -409,11 +411,12 @@ def test_paired_log_csv_chunks_join_to_the_whole_text(long_coupled_path, rows):
 
 
 def test_writer_and_flow_scan_leave_the_cached_codes_unbuilt(long_coupled_path):
-    """The CSV writer and the flow-order scan decode block by block; the
+    """The CSV writer and the flow-order scans decode block by block; the
     log's whole-path code arrays are built only for readers that ask."""
     log = dataclasses.replace(long_coupled_path)
     "".join(paired_log_csv(log))
     pathwise_flow_order_check(log)
+    flow_order_violations(log)
     assert "_bin_codes" not in vars(log) and "_pair_codes" not in vars(log)
 
 
@@ -447,7 +450,7 @@ def test_coupled_path_matches_reference_loop(table_seed, p_zero, seed):
     events, absorbed = helpers.reference_simulate_coupled(
         spec_a, spec_b, init_a, init_b, 20.0, seed
     )
-    assert log.events == events
+    helpers.assert_coupled_path(log, events)
     assert log.absorbed == absorbed
     assert_arrays_match_reference(log, events)
 
@@ -468,6 +471,6 @@ def test_coupled_path_matches_reference_loop_on_tandems(values_a, values_b, seed
     events, absorbed = helpers.reference_simulate_coupled(
         spec_a, spec_b, (1, 0), (1, 0), 20.0, seed
     )
-    assert log.events == events
+    helpers.assert_coupled_path(log, events)
     assert log.absorbed == absorbed
     assert_arrays_match_reference(log, events)

@@ -116,21 +116,21 @@ def test_generator_matches_dense_oracle():
 
 def test_zero_horizon_empty_log():
     log = simulate_path(helpers.two_state_chain(), (0,), 0.0, seed=1)
-    assert log.events == []
+    assert len(log.times) == len(log.moves) == len(log.visits) == 0
     assert not log.absorbed
 
 
 def test_absorbing_start_flagged():
     doc = {"n": 1, "space": {"box": [1]}, "rates": {"0->1": "0", "1->0": "x1"}}
     log = simulate_path(parse_model(doc), (0,), 5.0, seed=1)
-    assert log.events == []
+    assert len(log.times) == len(log.moves) == len(log.visits) == 0
     assert log.absorbed
 
 
 def test_drain_path_absorbs_at_zero():
     doc = {"n": 1, "space": {"box": [3]}, "rates": {"0->1": "0", "1->0": "x1"}}
     log = simulate_path(parse_model(doc), (3,), 1e9, seed=4)
-    assert [ev.post for ev in log.events] == [(2,), (1,), (0,)]
+    assert helpers.states_after(log) == [(2,), (1,), (0,)]
     assert log.absorbed
 
 
@@ -140,7 +140,7 @@ def test_switching_rate_matches_stationary_oracle():
     pi = stationary_distribution(build_generator(spec))
     oracle = throughput(spec, pi, (0, 1)) + throughput(spec, pi, (1, 0))
     assert oracle == pytest.approx(1.0)
-    assert abs(len(log.events) / 1000.0 - oracle) <= 0.1
+    assert abs(len(log.times) / 1000.0 - oracle) <= 0.1
 
 
 def test_init_outside_space_rejected():
@@ -165,17 +165,17 @@ def test_same_seed_bit_identical():
 def test_event_chain_and_flow_conservation():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
     log = simulate_path(spec, (0, 0), 30.0, seed=5)
-    assert len(log.events) > 10
+    assert len(log.times) > 10
     x = log.initial
     counts = {link: 0 for link in spec.links}
     prev_t = 0.0
-    for ev in log.events:
-        assert ev.time > prev_t
-        assert ev.pre == x
-        assert ev.post == helpers.target(ev.pre, ev.link)
-        counts[ev.link] += 1
-        x = ev.post
-        prev_t = ev.time
+    for t, k, post in zip(log.times, log.moves, helpers.states_after(log)):
+        link = log.links[k]
+        assert t > prev_t
+        assert post == helpers.target(x, link)
+        counts[link] += 1
+        x = post
+        prev_t = t
         for node in range(1, spec.n + 1):
             inflow = sum(counts[l] for l in spec.links if l[1] == node)
             outflow = sum(counts[l] for l in spec.links if l[0] == node)
@@ -193,12 +193,12 @@ def test_state_at_steps_through_log():
     spec = helpers.two_state_chain()
     log = simulate_path(spec, (0,), 10.0, seed=3)
     assert state_at(log, 0.0) == (0,)
-    first = log.events[0]
-    assert state_at(log, first.time / 2) == (0,)
-    assert state_at(log, first.time) == first.post
-    assert state_at(log, 10.0) == log.events[-1].post
+    posts = helpers.states_after(log)
+    assert state_at(log, log.times[0] / 2) == (0,)
+    assert state_at(log, log.times[0]) == posts[0]
+    assert state_at(log, 10.0) == posts[-1]
     for e, (t, i) in enumerate(zip(log.times, log.visits)):
-        assert state_at(log, t) == tuple(log.coords[i].tolist()) == log.events[e].post
+        assert state_at(log, t) == tuple(log.coords[i].tolist()) == posts[e]
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
@@ -315,11 +315,11 @@ def test_simulators_build_rows_only_for_the_states_they_visit(monkeypatch):
     spec_a, spec_b = build_balanced_tandem(params), build_original_tandem(params)
     log = simulate_path(spec_b, (0, 0), 1.0, seed=7)
     rows = built.pop()
-    assert rows == {spec_b.find((0, 0)), *log.visits} and len(rows) <= len(log.events) + 1
+    assert rows == {spec_b.find((0, 0)), *log.visits} and len(rows) <= len(log.times) + 1
     assert "".join(event_log_csv(log)) == helpers.whole_event_log_csv(log)
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 1.0, seed=7)
     rows = built.pop()
-    assert rows == {0, *log.pairs} and len(rows) <= len(log.events) + 1
+    assert rows == {0, *log.pairs} and len(rows) <= len(log.times) + 1
     assert "".join(paired_log_csv(log)) == helpers.whole_paired_log_csv(log)
 
 
@@ -379,19 +379,19 @@ def test_short_path_memory_does_not_grow_with_the_space(
 
 
 def test_logs_are_freed_without_the_cyclic_collector():
-    """A log holds no reference to itself (its event view holds the columns),
-    so a finished replication is freed when it is dropped."""
+    """A log holds no reference to itself (its decoded views hold arrays
+    only), so a finished replication is freed when it is dropped."""
     params = TandemParams.linear(3, 3, 2.0)
     spec_a, spec_b = build_balanced_tandem(params), build_original_tandem(params)
     gc.disable()
     try:
         log = simulate_path(spec_b, (0, 0), 10.0, seed=1)
-        assert len(log.events) > 0 and log.events[0] == list(log.events)[0]
+        assert len(log.times) > 0 and log.flows()[-1].sum() == len(log.times)
         path = weakref.ref(log)
         del log
         assert path() is None
         log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), 10.0, seed=1)
-        assert len(log.events) > 0 and log.events[0] == list(log.events)[0]
+        assert len(log.times) > 0 and len(log.visits("a")) == len(log.flows("b")) - 1
         coupled = weakref.ref(log)
         del log
         assert coupled() is None
@@ -407,14 +407,14 @@ def test_paths_across_many_blocks_match_reference_loops(monkeypatch, seed):
     log = simulate_path(spec_b, (0, 0), 10.0, seed)
     events, absorbed = helpers.reference_simulate_path(spec_b, (0, 0), 10.0, seed)
     assert 2 * len(events) > 3 * ctmc._BLOCK  # two uniforms an event: three refills or more
-    assert log.events == events
+    helpers.assert_path(log, events)
     assert log.absorbed == absorbed
     log = simulate_coupled(spec_a, spec_b, (1, 0), (0, 1), 10.0, seed)
     events, absorbed = helpers.reference_simulate_coupled(
         spec_a, spec_b, (1, 0), (0, 1), 10.0, seed
     )
     assert 2 * len(events) > 3 * ctmc._BLOCK
-    assert log.events == events
+    helpers.assert_coupled_path(log, events)
     assert log.absorbed == absorbed
 
 
@@ -430,7 +430,7 @@ def test_path_matches_reference_loop_on_tandems(values, variant, seed):
     spec = build(params)
     log = simulate_path(spec, (1, 0), 20.0, seed)
     events, absorbed = helpers.reference_simulate_path(spec, (1, 0), 20.0, seed)
-    assert log.events == events
+    helpers.assert_path(log, events)
     assert log.absorbed == absorbed
 
 
@@ -447,7 +447,7 @@ def test_path_matches_reference_loop(table_seed, c1, c2, p_zero, seed):
     init = spec.states[int(rng.integers(len(spec.states)))]
     log = simulate_path(spec, init, 20.0, seed)
     events, absorbed = helpers.reference_simulate_path(spec, init, 20.0, seed)
-    assert log.events == events
+    helpers.assert_path(log, events)
     assert log.absorbed == absorbed
 
 
@@ -457,14 +457,13 @@ def test_path_validity_random_seeds(seed):
     log = simulate_path(spec, (0,), 5.0, seed)
     x = log.initial
     t = 0.0
-    for ev in log.events:
-        assert ev.time > t
-        assert ev.time <= 5.0
-        assert ev.pre == x
-        assert ev.post == helpers.target(x, ev.link)
-        assert spec.find(ev.post) >= 0
-        x = ev.post
-        t = ev.time
+    for time, k, post in zip(log.times, log.moves, helpers.states_after(log)):
+        assert time > t
+        assert time <= 5.0
+        assert post == helpers.target(x, log.links[k])
+        assert spec.find(post) >= 0
+        x = post
+        t = time
 
 
 # ------------------------------------------------------------ stationary
@@ -1210,12 +1209,11 @@ def test_event_log_csv_shape():
     text = "".join(event_log_csv(log))
     lines = text.strip().split("\n")
     assert lines[0] == "time,link_from,link_to,state_after"
-    assert len(lines) == len(log.events) + 1
+    assert len(lines) == len(log.times) + 1
     first = lines[1].split(",")
-    ev = log.events[0]
-    assert float(first[0]) == ev.time
-    assert (int(first[1]), int(first[2])) == ev.link
-    assert first[3] == ";".join(str(v) for v in ev.post)
+    assert float(first[0]) == log.times[0]
+    assert (int(first[1]), int(first[2])) == log.links[log.moves[0]]
+    assert first[3] == ";".join(str(v) for v in helpers.states_after(log)[0])
 
 
 def test_event_log_csv_round_trips_floats():
@@ -1223,7 +1221,7 @@ def test_event_log_csv_round_trips_floats():
     log = simulate_path(spec, (0,), 5.0, seed=2)
     rows = "".join(event_log_csv(log)).strip().split("\n")[1:]
     times = [float(r.split(",")[0]) for r in rows]
-    assert times == [ev.time for ev in log.events]
+    assert times == list(log.times)
 
 
 def test_distribution_csv_shape():

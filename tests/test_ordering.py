@@ -11,15 +11,12 @@ from hypothesis import given, strategies as st
 
 import helpers
 from floworder import ctmc, ordering
-from floworder.coupling import (
-    CoupledEvent,
-    PairedEventLog,
-    simulate_coupled,
-)
+from floworder.coupling import PairedEventLog, simulate_coupled
 from floworder.model import ModelError, NetworkSpec, linear_links, parse_model
 from floworder.ordering import (
     check_flow_conditions,
     check_population_conditions,
+    flow_order_violations,
     mean_order_check,
     pathwise_flow_order_check,
     pathwise_population_order_check,
@@ -689,8 +686,8 @@ def test_pathwise_flow_order_matches_counter_loop_on_reference_paths(values, swa
 def test_pathwise_flow_order_flags_hand_built_violation():
     links = linear_links(2)
     events = [
-        CoupledEvent(0.2, (0, 1), "joint", (1, 0), (1, 0), (1, 0, 0), (1, 0, 0)),
-        CoupledEvent(0.5, (0, 1), "a_only", (2, 0), (1, 0), (2, 0, 0), (1, 0, 0)),
+        helpers.CoupledEvent(0.2, (0, 1), "joint", (1, 0), (1, 0), (1, 0, 0), (1, 0, 0)),
+        helpers.CoupledEvent(0.5, (0, 1), "a_only", (2, 0), (1, 0), (2, 0, 0), (1, 0, 0)),
     ]
     coords = np.array([(0, 0), (1, 0), (2, 0)])
     log = PairedEventLog(
@@ -705,14 +702,16 @@ def test_pathwise_flow_order_flags_hand_built_violation():
         horizon=1.0,
         absorbed=False,
     )
-    assert log.events == events
+    helpers.assert_coupled_path(log, events)
     assert pathwise_flow_order_check(log) == [(0.5, (0, 1))]
+    assert flow_order_violations(log) == 1
 
 
 def test_pathwise_flow_order_identical_specs_clean():
     spec = build_original_tandem(TandemParams.linear(2, 2, 1.0))
     log = simulate_coupled(spec, spec, (0, 0), (0, 0), 30.0, seed=2)
     assert pathwise_flow_order_check(log) == []
+    assert flow_order_violations(log) == 0
 
 
 @pytest.mark.parametrize("horizon", [2000.0, 8000.0])
@@ -726,9 +725,10 @@ def test_blockwise_flow_order_scan_equals_the_flows_array_scan(horizon, swapped)
     log = simulate_coupled(spec_a, spec_b, (0, 0), (0, 0), horizon, seed=1)
     found = pathwise_flow_order_check(log)
     assert found == helpers.flows_array_flow_order(log)
+    assert flow_order_violations(log) == len(found)
     assert len(log.times) > ctmc._CSV_ROWS
     if not swapped and horizon == 2000.0:
-        assert (len(log.events), len(found)) == (4437, 276)
+        assert (len(log.times), len(found)) == (4437, 276)
     if swapped:  # A out-serves B: violations in every block, read off carried counters
         blocks = {bisect.bisect_left(log.times, t) // ctmc._CSV_ROWS for t, _ in found}
         assert blocks == set(range(len(log.times) // ctmc._CSV_ROWS + 1))
@@ -760,13 +760,13 @@ def test_pathwise_population_order_matches_event_loop(values, swapped, horizon, 
     init_a, init_b = (rng.choice(spec.states) for spec in pair)
     log = simulate_coupled(*pair, init_a, init_b, horizon, seed)
     if horizon == 0.0:
-        assert not log.events
+        assert not log.times
     assert pathwise_population_order_check(log) == helpers.reference_population_order(log)
 
 
 def test_pathwise_population_order_flags_hand_built_violation():
     links = linear_links(2)
-    events = [CoupledEvent(0.7, (0, 1), "a_only", (1, 1), (1, 0), (1, 0, 0), (0, 0, 0))]
+    events = [helpers.CoupledEvent(0.7, (0, 1), "a_only", (1, 1), (1, 0), (1, 0, 0), (0, 0, 0))]
     log = PairedEventLog(
         initial_a=(0, 1),
         initial_b=(0, 0),
@@ -779,7 +779,7 @@ def test_pathwise_population_order_flags_hand_built_violation():
         horizon=1.0,
         absorbed=False,
     )
-    assert log.events == events
+    helpers.assert_coupled_path(log, events)
     assert pathwise_population_order_check(log) == [(0.7, 2)]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from floworder.ctmc import EventLog, Event, simulate_path
+from floworder.ctmc import EventLog, simulate_path
 from floworder.model import ModelError, balance_signature, parse_model
 from floworder.tandem import TandemParams, build_original_tandem
 
@@ -113,11 +113,11 @@ def test_signature_constant_along_seeded_path():
     spec = linear_tandem(3, 3, 2.0)
     log = simulate_path(spec, (1, 2), 120.0, seed=42)
     flows = log.flows()
-    assert len(log.events) >= 100
+    assert len(log.times) >= 100
     start = balance_signature(log.initial, flows[0], log.links)
     assert start == (1, 2)
-    for ev, row in zip(log.events, flows[1:]):
-        assert balance_signature(ev.post, row, log.links) == start
+    for post, row in zip(helpers.states_after(log), flows[1:]):
+        assert balance_signature(post, row, log.links) == start
 
 
 # ------------------------------------------------------------ simulation
@@ -127,11 +127,7 @@ def test_stateflow_matches_population_path_same_seed():
     spec = linear_tandem()
     ref, ref_absorbed = helpers.reference_simulate_path(spec, (0, 0), 40.0, 9)
     pop = simulate_path(spec, (0, 0), 40.0, seed=9)
-    assert len(ref) == len(pop.events)
-    for a, b in zip(ref, pop.events):
-        assert a.time == b.time
-        assert a.link == b.link
-        assert a.post == b.post
+    helpers.assert_path(pop, ref)
     assert ref_absorbed == pop.absorbed
 
 
@@ -141,7 +137,7 @@ def test_stateflow_counters_count_events():
     final = log.flows()[-1].tolist()
     path = helpers.stateflow_events(log)
     for k, link in enumerate(log.links):
-        assert final[k] == sum(1 for ev in log.events if ev.link == link)
+        assert final[k] == sum(1 for m in log.moves if log.links[m] == link)
         assert path[-1][3][k] == final[k]
 
 
@@ -150,7 +146,7 @@ def test_stateflow_counters_nondecreasing_integers():
     log = simulate_path(spec, (0, 0), 40.0, seed=9)
     flows = log.flows()
     assert flows.dtype == np.int64
-    assert flows.shape == (len(log.events) + 1, len(log.links))
+    assert flows.shape == (len(log.times) + 1, len(log.links))
     steps = np.diff(flows, axis=0)
     assert (steps >= 0).all()
     assert (steps.sum(axis=1) == 1).all()
@@ -166,8 +162,8 @@ def test_stateflow_nonzero_start():
     assert tuple(flows[0].tolist()) == (4, 2, 2)
     start = balance_signature(log.initial, flows[0], log.links)
     assert start == (0 - 4 + 2, 0 - 2 + 2)
-    for ev, row in zip(log.events, flows[1:]):
-        assert balance_signature(ev.post, row, log.links) == start
+    for post, row in zip(helpers.states_after(log), flows[1:]):
+        assert balance_signature(post, row, log.links) == start
 
 
 def test_stateflow_bad_init_rejected():
@@ -190,8 +186,8 @@ def test_recover_empty_log_all_zero():
 def test_recover_counting_definition():
     links = ((0, 1), (1, 2), (2, 0))
     events = [
-        Event(0.5, (0, 1), (0, 0), (1, 0)),
-        Event(1.2, (1, 2), (1, 0), (0, 1)),
+        helpers.Event(0.5, (0, 1), (0, 0), (1, 0)),
+        helpers.Event(1.2, (1, 2), (1, 0), (0, 1)),
     ]
     log = EventLog(
         initial=(0, 0),
@@ -203,7 +199,7 @@ def test_recover_counting_definition():
         absorbed=False,
         links=links,
     )
-    assert log.events == events
+    helpers.assert_path(log, events)
     assert log.flows().tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
     assert counters_at(log, 1.0) == (1, 0, 0)
     assert counters_at(log, 1.2) == (1, 1, 0)
@@ -259,5 +255,5 @@ def test_signature_on_random_instances():
         log = simulate_path(spec, spec.states[0], 25.0, seed=1000 + case)
         flows = log.flows()
         start = balance_signature(log.initial, flows[0], log.links)
-        for ev, row in zip(log.events, flows[1:]):
-            assert balance_signature(ev.post, row, log.links) == start
+        for post, row in zip(helpers.states_after(log), flows[1:]):
+            assert balance_signature(post, row, log.links) == start
