@@ -372,22 +372,23 @@ def test_simulate_replication_files(tmp_path, capsys):
 
 
 def test_couple_summary(tmp_path, capsys):
-    rc = main(
-        [
-            "couple",
-            "--family", "tandem-pair",
-            "--reps", "2",
-            "--horizon", "4",
-            "--out", str(tmp_path),
+    """Two replications at the default sizes, and README's example: ten
+    replications of the s = (3, 3) pair to horizon 50."""
+    for options, reps, events in (
+        (["--reps", "2", "--horizon", "4"], 2, 10),
+        (["--s1", "3", "--s2", "3", "--reps", "10", "--horizon", "50"], 10, 1531),
+    ):
+        out = tmp_path / f"reps{reps}"
+        rc = main(["couple", "--family", "tandem-pair", *options, "--out", str(out)])
+        assert rc == 0
+        assert sorted(os.listdir(out)) == [
+            *(f"couple_rep{k:04d}.csv" for k in range(reps)), "couple_summary.json"
         ]
-    )
-    assert rc == 0
-    assert (tmp_path / "couple_rep0000.csv").exists()
-    assert (tmp_path / "couple_rep0001.csv").exists()
-    summary = json.loads((tmp_path / "couple_summary.json").read_text())
-    assert summary["verdict"] == "pass"
-    assert summary["flow_order_violations"] == 0
-    assert "coupled 2 replications" in capsys.readouterr().out
+        summary = json.loads((out / "couple_summary.json").read_text())
+        assert summary["verdict"] == "pass"
+        assert summary["flow_order_violations"] == 0
+        assert summary["events"] == events
+        assert f"coupled {reps} replications" in capsys.readouterr().out
 
 
 def test_couple_jobs_do_not_change_bytes(tmp_path, capsys):
@@ -668,20 +669,27 @@ def test_verify_unordered_pair_exits_one(tmp_path, capsys):
 
 
 def test_sweep_small_grid(tmp_path, capsys):
-    rc = main(["sweep", "--betas", "1", "--sizes", "1,2", "--out", str(tmp_path)])
-    assert rc == 0
-    comments, header_row, rows = read_csv_body(tmp_path / "sweep.csv")
-    assert header_row == (
-        "beta,s1,s2,throughput_balanced,throughput_original,"
-        "loss_balanced,loss_original,margin"
-    )
-    assert len(rows) == 2
-    for row in rows:
-        beta, s1, s2, thr_b, thr_o, loss_b, loss_o, margin = row.split(",")
-        assert float(margin) == pytest.approx(float(thr_o) - float(thr_b), abs=1e-12)
-        assert float(margin) >= -1e-10
-        assert float(thr_b) + float(loss_b) == pytest.approx(float(beta), abs=1e-10)
-        assert float(thr_o) + float(loss_o) == pytest.approx(float(beta), abs=1e-10)
+    """The original variant out-serves the balanced one at every point of a
+    two-point grid and of README's 20-point grid, where the smallest margin
+    is about 3.2e-05 (beta = 0.25, s = 4): every margin is strictly positive."""
+    for betas, sizes in (("1", "1,2"), ("0.25,0.5,1,2,4", "1,2,3,4")):
+        out = tmp_path / betas
+        rc = main(["sweep", "--betas", betas, "--sizes", sizes, "--out", str(out)])
+        assert rc == 0
+        comments, header_row, rows = read_csv_body(out / "sweep.csv")
+        assert header_row == (
+            "beta,s1,s2,throughput_balanced,throughput_original,"
+            "loss_balanced,loss_original,margin"
+        )
+        assert [row.split(",")[:3] for row in rows] == [
+            [repr(float(b)), s, s] for b in betas.split(",") for s in sizes.split(",")
+        ]
+        for row in rows:
+            beta, s1, s2, thr_b, thr_o, loss_b, loss_o, margin = row.split(",")
+            assert float(margin) == pytest.approx(float(thr_o) - float(thr_b), abs=1e-12)
+            assert float(margin) > 0
+            assert float(thr_b) + float(loss_b) == pytest.approx(float(beta), abs=1e-10)
+            assert float(thr_o) + float(loss_o) == pytest.approx(float(beta), abs=1e-10)
 
 
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):

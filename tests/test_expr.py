@@ -150,7 +150,11 @@ def bits(values):
 @pytest.mark.parametrize(
     "source, expected",
     [("2", [2.0] * 3), ("max(1e309, 0)", [math.inf] * 3), ("ind(1 < 2)", [1.0] * 3),
-     ("x1", [0.0, 1.0, 2.0]), ("-x1", [-0.0, -1.0, -2.0])],
+     ("x1", [0.0, 1.0, 2.0]), ("-x1", [-0.0, -1.0, -2.0]),
+     # On a tie min and max keep their first argument, so a signed zero
+     # shows which one won, on the array branch and on the float branch.
+     ("min(0, -x1)", [0.0, -1.0, -2.0]), ("max(-x1, 0)", [-0.0, 0.0, 0.0]),
+     ("min(0, -0)", [0.0] * 3), ("max(-0, 0)", [-0.0] * 3)],
 )
 def test_evaluate_returns_a_fresh_writable_array(source, expected):
     """Constant subtrees are Python floats inside the evaluator; the result is

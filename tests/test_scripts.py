@@ -1,4 +1,5 @@
-"""The example scripts run to completion on their default arguments."""
+"""The condition scan, the one example script, runs on its default grid and
+finds no instance whose conditions pass while its closure stays open."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script", ["condition_scan.py", "coupling_demo.py", "tandem_sweep.py"])
+@pytest.mark.parametrize("script", ["condition_scan.py"])
 def test_script_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -24,5 +25,4 @@ def test_script_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    if script == "condition_scan.py":
-        assert "conditions pass, open:         0  (must stay zero)" in proc.stdout
+    assert "conditions pass, open:         0  (must stay zero)" in proc.stdout
